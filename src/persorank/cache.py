@@ -14,14 +14,28 @@ SESSIONS_MAGIC = b"PRNK.SESSIONS.1\n"
 INDEX_MAGIC = b"PRNK.INDEX.1\n"
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 @contextmanager
-def atomic_write(path: str | Path, mode: str = "w"):
-    """Write to a temp file in the target directory, then rename into place."""
+def atomic_path(path: str | Path):
+    """Yield a fresh temp path beside `path`; rename it into place on success.
+
+    The temp name is unique (mkstemp), so concurrent writers into one
+    directory never share a temp file. The renamed file gets the usual
+    umask-default permissions rather than mkstemp's 0600.
+    """
     path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
+    fd, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
+    )
+    os.close(fd)
     try:
-        with os.fdopen(fd, mode) as fh:
-            yield fh
+        yield Path(tmp_name)
+        os.chmod(tmp_name, 0o666 & ~_umask())
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -29,6 +43,13 @@ def atomic_write(path: str | Path, mode: str = "w"):
         except OSError:
             pass
         raise
+
+
+@contextmanager
+def atomic_write(path: str | Path, mode: str = "w"):
+    """Open a temp file beside `path` for writing; rename it into place on success."""
+    with atomic_path(path) as tmp, open(tmp, mode) as fh:
+        yield fh
 
 
 def _save(path: str | Path, magic: bytes, payload) -> None:

@@ -16,7 +16,6 @@ import argparse
 import csv
 import gzip
 import json
-import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -43,15 +42,9 @@ class UsageError(Exception):
     pass
 
 
-def _atomic_file(write_fn, out: Path) -> None:
-    """Run a path-taking writer against a temp file, then rename into place."""
-    tmp = Path(str(out) + ".tmp")
-    try:
-        write_fn(tmp)
-        os.replace(tmp, out)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+def _stage_start() -> tuple[float, datetime]:
+    """When a stage starts: a perf counter for its wall time, and a UTC stamp."""
+    return time.perf_counter(), datetime.now(timezone.utc)
 
 
 def _open_log(path: Path):
@@ -68,15 +61,15 @@ def _require(path: str | Path) -> Path:
 
 
 def _write_manifest(command: str, params: dict, inputs: list, outputs: list,
-                    started: float, primary_output: str | Path) -> None:
+                    started: tuple[float, datetime], primary_output: str | Path) -> None:
     manifest = {
         "command": command,
         "version": __version__,
         "params": params,
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
-        "started_utc": datetime.now(timezone.utc).isoformat(),
-        "wall_time_s": round(time.perf_counter() - started, 6),
+        "started_utc": started[1].isoformat(),
+        "wall_time_s": round(time.perf_counter() - started[0], 6),
     }
     path = Path(str(primary_output) + ".manifest.json")
     with cache.atomic_write(path) as fh:
@@ -99,7 +92,7 @@ def _gen_config(cfg: PipelineConfig) -> GenConfig:
 
 
 def _cmd_gen(args, cfg: PipelineConfig) -> int:
-    started = time.perf_counter()
+    started = _stage_start()
     gencfg = _gen_config(cfg)
     lines, stats = generate_lines(gencfg)
     text = "\n".join(lines) + "\n"
@@ -124,7 +117,7 @@ def _cmd_gen(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_parse(args, cfg: PipelineConfig) -> int:
-    started = time.perf_counter()
+    started = _stage_start()
     log_path = _require(args.log or cfg.log_path)
     out = Path(args.out or cfg.cache_path)
     with _open_log(log_path) as fh:
@@ -139,7 +132,7 @@ def _cmd_parse(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_stats(args, cfg: PipelineConfig) -> int:
-    started = time.perf_counter()
+    started = _stage_start()
     cache_path = _require(args.cache or cfg.cache_path)
     out = Path(args.out or Path(cfg.reports_dir) / "stats.csv")
     sessions = cache.load_sessions(cache_path)
@@ -216,14 +209,15 @@ def _cmd_stats(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_partition(args, cfg: PipelineConfig) -> int:
-    started = time.perf_counter()
+    started = _stage_start()
     cache_path = _require(args.cache or cfg.cache_path)
     out = Path(args.out or cfg.targets_path)
     seed = args.seed if args.seed is not None else cfg.partition_seed
     train_days = args.train_days if args.train_days is not None else cfg.train_days
     sessions = cache.load_sessions(cache_path)
     targets, report = select_targets(sessions, train_days=train_days, seed=seed)
-    _atomic_file(lambda p: write_targets(targets, p), out)
+    with cache.atomic_path(out) as tmp:
+        write_targets(targets, tmp)
     _write_manifest(
         "partition",
         {"seed": seed, "train_days": train_days, "report": report.__dict__},
@@ -240,7 +234,7 @@ def _cmd_partition(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_index(args, cfg: PipelineConfig) -> int:
-    started = time.perf_counter()
+    started = _stage_start()
     cache_path = _require(args.cache or cfg.cache_path)
     seed = args.seed if args.seed is not None else cfg.partition_seed
     train_days = args.train_days if args.train_days is not None else cfg.train_days
@@ -266,7 +260,7 @@ def _cmd_index(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_extract(args, cfg: PipelineConfig) -> int:
-    started = time.perf_counter()
+    started = _stage_start()
     cache_path = _require(args.cache or cfg.cache_path)
     targets_path = _require(args.targets or cfg.targets_path)
     out_dir = Path(args.out_dir or cfg.features_dir)
@@ -285,7 +279,8 @@ def _cmd_extract(args, cfg: PipelineConfig) -> int:
     for role in ROLES:
         path = out_dir / f"features_{role}.csv"
         rows = extracted[role]
-        _atomic_file(lambda p, rows=rows: features.write_features(rows, p), path)
+        with cache.atomic_path(path) as tmp:
+            features.write_features(rows, tmp)
         outputs.append(path)
     _write_manifest(
         "extract",
@@ -301,7 +296,7 @@ def _cmd_extract(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_train(args, cfg: PipelineConfig) -> int:
-    started = time.perf_counter()
+    started = _stage_start()
     train_path = _require(args.train_features
                           or Path(cfg.features_dir) / "features_train.csv")
     val_path = _require(args.val_features
@@ -332,14 +327,15 @@ def _cmd_train(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_score(args, cfg: PipelineConfig) -> int:
-    started = time.perf_counter()
+    started = _stage_start()
     model_path = _require(args.model)
     features_path = _require(args.features)
     out = Path(args.out or Path(cfg.reports_dir) / "scores.csv")
     model = RankModel.load(model_path)
     table = features.read_features(features_path)
     scores = score_table(model, table)
-    _atomic_file(lambda p: evaluate.write_scores(table, scores, p), out)
+    with cache.atomic_path(out) as tmp:
+        evaluate.write_scores(table, scores, tmp)
     _write_manifest("score", {"model": str(model_path)},
                     [model_path, features_path], [out], started, out)
     print(f"wrote {out} ({table.n_targets} targets)")
@@ -347,7 +343,7 @@ def _cmd_score(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_blend(args, cfg: PipelineConfig) -> int:
-    started = time.perf_counter()
+    started = _stage_start()
     score_paths = [_require(p) for p in args.scores]
     out = Path(args.out or Path(cfg.reports_dir) / "blended_scores.csv")
     loaded = [evaluate.read_scores(p) for p in score_paths]
@@ -383,7 +379,8 @@ def _cmd_blend(args, cfg: PipelineConfig) -> int:
     blended = blended.reshape(len(first), n_docs_per_target)
 
     table = _scores_as_table(first)
-    _atomic_file(lambda p: evaluate.write_scores(table, blended, p), out)
+    with cache.atomic_path(out) as tmp:
+        evaluate.write_scores(table, blended, tmp)
     outputs = [out]
     if not args.apply:
         model_out = Path(args.model_out
@@ -423,7 +420,7 @@ def _scores_as_table(targets):
 
 
 def _cmd_eval(args, cfg: PipelineConfig) -> int:
-    started = time.perf_counter()
+    started = _stage_start()
     scores_path = _require(args.scores)
     out_dir = Path(args.out_dir or cfg.reports_dir)
     targets = evaluate.read_scores(scores_path)
@@ -432,8 +429,10 @@ def _cmd_eval(args, cfg: PipelineConfig) -> int:
     )
     report_path = out_dir / "report.csv"
     summary_path = out_dir / "summary.csv"
-    _atomic_file(lambda p: evaluate.write_report(report, p), report_path)
-    _atomic_file(lambda p: evaluate.write_summary(report, p), summary_path)
+    with cache.atomic_path(report_path) as tmp:
+        evaluate.write_report(report, tmp)
+    with cache.atomic_path(summary_path) as tmp:
+        evaluate.write_summary(report, tmp)
     _write_manifest(
         "eval", {"split_seed": args.split_seed},
         [scores_path], [report_path, summary_path], started, report_path,
@@ -447,7 +446,7 @@ def _cmd_eval(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_analyze(args, cfg: PipelineConfig) -> int:
-    started = time.perf_counter()
+    started = _stage_start()
     report_path = _require(args.report)
     out_dir = Path(args.out_dir or cfg.reports_dir)
     taus, deltas = [], []
@@ -457,16 +456,10 @@ def _cmd_analyze(args, cfg: PipelineConfig) -> int:
             deltas.append(float(row["delta_ndcg"]))
     tau_path = out_dir / "tau_hist.csv"
     delta_path = out_dir / "delta_ndcg_hist.csv"
-    _atomic_file(
-        lambda p: evaluate.write_histogram(evaluate.histogram(taus, -1.0, 1.0, 20), p),
-        tau_path,
-    )
-    _atomic_file(
-        lambda p: evaluate.write_histogram(
-            evaluate.histogram(deltas, -1.0, 1.0, 40), p
-        ),
-        delta_path,
-    )
+    with cache.atomic_path(tau_path) as tmp:
+        evaluate.write_histogram(evaluate.histogram(taus, -1.0, 1.0, 20), tmp)
+    with cache.atomic_path(delta_path) as tmp:
+        evaluate.write_histogram(evaluate.histogram(deltas, -1.0, 1.0, 40), tmp)
     _write_manifest("analyze", {}, [report_path], [tau_path, delta_path],
                     started, tau_path)
     print(f"wrote {tau_path}, {delta_path}")

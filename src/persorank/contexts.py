@@ -10,8 +10,10 @@ tie-broken session order shared with the partitioner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+
+import numpy as np
 
 from .logs import Grade, Session
 from .partition import order_sessions, session_ranks
@@ -55,12 +57,90 @@ class Occurrence:
         return table.get(item, ())
 
 
+@dataclass(eq=False)
+class QueryColumns:
+    """Every indexed impression of one query as arrays, rows in index order.
+
+    Row n of `items` holds the codes of its documents in columns 0..W-1 and
+    of its domains in columns W..2W-1, where W is the longest result list.
+    Codes number the query's distinct documents and domains from 0 in one
+    shared sequence, so any id fits a small dtype and one comparison serves
+    both item kinds. Code -1 fills the slots that never match: padding of a
+    short result list, and the earlier slots of a document listed twice,
+    which counts only at its last slot, as in `Occurrence.doc_ranks`.
+    """
+
+    users: np.ndarray       # (N,) int32 user codes
+    items: np.ndarray       # (N, 2W) int16/int32 document then domain codes
+    gains: np.ndarray       # (N, W) int8
+    clicked: np.ndarray     # (N, W) bool
+    last_click: np.ndarray  # (N,) int16, bottom-most clicked slot, 0 without clicks
+    variants: np.ndarray    # (N,) int32 index into `terms`
+    terms: list[tuple[int, ...]]  # distinct term tuples of the query's rows
+    user_codes: dict[int, int]
+    document_codes: dict[int, int]
+    domain_codes: dict[int, int]
+
+    @classmethod
+    def from_occurrences(cls, occurrences: list[Occurrence]) -> "QueryColumns":
+        width = max(max(len(o.documents), len(o.domains)) for o in occurrences)
+        users: dict[int, int] = {}
+        docs: dict[int, int] = {}
+        domains: dict[int, int] = {}
+        variants: dict[tuple[int, ...], int] = {}
+        item_rows, gain_rows, click_slots = [], [], []
+        for row, o in enumerate(occurrences):
+            codes = [docs.setdefault(d, len(docs) + len(domains)) for d in o.documents]
+            if len(o.doc_ranks) < len(o.documents):
+                codes = [
+                    c if o.doc_ranks[d] == (pos,) else -1
+                    for pos, (c, d) in enumerate(zip(codes, o.documents), 1)
+                ]
+            codes += [-1] * (width - len(o.documents))
+            codes += [domains.setdefault(d, len(docs) + len(domains)) for d in o.domains]
+            codes += [-1] * (width - len(o.domains))
+            item_rows.append(codes)
+            gain_rows.append(o.gains + (0,) * (width - len(o.gains)))
+            click_slots.extend(row * width + r - 1 for r in o.click_ranks)
+        clicked = np.zeros((len(occurrences), width), dtype=bool)
+        clicked.flat[click_slots] = True
+        n_codes = len(docs) + len(domains)
+        return cls(
+            users=np.array(
+                [users.setdefault(o.user_id, len(users)) for o in occurrences],
+                dtype=np.int32,
+            ),
+            items=np.array(item_rows, dtype=np.int16 if n_codes <= 2**15 else np.int32),
+            gains=np.array(gain_rows, dtype=np.int8),
+            clicked=clicked,
+            last_click=np.array(
+                [o.click_ranks[-1] if o.click_ranks else 0 for o in occurrences],
+                dtype=np.int16,
+            ),
+            variants=np.array(
+                [variants.setdefault(o.terms, len(variants)) for o in occurrences],
+                dtype=np.int32,
+            ),
+            terms=list(variants),
+            user_codes=users,
+            document_codes=docs,
+            domain_codes=domains,
+        )
+
+
 @dataclass
 class Context:
-    """Entries relating to one target: impressions with aligned item/grade lists."""
+    """Entries relating to one target: impressions with aligned item/grade lists.
+
+    Contexts 5 and 6 from `assemble_contexts` given query columns also carry
+    the query's `columns` and the `keep` mask of their rows that belong to
+    other users; `occurrences` lists the same rows as objects.
+    """
 
     kind: ItemKind
     occurrences: list[Occurrence]
+    columns: QueryColumns | None = field(default=None, compare=False)
+    keep: np.ndarray | None = field(default=None, compare=False)  # (N,) bool over rows
 
     def __len__(self) -> int:
         return len(self.occurrences)
@@ -151,6 +231,7 @@ def assemble_contexts(
     target_key: OrderKey,
     query_index: QueryIndex,
     user_history: UserHistory,
+    query_columns: dict[int, QueryColumns] | None = None,
 ) -> tuple[Context, Context, Context, Context, Context, Context]:
     """The six contexts for a (user, query) target, in canonical order.
 
@@ -160,6 +241,9 @@ def assemble_contexts(
     4: same entries, domain items
     5: other users' training-period repetitions of the query, document items
     6: same entries, domain items
+
+    When `query_columns` holds the query, contexts 5 and 6 carry its columns
+    and the mask of other users' rows.
     """
     history = user_history.get(user_id, [])
     same_query = [
@@ -169,11 +253,15 @@ def assemble_contexts(
         o for o in history if o.query_id != query_id and o.order_key < target_key
     ]
     others = [o for o in query_index.get(query_id, []) if o.user_id != user_id]
+    columns = keep = None
+    if query_columns is not None and query_id in query_columns:
+        columns = query_columns[query_id]
+        keep = columns.users != columns.user_codes.get(user_id, -1)
     return (
         Context(ItemKind.DOCUMENT, same_query),
         Context(ItemKind.DOMAIN, same_query),
         Context(ItemKind.DOCUMENT, other_query),
         Context(ItemKind.DOMAIN, other_query),
-        Context(ItemKind.DOCUMENT, others),
-        Context(ItemKind.DOMAIN, others),
+        Context(ItemKind.DOCUMENT, others, columns, keep),
+        Context(ItemKind.DOMAIN, others, columns, keep),
     )

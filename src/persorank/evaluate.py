@@ -162,7 +162,12 @@ def write_scores(table, scores: np.ndarray, path: str | Path) -> None:
 
 
 def read_scores(path: str | Path) -> list[ScoredTarget]:
-    """Load a score file into per-query evaluation inputs."""
+    """Load a score file into per-query evaluation inputs.
+
+    Malformed content raises DataError: rows with the wrong number of
+    fields, ids or numbers that do not parse, and scores or base ranks that
+    are not finite. An empty gain marks an unlabeled document.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -175,10 +180,13 @@ def read_scores(path: str | Path) -> list[ScoredTarget]:
     for t in range(len(raw) // 10):
         group = raw[t * 10 : (t + 1) * 10]
         first = group[0]
+        line = t * 10 + 2
+        if any(len(r) != len(SCORE_HEADER) for r in group):
+            raise DataError(f"{path}: target at line {line} has rows of the wrong length")
         if any((r[0], r[2], r[3]) != (first[0], first[2], first[3]) for r in group):
             raise DataError(f"{path}: rows of target {t} are mixed")
-        targets.append(
-            ScoredTarget(
+        try:
+            target = ScoredTarget(
                 user_id=int(first[0]),
                 query_id=int(first[1]),
                 session_id=int(first[2]),
@@ -188,7 +196,13 @@ def read_scores(path: str | Path) -> list[ScoredTarget]:
                 base_ranks=[float(r[5]) for r in group],
                 scores=[float(r[7]) for r in group],
             )
-        )
+        except ValueError as exc:
+            raise DataError(f"{path}: target at line {line}: {exc}") from None
+        if not all(map(math.isfinite, target.scores + target.base_ranks)):
+            raise DataError(
+                f"{path}: target at line {line} has a non-finite score or base rank"
+            )
+        targets.append(target)
     return targets
 
 

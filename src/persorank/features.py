@@ -20,9 +20,16 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .contexts import Context, ItemKind, Occurrence, assemble_contexts, build
+from .contexts import (
+    Context,
+    ItemKind,
+    Occurrence,
+    QueryColumns,
+    assemble_contexts,
+    build,
+)
 from .logs import DataError, Impression, Session
-from .partition import TargetSet, order_sessions, session_ranks
+from .partition import ROLES, TargetSet, order_sessions, session_ranks
 
 N_CONTEXTS = 6
 N_CONTEXT_FEATURES = 20
@@ -168,6 +175,120 @@ def context_features(
     ]
 
 
+# Value summed for each event row of `columnar_features`: 0 the inverse
+# top rank, 1 the inverse clicked rank, 2 the query similarity.
+_EVENT_VALUE = np.array([0, 1, 0, 0, 2, 2, 2])
+
+
+def columnar_features(
+    documents: Sequence[int],
+    domains: Sequence[int],
+    query_terms: Sequence[int],
+    context: Context,
+) -> dict[ItemKind, np.ndarray]:
+    """`context_features` of every document and domain at once.
+
+    `context` carries query columns (contexts 5 and 6 from
+    `assemble_contexts`); the result, a (len(items), 20) float64 array per
+    item kind, holds the blocks of both contexts, since they share their
+    rows. One masked pass finds every slot of a kept row that holds a
+    wanted item, then reduces per (row, item) and per item. Rows outside
+    `context.keep` add 0 to every count and nothing to any sum. Float sums
+    run in row order (`np.bincount`), which reproduces the scalar loop's
+    bits; `np.sum` adds pairwise and could change the last bit.
+    """
+    cols = context.columns
+    width = cols.gains.shape[1]
+    n_codes = len(cols.document_codes) + len(cols.domain_codes)
+    wanted = [cols.document_codes.get(d, n_codes) for d in documents]
+    wanted += [cols.domain_codes.get(d, n_codes) for d in domains]
+    # One feature row per distinct wanted code; `inverse` maps items to rows.
+    distinct: dict[int, int] = {}
+    inverse = [distinct.setdefault(code, len(distinct)) for code in wanted]
+    n_items = len(distinct)
+    lookup = np.full(n_codes + 2, -1)  # code -1 reads the last entry
+    lookup[list(distinct)] = np.arange(n_items)
+    slot_item = lookup[cols.items]
+    rows, slot = np.nonzero((slot_item >= 0) & context.keep[:, None])
+    item = slot_item[rows, slot]
+    pos = slot % width + 1  # 1-based rank
+    gain = cols.gains[rows, pos - 1].astype(np.int64)
+    hit = cols.clicked[rows, pos - 1]
+
+    slot_count = np.bincount(item, minlength=n_items)
+    gain_sum = np.bincount(item, weights=gain, minlength=n_items)  # exact integers
+    gain_max = np.zeros(n_items, dtype=np.int64)
+    np.maximum.at(gain_max, item, gain)  # gains are >= 0
+    gain_min = np.full(n_items, np.iinfo(np.int64).max)
+    np.minimum.at(gain_min, item, gain)
+
+    # Per (row, item): topmost slot and topmost clicked slot, `none` if absent.
+    none = width + 1
+    cell = rows * n_items + item
+    top = np.full(len(cols.users) * n_items, none)
+    np.minimum.at(top, cell, pos)
+    r_clicked = np.full_like(top, none)
+    np.minimum.at(r_clicked, cell[hit], pos[hit])
+    top = top.reshape(-1, n_items)
+    r_clicked = r_clicked.reshape(top.shape)
+    shown = top < none
+    clicked = r_clicked < none
+    unclicked = shown & ~clicked
+    last_click = cols.last_click[:, None]
+    skipped = unclicked & (last_click > top)
+    missed = unclicked & ~skipped & (last_click > 0)
+    sims = np.array([similarity(query_terms, t) for t in cols.terms])
+    sim = np.broadcast_to(sims[cols.variants][:, None], top.shape)
+
+    # Sums per (event, item). np.bincount adds its weights one at a time in
+    # input order, and the flat event indices run event by event, then row
+    # by row, so every float sum accumulates in row order.
+    events = np.stack([shown, clicked, skipped, missed, clicked, skipped, missed])
+    values = np.stack([1.0 / top, 1.0 / r_clicked, sim]).reshape(3, -1)
+    event, at = np.divmod(np.flatnonzero(events), top.size)
+    bins = event * n_items + at % n_items
+    weights = values[_EVENT_VALUE[event], at]
+    n_bins = len(_EVENT_VALUE) * n_items
+    ordered = np.bincount(bins, weights, minlength=n_bins).reshape(-1, n_items)
+    counts = np.bincount(bins, minlength=n_bins).reshape(-1, n_items)
+    shown_disc, clicked_disc, skipped_disc, missed_disc = ordered[:4]
+    sim_clicked, sim_skipped, sim_missed = ordered[4:]
+    shown_n, clicked_n, skipped_n, missed_n = counts[:4]
+
+    def mean(total, n):
+        return np.divide(total, n, out=np.zeros(n_items), where=n > 0)
+
+    block = np.stack(
+        [
+            gain_sum,
+            mean(gain_sum, slot_count),
+            gain_max,
+            np.where(slot_count > 0, gain_min, 0),
+            mean(sim_clicked, clicked_n),
+            np.where(clicked, sim, 0.0).max(axis=0),
+            mean(sim_skipped, skipped_n),
+            np.where(skipped, sim, 0.0).max(axis=0),
+            mean(sim_missed, missed_n),
+            np.where(missed, sim, 0.0).max(axis=0),
+            shown_n,
+            clicked_n,
+            skipped_n,
+            missed_n,
+            shown_disc,
+            clicked_disc,
+            np.where(clicked, r_clicked, 0).max(axis=0),
+            np.where(clicked_n > 0, r_clicked.min(axis=0), 0),
+            skipped_disc,
+            missed_disc,
+        ],
+        axis=1,
+    )[inverse]
+    return {
+        ItemKind.DOCUMENT: block[: len(documents)],
+        ItemKind.DOMAIN: block[len(documents) :],
+    }
+
+
 @dataclass
 class FeatureVector:
     user_id: int
@@ -193,12 +314,19 @@ def extract_impression(
     if len(six_contexts) != N_CONTEXTS:
         raise ValueError(f"expected {N_CONTEXTS} contexts, got {len(six_contexts)}")
     gains = imp.gains() if imp.labels is not None else None
+    blocks = []
+    columnar = None  # contexts 5 and 6 share their rows: one pass serves both
+    for context in six_contexts:
+        items = imp.documents if context.kind is ItemKind.DOCUMENT else imp.domains
+        if context.columns is None:
+            blocks.append([context_features(item, imp.terms, context) for item in items])
+            continue
+        if columnar is None:
+            columnar = columnar_features(imp.documents, imp.domains, imp.terms, context)
+        blocks.append(columnar[context.kind].tolist())
     rows = []
-    for pos, (doc, domain) in enumerate(zip(imp.documents, imp.domains)):
-        values: list[float] = []
-        for context in six_contexts:
-            item = doc if context.kind is ItemKind.DOCUMENT else domain
-            values.extend(context_features(item, imp.terms, context))
+    for pos, (doc, _) in enumerate(zip(imp.documents, imp.domains)):
+        values = [v for block in blocks for v in block[pos]]
         values.append(float(pos + 1))  # original engine rank
         rows.append(
             FeatureVector(
@@ -233,6 +361,7 @@ def _extract_ref(item: tuple[int, int, int]) -> list[FeatureVector]:
         (rank, imp.time_passed),
         ctx["query_index"],
         ctx["user_history"],
+        ctx["query_columns"],
     )
     return extract_impression(user_id, imp, session_id, six)
 
@@ -259,11 +388,24 @@ def extract_targets(
         for s in user_sessions
         for imp in s.impressions
     }
+    # Columns of the queries that targets ask for, built once before any
+    # fork so that worker processes inherit them.
+    keys = [
+        (r.user_id, r.session_id, r.serp_id)
+        for role in ROLES
+        for r in targets.by_role(role)
+    ]
+    target_queries = {impressions[key].query_id for key in keys if key in impressions}
     _WORK_CONTEXT = {
         "impressions": impressions,
         "ranks": session_ranks(ordered),
         "query_index": query_index,
         "user_history": user_history,
+        "query_columns": {
+            q: QueryColumns.from_occurrences(query_index[q])
+            for q in target_queries
+            if q in query_index
+        },
     }
     try:
         out: dict[str, list[FeatureVector]] = {}
@@ -323,7 +465,12 @@ class FeatureTable:
 
 
 def read_features(path: str | Path) -> FeatureTable:
-    """Load a feature CSV, validating layout and 10-document grouping."""
+    """Load a feature CSV, validating layout, 10-document grouping and values.
+
+    Malformed content raises DataError: rows with the wrong number of
+    fields, ids that are not integers, values that are not numbers or not
+    finite.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -332,6 +479,11 @@ def read_features(path: str | Path) -> FeatureTable:
         raw = list(reader)
     if len(raw) % 10 != 0:
         raise DataError(f"{path}: row count {len(raw)} is not a multiple of 10")
+    for i, row in enumerate(raw):
+        if len(row) != len(HEADER):
+            raise DataError(
+                f"{path}: line {i + 2} has {len(row)} fields, expected {len(HEADER)}"
+            )
     n_targets = len(raw) // 10
     n_ids = len(ID_COLUMNS)
 
@@ -347,20 +499,34 @@ def read_features(path: str | Path) -> FeatureTable:
     for t in range(n_targets):
         group = raw[t * 10 : (t + 1) * 10]
         first = group[0]
-        user_ids[t] = int(first[0])
-        query_ids[t] = int(first[1])
-        session_ids[t] = int(first[2])
-        serp_ids[t] = int(first[3])
-        for j, row in enumerate(group):
-            if (row[0], row[2], row[3]) != (first[0], first[2], first[3]):
-                raise DataError(f"{path}: target group at row {t * 10 + j + 2} mixed")
-            doc_ids[t, j] = int(row[4])
-            x[t, j, :] = [float(v) for v in row[n_ids : n_ids + N_FEATURES]]
-            gain_raw = row[n_ids + N_FEATURES]
-            if gain_raw == "":
-                any_gain = False
-            else:
-                gains[t, j] = float(gain_raw)
+        try:
+            user_ids[t] = int(first[0])
+            query_ids[t] = int(first[1])
+            session_ids[t] = int(first[2])
+            serp_ids[t] = int(first[3])
+            for j, row in enumerate(group):
+                if (row[0], row[2], row[3]) != (first[0], first[2], first[3]):
+                    raise DataError(
+                        f"{path}: target group at row {t * 10 + j + 2} mixed"
+                    )
+                doc_ids[t, j] = int(row[4])
+                x[t, j, :] = [float(v) for v in row[n_ids : n_ids + N_FEATURES]]
+                gain_raw = row[n_ids + N_FEATURES]
+                if gain_raw == "":
+                    any_gain = False
+                else:
+                    gains[t, j] = float(gain_raw)
+        except DataError:
+            raise
+        except ValueError as exc:
+            raise DataError(f"{path}: target at line {t * 10 + 2}: {exc}") from None
+
+    finite = np.isfinite(x).all(axis=2)
+    if any_gain:
+        finite &= np.isfinite(gains)
+    if not finite.all():
+        t, j = np.argwhere(~finite)[0]
+        raise DataError(f"{path}: line {t * 10 + j + 2} holds a non-finite value")
 
     return FeatureTable(
         user_ids=user_ids,

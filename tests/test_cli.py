@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import stat
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
+import pytest
 
+from persorank import cache as cache_mod
 from persorank.cli import main
 
 GEN_OVERRIDES = [
@@ -242,3 +247,121 @@ class TestManifests:
         run_pipeline(tmp_path)
         leftovers = list(tmp_path.glob("*.tmp"))
         assert leftovers == []
+
+    def test_started_utc_is_the_start_of_the_stage(self, tmp_path):
+        log = tmp_path / "log.tsv"
+        before = datetime.now(timezone.utc)
+        assert run("gen", "--out", str(log), *GEN_OVERRIDES) == 0
+        after = datetime.now(timezone.utc)
+        manifest = json.loads((tmp_path / "log.tsv.manifest.json").read_text())
+        started = datetime.fromisoformat(manifest["started_utc"])
+        assert before <= started
+        assert started + timedelta(seconds=manifest["wall_time_s"]) <= after
+
+
+class TestAtomicWrite:
+    def test_concurrent_writers_get_distinct_temp_files(self, tmp_path):
+        out = tmp_path / "out.csv"
+        with cache_mod.atomic_path(out) as a, cache_mod.atomic_path(out) as b:
+            assert a != b
+            assert a.parent == b.parent == tmp_path
+            a.write_text("first\n")
+            b.write_text("second\n")
+        assert out.read_text() == "first\n"  # the writer that finished last wins
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_written_files_get_umask_default_mode(self, tmp_path):
+        mask = os.umask(0o022)
+        try:
+            with cache_mod.atomic_write(tmp_path / "a.txt") as fh:
+                fh.write("x")
+            with cache_mod.atomic_path(tmp_path / "b.txt") as tmp:
+                tmp.write_text("y")
+        finally:
+            os.umask(mask)
+        for name in ("a.txt", "b.txt"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o644
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        out = tmp_path / "out.csv"
+        with pytest.raises(RuntimeError):
+            with cache_mod.atomic_write(out) as fh:
+                fh.write("partial")
+                raise RuntimeError("writer failed")
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def scored_run(tmp_path_factory):
+    """A small extract -> heuristic score run whose files the probes corrupt."""
+    w = tmp_path_factory.mktemp("scored")
+    assert run("gen", "--out", str(w / "log.tsv"), *GEN_OVERRIDES) == 0
+    assert run("parse", "--log", str(w / "log.tsv"), "--out", str(w / "s.cache")) == 0
+    assert run("partition", "--cache", str(w / "s.cache"), "--out", str(w / "t.csv")) == 0
+    assert run("extract", "--cache", str(w / "s.cache"), "--targets", str(w / "t.csv"),
+               "--out-dir", str(w)) == 0
+    assert run("train", "--kind", "heuristic",
+               "--train-features", str(w / "features_train.csv"),
+               "--val-features", str(w / "features_validation.csv"),
+               "--out", str(w / "model.json")) == 0
+    assert run("score", "--model", str(w / "model.json"),
+               "--features", str(w / "features_validation.csv"),
+               "--out", str(w / "scores.csv")) == 0
+    return w
+
+
+def corrupt_field(src: Path, dst: Path, column: str, value: str | None) -> Path:
+    """Copy a CSV, setting `column` of its first data row to `value` (None drops it)."""
+    with open(src, newline="") as fh:
+        rows = list(csv.reader(fh))
+    col = rows[0].index(column)
+    if value is None:
+        del rows[1][col]
+    else:
+        rows[1][col] = value
+    with open(dst, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return dst
+
+
+class TestMalformedInputs:
+    def score(self, w, features):
+        return run("score", "--model", str(w / "model.json"), "--features", str(features),
+                   "--out", str(w / "probe_scores.csv"))
+
+    def test_valid_files_pass(self, scored_run):
+        w = scored_run
+        assert self.score(w, w / "features_validation.csv") == 0
+        assert run("eval", "--scores", str(w / "scores.csv"),
+                   "--out-dir", str(w)) == 0
+
+    def test_short_feature_row_is_data_error(self, scored_run, tmp_path):
+        bad = corrupt_field(scored_run / "features_validation.csv", tmp_path / "f.csv",
+                            "gain", None)
+        assert self.score(scored_run, bad) == 2
+
+    def test_non_integer_feature_id_is_data_error(self, scored_run, tmp_path):
+        bad = corrupt_field(scored_run / "features_validation.csv", tmp_path / "f.csv",
+                            "doc_id", "d17")
+        assert self.score(scored_run, bad) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_is_data_error(self, scored_run, tmp_path, value):
+        bad = corrupt_field(scored_run / "features_validation.csv", tmp_path / "f.csv",
+                            "c3_g7", value)
+        assert self.score(scored_run, bad) == 2
+
+    def test_non_finite_feature_is_rejected_by_train(self, scored_run, tmp_path):
+        bad = corrupt_field(scored_run / "features_validation.csv", tmp_path / "f.csv",
+                            "c1_g1", "nan")
+        assert run("train", "--kind", "heuristic",
+                   "--train-features", str(scored_run / "features_train.csv"),
+                   "--val-features", str(bad), "--out", str(tmp_path / "m.json")) == 2
+
+    def test_nan_score_is_data_error(self, scored_run, tmp_path):
+        bad = corrupt_field(scored_run / "scores.csv", tmp_path / "s.csv", "score", "nan")
+        assert run("eval", "--scores", str(bad), "--out-dir", str(tmp_path)) == 2
+
+    def test_short_score_row_is_data_error(self, scored_run, tmp_path):
+        bad = corrupt_field(scored_run / "scores.csv", tmp_path / "s.csv", "score", None)
+        assert run("eval", "--scores", str(bad), "--out-dir", str(tmp_path)) == 2

@@ -4,10 +4,18 @@ import random
 import numpy as np
 import pytest
 
-from persorank.contexts import Context, ItemKind, make_occurrence
+from persorank.contexts import (
+    Context,
+    ItemKind,
+    QueryColumns,
+    assemble_contexts,
+    build_from_sessions,
+    make_occurrence,
+)
 from persorank.features import (
     HEADER,
     N_FEATURES,
+    columnar_features,
     context_features,
     event_flags,
     extract_impression,
@@ -307,3 +315,131 @@ class TestExtract:
         write_features(a["validation"], pa)
         write_features(b["validation"], pb)
         assert pa.read_bytes() == pb.read_bytes()
+
+
+def assert_columnar_matches_scalar(six, imp):
+    """Contexts 5 and 6 of a target: the columnar pass equals the scalar loop bitwise."""
+    assert six[4].columns is not None and six[5].columns is six[4].columns
+    got = columnar_features(imp.documents, imp.domains, imp.terms, six[4])
+    for context, items in ((six[4], imp.documents), (six[5], imp.domains)):
+        want = np.array([context_features(item, imp.terms, context) for item in items])
+        assert np.array_equal(got[context.kind], want)
+        assert got[context.kind].tobytes() == want.tobytes()  # also tells -0.0 from 0.0
+
+
+def check_hand_built(sessions, user_id, imp):
+    """Index hand-built sessions, check the target's contexts 5 and 6, return all six."""
+    qidx, hist, _ = build_from_sessions(sessions, train_days=27, seed=0)
+    columns = {q: QueryColumns.from_occurrences(occs) for q, occs in qidx.items()}
+    six = assemble_contexts(user_id, imp.query_id, (10**9, 0), qidx, hist, columns)
+    assert_columnar_matches_scalar(six, imp)
+    return six
+
+
+def serp(serp_id, docs, domains, clicks=None, terms=(1, 2), query=5, time=0):
+    clicks = clicks or {}
+    return Impression(
+        serp_id=serp_id,
+        query_id=query,
+        terms=tuple(terms),
+        documents=tuple(docs),
+        domains=tuple(domains),
+        time_passed=time,
+        labels=[clicks.get(pos, Grade.NO_CLICK) for pos in range(1, len(docs) + 1)],
+    )
+
+
+class TestColumnar:
+    def test_matches_scalar_on_every_small_corpus_target(self, small_corpus):
+        sessions = small_corpus.sessions
+        qidx, hist, ranks = build_from_sessions(
+            sessions, small_corpus.train_days, small_corpus.partition_seed
+        )
+        columns = {q: QueryColumns.from_occurrences(occs) for q, occs in qidx.items()}
+        lookup = {
+            (s.user_id, s.session_id, imp.serp_id): imp
+            for s in sessions
+            for imp in s.impressions
+        }
+        checked = 0
+        for role in ("train", "validation", "test"):
+            for ref in small_corpus.targets.by_role(role):
+                imp = lookup[(ref.user_id, ref.session_id, ref.serp_id)]
+                key = (ranks[(ref.user_id, ref.session_id)], imp.time_passed)
+                six = assemble_contexts(
+                    ref.user_id, imp.query_id, key, qidx, hist, columns
+                )
+                if six[4].columns is not None:
+                    assert_columnar_matches_scalar(six, imp)
+                    checked += 1
+        assert checked > 50
+
+    def test_domain_filling_several_slots(self):
+        domains = [3, 0, 3, 0, 7, 7, 1, 2, 3, 4]
+        sessions = [
+            Session(1, 2, 1, [serp(0, range(10), domains, {1: Grade.R1, 3: Grade.R2})]),
+            Session(2, 3, 2, [serp(0, range(10, 20), domains, {6: Grade.R0})]),
+            Session(3, 4, 3, [serp(0, range(10), domains, {9: Grade.R2})]),
+        ]
+        target = serp(1, range(10), [3, 3, 7, 0, 9, 1, 2, 4, 3, 8])
+        six = check_hand_built(sessions, 1, target)
+        assert len(six[5]) == 3
+
+    def test_target_users_rows_interleaved_with_others(self):
+        docs = list(range(10))
+        doms = [d % 4 for d in docs]
+        sessions = [
+            Session(day, user, day, [serp(0, docs, doms, {day % 10 + 1: Grade.R1})])
+            for day, user in enumerate([1, 2, 1, 3, 1, 2, 1, 3], start=1)
+        ]
+        target = serp(9, docs, doms)
+        six = check_hand_built(sessions, 1, target)
+        assert len(six[4]) == 4
+        assert {o.user_id for o in six[4].occurrences} == {2, 3}
+
+    def test_query_logged_with_two_term_sets(self):
+        docs = list(range(10))
+        doms = [d % 5 for d in docs]
+        sessions = [
+            Session(1, 2, 1, [serp(0, docs, doms, {2: Grade.R2}, terms=(1, 2))]),
+            Session(2, 3, 2, [serp(0, docs, doms, {5: Grade.R1}, terms=(1, 2, 3))]),
+            Session(3, 4, 3, [serp(0, docs, doms, {1: Grade.R0}, terms=(4,))]),
+        ]
+        target = serp(1, docs, doms, terms=(1, 2, 3))
+        six = check_hand_built(sessions, 1, target)
+        c5 = columnar_features(target.documents, target.domains, target.terms, six[4])
+        # Document 1: clicked under (1, 2), skipped under (1, 2, 3), missed under (4,).
+        assert c5[ItemKind.DOCUMENT][1, [4, 6, 8]].tolist() == [2 / 3, 1.0, 0.0]
+
+    def test_query_with_no_other_users(self):
+        docs = list(range(10))
+        sessions = [
+            Session(1, 1, 1, [serp(0, docs, [0] * 10, {1: Grade.R2})]),
+            Session(2, 1, 2, [serp(0, docs, [0] * 10, {4: Grade.R1})]),
+        ]
+        target = serp(1, docs, [0] * 10)
+        six = check_hand_built(sessions, 1, target)
+        assert len(six[4]) == 0 and not six[4].keep.any()
+
+    def test_document_listed_twice_counts_at_its_last_slot(self):
+        docs = [0, 1, 2, 0, 4, 5, 6, 7, 8, 9]
+        sessions = [
+            Session(1, 2, 1, [serp(0, docs, [d % 3 for d in docs], {1: Grade.R2})]),
+            Session(2, 3, 2, [serp(0, docs, [d % 3 for d in docs], {4: Grade.R1})]),
+        ]
+        target = serp(1, [0, 9, 8, 7, 6, 5, 4, 3, 2, 1], [0, 0, 2, 1, 0, 2, 1, 0, 2, 1])
+        check_hand_built(sessions, 1, target)
+
+    def test_query_with_more_codes_than_int16_holds(self):
+        n = 1700  # 1700 rows x 20 distinct documents and domains > 32767 codes
+        sessions = [
+            Session(k + 1, 2 + k % 7, 1 + k % 20, [
+                serp(0, range(10 * k, 10 * k + 10), range(10 * k, 10 * k + 10),
+                     {1 + k % 10: Grade.R1})
+            ])
+            for k in range(n)
+        ]
+        target = serp(1, [0, 10, 25, 999, 16990, 5, 7, 33, 16999, 123456],
+                      [0, 10, 20, 30, 40, 50, 60, 70, 80, 90])
+        six = check_hand_built(sessions, 1, target)
+        assert six[4].columns.items.dtype == np.int32

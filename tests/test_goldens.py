@@ -1,0 +1,77 @@
+"""sha256 goldens of a fixed-seed 40-user CLI run.
+
+For fixed seeds the artifacts are the spec: the log, targets, the three
+feature files, the heuristic's scores and the evaluation report must stay
+byte-identical unless a change means to alter them. Trained networks and
+their scores are left out, because their last bits vary across BLAS builds.
+
+After a deliberate output change, print the new digests with
+``PYTHONPATH=src python tests/test_goldens.py`` and say in the change why
+they moved.
+"""
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+from persorank.cli import main
+
+GEN_OVERRIDES = [
+    "-O", "n_users=40", "-O", "n_queries=300", "-O", "n_terms=200",
+    "-O", "n_documents=1500", "-O", "n_domains=120",
+    "-O", "preference_strength=0.9", "-O", "synth_seed=11",
+]
+
+GOLDENS = {
+    "log.tsv": "eb24213cb57fc939baeb8e136e98c0453d952b86dd671c3d4d4a158e44d404a9",
+    "targets.csv": "16b48fe0ad622f576b322ae4b290da9e657695682fe530a1b61d98c3a18884e1",
+    "features_train.csv": "ecb606a715959c4ed44a39ff9b1bbe9061caf95101a05ce523a3786edf2bae67",
+    "features_validation.csv": "82bb38da157373a0fb73abd061fa166170cc79802f1a277a94a42c6324b9103a",
+    "features_test.csv": "238ed9ce32877eb3409d84a6a01e2811f38eaa4f5b3154f4ece5ad26a5fd5e94",
+    "scores_heuristic_validation.csv": "1acf493612f778b37e9479de3f597dc01d7152a8f4badc6d8e0a622a3dee4918",
+    "scores_heuristic_test.csv": "712cd3915cfd3c68b24bf4f3cf1e533314a202f8e937bb16a95297e4ef8aca46",
+    "report.csv": "ec6b0b47aebd7dd1e25a8d9c42429ddb4474a33d42cd46383993671f46682db3",
+}
+
+
+def run_golden_pipeline(w: Path) -> dict[str, str]:
+    """gen -> parse -> partition -> extract -> heuristic score -> eval; digests."""
+    steps = [
+        ["gen", "--out", f"{w}/log.tsv", *GEN_OVERRIDES],
+        ["parse", "--log", f"{w}/log.tsv", "--out", f"{w}/sessions.cache"],
+        ["partition", "--cache", f"{w}/sessions.cache", "--out", f"{w}/targets.csv",
+         "--seed", "5"],
+        ["extract", "--cache", f"{w}/sessions.cache", "--targets", f"{w}/targets.csv",
+         "--out-dir", str(w), "--seed", "5"],
+        ["train", "--kind", "heuristic",
+         "--train-features", f"{w}/features_train.csv",
+         "--val-features", f"{w}/features_validation.csv",
+         "--out", f"{w}/model_heuristic.json"],
+        ["score", "--model", f"{w}/model_heuristic.json",
+         "--features", f"{w}/features_validation.csv",
+         "--out", f"{w}/scores_heuristic_validation.csv"],
+        ["score", "--model", f"{w}/model_heuristic.json",
+         "--features", f"{w}/features_test.csv",
+         "--out", f"{w}/scores_heuristic_test.csv"],
+        ["eval", "--scores", f"{w}/scores_heuristic_test.csv", "--out-dir", str(w),
+         "--split-seed", "4"],
+    ]
+    for argv in steps:
+        assert main(argv) == 0, argv
+    names = [
+        "log.tsv", "targets.csv", "features_train.csv", "features_validation.csv",
+        "features_test.csv", "scores_heuristic_validation.csv",
+        "scores_heuristic_test.csv", "report.csv",
+    ]
+    return {name: hashlib.sha256((w / name).read_bytes()).hexdigest() for name in names}
+
+
+def test_artifacts_match_goldens(tmp_path):
+    assert run_golden_pipeline(tmp_path) == GOLDENS
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as d:
+        for name, digest in run_golden_pipeline(Path(d)).items():
+            print(f'    "{name}": "{digest}",', file=sys.stdout)
