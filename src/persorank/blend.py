@@ -10,13 +10,13 @@ weights because the members may have overfitted it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .cache import load_json, save_json
 from .evaluate import mean_ndcg
 from .logs import DataError
 from .ranker import loss_and_score_grad, ModelKind
@@ -57,22 +57,23 @@ class BlendModel:
             "bias": self.bias,
             "metadata": self.metadata,
         }
-        Path(path).write_text(json.dumps(payload, indent=1))
+        save_json(payload, path)
 
     @classmethod
     def load(cls, path: str | Path) -> "BlendModel":
-        payload = json.loads(Path(path).read_text())
-        if payload.get("format") != "persorank-blend" or payload.get("version") != 1:
-            raise DataError(f"{path} is not a recognized blend file")
-        return cls(
-            method=payload["method"],
-            member_names=list(payload["members"]),
-            member_means=np.asarray(payload["member_means"], dtype=np.float64),
-            member_scales=np.asarray(payload["member_scales"], dtype=np.float64),
-            weights=np.asarray(payload["weights"], dtype=np.float64),
-            bias=float(payload["bias"]),
-            metadata=payload.get("metadata", {}),
-        )
+        payload = load_json(path, "persorank-blend")
+        try:
+            return cls(
+                method=payload["method"],
+                member_names=list(payload["members"]),
+                member_means=np.asarray(payload["member_means"], dtype=np.float64),
+                member_scales=np.asarray(payload["member_scales"], dtype=np.float64),
+                weights=np.asarray(payload["weights"], dtype=np.float64),
+                bias=float(payload["bias"]),
+                metadata=payload.get("metadata", {}),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: malformed blend file: {exc!r}") from None
 
 
 def _stack(member_scores: Sequence[np.ndarray]) -> np.ndarray:
@@ -131,7 +132,7 @@ def blend_learned(
     n_members = stacked.shape[1]
     if n_members < 2:
         raise ValueError("learned blending needs at least 2 members")
-    if np.isnan(gains).any():
+    if gains is None or np.isnan(gains).any():
         raise DataError("learned blending needs labeled queries")
     n_queries = gains.shape[0]
     if stacked.shape[0] != n_queries * gains.shape[1]:
@@ -142,7 +143,7 @@ def blend_learned(
     half = n_queries // 2
     fit_idx, holdout_idx = perm[:half], perm[half:]
     if fit_idx.size == 0 or holdout_idx.size == 0:
-        raise ValueError("validation pool too small to split")
+        raise DataError("validation pool too small to split")
 
     means, scales = _pool_stats(stacked)
     z = ((stacked - means) / scales).reshape(n_queries, gains.shape[1], n_members)

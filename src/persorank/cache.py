@@ -1,7 +1,8 @@
-"""Versioned binary caches and atomic file writes."""
+"""Versioned session caches and JSON payloads, and atomic file writes."""
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 import tempfile
@@ -11,7 +12,6 @@ from pathlib import Path
 from .logs import DataError
 
 SESSIONS_MAGIC = b"PRNK.SESSIONS.1\n"
-INDEX_MAGIC = b"PRNK.INDEX.1\n"
 
 
 def _umask() -> int:
@@ -52,31 +52,40 @@ def atomic_write(path: str | Path, mode: str = "w"):
         yield fh
 
 
-def _save(path: str | Path, magic: bytes, payload) -> None:
-    with atomic_write(path, "wb") as fh:
-        fh.write(magic)
-        pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def _load(path: str | Path, magic: bytes):
-    with open(path, "rb") as fh:
-        head = fh.read(len(magic))
-        if head != magic:
-            raise DataError(f"{path}: not a cache file of the expected kind/version")
-        return pickle.load(fh)
-
-
 def save_sessions(sessions: list, path: str | Path) -> None:
-    _save(path, SESSIONS_MAGIC, sessions)
+    with atomic_write(path, "wb") as fh:
+        fh.write(SESSIONS_MAGIC)
+        pickle.dump(sessions, fh, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def load_sessions(path: str | Path) -> list:
-    return _load(path, SESSIONS_MAGIC)
+    """A session cache; a wrong header or a body that does not unpickle raises DataError."""
+    with open(path, "rb") as fh:
+        if fh.read(len(SESSIONS_MAGIC)) != SESSIONS_MAGIC:
+            raise DataError(f"{path}: not a cache file of the expected kind/version")
+        try:
+            return pickle.load(fh)
+        except (pickle.UnpicklingError, AttributeError, EOFError, ImportError,
+                IndexError) as exc:
+            raise DataError(f"{path}: corrupt cache body: {exc!r}") from None
 
 
-def save_index(query_index, user_history, ranks, path: str | Path) -> None:
-    _save(path, INDEX_MAGIC, (query_index, user_history, ranks))
+def save_json(payload: dict, path: str | Path) -> None:
+    with atomic_write(path) as fh:
+        json.dump(payload, fh, indent=1)
 
 
-def load_index(path: str | Path):
-    return _load(path, INDEX_MAGIC)
+def load_json(path: str | Path, file_format: str) -> dict:
+    """A saved payload whose "format" is `file_format`, at version 1.
+
+    Undecodable JSON and payloads of another format or version raise
+    DataError.
+    """
+    try:
+        payload = json.loads(Path(path).read_text())
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise DataError(f"{path}: not a JSON file: {exc}") from None
+    if (not isinstance(payload, dict) or payload.get("format") != file_format
+            or payload.get("version") != 1):
+        raise DataError(f"{path} is not a recognized {file_format} file")
+    return payload

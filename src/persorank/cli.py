@@ -25,15 +25,16 @@ import numpy as np
 
 from . import __version__, blend as blend_mod, cache, contexts, evaluate, features
 from .config import ConfigError, PipelineConfig, load_config
-from .logs import DataError, LogParseError, label_sessions, parse_log, sessionize
-from .partition import (
-    ROLES,
-    order_sessions,
-    read_targets,
-    select_targets,
-    session_ranks,
-    write_targets,
+from .logs import (
+    DataError,
+    Grade,
+    LogParseError,
+    corpus_stats,
+    label_sessions,
+    parse_log,
+    sessionize,
 )
+from .partition import ROLES, order_sessions, read_targets, select_targets, write_targets
 from .ranker import ModelKind, RankModel, TrainSettings, score_table, train
 from .synth import GenConfig, generate_lines
 
@@ -71,9 +72,7 @@ def _write_manifest(command: str, params: dict, inputs: list, outputs: list,
         "started_utc": started[1].isoformat(),
         "wall_time_s": round(time.perf_counter() - started[0], 6),
     }
-    path = Path(str(primary_output) + ".manifest.json")
-    with cache.atomic_write(path) as fh:
-        json.dump(manifest, fh, indent=1)
+    cache.save_json(manifest, Path(str(primary_output) + ".manifest.json"))
 
 
 def _gen_config(cfg: PipelineConfig) -> GenConfig:
@@ -138,45 +137,11 @@ def _cmd_stats(args, cfg: PipelineConfig) -> int:
     sessions = cache.load_sessions(cache_path)
     train_days = args.train_days if args.train_days is not None else cfg.train_days
 
-    from .logs import Grade
-
-    queries, documents, users = set(), set(), set()
-    n_train_sessions = n_test_sessions = n_train_clicks = 0
-    n_impressions = n_clicks = 0
-    grade_counts = {
-        "training": {g.value: 0 for g in Grade},
-        "test": {g.value: 0 for g in Grade},
-    }
-    for session in sessions:
-        users.add(session.user_id)
-        period = "training" if session.day <= train_days else "test"
-        if period == "training":
-            n_train_sessions += 1
-        else:
-            n_test_sessions += 1
-        for imp in session.impressions:
-            queries.add(imp.query_id)
-            documents.update(imp.documents)
-            n_impressions += 1
-            n_clicks += len(imp.clicks)
-            if period == "training":
-                n_train_clicks += len(imp.clicks)
-            if imp.labels:
-                for g in imp.labels:
-                    grade_counts[period][g.value] += 1
-
-    rows = [
-        ("corpus", "unique_queries", len(queries)),
-        ("corpus", "unique_documents", len(documents)),
-        ("corpus", "unique_users", len(users)),
-        ("corpus", "training_sessions", n_train_sessions),
-        ("corpus", "test_sessions", n_test_sessions),
-        ("corpus", "training_clicks", n_train_clicks),
-        ("corpus", "total_records", len(sessions) + n_impressions + n_clicks),
-    ]
-    for period in ("training", "test"):
-        for grade, count in grade_counts[period].items():
-            rows.append((f"relevance_{period}", grade, count))
+    stats = corpus_stats(sessions, train_days)
+    rows = [("corpus", metric, value) for metric, value in stats.as_dict().items()
+            if metric != "grade_counts"]
+    for period, counts in stats.grade_counts.items():
+        rows += [(f"relevance_{period}", grade, count) for grade, count in counts.items()]
 
     inputs = [cache_path]
     if args.targets:
@@ -234,28 +199,19 @@ def _cmd_partition(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_index(args, cfg: PipelineConfig) -> int:
-    started = _stage_start()
     cache_path = _require(args.cache or cfg.cache_path)
     seed = args.seed if args.seed is not None else cfg.partition_seed
     train_days = args.train_days if args.train_days is not None else cfg.train_days
     sessions = cache.load_sessions(cache_path)
-    ordered = order_sessions(sessions, seed)
-    query_index, user_history = contexts.build(ordered, train_days)
-    if args.lookup is not None:
-        occurrences = contexts.lookup(query_index, args.lookup)
-        print(f"query {args.lookup}: {len(occurrences)} occurrences")
-        for occ in occurrences:
-            print(
-                f"  user={occ.user_id} day={occ.day} session={occ.session_id} "
-                f"t={occ.time_passed} docs={list(occ.documents)} "
-                f"gains={list(occ.gains)}"
-            )
-        return 0
-    out = Path(args.out or Path(cfg.features_dir) / "context.index")
-    cache.save_index(query_index, user_history, session_ranks(ordered), out)
-    _write_manifest("index", {"seed": seed, "train_days": train_days},
-                    [cache_path], [out], started, out)
-    print(f"wrote {out}: {len(query_index)} unique queries")
+    query_index, _ = contexts.build(order_sessions(sessions, seed), train_days)
+    occurrences = contexts.lookup(query_index, args.lookup)
+    print(f"query {args.lookup}: {len(occurrences)} occurrences")
+    for occ in occurrences:
+        print(
+            f"  user={occ.user_id} day={occ.day} session={occ.session_id} "
+            f"t={occ.time_passed} docs={list(occ.documents)} "
+            f"gains={list(occ.gains)}"
+        )
     return 0
 
 
@@ -347,19 +303,17 @@ def _cmd_blend(args, cfg: PipelineConfig) -> int:
     score_paths = [_require(p) for p in args.scores]
     out = Path(args.out or Path(cfg.reports_dir) / "blended_scores.csv")
     loaded = [evaluate.read_scores(p) for p in score_paths]
-    first = loaded[0]
-    keys = [(t.user_id, t.session_id, t.serp_id) for t in first]
-    for path, other in zip(score_paths[1:], loaded[1:]):
-        if [(t.user_id, t.session_id, t.serp_id) for t in other] != keys:
+    table = loaded[0][0]
+    if table.n_targets == 0:
+        raise DataError(f"{score_paths[0]}: no targets to blend")
+    for path, (other, _) in zip(score_paths[1:], loaded[1:]):
+        if not (np.array_equal(other.user_ids, table.user_ids)
+                and np.array_equal(other.session_ids, table.session_ids)
+                and np.array_equal(other.serp_ids, table.serp_ids)):
             raise DataError(f"score files disagree on targets: {path}")
-        for a, b in zip(first, other):
-            if list(a.doc_ids) != list(b.doc_ids):
-                raise DataError(f"score files disagree on documents: {path}")
-    member_scores = []
-    for other in loaded:
-        flat, gains, base = evaluate.scored_targets_arrays(other)
-        member_scores.append(flat)
-    _, gains, base = evaluate.scored_targets_arrays(first)
+        if not np.array_equal(other.doc_ids, table.doc_ids):
+            raise DataError(f"score files disagree on documents: {path}")
+    member_scores = [scores.reshape(-1) for _, scores in loaded]
     names = [Path(p).name for p in score_paths]
 
     if args.apply:
@@ -372,15 +326,12 @@ def _cmd_blend(args, cfg: PipelineConfig) -> int:
             args.split_seed if args.split_seed is not None else cfg.blend_split_seed
         )
         blended, model = blend_mod.blend_learned(
-            member_scores, gains, base,
+            member_scores, table.gains, table.base_ranks,
             split_seed=split_seed, names=names, cutoff=cfg.ndcg_cutoff,
         )
-    n_docs_per_target = len(first[0].doc_ids)
-    blended = blended.reshape(len(first), n_docs_per_target)
 
-    table = _scores_as_table(first)
     with cache.atomic_path(out) as tmp:
-        evaluate.write_scores(table, blended, tmp)
+        evaluate.write_scores(table, blended.reshape(table.doc_ids.shape), tmp)
     outputs = [out]
     if not args.apply:
         model_out = Path(args.model_out
@@ -400,32 +351,13 @@ def _cmd_blend(args, cfg: PipelineConfig) -> int:
     return 0
 
 
-def _scores_as_table(targets):
-    """Minimal FeatureTable stand-in so write_scores can reuse the layout."""
-    import types
-
-    n = len(targets)
-    n_docs = len(targets[0].doc_ids)
-    table = types.SimpleNamespace()
-    table.n_targets = n
-    table.user_ids = np.asarray([t.user_id for t in targets])
-    table.query_ids = np.asarray([t.query_id for t in targets])
-    table.session_ids = np.asarray([t.session_id for t in targets])
-    table.serp_ids = np.asarray([t.serp_id for t in targets])
-    table.doc_ids = np.asarray([t.doc_ids for t in targets])
-    table.base_ranks = np.asarray([t.base_ranks for t in targets])
-    table.gains = np.asarray([t.gains for t in targets])
-    table.x = np.zeros((n, n_docs, 0))
-    return table
-
-
 def _cmd_eval(args, cfg: PipelineConfig) -> int:
     started = _stage_start()
     scores_path = _require(args.scores)
     out_dir = Path(args.out_dir or cfg.reports_dir)
-    targets = evaluate.read_scores(scores_path)
+    table, scores = evaluate.read_scores(scores_path)
     report = evaluate.evaluate_run(
-        targets, cutoff=cfg.ndcg_cutoff, split_seed=args.split_seed
+        table, scores, cutoff=cfg.ndcg_cutoff, split_seed=args.split_seed
     )
     report_path = out_dir / "report.csv"
     summary_path = out_dir / "summary.csv"
@@ -503,13 +435,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="tie-break seed")
     p.add_argument("--train-days", type=int, dest="train_days")
 
-    p = add("index", _cmd_index, "build (or inspect) the context indexes")
+    p = add("index", _cmd_index, "print a query's indexed occurrences")
     p.add_argument("--cache", help="session cache")
-    p.add_argument("--out", help="index cache to write")
     p.add_argument("--seed", type=int, help="session order seed")
     p.add_argument("--train-days", type=int, dest="train_days")
-    p.add_argument("--lookup", type=int, metavar="QUERY_ID",
-                   help="print a query's occurrences instead of writing a cache")
+    p.add_argument("--lookup", type=int, metavar="QUERY_ID", required=True,
+                   help="query whose occurrences to print")
 
     p = add("extract", _cmd_extract, "extract features for all targets")
     p.add_argument("--cache", help="session cache")

@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .features import FeatureTable, _read_grouped
 from .logs import DataError
 
 NDCG_CUTOFF = 10
@@ -110,43 +111,26 @@ class EvalReport:
     split_b_mean_ndcg: float | None = None
 
 
-@dataclass
-class ScoredTarget:
-    """All evaluation inputs for one query: ids, docs, gains, base ranks, scores."""
-
-    user_id: int
-    query_id: int
-    session_id: int
-    serp_id: int
-    doc_ids: Sequence[int]
-    gains: Sequence[float]
-    base_ranks: Sequence[float]
-    scores: Sequence[float]
-
-
 SCORE_HEADER = [
     "user_id", "query_id", "session_id", "serp_id", "doc_id",
     "base_rank", "gain", "score",
 ]
 
 
-def write_scores(table, scores: np.ndarray, path: str | Path) -> None:
-    """Write a score file: feature-table ids plus one score per document.
+def write_scores(table: FeatureTable, scores: np.ndarray, path: str | Path) -> None:
+    """Write a score file: the table's ids plus one score per document.
 
-    `table` is a features.FeatureTable; `scores` is (targets, 10). The gain
-    column is left empty for unlabeled tables.
+    `scores` is (targets, 10). The gain column is left empty for unlabeled
+    tables.
     """
-    if scores.shape != table.x.shape[:2]:
+    if scores.shape != table.doc_ids.shape:
         raise ValueError(f"scores shape {scores.shape} does not match the table")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SCORE_HEADER)
         for t in range(table.n_targets):
-            for j in range(table.x.shape[1]):
-                if table.gains is None or math.isnan(table.gains[t, j]):
-                    gain = ""
-                else:
-                    gain = repr(float(table.gains[t, j]))
+            for j in range(table.doc_ids.shape[1]):
+                gain = "" if table.gains is None else repr(float(table.gains[t, j]))
                 writer.writerow(
                     [
                         int(table.user_ids[t]),
@@ -161,63 +145,18 @@ def write_scores(table, scores: np.ndarray, path: str | Path) -> None:
                 )
 
 
-def read_scores(path: str | Path) -> list[ScoredTarget]:
-    """Load a score file into per-query evaluation inputs.
+def read_scores(path: str | Path) -> tuple[FeatureTable, np.ndarray]:
+    """Load a score file as a table without feature columns and (targets, 10) scores.
 
-    Malformed content raises DataError: rows with the wrong number of
-    fields, ids or numbers that do not parse, and scores or base ranks that
-    are not finite. An empty gain marks an unlabeled document.
+    Malformed content raises DataError, as for feature files.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != SCORE_HEADER:
-            raise DataError(f"unexpected score header in {path}")
-        raw = list(reader)
-    if len(raw) % 10 != 0:
-        raise DataError(f"{path}: row count {len(raw)} is not a multiple of 10")
-    targets = []
-    for t in range(len(raw) // 10):
-        group = raw[t * 10 : (t + 1) * 10]
-        first = group[0]
-        line = t * 10 + 2
-        if any(len(r) != len(SCORE_HEADER) for r in group):
-            raise DataError(f"{path}: target at line {line} has rows of the wrong length")
-        if any((r[0], r[2], r[3]) != (first[0], first[2], first[3]) for r in group):
-            raise DataError(f"{path}: rows of target {t} are mixed")
-        try:
-            target = ScoredTarget(
-                user_id=int(first[0]),
-                query_id=int(first[1]),
-                session_id=int(first[2]),
-                serp_id=int(first[3]),
-                doc_ids=[int(r[4]) for r in group],
-                gains=[float(r[6]) if r[6] else math.nan for r in group],
-                base_ranks=[float(r[5]) for r in group],
-                scores=[float(r[7]) for r in group],
-            )
-        except ValueError as exc:
-            raise DataError(f"{path}: target at line {line}: {exc}") from None
-        if not all(map(math.isfinite, target.scores + target.base_ranks)):
-            raise DataError(
-                f"{path}: target at line {line} has a non-finite score or base rank"
-            )
-        targets.append(target)
-    return targets
-
-
-def scored_targets_arrays(
-    targets: Sequence[ScoredTarget],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(flat scores, gains (T,10), base ranks (T,10)) from score-file rows."""
-    scores = np.asarray([t.scores for t in targets], dtype=np.float64)
-    gains = np.asarray([t.gains for t in targets], dtype=np.float64)
-    base = np.asarray([t.base_ranks for t in targets], dtype=np.float64)
-    return scores.reshape(-1), gains, base
+    table, values = _read_grouped(path, SCORE_HEADER, 0)
+    return table, values[:, :, -1].copy()  # the last number column is the score
 
 
 def evaluate_run(
-    targets: Sequence[ScoredTarget],
+    table: FeatureTable,
+    scores: np.ndarray,
     cutoff: int = NDCG_CUTOFF,
     split_seed: int | None = None,
 ) -> EvalReport:
@@ -225,36 +164,39 @@ def evaluate_run(
 
     With a split seed the queries are shuffled and halved, emulating a
     hidden public/private leaderboard split, and each half's mean NDCG is
-    reported alongside the aggregates.
+    reported alongside the aggregates. A table without targets or without
+    relevance labels raises DataError.
     """
+    if scores.shape != table.doc_ids.shape:
+        raise ValueError(f"scores shape {scores.shape} does not match the table")
+    if table.n_targets == 0:
+        raise DataError("no targets to evaluate")
+    if table.gains is None:
+        raise DataError("targets without relevance labels; cannot evaluate")
     report = EvalReport()
     ndcgs = []
-    for target in targets:
-        n = len(target.doc_ids)
-        if n == 0 or len(target.gains) != n or len(target.scores) != n:
-            raise ValueError(
-                f"target user={target.user_id} serp={target.serp_id}: "
-                "documents, gains, and scores must align"
-            )
-        if any(math.isnan(g) for g in target.gains):
-            raise DataError(
-                f"target user={target.user_id} serp={target.serp_id} "
-                "has no relevance labels; cannot evaluate"
-            )
-        order = rank_by_score(target.scores, target.base_ranks)
-        base_order = sorted(range(n), key=lambda i: target.base_ranks[i])
-        value = ndcg_at(order, target.gains, cutoff)
-        base_value = ndcg_at(base_order, target.gains, cutoff)
+    rows = zip(
+        table.user_ids.tolist(), table.query_ids.tolist(),
+        table.session_ids.tolist(), table.serp_ids.tolist(),
+        table.doc_ids.tolist(), table.gains.tolist(),
+        table.base_ranks.tolist(), scores.tolist(),
+    )
+    for user_id, query_id, session_id, serp_id, doc_ids, gains, base_ranks, row in rows:
+        n = len(doc_ids)
+        order = rank_by_score(row, base_ranks)
+        base_order = sorted(range(n), key=lambda i: base_ranks[i])
+        value = ndcg_at(order, gains, cutoff)
+        base_value = ndcg_at(base_order, gains, cutoff)
         tau = kendall_tau(
-            [target.doc_ids[i] for i in order],
-            [target.doc_ids[i] for i in base_order],
+            [doc_ids[i] for i in order],
+            [doc_ids[i] for i in base_order],
         )
         report.rows.append(
             QueryEval(
-                user_id=target.user_id,
-                query_id=target.query_id,
-                session_id=target.session_id,
-                serp_id=target.serp_id,
+                user_id=user_id,
+                query_id=query_id,
+                session_id=session_id,
+                serp_id=serp_id,
                 ndcg=value,
                 base_ndcg=base_value,
                 delta_ndcg=value - base_value,
@@ -262,11 +204,10 @@ def evaluate_run(
             )
         )
         ndcgs.append(value)
-    if report.rows:
-        report.mean_ndcg = float(np.mean([r.ndcg for r in report.rows]))
-        report.mean_base_ndcg = float(np.mean([r.base_ndcg for r in report.rows]))
-        report.mean_delta_ndcg = float(np.mean([r.delta_ndcg for r in report.rows]))
-        report.mean_tau = float(np.mean([r.tau for r in report.rows]))
+    report.mean_ndcg = float(np.mean([r.ndcg for r in report.rows]))
+    report.mean_base_ndcg = float(np.mean([r.base_ndcg for r in report.rows]))
+    report.mean_delta_ndcg = float(np.mean([r.delta_ndcg for r in report.rows]))
+    report.mean_tau = float(np.mean([r.tau for r in report.rows]))
     if split_seed is not None and len(ndcgs) >= 2:
         rng = np.random.default_rng(split_seed)
         perm = rng.permutation(len(ndcgs))

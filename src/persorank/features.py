@@ -441,14 +441,14 @@ def write_features(rows: Iterable[FeatureVector], path: str | Path) -> None:
 
 @dataclass
 class FeatureTable:
-    """Feature file contents as arrays grouped by target (10 rows each)."""
+    """A feature or score file's contents as arrays grouped by target (10 rows each)."""
 
     user_ids: np.ndarray     # (T,)
     query_ids: np.ndarray    # (T,)
     session_ids: np.ndarray  # (T,)
     serp_ids: np.ndarray     # (T,)
     doc_ids: np.ndarray      # (T, 10)
-    x: np.ndarray            # (T, 10, 121) float64
+    x: np.ndarray            # (T, 10, 121) float64; (T, 10, 0) for score files
     base_ranks: np.ndarray   # (T, 10) float64
     gains: np.ndarray | None  # (T, 10) float64, None when unlabeled
 
@@ -465,76 +465,77 @@ class FeatureTable:
 
 
 def read_features(path: str | Path) -> FeatureTable:
-    """Load a feature CSV, validating layout, 10-document grouping and values.
+    """Load a feature CSV; malformed content raises DataError (see _read_grouped)."""
+    table, _ = _read_grouped(path, HEADER, N_FEATURES)
+    return table
 
-    Malformed content raises DataError: rows with the wrong number of
-    fields, ids that are not integers, values that are not numbers or not
-    finite.
+
+def _read_grouped(
+    path: str | Path, header: list[str], n_features: int
+) -> tuple[FeatureTable, np.ndarray]:
+    """Parse the grouped-CSV layout that feature and score files share.
+
+    Each target is 10 consecutive rows: four target id columns and a doc
+    id, then number columns, one of them `base_rank` and one `gain`, which
+    is empty for unlabeled documents. Returns the table, whose x holds the
+    first `n_features` number columns, and every number column other than
+    the gain as (T, 10, columns). A file with any empty gain loads with
+    gains=None.
+
+    Malformed content raises DataError: an unexpected header, a row count
+    that is not a multiple of 10, rows with the wrong number of fields,
+    target ids that change within a group, ids that are not integers, and
+    values that are not numbers or not finite.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header != HEADER:
-            raise DataError(f"unexpected feature header in {path}")
+        if next(reader, None) != header:
+            raise DataError(f"unexpected header in {path}")
         raw = list(reader)
     if len(raw) % 10 != 0:
         raise DataError(f"{path}: row count {len(raw)} is not a multiple of 10")
-    for i, row in enumerate(raw):
-        if len(row) != len(HEADER):
-            raise DataError(
-                f"{path}: line {i + 2} has {len(row)} fields, expected {len(HEADER)}"
-            )
+    width = len(header)
+    g = header.index("gain")
+    numbers = header[len(ID_COLUMNS) : g] + header[g + 1 :]
     n_targets = len(raw) // 10
-    n_ids = len(ID_COLUMNS)
-
-    user_ids = np.empty(n_targets, dtype=np.int64)
-    query_ids = np.empty(n_targets, dtype=np.int64)
-    session_ids = np.empty(n_targets, dtype=np.int64)
-    serp_ids = np.empty(n_targets, dtype=np.int64)
+    ids = np.empty((n_targets, 4), dtype=np.int64)
     doc_ids = np.empty((n_targets, 10), dtype=np.int64)
-    x = np.empty((n_targets, 10, N_FEATURES), dtype=np.float64)
+    values = np.empty((n_targets, 10, len(numbers)), dtype=np.float64)
     gains = np.empty((n_targets, 10), dtype=np.float64)
-    any_gain = True
-
-    for t in range(n_targets):
-        group = raw[t * 10 : (t + 1) * 10]
-        first = group[0]
+    labeled = True
+    for i, row in enumerate(raw):
+        t, j = divmod(i, 10)
+        if len(row) != width:
+            raise DataError(f"{path}: line {i + 2} has {len(row)} fields, expected {width}")
+        if row[:4] != raw[t * 10][:4]:
+            raise DataError(f"{path}: line {i + 2} changes target within a group of 10")
         try:
-            user_ids[t] = int(first[0])
-            query_ids[t] = int(first[1])
-            session_ids[t] = int(first[2])
-            serp_ids[t] = int(first[3])
-            for j, row in enumerate(group):
-                if (row[0], row[2], row[3]) != (first[0], first[2], first[3]):
-                    raise DataError(
-                        f"{path}: target group at row {t * 10 + j + 2} mixed"
-                    )
-                doc_ids[t, j] = int(row[4])
-                x[t, j, :] = [float(v) for v in row[n_ids : n_ids + N_FEATURES]]
-                gain_raw = row[n_ids + N_FEATURES]
-                if gain_raw == "":
-                    any_gain = False
-                else:
-                    gains[t, j] = float(gain_raw)
-        except DataError:
-            raise
+            if j == 0:
+                ids[t] = [int(v) for v in row[:4]]
+            doc_ids[t, j] = int(row[4])
+            values[t, j] = [float(v) for v in row[len(ID_COLUMNS) : g] + row[g + 1 :]]
+            if row[g]:
+                gains[t, j] = float(row[g])
+            else:
+                labeled = False
         except ValueError as exc:
-            raise DataError(f"{path}: target at line {t * 10 + 2}: {exc}") from None
+            raise DataError(f"{path}: line {i + 2}: {exc}") from None
 
-    finite = np.isfinite(x).all(axis=2)
-    if any_gain:
+    finite = np.isfinite(values).all(axis=2)
+    if labeled:
         finite &= np.isfinite(gains)
     if not finite.all():
         t, j = np.argwhere(~finite)[0]
         raise DataError(f"{path}: line {t * 10 + j + 2} holds a non-finite value")
 
-    return FeatureTable(
-        user_ids=user_ids,
-        query_ids=query_ids,
-        session_ids=session_ids,
-        serp_ids=serp_ids,
+    table = FeatureTable(
+        user_ids=ids[:, 0].copy(),
+        query_ids=ids[:, 1].copy(),
+        session_ids=ids[:, 2].copy(),
+        serp_ids=ids[:, 3].copy(),
         doc_ids=doc_ids,
-        x=x,
-        base_ranks=x[:, :, N_FEATURES - 1].copy(),
-        gains=gains if any_gain else None,
+        x=values[:, :, :n_features],
+        base_ranks=values[:, :, numbers.index("base_rank")].copy(),
+        gains=gains if labeled else None,
     )
+    return table, values

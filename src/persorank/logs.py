@@ -355,6 +355,69 @@ def label_sessions(sessions: Iterable[Session]) -> None:
             imp.labels = label_impression(imp, session)
 
 
+@dataclass
+class CorpusStats:
+    """Corpus and relevance-grade counts of a session list."""
+
+    unique_queries: int = 0
+    unique_documents: int = 0
+    unique_users: int = 0
+    training_sessions: int = 0
+    test_sessions: int = 0
+    training_clicks: int = 0
+    total_records: int = 0
+    grade_counts: dict = field(default_factory=dict)  # period -> grade name -> count
+
+    def as_dict(self) -> dict:
+        return {
+            "unique_queries": self.unique_queries,
+            "unique_documents": self.unique_documents,
+            "unique_users": self.unique_users,
+            "training_sessions": self.training_sessions,
+            "test_sessions": self.test_sessions,
+            "training_clicks": self.training_clicks,
+            "total_records": self.total_records,
+            "grade_counts": self.grade_counts,
+        }
+
+
+def corpus_stats(sessions: Iterable[Session], train_days: int) -> CorpusStats:
+    """Count users, queries, documents, sessions, clicks, records and grades.
+
+    Sessions of days 1..train_days form the training period, later ones the
+    test period. Records are the log lines the sessions serialize to: one
+    per session, impression and click. Grades come from the impressions'
+    labels; unlabeled impressions add none.
+    """
+    stats = CorpusStats(
+        grade_counts={p: {g.value: 0 for g in Grade} for p in ("training", "test")}
+    )
+    queries: set[int] = set()
+    documents: set[int] = set()
+    users: set[int] = set()
+    for session in sessions:
+        users.add(session.user_id)
+        clicks = sum(len(imp.clicks) for imp in session.impressions)
+        if session.day <= train_days:
+            period = "training"
+            stats.training_sessions += 1
+            stats.training_clicks += clicks
+        else:
+            period = "test"
+            stats.test_sessions += 1
+        stats.total_records += 1 + len(session.impressions) + clicks
+        counts = stats.grade_counts[period]
+        for imp in session.impressions:
+            queries.add(imp.query_id)
+            documents.update(imp.documents)
+            for grade in imp.labels or ():
+                counts[grade.value] += 1
+    stats.unique_queries = len(queries)
+    stats.unique_documents = len(documents)
+    stats.unique_users = len(users)
+    return stats
+
+
 def iter_impressions(sessions: Iterable[Session]) -> Iterator[tuple[Session, Impression]]:
     for session in sessions:
         for imp in session.impressions:

@@ -179,12 +179,16 @@ def write_targets(targets: TargetSet, path: str | Path) -> None:
 
 
 def read_targets(path: str | Path) -> TargetSet:
+    """Load a targets CSV; a row that does not parse raises DataError naming its line."""
     targets = TargetSet()
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
-            ref = TargetRef(
-                int(row["user_id"]), int(row["session_id"]), int(row["serp_id"])
-            )
-            targets.by_role(row["role"]).append(ref)
+            try:
+                ref = TargetRef(
+                    int(row["user_id"]), int(row["session_id"]), int(row["serp_id"])
+                )
+                targets.by_role(row["role"]).append(ref)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     return targets

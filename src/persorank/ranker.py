@@ -14,7 +14,6 @@ stopping on validation NDCG@10.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -22,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .cache import load_json, save_json
 from .evaluate import mean_ndcg
 from .features import HIST_RELEVANCE_INDEX, N_FEATURES, FeatureTable
 from .logs import DataError
@@ -249,24 +249,25 @@ class RankModel:
                 "w2": self.params.w2.tolist(),
                 "b2": self.params.b2,
             }
-        Path(path).write_text(json.dumps(payload, indent=1))
+        save_json(payload, path)
 
     @classmethod
     def load(cls, path: str | Path) -> "RankModel":
-        payload = json.loads(Path(path).read_text())
-        if payload.get("format") != "persorank-model" or payload.get("version") != 1:
-            raise DataError(f"{path} is not a recognized model file")
-        kind = ModelKind(payload["kind"])
-        model = cls(kind=kind, metadata=payload.get("metadata", {}))
-        if kind is not ModelKind.HEURISTIC:
-            model.standardizer = Standardizer.from_dict(payload["standardizer"])
-            w = payload["weights"]
-            model.params = NetParams(
-                w1=np.asarray(w["w1"], dtype=np.float64),
-                b1=np.asarray(w["b1"], dtype=np.float64),
-                w2=np.asarray(w["w2"], dtype=np.float64),
-                b2=float(w["b2"]),
-            )
+        payload = load_json(path, "persorank-model")
+        try:
+            kind = ModelKind(payload["kind"])
+            model = cls(kind=kind, metadata=payload.get("metadata", {}))
+            if kind is not ModelKind.HEURISTIC:
+                model.standardizer = Standardizer.from_dict(payload["standardizer"])
+                w = payload["weights"]
+                model.params = NetParams(
+                    w1=np.asarray(w["w1"], dtype=np.float64),
+                    b1=np.asarray(w["b1"], dtype=np.float64),
+                    w2=np.asarray(w["w2"], dtype=np.float64),
+                    b2=float(w["b2"]),
+                )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: malformed model file: {exc!r}") from None
         return model
 
 
@@ -294,11 +295,13 @@ def train(
     settings = settings or TrainSettings()
     settings.validate()
     if train_table.n_targets == 0:
-        raise ValueError("empty training set")
+        raise DataError("empty training set")
+    if val_table.n_targets == 0:
+        raise DataError("empty validation set")
     if train_table.gains is None or val_table.gains is None:
-        raise ValueError("training and validation features must carry gains")
+        raise DataError("training and validation features must carry gains")
     if not (train_table.gains > 0).any(axis=1).all():
-        raise ValueError("every training query needs at least one gain > 0 document")
+        raise DataError("every training query needs at least one gain > 0 document")
 
     standardizer = Standardizer.fit(train_table.flat_x())
     x_train = standardizer.apply(train_table.x)

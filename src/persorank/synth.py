@@ -22,12 +22,13 @@ from .config import ConfigError
 from .logs import (
     DWELL_LONG,
     SERP_SIZE,
-    Grade,
+    CorpusStats,
     Impression,
     LogRecord,
     Session,
+    corpus_stats,
     format_record,
-    label_impression,
+    label_sessions,
 )
 
 POOL_SIZE = 20
@@ -89,32 +90,6 @@ class QueryInfo:
     terms: tuple[int, ...]
     pool: tuple[int, ...]
     popular_doc: int
-
-
-@dataclass
-class GenStats:
-    """Ground-truth bookkeeping recorded while generating."""
-
-    unique_queries: int = 0
-    unique_documents: int = 0
-    unique_users: int = 0
-    training_sessions: int = 0
-    test_sessions: int = 0
-    training_clicks: int = 0
-    total_records: int = 0
-    grade_counts: dict = field(default_factory=dict)  # period -> grade name -> count
-
-    def as_dict(self) -> dict:
-        return {
-            "unique_queries": self.unique_queries,
-            "unique_documents": self.unique_documents,
-            "unique_users": self.unique_users,
-            "training_sessions": self.training_sessions,
-            "test_sessions": self.test_sessions,
-            "training_clicks": self.training_clicks,
-            "total_records": self.total_records,
-            "grade_counts": self.grade_counts,
-        }
 
 
 def _build_vocab(cfg: GenConfig) -> tuple[list[QueryInfo], list[int]]:
@@ -296,8 +271,8 @@ def _realize_session(plan: _PlannedSession, session_id: int,
     return session
 
 
-def generate_sessions(cfg: GenConfig) -> tuple[list[Session], GenStats]:
-    """Build fully materialized sessions plus ground-truth bookkeeping."""
+def generate_sessions(cfg: GenConfig) -> tuple[list[Session], CorpusStats]:
+    """Build fully materialized, labeled sessions plus their corpus counts."""
     cfg.validate()
     vocab, doc_domains = _build_vocab(cfg)
 
@@ -307,15 +282,6 @@ def generate_sessions(cfg: GenConfig) -> tuple[list[Session], GenStats]:
     plans.sort(key=lambda pl: (pl.day, pl.user_id, pl.user_seq))
 
     sessions = []
-    stats = GenStats()
-    queries_seen: set[int] = set()
-    docs_seen: set[int] = set()
-    users_seen: set[int] = set()
-    grade_counts: dict[str, dict[str, int]] = {
-        "training": {g.value: 0 for g in Grade},
-        "test": {g.value: 0 for g in Grade},
-    }
-
     for session_id, plan in enumerate(plans, 1):
         timing_rng = random.Random(f"{cfg.rng_seed}:times:{plan.user_id}:{plan.user_seq}")
         session = _realize_session(plan, session_id, timing_rng)
@@ -323,29 +289,8 @@ def generate_sessions(cfg: GenConfig) -> tuple[list[Session], GenStats]:
             imp.terms = vocab[imp.query_id].terms
             imp.domains = tuple(doc_domains[d] for d in imp.documents)
         sessions.append(session)
-
-        period = "training" if plan.day <= cfg.train_days else "test"
-        if period == "training":
-            stats.training_sessions += 1
-            stats.training_clicks += sum(len(i.clicks) for i in session.impressions)
-        else:
-            stats.test_sessions += 1
-        users_seen.add(plan.user_id)
-        counts = grade_counts[period]
-        for imp in session.impressions:
-            queries_seen.add(imp.query_id)
-            docs_seen.update(imp.documents)
-            for grade in label_impression(imp, session):
-                counts[grade.value] += 1
-        stats.total_records += 1 + sum(
-            1 + len(i.clicks) for i in session.impressions
-        )
-
-    stats.unique_queries = len(queries_seen)
-    stats.unique_documents = len(docs_seen)
-    stats.unique_users = len(users_seen)
-    stats.grade_counts = grade_counts
-    return sessions, stats
+    label_sessions(sessions)
+    return sessions, corpus_stats(sessions, cfg.train_days)
 
 
 def session_records(session: Session) -> list[LogRecord]:
@@ -372,7 +317,7 @@ def session_records(session: Session) -> list[LogRecord]:
     return records
 
 
-def generate_lines(cfg: GenConfig) -> tuple[list[str], GenStats]:
+def generate_lines(cfg: GenConfig) -> tuple[list[str], CorpusStats]:
     """Generate the full log as serialized lines plus bookkeeping."""
     sessions, stats = generate_sessions(cfg)
     lines = []

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,19 @@ class TestLearned:
         assert np.array_equal(loaded.weights, model.weights)
         assert np.allclose(loaded.apply([perfect, noise]), blended)
         assert loaded.metadata["split_seed"] == 3
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: text[:30],
+        lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "weights"}),
+    ], ids=["truncated", "missing_key"])
+    def test_damaged_file_is_data_error(self, labeled_pool, tmp_path, damage):
+        gains, base, perfect, noise = labeled_pool
+        _, model = blend_average([perfect, noise])
+        path = tmp_path / "blend.json"
+        model.save(path)
+        path.write_text(damage(path.read_text()))
+        with pytest.raises(DataError):
+            BlendModel.load(path)
 
     def test_apply_rejects_wrong_member_count(self, labeled_pool, tmp_path):
         gains, base, perfect, noise = labeled_pool

@@ -5,10 +5,13 @@ import stat
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from persorank import cache as cache_mod
+from persorank.blend import blend_average
 from persorank.cli import main
+from persorank.ranker import ModelKind, RankModel
 
 GEN_OVERRIDES = [
     "-O", "n_users=25", "-O", "n_queries=200", "-O", "n_terms=150",
@@ -178,17 +181,8 @@ class TestLookup:
         assert f"query {qid}:" in out
         assert "user=" in out
 
-    def test_index_cache_written(self, tmp_path):
-        w = tmp_path
-        assert run("gen", "--out", str(w / "log.tsv"), *GEN_OVERRIDES) == 0
-        assert run("parse", "--log", str(w / "log.tsv"),
-                   "--out", str(w / "s.cache")) == 0
-        assert run("index", "--cache", str(w / "s.cache"),
-                   "--out", str(w / "ctx.index")) == 0
-        from persorank.cache import load_index
-
-        query_index, user_history, ranks = load_index(w / "ctx.index")
-        assert query_index and user_history and ranks
+    def test_index_needs_a_query_to_look_up(self, tmp_path):
+        assert run("index", "--cache", str(tmp_path / "s.cache")) == 1
 
 
 class TestErrors:
@@ -290,6 +284,27 @@ class TestAtomicWrite:
                 raise RuntimeError("writer failed")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("make_model", [
+        lambda: RankModel(kind=ModelKind.HEURISTIC),
+        lambda: blend_average([np.arange(10.0), np.ones(10)])[1],
+    ], ids=["rank_model", "blend_model"])
+    def test_model_files_are_replaced_atomically(self, tmp_path, make_model):
+        out, link = tmp_path / "model.json", tmp_path / "link.json"
+        model = make_model()
+        model.save(out)
+        first = out.read_bytes()
+        os.link(out, link)  # a reader holding the old file
+        model.metadata = {"second": 2}
+        model.save(out)
+        assert out.read_bytes() != first
+        assert link.read_bytes() == first  # replaced by rename, not rewritten in place
+        second = out.read_bytes()
+        model.metadata = {"first": 1, "unserializable": object()}
+        with pytest.raises(TypeError):
+            model.save(out)
+        assert out.read_bytes() == second
+        assert sorted(tmp_path.iterdir()) == [link, out]
+
 
 @pytest.fixture(scope="module")
 def scored_run(tmp_path_factory):
@@ -308,6 +323,32 @@ def scored_run(tmp_path_factory):
                "--features", str(w / "features_validation.csv"),
                "--out", str(w / "scores.csv")) == 0
     return w
+
+
+def rewrite_rows(src: Path, dst: Path, edit) -> Path:
+    """Copy a CSV, passing its rows (header first) through `edit`."""
+    with open(src, newline="") as fh:
+        rows = edit(list(csv.reader(fh)))
+    with open(dst, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return dst
+
+
+def header_only(rows):
+    return rows[:1]
+
+
+def unlabeled(rows):
+    col = rows[0].index("gain")
+    return rows[:1] + [row[:col] + [""] + row[col + 1 :] for row in rows[1:]]
+
+
+def first_target_dropped(rows):
+    return rows[:1] + rows[11:]
+
+
+def first_documents_swapped(rows):
+    return rows[:1] + [rows[2], rows[1]] + rows[3:]
 
 
 def corrupt_field(src: Path, dst: Path, column: str, value: str | None) -> Path:
@@ -365,3 +406,56 @@ class TestMalformedInputs:
     def test_short_score_row_is_data_error(self, scored_run, tmp_path):
         bad = corrupt_field(scored_run / "scores.csv", tmp_path / "s.csv", "score", None)
         assert run("eval", "--scores", str(bad), "--out-dir", str(tmp_path)) == 2
+
+    def test_truncated_session_cache_is_data_error(self, scored_run, tmp_path):
+        cut = tmp_path / "s.cache"
+        cut.write_bytes((scored_run / "s.cache").read_bytes()[:200])
+        assert run("partition", "--cache", str(cut), "--out", str(tmp_path / "t.csv")) == 2
+
+    def test_truncated_model_is_data_error(self, scored_run, tmp_path):
+        cut = tmp_path / "model.json"
+        cut.write_bytes((scored_run / "model.json").read_bytes()[:30])
+        assert run("score", "--model", str(cut),
+                   "--features", str(scored_run / "features_validation.csv"),
+                   "--out", str(tmp_path / "s.csv")) == 2
+
+    @pytest.mark.parametrize("row", ["train,abc,1,0", "bogus,1,1,0"],
+                             ids=["non_integer_id", "unknown_role"])
+    def test_malformed_target_row_is_data_error(self, scored_run, tmp_path, capsys, row):
+        targets = tmp_path / "t.csv"
+        targets.write_text(f"role,user_id,session_id,serp_id\n{row}\n")
+        assert run("extract", "--cache", str(scored_run / "s.cache"),
+                   "--targets", str(targets), "--out-dir", str(tmp_path)) == 2
+        assert "line 2" in capsys.readouterr().err
+
+    def blend(self, tmp_path, *members, method="average"):
+        return run("blend", "--scores", *map(str, members), "--method", method,
+                   "--out", str(tmp_path / "b.csv"), "--model-out", str(tmp_path / "b.json"))
+
+    def test_eval_of_header_only_scores_is_data_error(self, scored_run, tmp_path):
+        empty = rewrite_rows(scored_run / "scores.csv", tmp_path / "s.csv", header_only)
+        assert run("eval", "--scores", str(empty), "--out-dir", str(tmp_path)) == 2
+
+    def test_blend_of_header_only_scores_is_data_error(self, scored_run, tmp_path):
+        empty = rewrite_rows(scored_run / "scores.csv", tmp_path / "s.csv", header_only)
+        assert self.blend(tmp_path, empty, empty) == 2
+
+    @pytest.mark.parametrize("edit", [lambda rows: rows[:11], unlabeled],
+                             ids=["one_query", "unlabeled"])
+    def test_learned_blend_of_unusable_pool_is_data_error(self, scored_run, tmp_path, edit):
+        pool = rewrite_rows(scored_run / "scores.csv", tmp_path / "s.csv", edit)
+        assert self.blend(tmp_path, pool, pool, method="learned") == 2
+
+    @pytest.mark.parametrize("edit", [first_target_dropped, first_documents_swapped])
+    def test_blend_members_that_disagree_is_data_error(self, scored_run, tmp_path, edit):
+        scores = scored_run / "scores.csv"
+        other = rewrite_rows(scores, tmp_path / "other.csv", edit)
+        assert self.blend(tmp_path, scores, other) == 2
+
+    def test_train_with_header_only_validation_is_data_error(self, scored_run, tmp_path):
+        empty = rewrite_rows(scored_run / "features_validation.csv", tmp_path / "v.csv",
+                             header_only)
+        assert run("train", "--kind", "ranknet",
+                   "--train-features", str(scored_run / "features_train.csv"),
+                   "--val-features", str(empty), "--out", str(tmp_path / "m.json"),
+                   "--epochs", "2", "--hidden", "16") == 2

@@ -3,9 +3,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from persorank.evaluate import (
-    ScoredTarget,
     evaluate_run,
     histogram,
     kendall_tau,
@@ -17,6 +19,7 @@ from persorank.evaluate import (
     write_scores,
     write_summary,
 )
+from persorank.features import FeatureTable
 from persorank.logs import DataError
 
 from oracles import oracle_ndcg
@@ -118,63 +121,61 @@ class TestRanking:
         )
 
 
+def _table(user_ids, gains, base_ranks):
+    """A score-file table: ten documents per target, no feature columns."""
+    n = len(user_ids)
+    return FeatureTable(
+        user_ids=np.asarray(user_ids),
+        query_ids=np.asarray(user_ids) + 100,
+        session_ids=np.asarray(user_ids) + 1000,
+        serp_ids=np.zeros(n, dtype=np.int64),
+        doc_ids=np.tile(np.arange(50, 60), (n, 1)),
+        x=np.zeros((n, 10, 0)),
+        base_ranks=np.asarray(base_ranks, dtype=np.float64),
+        gains=None if gains is None else np.asarray(gains, dtype=np.float64),
+    )
+
+
 def _targets(n, rng, score_fn):
-    targets = []
-    for t in range(n):
-        gains = [rng.randint(0, 2) for _ in range(10)]
-        base = list(range(1, 11))
-        targets.append(
-            ScoredTarget(
-                user_id=t,
-                query_id=100 + t,
-                session_id=1000 + t,
-                serp_id=0,
-                doc_ids=[50 + i for i in range(10)],
-                gains=gains,
-                base_ranks=base,
-                scores=score_fn(gains, base),
-            )
-        )
-    return targets
+    gains, base, scores = [], [], []
+    for _ in range(n):
+        gains.append([rng.randint(0, 2) for _ in range(10)])
+        base.append(list(range(1, 11)))
+        scores.append(score_fn(gains[-1], base[-1]))
+    return _table(list(range(n)), gains, base), np.asarray(scores, dtype=np.float64)
 
 
 class TestEvaluateRun:
     def test_negated_base_ranks_reproduce_base_ranking(self):
         rng = random.Random(3)
         targets = _targets(20, rng, lambda gains, base: [-b for b in base])
-        report = evaluate_run(targets)
+        report = evaluate_run(*targets)
         assert all(row.tau == 1.0 for row in report.rows)
         assert all(row.delta_ndcg == 0.0 for row in report.rows)
         assert report.mean_ndcg == report.mean_base_ndcg
 
     def test_base_mean_matches_identity_ndcg(self):
         rng = random.Random(4)
-        targets = _targets(15, rng, lambda gains, base: [rng.random() for _ in base])
-        report = evaluate_run(targets)
+        table, scores = _targets(15, rng, lambda gains, base: [rng.random() for _ in base])
+        report = evaluate_run(table, scores)
         expected = sum(
-            ndcg_at(list(range(10)), t.gains) for t in targets
-        ) / len(targets)
+            ndcg_at(list(range(10)), gains) for gains in table.gains.tolist()
+        ) / table.n_targets
         assert report.mean_base_ndcg == pytest.approx(expected, abs=1e-12)
 
     def test_split_seed_reports_halves(self):
         rng = random.Random(5)
         targets = _targets(21, rng, lambda gains, base: [rng.random() for _ in base])
-        report = evaluate_run(targets, split_seed=9)
+        report = evaluate_run(*targets, split_seed=9)
         assert report.split_a_mean_ndcg is not None
         assert report.split_b_mean_ndcg is not None
         total = report.split_a_mean_ndcg * 10 + report.split_b_mean_ndcg * 11
         assert total / 21 == pytest.approx(report.mean_ndcg, abs=1e-12)
 
     def test_unlabeled_targets_rejected(self):
-        target = ScoredTarget(
-            user_id=1, query_id=2, session_id=3, serp_id=0,
-            doc_ids=list(range(10)),
-            gains=[math.nan] * 10,
-            base_ranks=list(range(1, 11)),
-            scores=[0.0] * 10,
-        )
+        table = _table([1], None, [list(range(1, 11))])
         with pytest.raises(DataError):
-            evaluate_run([target])
+            evaluate_run(table, np.zeros((1, 10)))
 
 
 class TestReRankShape:
@@ -195,7 +196,7 @@ class TestReRankShape:
         scores = score_table(RankModel(kind=ModelKind.HEURISTIC), table)
         spath = tmp_path / "s.csv"
         write_scores(table, scores, spath)
-        report = evaluate_run(read_scores(spath))
+        report = evaluate_run(*read_scores(spath))
         taus = [row.tau for row in report.rows]
         assert sum(1 for t in taus if t >= 0.7) / len(taus) > 0.5
         assert min(taus) < 1.0
@@ -218,18 +219,18 @@ class TestScoreFiles:
         scores = score_table(RankModel(kind=ModelKind.HEURISTIC), table)
         spath = tmp_path / "s.csv"
         write_scores(table, scores, spath)
-        loaded = read_scores(spath)
-        assert len(loaded) == table.n_targets
-        for t, target in enumerate(loaded):
-            assert target.user_id == table.user_ids[t]
-            assert list(target.doc_ids) == table.doc_ids[t].tolist()
-            assert target.scores == scores[t].tolist()
-            assert target.gains == table.gains[t].tolist()
+        loaded, loaded_scores = read_scores(spath)
+        assert loaded.n_targets == table.n_targets
+        for t in range(loaded.n_targets):
+            assert loaded.user_ids[t] == table.user_ids[t]
+            assert loaded.doc_ids[t].tolist() == table.doc_ids[t].tolist()
+            assert loaded_scores[t].tolist() == scores[t].tolist()
+            assert loaded.gains[t].tolist() == table.gains[t].tolist()
 
     def test_report_and_summary_written(self, tmp_path):
         rng = random.Random(6)
         targets = _targets(5, rng, lambda gains, base: [rng.random() for _ in base])
-        report = evaluate_run(targets)
+        report = evaluate_run(*targets)
         rpath, spath = tmp_path / "report.csv", tmp_path / "summary.csv"
         write_report(report, rpath)
         write_summary(report, spath)
@@ -254,3 +255,46 @@ class TestHistogram:
     def test_out_of_range_ignored(self):
         rows = histogram([5.0, -5.0, -0.05, 0.1], 0.0, 1.0, 10)
         assert sum(count for _, _, count in rows) == 1
+
+
+@st.composite
+def score_tables(draw):
+    """A score-file table with any ids, finite numbers, labeled or not, and scores."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    ids = arrays(np.int64, n)
+    numbers = arrays(np.float64, (n, 10),
+                     elements=st.floats(allow_nan=False, allow_infinity=False))
+    table = FeatureTable(
+        user_ids=draw(ids),
+        query_ids=draw(ids),
+        session_ids=draw(ids),
+        serp_ids=draw(ids),
+        doc_ids=draw(arrays(np.int64, (n, 10))),
+        x=np.zeros((n, 10, 0)),
+        base_ranks=draw(numbers),
+        gains=draw(st.none() | numbers),
+    )
+    return table, draw(numbers)
+
+
+class TestScoreFileRoundTrip:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(score_tables())
+    def test_write_then_read_is_bit_exact(self, tmp_path, drawn):
+        table, scores = drawn
+        path = tmp_path / "scores.csv"
+        write_scores(table, scores, path)
+        loaded, loaded_scores = read_scores(path)
+
+        def bits(a):
+            return np.asarray(a).view(np.int64).tolist()
+
+        for name in ("user_ids", "query_ids", "session_ids", "serp_ids", "doc_ids"):
+            assert getattr(loaded, name).tolist() == getattr(table, name).tolist(), name
+        assert bits(loaded.base_ranks) == bits(table.base_ranks)
+        assert bits(loaded_scores) == bits(scores)
+        if table.gains is None:
+            assert loaded.gains is None
+        else:
+            assert bits(loaded.gains) == bits(table.gains)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from persorank import features
 from persorank.evaluate import rank_by_score
 from persorank.features import N_FEATURES
+from persorank.logs import DataError
 from persorank.ranker import (
     ModelKind,
     NetParams,
@@ -313,6 +315,17 @@ class TestScoring:
         x = tables["validation"].flat_x()
         assert np.array_equal(model.scores(x), loaded.scores(x))
         assert loaded.metadata["seed"] == 6
+
+    def test_load_of_model_without_weights_is_data_error(self, tables, tmp_path):
+        settings = TrainSettings(hidden=16, learning_rate=0.05, epochs=1, patience=1)
+        model = train(ModelKind.REGRESSION, tables["train"], tables["validation"], settings)
+        path = tmp_path / "model.json"
+        model.save(path)
+        payload = json.loads(path.read_text())
+        del payload["weights"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError):
+            RankModel.load(path)
 
     def test_load_rejects_other_files(self, tmp_path):
         path = tmp_path / "bogus.json"
