@@ -36,10 +36,13 @@ class BlendModel:
     metadata: dict = field(default_factory=dict)
 
     def apply(self, member_scores: Sequence[np.ndarray]) -> np.ndarray:
-        """Blend raw member score vectors using the stored statistics."""
+        """Blend raw member score vectors using the stored statistics.
+
+        A member count other than the fitted one raises DataError.
+        """
         stacked = _stack(member_scores)
         if stacked.shape[1] != len(self.member_names):
-            raise ValueError(
+            raise DataError(
                 f"expected {len(self.member_names)} members, got {stacked.shape[1]}"
             )
         z = (stacked - self.member_means) / self.member_scales

@@ -9,7 +9,7 @@ import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
-from .logs import DataError
+from .logs import DataError, Session
 
 SESSIONS_MAGIC = b"PRNK.SESSIONS.1\n"
 
@@ -58,16 +58,23 @@ def save_sessions(sessions: list, path: str | Path) -> None:
         pickle.dump(sessions, fh, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def load_sessions(path: str | Path) -> list:
-    """A session cache; a wrong header or a body that does not unpickle raises DataError."""
+def load_sessions(path: str | Path) -> list[Session]:
+    """A session cache.
+
+    A wrong header, a body that does not unpickle, and a body that is not
+    a list of sessions raise DataError.
+    """
     with open(path, "rb") as fh:
         if fh.read(len(SESSIONS_MAGIC)) != SESSIONS_MAGIC:
             raise DataError(f"{path}: not a cache file of the expected kind/version")
         try:
-            return pickle.load(fh)
+            sessions = pickle.load(fh)
         except (pickle.UnpicklingError, AttributeError, EOFError, ImportError,
                 IndexError) as exc:
             raise DataError(f"{path}: corrupt cache body: {exc!r}") from None
+    if not isinstance(sessions, list) or not all(isinstance(s, Session) for s in sessions):
+        raise DataError(f"{path}: cache body is not a list of sessions")
+    return sessions
 
 
 def save_json(payload: dict, path: str | Path) -> None:

@@ -53,6 +53,34 @@ def ndcg_at(order: Sequence[int], gains: Sequence[float], cutoff: int = NDCG_CUT
     return dcg / ideal_dcg
 
 
+def rank_rows(scores: np.ndarray, base_ranks: np.ndarray) -> np.ndarray:
+    """`rank_by_score` of every row of (targets, docs) arrays, as (targets, docs) indices."""
+    return np.lexsort((base_ranks, -scores), axis=-1)
+
+
+def ndcg_rows(order: np.ndarray, gains: np.ndarray, cutoff: int = NDCG_CUTOFF) -> np.ndarray:
+    """`ndcg_at` of every row of (targets, docs) orders and gains, bit for bit.
+
+    The gain values 2^g - 1 come from Python's pow, one per distinct grade
+    (numpy's vector pow may differ in the last bit), and DCG adds one rank
+    position at a time, in the scalar order.
+    """
+    gains = np.asarray(gains, dtype=np.float64)
+    grades, inverse = np.unique(gains, return_inverse=True)
+    inverse = inverse.reshape(gains.shape)  # codes of the grades, in grade order
+    values = np.array([2.0 ** g - 1.0 for g in grades.tolist()])
+    ranked = values[np.take_along_axis(inverse, order, axis=-1)]
+    ideal = values[np.sort(inverse, axis=-1)[:, ::-1]]
+    dcg = np.zeros(gains.shape[0])
+    ideal_dcg = np.zeros(gains.shape[0])
+    for i in range(min(cutoff, gains.shape[-1])):
+        discount = math.log2(i + 2)
+        dcg = dcg + ranked[:, i] / discount
+        ideal_dcg = ideal_dcg + ideal[:, i] / discount
+    unranked = ideal_dcg == 0.0
+    return np.where(unranked, 1.0, dcg / np.where(unranked, 1.0, ideal_dcg))
+
+
 def mean_ndcg(
     scores: np.ndarray,
     gains: np.ndarray,
@@ -60,14 +88,12 @@ def mean_ndcg(
     cutoff: int = NDCG_CUTOFF,
 ) -> float:
     """Mean NDCG over (targets, docs) arrays, ranking by score with tie-break."""
-    total = 0.0
     n = scores.shape[0]
     if n == 0:
         raise ValueError("no targets to evaluate")
-    for t in range(n):
-        order = rank_by_score(scores[t], base_ranks[t])
-        total += ndcg_at(order, gains[t], cutoff)
-    return total / n
+    values = ndcg_rows(rank_rows(scores, base_ranks), gains, cutoff)
+    # accumulate adds left to right, as a loop would; np.sum's pairwise order may not
+    return np.add.accumulate(values)[-1] / n
 
 
 def kendall_tau(ranking_a: Sequence[int], ranking_b: Sequence[int]) -> float:
@@ -174,22 +200,20 @@ def evaluate_run(
     if table.gains is None:
         raise DataError("targets without relevance labels; cannot evaluate")
     report = EvalReport()
-    ndcgs = []
+    order = rank_rows(scores, table.base_ranks)
+    base_order = np.argsort(table.base_ranks, axis=-1, kind="stable")
+    ndcgs = ndcg_rows(order, table.gains, cutoff).tolist()
     rows = zip(
         table.user_ids.tolist(), table.query_ids.tolist(),
         table.session_ids.tolist(), table.serp_ids.tolist(),
-        table.doc_ids.tolist(), table.gains.tolist(),
-        table.base_ranks.tolist(), scores.tolist(),
+        table.doc_ids.tolist(), order.tolist(), base_order.tolist(),
+        ndcgs, ndcg_rows(base_order, table.gains, cutoff).tolist(),
     )
-    for user_id, query_id, session_id, serp_id, doc_ids, gains, base_ranks, row in rows:
-        n = len(doc_ids)
-        order = rank_by_score(row, base_ranks)
-        base_order = sorted(range(n), key=lambda i: base_ranks[i])
-        value = ndcg_at(order, gains, cutoff)
-        base_value = ndcg_at(base_order, gains, cutoff)
+    for (user_id, query_id, session_id, serp_id, doc_ids,
+         ranked, base_ranked, value, base_value) in rows:
         tau = kendall_tau(
-            [doc_ids[i] for i in order],
-            [doc_ids[i] for i in base_order],
+            [doc_ids[i] for i in ranked],
+            [doc_ids[i] for i in base_ranked],
         )
         report.rows.append(
             QueryEval(
@@ -203,7 +227,6 @@ def evaluate_run(
                 tau=tau,
             )
         )
-        ndcgs.append(value)
     report.mean_ndcg = float(np.mean([r.ndcg for r in report.rows]))
     report.mean_base_ndcg = float(np.mean([r.base_ndcg for r in report.rows]))
     report.mean_delta_ndcg = float(np.mean([r.delta_ndcg for r in report.rows]))

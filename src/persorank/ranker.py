@@ -130,19 +130,13 @@ def _log_softmax(rows: np.ndarray) -> np.ndarray:
 
 
 def query_pairs(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat (preferred, other) index pairs within each query of a (B, 10) block."""
-    i_idx: list[int] = []
-    j_idx: list[int] = []
+    """Flat (preferred, other) index pairs within each query of a (B, 10) block.
+
+    Pairs come in row-major (query, preferred, other) order.
+    """
+    t, i, j = np.nonzero(gains[:, :, None] > gains[:, None, :])
     n_docs = gains.shape[1]
-    for t in range(gains.shape[0]):
-        row = gains[t]
-        base = t * n_docs
-        for i in range(n_docs):
-            for j in range(n_docs):
-                if row[i] > row[j]:
-                    i_idx.append(base + i)
-                    j_idx.append(base + j)
-    return np.asarray(i_idx, dtype=np.int64), np.asarray(j_idx, dtype=np.int64)
+    return t * n_docs + i, t * n_docs + j
 
 
 def loss_and_score_grad(
@@ -268,7 +262,28 @@ class RankModel:
                 )
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: malformed model file: {exc!r}") from None
+        if kind is not ModelKind.HEURISTIC:
+            _check_network(path, model.standardizer, model.params)
         return model
+
+
+def _check_network(path: str | Path, standardizer: Standardizer, params: NetParams) -> None:
+    """Raise DataError unless loaded arrays have the network's shapes and finite values."""
+    hidden = params.b1.size
+    expected = {
+        "w1": (params.w1, (N_FEATURES, hidden)),
+        "b1": (params.b1, (hidden,)),
+        "w2": (params.w2, (hidden,)),
+        "standardizer mean": (standardizer.mean, (N_FEATURES,)),
+        "standardizer scale": (standardizer.scale, (N_FEATURES,)),
+    }
+    for name, (array, shape) in expected.items():
+        if array.shape != shape:
+            raise DataError(f"{path}: {name} has shape {array.shape}, expected {shape}")
+        if not np.isfinite(array).all():
+            raise DataError(f"{path}: {name} holds non-finite values")
+    if not np.isfinite(params.b2):
+        raise DataError(f"{path}: b2 is not finite")
 
 
 def _validation_ndcg(

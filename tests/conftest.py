@@ -1,8 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from persorank.logs import label_sessions
 from persorank.partition import select_targets
 from persorank.synth import GenConfig, generate_sessions
+
+# Property tests draw the same examples on every run; each keeps its own max_examples.
+settings.register_profile("persorank", derandomize=True, deadline=None)
+settings.load_profile("persorank")
 
 
 class Corpus:

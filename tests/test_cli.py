@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import pickle
 import stat
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -11,7 +12,8 @@ import pytest
 from persorank import cache as cache_mod
 from persorank.blend import blend_average
 from persorank.cli import main
-from persorank.ranker import ModelKind, RankModel
+from persorank.features import N_FEATURES
+from persorank.ranker import ModelKind, RankModel, Standardizer, init_params
 
 GEN_OVERRIDES = [
     "-O", "n_users=25", "-O", "n_queries=200", "-O", "n_terms=150",
@@ -451,6 +453,33 @@ class TestMalformedInputs:
         scores = scored_run / "scores.csv"
         other = rewrite_rows(scores, tmp_path / "other.csv", edit)
         assert self.blend(tmp_path, scores, other) == 2
+
+    def test_blend_apply_with_wrong_member_count_is_data_error(self, scored_run, tmp_path):
+        scores = scored_run / "scores.csv"
+        assert self.blend(tmp_path, scores, scores, scores, scores) == 0
+        assert run("blend", "--scores", str(scores), "--apply", str(tmp_path / "b.json"),
+                   "--out", str(tmp_path / "applied.csv")) == 2
+
+    def test_model_with_cut_weights_is_data_error(self, scored_run, tmp_path):
+        rng = np.random.default_rng(0)
+        path = tmp_path / "model.json"
+        RankModel(kind=ModelKind.RANKNET,
+                  standardizer=Standardizer(np.zeros(N_FEATURES), np.ones(N_FEATURES)),
+                  params=init_params(N_FEATURES, 12, rng)).save(path)
+        features_file = scored_run / "features_validation.csv"
+        assert run("score", "--model", str(path), "--features", str(features_file),
+                   "--out", str(tmp_path / "s.csv")) == 0
+        payload = json.loads(path.read_text())
+        payload["weights"]["w1"] = payload["weights"]["w1"][:5]
+        path.write_text(json.dumps(payload))
+        assert run("score", "--model", str(path), "--features", str(features_file),
+                   "--out", str(tmp_path / "s.csv")) == 2
+
+    @pytest.mark.parametrize("body", [42, [42]], ids=["not_a_list", "not_sessions"])
+    def test_session_cache_of_other_objects_is_data_error(self, tmp_path, body):
+        bogus = tmp_path / "s.cache"
+        bogus.write_bytes(cache_mod.SESSIONS_MAGIC + pickle.dumps(body))
+        assert run("partition", "--cache", str(bogus), "--out", str(tmp_path / "t.csv")) == 2
 
     def test_train_with_header_only_validation_is_data_error(self, scored_run, tmp_path):
         empty = rewrite_rows(scored_run / "features_validation.csv", tmp_path / "v.csv",

@@ -13,7 +13,9 @@ from persorank.evaluate import (
     kendall_tau,
     mean_ndcg,
     ndcg_at,
+    ndcg_rows,
     rank_by_score,
+    rank_rows,
     read_scores,
     write_report,
     write_scores,
@@ -298,3 +300,62 @@ class TestScoreFileRoundTrip:
             assert loaded.gains is None
         else:
             assert bits(loaded.gains) == bits(table.gains)
+
+
+@st.composite
+def ranked_pools(draw):
+    """(targets, 10) scores, gains and base ranks with score ties and all-zero rows.
+
+    Scores and base ranks come from small value sets, so ties are common.
+    Gains include non-integer grades for which numpy's vector pow and
+    Python's pow can differ in the last bit. Up to 20 targets, so that a
+    pairwise (not left-to-right) mean would show.
+    """
+    n = draw(st.integers(min_value=1, max_value=20))
+    gains = draw(arrays(np.float64, (n, 10),
+                        elements=st.sampled_from([0.0, 0.214, 0.46, 1.0, 1.646, 2.0])))
+    gains[draw(arrays(np.bool_, n))] = 0.0
+    scores = draw(arrays(np.float64, (n, 10), elements=st.sampled_from([-1.0, -0.0, 0.0, 0.25])
+                         | st.floats(-1e6, 1e6, allow_nan=False)))
+    base = draw(arrays(np.float64, (n, 10), elements=st.integers(1, 10).map(float)))
+    return scores, gains, base, draw(st.integers(min_value=1, max_value=10))
+
+
+class TestArrayNdcg:
+    @settings(max_examples=200)
+    @given(ranked_pools())
+    def test_rows_and_mean_equal_the_scalar_definition(self, pool):
+        scores, gains, base, cutoff = pool
+        expected = [
+            ndcg_at(rank_by_score(row, row_base), row_gains, cutoff)
+            for row, row_gains, row_base in zip(scores.tolist(), gains.tolist(), base.tolist())
+        ]
+        assert rank_rows(scores, base).tolist() == [
+            rank_by_score(row, row_base) for row, row_base in zip(scores.tolist(), base.tolist())
+        ]
+        assert ndcg_rows(rank_rows(scores, base), gains, cutoff).tolist() == expected
+        assert all(0.0 <= value <= 1.0 for value in expected)
+        total = 0.0
+        for value in expected:
+            total += value
+        assert mean_ndcg(scores, gains, base, cutoff) == total / len(expected)
+
+    @settings(max_examples=50)
+    @given(ranked_pools())
+    def test_evaluate_run_rows_equal_the_scalar_definition(self, pool):
+        scores, gains, base, cutoff = pool
+        table = _table(list(range(len(scores))), gains, base)
+        report = evaluate_run(table, scores, cutoff)
+        for row, row_scores, row_gains, row_base in zip(
+            report.rows, scores.tolist(), gains.tolist(), base.tolist()
+        ):
+            assert row.ndcg == ndcg_at(rank_by_score(row_scores, row_base), row_gains, cutoff)
+            base_order = sorted(range(10), key=lambda i: row_base[i])
+            assert row.base_ndcg == ndcg_at(base_order, row_gains, cutoff)
+            assert type(row.ndcg) is float and type(row.base_ndcg) is float
+
+    def test_one_target_without_gains_scores_one(self):
+        scores = np.zeros((1, 10))
+        base = np.arange(1.0, 11.0)[None, :]
+        assert ndcg_rows(rank_rows(scores, base), np.zeros((1, 10))).tolist() == [1.0]
+        assert mean_ndcg(scores, np.zeros((1, 10)), base) == 1.0

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from persorank import features
-from persorank.evaluate import rank_by_score
+from persorank import features, ranker
+from persorank.evaluate import ndcg_at, rank_by_score
 from persorank.features import N_FEATURES
 from persorank.logs import DataError
 from persorank.ranker import (
@@ -26,6 +26,29 @@ from persorank.ranker import (
 )
 
 from oracles import finite_difference_grads
+
+
+def reference_query_pairs(gains):
+    """The per-query triple loop that query_pairs replaced, kept as its reference."""
+    i_idx, j_idx = [], []
+    n_docs = gains.shape[1]
+    for t in range(gains.shape[0]):
+        row = gains[t]
+        base = t * n_docs
+        for i in range(n_docs):
+            for j in range(n_docs):
+                if row[i] > row[j]:
+                    i_idx.append(base + i)
+                    j_idx.append(base + j)
+    return np.asarray(i_idx, dtype=np.int64), np.asarray(j_idx, dtype=np.int64)
+
+
+def reference_mean_ndcg(scores, gains, base_ranks, cutoff=10):
+    """The per-query validation NDCG loop that the array version replaced."""
+    total = 0.0
+    for t in range(scores.shape[0]):
+        total += ndcg_at(rank_by_score(scores[t], base_ranks[t]), gains[t], cutoff)
+    return total / scores.shape[0]
 
 
 class TestHeuristic:
@@ -108,6 +131,20 @@ class TestLosses:
         gains = np.array([[1.0] + [0.0] * 9, [0.0] * 9 + [1.0]])
         i_idx, j_idx = query_pairs(gains)
         assert all((i // 10) == (j // 10) for i, j in zip(i_idx, j_idx))
+
+    def test_query_pairs_equal_the_reference_loop_in_order(self):
+        rng = np.random.default_rng(8)
+        blocks = [
+            rng.integers(0, 3, size=(40, 10)).astype(float),
+            rng.integers(0, 2, size=(1, 10)).astype(float),
+            np.zeros((3, 10)),
+            np.zeros((0, 10)),
+            np.array([[2.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5]]),
+        ]
+        for gains in blocks:
+            for got, want in zip(query_pairs(gains), reference_query_pairs(gains)):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("kind", [ModelKind.RANKNET, ModelKind.LISTNET])
     def test_score_shift_invariance(self, kind):
@@ -204,6 +241,21 @@ class TestTraining:
         assert np.array_equal(a.params.w2, b.params.w2)
         assert a.params.b2 == b.params.b2
         assert a.metadata == b.metadata
+
+    @pytest.mark.parametrize("kind", [ModelKind.RANKNET, ModelKind.LISTNET])
+    def test_array_loops_train_the_same_model_as_the_reference_loops(
+        self, tables, monkeypatch, kind
+    ):
+        settings = TrainSettings(hidden=16, learning_rate=0.05, epochs=5, patience=5)
+        fast = train(kind, tables["train"], tables["validation"], settings, seed=7)
+        monkeypatch.setattr(ranker, "query_pairs", reference_query_pairs)
+        monkeypatch.setattr(ranker, "mean_ndcg", reference_mean_ndcg)
+        slow = train(kind, tables["train"], tables["validation"], settings, seed=7)
+        for name in ("w1", "b1", "w2"):
+            assert getattr(fast.params, name).tobytes() == getattr(slow.params, name).tobytes()
+        assert fast.params.b2 == slow.params.b2
+        assert fast.metadata["validation_history"] == slow.metadata["validation_history"]
+        assert fast.metadata == slow.metadata
 
     def test_metadata_records_run(self, tables):
         settings = TrainSettings(hidden=12, learning_rate=0.05, epochs=6, patience=6)
@@ -331,4 +383,62 @@ class TestScoring:
         path = tmp_path / "bogus.json"
         path.write_text("{}")
         with pytest.raises(ValueError):
+            RankModel.load(path)
+
+
+def _network_model(hidden=12):
+    rng = np.random.default_rng(3)
+    return RankModel(
+        kind=ModelKind.RANKNET,
+        standardizer=Standardizer(mean=rng.normal(size=N_FEATURES),
+                                  scale=rng.uniform(0.5, 2.0, size=N_FEATURES)),
+        params=init_params(N_FEATURES, hidden, rng),
+    )
+
+
+def _cut_w1(payload):
+    payload["weights"]["w1"] = payload["weights"]["w1"][:5]
+
+
+def _short_b1(payload):
+    payload["weights"]["b1"] = payload["weights"]["b1"][:-1]
+
+
+def _long_w2(payload):
+    payload["weights"]["w2"].append(0.0)
+
+
+def _short_mean(payload):
+    payload["standardizer"]["mean"] = payload["standardizer"]["mean"][:-1]
+
+
+def _scale_matrix(payload):
+    payload["standardizer"]["scale"] = [payload["standardizer"]["scale"]]
+
+
+def _nan_weight(payload):
+    payload["weights"]["w1"][2][3] = float("nan")
+
+
+def _infinite_b2(payload):
+    payload["weights"]["b2"] = float("inf")
+
+
+class TestModelFileShapes:
+    def test_valid_network_loads(self, tmp_path):
+        model = _network_model()
+        model.save(tmp_path / "m.json")
+        loaded = RankModel.load(tmp_path / "m.json")
+        x = np.random.default_rng(1).normal(size=(20, N_FEATURES))
+        assert np.array_equal(loaded.scores(x), model.scores(x))
+
+    @pytest.mark.parametrize("edit", [_cut_w1, _short_b1, _long_w2, _short_mean,
+                                      _scale_matrix, _nan_weight, _infinite_b2])
+    def test_wrong_shape_or_non_finite_weight_is_data_error(self, tmp_path, edit):
+        path = tmp_path / "m.json"
+        _network_model().save(path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError):
             RankModel.load(path)
