@@ -1,10 +1,11 @@
 """Command-line pipeline driver.
 
 Subcommands cover the full flow: gen, parse, stats, partition, index,
-extract, train, score, blend, eval, analyze. Settings come from an optional
-key = value config file; flags override file values. Every artifact is
-written atomically and accompanied by a JSON run manifest recording the
-effective parameters, inputs, outputs, and wall time.
+extract, train, score, blend, eval, analyze. Settings resolve as defaults
+< ``--config`` file < ``-O key=value`` < flags; a flag that stands for a
+config key is parsed into that key, so handlers read settings only from the
+config. Every artifact is written atomically and accompanied by a JSON run
+manifest recording the effective parameters, inputs, outputs, and wall time.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 3 internal error.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import gzip
 import json
 import sys
@@ -24,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, blend as blend_mod, cache, contexts, evaluate, features
-from .config import ConfigError, PipelineConfig, load_config
+from .config import KEY_TYPES, ConfigError, PipelineConfig, load_config
 from .logs import (
     DataError,
     Grade,
@@ -37,10 +39,6 @@ from .logs import (
 from .partition import ROLES, order_sessions, read_targets, select_targets, write_targets
 from .ranker import ModelKind, RankModel, TrainSettings, score_table, train
 from .synth import GenConfig, generate_lines
-
-
-class UsageError(Exception):
-    pass
 
 
 def _stage_start() -> tuple[float, datetime]:
@@ -76,18 +74,10 @@ def _write_manifest(command: str, params: dict, inputs: list, outputs: list,
 
 
 def _gen_config(cfg: PipelineConfig) -> GenConfig:
-    return GenConfig(
-        n_users=cfg.n_users,
-        n_days=cfg.n_days,
-        queries_per_user_per_day=cfg.queries_per_user_per_day,
-        n_queries=cfg.n_queries,
-        n_terms=cfg.n_terms,
-        n_documents=cfg.n_documents,
-        n_domains=cfg.n_domains,
-        preference_strength=cfg.preference_strength,
-        repeat_query_prob=cfg.repeat_query_prob,
-        rng_seed=cfg.synth_seed,
-    )
+    """Generator settings share their names with config keys, but for the seed."""
+    shared = {f.name: getattr(cfg, f.name)
+              for f in dataclasses.fields(GenConfig) if f.name != "rng_seed"}
+    return GenConfig(**shared, rng_seed=cfg.synth_seed)
 
 
 def _cmd_gen(args, cfg: PipelineConfig) -> int:
@@ -95,10 +85,10 @@ def _cmd_gen(args, cfg: PipelineConfig) -> int:
     gencfg = _gen_config(cfg)
     lines, stats = generate_lines(gencfg)
     text = "\n".join(lines) + "\n"
-    if args.out == "-":
+    if cfg.log_path == "-":
         sys.stdout.write(text)
         return 0
-    out = Path(args.out or cfg.log_path)
+    out = Path(cfg.log_path)
     if str(out).endswith(".gz"):
         with cache.atomic_write(out, "wb") as fh:
             with gzip.GzipFile(fileobj=fh, mode="wb", mtime=0) as gz:
@@ -117,8 +107,8 @@ def _cmd_gen(args, cfg: PipelineConfig) -> int:
 
 def _cmd_parse(args, cfg: PipelineConfig) -> int:
     started = _stage_start()
-    log_path = _require(args.log or cfg.log_path)
-    out = Path(args.out or cfg.cache_path)
+    log_path = _require(cfg.log_path)
+    out = Path(cfg.cache_path)
     with _open_log(log_path) as fh:
         records = parse_log(fh)
     sessions = sessionize(records)
@@ -132,12 +122,11 @@ def _cmd_parse(args, cfg: PipelineConfig) -> int:
 
 def _cmd_stats(args, cfg: PipelineConfig) -> int:
     started = _stage_start()
-    cache_path = _require(args.cache or cfg.cache_path)
+    cache_path = _require(cfg.cache_path)
     out = Path(args.out or Path(cfg.reports_dir) / "stats.csv")
     sessions = cache.load_sessions(cache_path)
-    train_days = args.train_days if args.train_days is not None else cfg.train_days
 
-    stats = corpus_stats(sessions, train_days)
+    stats = corpus_stats(sessions, cfg.train_days)
     rows = [("corpus", metric, value) for metric, value in stats.as_dict().items()
             if metric != "grade_counts"]
     for period, counts in stats.grade_counts.items():
@@ -168,24 +157,25 @@ def _cmd_stats(args, cfg: PipelineConfig) -> int:
         fh.write("section,metric,value\n")
         for section, metric, value in rows:
             fh.write(f"{section},{metric},{value}\n")
-    _write_manifest("stats", {"train_days": train_days}, inputs, [out], started, out)
+    _write_manifest("stats", {"train_days": cfg.train_days}, inputs, [out], started, out)
     print(f"wrote {out}")
     return 0
 
 
 def _cmd_partition(args, cfg: PipelineConfig) -> int:
     started = _stage_start()
-    cache_path = _require(args.cache or cfg.cache_path)
-    out = Path(args.out or cfg.targets_path)
-    seed = args.seed if args.seed is not None else cfg.partition_seed
-    train_days = args.train_days if args.train_days is not None else cfg.train_days
+    cache_path = _require(cfg.cache_path)
+    out = Path(cfg.targets_path)
     sessions = cache.load_sessions(cache_path)
-    targets, report = select_targets(sessions, train_days=train_days, seed=seed)
+    targets, report = select_targets(
+        sessions, train_days=cfg.train_days, seed=cfg.partition_seed
+    )
     with cache.atomic_path(out) as tmp:
         write_targets(targets, tmp)
     _write_manifest(
         "partition",
-        {"seed": seed, "train_days": train_days, "report": report.__dict__},
+        {"seed": cfg.partition_seed, "train_days": cfg.train_days,
+         "report": report.__dict__},
         [cache_path], [out], started, out,
     )
     print(
@@ -199,11 +189,10 @@ def _cmd_partition(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_index(args, cfg: PipelineConfig) -> int:
-    cache_path = _require(args.cache or cfg.cache_path)
-    seed = args.seed if args.seed is not None else cfg.partition_seed
-    train_days = args.train_days if args.train_days is not None else cfg.train_days
-    sessions = cache.load_sessions(cache_path)
-    query_index, _ = contexts.build(order_sessions(sessions, seed), train_days)
+    sessions = cache.load_sessions(_require(cfg.cache_path))
+    query_index, _ = contexts.build(
+        order_sessions(sessions, cfg.partition_seed), cfg.train_days
+    )
     occurrences = contexts.lookup(query_index, args.lookup)
     print(f"query {args.lookup}: {len(occurrences)} occurrences")
     for occ in occurrences:
@@ -217,30 +206,20 @@ def _cmd_index(args, cfg: PipelineConfig) -> int:
 
 def _cmd_extract(args, cfg: PipelineConfig) -> int:
     started = _stage_start()
-    cache_path = _require(args.cache or cfg.cache_path)
-    targets_path = _require(args.targets or cfg.targets_path)
-    out_dir = Path(args.out_dir or cfg.features_dir)
-    seed = args.seed if args.seed is not None else cfg.partition_seed
-    train_days = args.train_days if args.train_days is not None else cfg.train_days
-    threads = args.threads if args.threads is not None else cfg.threads
-    if threads < 1:
-        raise UsageError("--threads must be >= 1")
-
+    cache_path = _require(cfg.cache_path)
+    targets_path = _require(cfg.targets_path)
     sessions = cache.load_sessions(cache_path)
     targets = read_targets(targets_path)
     extracted = features.extract_targets(
-        sessions, targets, train_days=train_days, seed=seed, threads=threads
+        sessions, targets, train_days=cfg.train_days, seed=cfg.partition_seed
     )
-    outputs = []
-    for role in ROLES:
-        path = out_dir / f"features_{role}.csv"
-        rows = extracted[role]
+    outputs = [Path(cfg.features_dir) / f"features_{role}.csv" for role in ROLES]
+    for role, path in zip(ROLES, outputs):
         with cache.atomic_path(path) as tmp:
-            features.write_features(rows, tmp)
-        outputs.append(path)
+            features.write_features(extracted[role], tmp)
     _write_manifest(
         "extract",
-        {"seed": seed, "train_days": train_days, "threads": threads},
+        {"seed": cfg.partition_seed, "train_days": cfg.train_days},
         [cache_path, targets_path], outputs, started, outputs[0],
     )
     print(
@@ -260,21 +239,20 @@ def _cmd_train(args, cfg: PipelineConfig) -> int:
     kind = ModelKind(args.kind)
     out = Path(args.out or Path(cfg.models_dir) / f"model_{kind.value}.json")
     settings = TrainSettings(
-        hidden=args.hidden if args.hidden is not None else cfg.hidden_units,
-        learning_rate=args.lr if args.lr is not None else cfg.learning_rate,
-        epochs=args.epochs if args.epochs is not None else cfg.epochs,
-        batch_queries=args.batch if args.batch is not None else cfg.batch_queries,
-        patience=args.patience if args.patience is not None else cfg.patience,
+        hidden=cfg.hidden_units,
+        learning_rate=cfg.learning_rate,
+        epochs=cfg.epochs,
+        batch_queries=cfg.batch_queries,
+        patience=cfg.patience,
         cutoff=cfg.ndcg_cutoff,
     )
-    seed = args.seed if args.seed is not None else cfg.train_seed
     train_table = features.read_features(train_path)
     val_table = features.read_features(val_path)
-    model = train(kind, train_table, val_table, settings, seed=seed)
+    model = train(kind, train_table, val_table, settings, seed=cfg.train_seed)
     model.save(out)
     _write_manifest(
         "train",
-        {"kind": kind.value, "seed": seed, "settings": settings.__dict__},
+        {"kind": kind.value, "seed": cfg.train_seed, "settings": settings.__dict__},
         [train_path, val_path], [out], started, out,
     )
     best = model.metadata.get("best_validation_ndcg")
@@ -322,12 +300,9 @@ def _cmd_blend(args, cfg: PipelineConfig) -> int:
     elif args.method == "average":
         blended, model = blend_mod.blend_average(member_scores, names)
     else:
-        split_seed = (
-            args.split_seed if args.split_seed is not None else cfg.blend_split_seed
-        )
         blended, model = blend_mod.blend_learned(
             member_scores, table.gains, table.base_ranks,
-            split_seed=split_seed, names=names, cutoff=cfg.ndcg_cutoff,
+            split_seed=cfg.blend_split_seed, names=names, cutoff=cfg.ndcg_cutoff,
         )
 
     with cache.atomic_path(out) as tmp:
@@ -354,7 +329,7 @@ def _cmd_blend(args, cfg: PipelineConfig) -> int:
 def _cmd_eval(args, cfg: PipelineConfig) -> int:
     started = _stage_start()
     scores_path = _require(args.scores)
-    out_dir = Path(args.out_dir or cfg.reports_dir)
+    out_dir = Path(cfg.reports_dir)
     table, scores = evaluate.read_scores(scores_path)
     report = evaluate.evaluate_run(
         table, scores, cutoff=cfg.ndcg_cutoff, split_seed=args.split_seed
@@ -380,7 +355,7 @@ def _cmd_eval(args, cfg: PipelineConfig) -> int:
 def _cmd_analyze(args, cfg: PipelineConfig) -> int:
     started = _stage_start()
     report_path = _require(args.report)
-    out_dir = Path(args.out_dir or cfg.reports_dir)
+    out_dir = Path(cfg.reports_dir)
     taus, deltas = [], []
     with open(report_path, newline="") as fh:
         for row in csv.DictReader(fh):
@@ -416,39 +391,45 @@ def build_parser() -> argparse.ArgumentParser:
         )
         return p
 
+    def setting(p, flag, key, help_text):
+        """A flag that overrides config key `key`; absent unless given."""
+        p.add_argument(flag, dest=key, type=KEY_TYPES[key],
+                       default=argparse.SUPPRESS, help=f"{help_text} (sets {key})")
+
     p = add("gen", _cmd_gen, "generate a synthetic click log")
-    p.add_argument("--out", help="log file to write (.gz for gzip, - for stdout)")
+    setting(p, "--out", "log_path", "log file to write (.gz for gzip, - for stdout)")
 
     p = add("parse", _cmd_parse, "parse and label a log into a session cache")
-    p.add_argument("--log", help="input log file (TSV, optionally .gz)")
-    p.add_argument("--out", help="session cache to write")
+    setting(p, "--log", "log_path", "input log file (TSV, optionally .gz)")
+    setting(p, "--out", "cache_path", "session cache to write")
 
     p = add("stats", _cmd_stats, "corpus and relevance distribution report")
-    p.add_argument("--cache", help="session cache")
+    setting(p, "--cache", "cache_path", "session cache")
     p.add_argument("--targets", help="optional targets CSV for per-role stats")
-    p.add_argument("--train-days", type=int, dest="train_days")
+    setting(p, "--train-days", "train_days", "days in the training period")
     p.add_argument("--out", help="stats CSV to write")
 
     p = add("partition", _cmd_partition, "select per-user target queries")
-    p.add_argument("--cache", help="session cache")
-    p.add_argument("--out", help="targets CSV to write")
-    p.add_argument("--seed", type=int, help="tie-break seed")
-    p.add_argument("--train-days", type=int, dest="train_days")
+    setting(p, "--cache", "cache_path", "session cache")
+    setting(p, "--out", "targets_path", "targets CSV to write")
+    setting(p, "--seed", "partition_seed", "tie-break seed")
+    setting(p, "--train-days", "train_days", "days in the training period")
 
     p = add("index", _cmd_index, "print a query's indexed occurrences")
-    p.add_argument("--cache", help="session cache")
-    p.add_argument("--seed", type=int, help="session order seed")
-    p.add_argument("--train-days", type=int, dest="train_days")
+    setting(p, "--cache", "cache_path", "session cache")
+    setting(p, "--seed", "partition_seed", "session order seed")
+    setting(p, "--train-days", "train_days", "days in the training period")
     p.add_argument("--lookup", type=int, metavar="QUERY_ID", required=True,
                    help="query whose occurrences to print")
 
     p = add("extract", _cmd_extract, "extract features for all targets")
-    p.add_argument("--cache", help="session cache")
-    p.add_argument("--targets", help="targets CSV")
-    p.add_argument("--out-dir", dest="out_dir", help="directory for feature files")
-    p.add_argument("--seed", type=int, help="session order seed")
-    p.add_argument("--train-days", type=int, dest="train_days")
-    p.add_argument("--threads", type=int, help="worker process cap")
+    setting(p, "--cache", "cache_path", "session cache")
+    setting(p, "--targets", "targets_path", "targets CSV")
+    setting(p, "--out-dir", "features_dir", "directory for feature files")
+    setting(p, "--seed", "partition_seed", "session order seed")
+    setting(p, "--train-days", "train_days", "days in the training period")
+    setting(p, "--threads", "threads",
+            "accepted for compatibility; extraction runs in one process")
 
     p = add("train", _cmd_train, "train a scoring model")
     p.add_argument("--kind", required=True,
@@ -456,12 +437,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-features", dest="train_features")
     p.add_argument("--val-features", dest="val_features")
     p.add_argument("--out", help="model JSON to write")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int, help="queries per mini-batch")
-    p.add_argument("--patience", type=int)
+    setting(p, "--seed", "train_seed", "weight init and shuffle seed")
+    setting(p, "--hidden", "hidden_units", "hidden layer width")
+    setting(p, "--lr", "learning_rate", "learning rate")
+    setting(p, "--epochs", "epochs", "maximum epochs")
+    setting(p, "--batch", "batch_queries", "queries per mini-batch")
+    setting(p, "--patience", "patience", "early-stopping patience in epochs")
 
     p = add("score", _cmd_score, "score a feature file with a model")
     p.add_argument("--model", required=True)
@@ -472,20 +453,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", nargs="+", required=True,
                    help="member score files (aligned targets)")
     p.add_argument("--method", choices=["average", "learned"], default="average")
-    p.add_argument("--split-seed", dest="split_seed", type=int)
+    setting(p, "--split-seed", "blend_split_seed", "learned blend's fit/holdout split seed")
     p.add_argument("--apply", help="apply an existing blend model file")
     p.add_argument("--out", help="blended scores CSV to write")
     p.add_argument("--model-out", dest="model_out", help="blend model JSON")
 
     p = add("eval", _cmd_eval, "evaluate a score file")
     p.add_argument("--scores", required=True)
-    p.add_argument("--out-dir", dest="out_dir")
+    setting(p, "--out-dir", "reports_dir", "directory for the reports")
     p.add_argument("--split-seed", dest="split_seed", type=int,
                    help="emulate a hidden half/half leaderboard split")
 
     p = add("analyze", _cmd_analyze, "histogram the per-query report")
     p.add_argument("--report", required=True)
-    p.add_argument("--out-dir", dest="out_dir")
+    setting(p, "--out-dir", "reports_dir", "directory for the histograms")
 
     return parser
 
@@ -496,10 +477,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    flags = {k: v for k, v in vars(args).items() if k in KEY_TYPES}
     try:
-        cfg = load_config(args.config, args.overrides)
+        cfg = load_config(args.config, args.overrides, flags)
         return args.handler(args, cfg)
-    except (UsageError, ConfigError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DataError, LogParseError, FileNotFoundError) as exc:

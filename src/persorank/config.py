@@ -1,4 +1,4 @@
-"""Pipeline configuration: a flat key = value file with flag overrides."""
+"""Pipeline configuration: defaults < key = value file < ``-O`` overrides < flags."""
 
 from __future__ import annotations
 
@@ -63,23 +63,12 @@ class PipelineConfig:
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
-
-_FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}
-
-
-def _coerce(name: str, raw: str):
-    kind = _FIELDS[name].type
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        return raw
-    except ValueError:
-        raise ConfigError(f"bad value for {name}: {raw!r}") from None
+# Each config key's value type, read from the field annotations.
+KEY_TYPES = {
+    f.name: {"int": int, "float": float}.get(f.type, str)
+    for f in dataclasses.fields(PipelineConfig)
+}
 
 
 def parse_assignments(pairs: list[str]) -> dict:
@@ -87,20 +76,28 @@ def parse_assignments(pairs: list[str]) -> dict:
     out = {}
     for pair in pairs:
         key, sep, value = pair.partition("=")
-        key = key.strip()
+        key, raw = key.strip(), value.strip()
         if not sep:
             raise ConfigError(f"expected key=value, got {pair!r}")
-        if key not in _FIELDS:
+        if key not in KEY_TYPES:
             raise ConfigError(f"unknown config key: {key}")
-        out[key] = _coerce(key, value.strip())
+        try:
+            out[key] = KEY_TYPES[key](raw)
+        except ValueError:
+            raise ConfigError(f"bad value for {key}: {raw!r}") from None
     return out
 
 
-def load_config(path: str | Path | None, overrides: list[str] | None = None) -> PipelineConfig:
-    """Build the effective config from an optional file plus overrides.
+def load_config(
+    path: str | Path | None,
+    overrides: list[str] | None = None,
+    flags: dict | None = None,
+) -> PipelineConfig:
+    """Build the effective config from an optional file, overrides and flags.
 
     The file holds one ``key = value`` per line; blank lines and lines
-    starting with ``#`` are ignored. Overrides win over file values.
+    starting with ``#`` are ignored. ``-O`` overrides win over file values,
+    and parsed flags (already typed, keyed by field name) win over both.
     """
     values: dict = {}
     if path is not None:
@@ -112,6 +109,8 @@ def load_config(path: str | Path | None, overrides: list[str] | None = None) -> 
         values.update(parse_assignments(assignments))
     if overrides:
         values.update(parse_assignments(overrides))
+    if flags:
+        values.update(flags)
     cfg = PipelineConfig(**values)
     cfg.validate()
     return cfg

@@ -206,15 +206,14 @@ def evaluate_run(
     rows = zip(
         table.user_ids.tolist(), table.query_ids.tolist(),
         table.session_ids.tolist(), table.serp_ids.tolist(),
-        table.doc_ids.tolist(), order.tolist(), base_order.tolist(),
+        order.tolist(), base_order.tolist(),
         ndcgs, ndcg_rows(base_order, table.gains, cutoff).tolist(),
     )
-    for (user_id, query_id, session_id, serp_id, doc_ids,
+    for (user_id, query_id, session_id, serp_id,
          ranked, base_ranked, value, base_value) in rows:
-        tau = kendall_tau(
-            [doc_ids[i] for i in ranked],
-            [doc_ids[i] for i in base_ranked],
-        )
+        # Both orders permute the same ten slots, so tau compares slots, not
+        # doc ids: a target that lists one document twice still has a tau.
+        tau = kendall_tau(ranked, base_ranked)
         report.rows.append(
             QueryEval(
                 user_id=user_id,

@@ -13,7 +13,6 @@ contributes 0.
 from __future__ import annotations
 
 import csv
-import multiprocessing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -43,9 +42,8 @@ CONTEXT_COLUMNS = [
 ID_COLUMNS = ["user_id", "query_id", "session_id", "serp_id", "doc_id"]
 HEADER = ID_COLUMNS + CONTEXT_COLUMNS + ["base_rank", "gain"]
 
-# Column of the heuristic re-ranking signal: total historical relevance of
-# the document over the user's earlier repetitions of the query.
-HIST_RELEVANCE_COLUMN = "c1_g1"
+# Column index of the heuristic re-ranking signal (c1_g1): total historical
+# relevance of the document over the user's earlier repetitions of the query.
 HIST_RELEVANCE_INDEX = 0
 
 
@@ -342,89 +340,63 @@ def extract_impression(
     return rows
 
 
-_WORK_CONTEXT: dict | None = None
-
-
-def _extract_ref(item: tuple[int, int, int]) -> list[FeatureVector]:
-    ctx = _WORK_CONTEXT
-    user_id, session_id, serp_id = item
-    imp = ctx["impressions"].get((user_id, session_id, serp_id))
-    if imp is None:
-        raise DataError(
-            f"target user={user_id} session={session_id} serp={serp_id} "
-            "not found in the parsed sessions"
-        )
-    rank = ctx["ranks"][(user_id, session_id)]
-    six = assemble_contexts(
-        user_id,
-        imp.query_id,
-        (rank, imp.time_passed),
-        ctx["query_index"],
-        ctx["user_history"],
-        ctx["query_columns"],
-    )
-    return extract_impression(user_id, imp, session_id, six)
-
-
 def extract_targets(
     sessions: list[Session],
     targets: TargetSet,
     train_days: int = 27,
     seed: int = 0,
-    threads: int = 1,
 ) -> dict[str, list[FeatureVector]]:
     """Feature vectors for every target, grouped by role.
 
     Within each role the targets are processed in (user_id, session_id,
-    serp_id) order, so output is deterministic regardless of the worker
-    count. The session order seed must match the one used for partitioning.
+    serp_id) order, so output is deterministic. The session order seed must
+    match the one used for partitioning.
     """
-    global _WORK_CONTEXT
     ordered = order_sessions(sessions, seed)
     query_index, user_history = build(ordered, train_days)
+    ranks = session_ranks(ordered)
     impressions = {
         (s.user_id, s.session_id, imp.serp_id): imp
         for user_sessions in ordered.values()
         for s in user_sessions
         for imp in s.impressions
     }
-    # Columns of the queries that targets ask for, built once before any
-    # fork so that worker processes inherit them.
-    keys = [
-        (r.user_id, r.session_id, r.serp_id)
+    refs = {
+        role: sorted((r.user_id, r.session_id, r.serp_id) for r in targets.by_role(role))
         for role in ROLES
-        for r in targets.by_role(role)
-    ]
-    target_queries = {impressions[key].query_id for key in keys if key in impressions}
-    _WORK_CONTEXT = {
-        "impressions": impressions,
-        "ranks": session_ranks(ordered),
-        "query_index": query_index,
-        "user_history": user_history,
-        "query_columns": {
-            q: QueryColumns.from_occurrences(query_index[q])
-            for q in target_queries
-            if q in query_index
-        },
     }
-    try:
-        out: dict[str, list[FeatureVector]] = {}
-        for role in ("train", "validation", "test"):
-            refs = sorted(
-                (ref.user_id, ref.session_id, ref.serp_id)
-                for ref in targets.by_role(role)
+    # Columns of the queries that targets ask for, built once for all roles.
+    target_queries = {
+        impressions[key].query_id
+        for keys in refs.values()
+        for key in keys
+        if key in impressions
+    }
+    query_columns = {
+        q: QueryColumns.from_occurrences(query_index[q])
+        for q in target_queries
+        if q in query_index
+    }
+    out: dict[str, list[FeatureVector]] = {}
+    for role in ROLES:
+        out[role] = rows = []
+        for user_id, session_id, serp_id in refs[role]:
+            imp = impressions.get((user_id, session_id, serp_id))
+            if imp is None:
+                raise DataError(
+                    f"target user={user_id} session={session_id} serp={serp_id} "
+                    "not found in the parsed sessions"
+                )
+            six = assemble_contexts(
+                user_id,
+                imp.query_id,
+                (ranks[(user_id, session_id)], imp.time_passed),
+                query_index,
+                user_history,
+                query_columns,
             )
-            if threads > 1 and len(refs) > 1:
-                chunk = max(1, len(refs) // (threads * 4))
-                ctx = multiprocessing.get_context("fork")
-                with ctx.Pool(threads) as pool:
-                    groups = pool.map(_extract_ref, refs, chunksize=chunk)
-            else:
-                groups = [_extract_ref(ref) for ref in refs]
-            out[role] = [row for group in groups for row in group]
-        return out
-    finally:
-        _WORK_CONTEXT = None
+            rows += extract_impression(user_id, imp, session_id, six)
+    return out
 
 
 def write_features(rows: Iterable[FeatureVector], path: str | Path) -> None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable
 
 SERP_SIZE = 10
 
@@ -416,9 +416,3 @@ def corpus_stats(sessions: Iterable[Session], train_days: int) -> CorpusStats:
     stats.unique_documents = len(documents)
     stats.unique_users = len(users)
     return stats
-
-
-def iter_impressions(sessions: Iterable[Session]) -> Iterator[tuple[Session, Impression]]:
-    for session in sessions:
-        for imp in session.impressions:
-            yield session, imp

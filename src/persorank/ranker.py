@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .cache import load_json, save_json
+from .config import ConfigError
 from .evaluate import mean_ndcg
 from .features import HIST_RELEVANCE_INDEX, N_FEATURES, FeatureTable
 from .logs import DataError
@@ -204,9 +205,9 @@ class TrainSettings:
 
     def validate(self) -> None:
         if not 10 <= self.hidden <= 200:
-            raise ValueError("hidden must be within [10, 200]")
+            raise ConfigError("hidden must be within [10, 200]")
         if self.learning_rate <= 0 or self.epochs < 1 or self.batch_queries < 1:
-            raise ValueError("invalid training settings")
+            raise ConfigError("invalid training settings")
 
 
 @dataclass

@@ -132,6 +132,24 @@ class TestPipeline:
         (w / "x").mkdir()
         assert run("eval", "--scores", str(blended), "--out-dir", str(w / "x")) == 0
 
+    def test_test_features_are_not_read_by_train_or_learned_blend(self, tmp_path):
+        w = run_pipeline(tmp_path)
+        features_dir = ["-O", f"features_dir={w}"]
+
+        def train_and_blend(tag):
+            model = w / f"model_{tag}.json"
+            assert run("train", "--kind", "ranknet", "--out", str(model), *features_dir,
+                       "--seed", "2", "--lr", "0.1", "--epochs", "30", "--hidden", "16") == 0
+            blend_model = w / f"blend_{tag}.json"
+            assert run("blend", "--scores", str(w / "scores.csv"), str(w / "scores.csv"),
+                       "--method", "learned", "--out", str(w / f"blended_{tag}.csv"),
+                       "--model-out", str(blend_model)) == 0
+            return model.read_bytes(), blend_model.read_bytes()
+
+        intact = train_and_blend("intact")
+        (w / "features_test.csv").unlink()
+        assert train_and_blend("held_out") == intact
+
 
 class TestStats:
     def test_totals_match_generator_bookkeeping(self, tmp_path):
@@ -327,6 +345,53 @@ def scored_run(tmp_path_factory):
     return w
 
 
+class TestSettings:
+    def test_flag_beats_override_beats_config_file(self, scored_run, tmp_path):
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text("partition_seed = 2\n")
+        cache_file = str(scored_run / "s.cache")
+
+        def targets(name, *settings):
+            out = tmp_path / name
+            assert run("partition", "--cache", cache_file, "--out", str(out), *settings) == 0
+            return out.read_bytes()
+
+        seeds = {seed: targets(f"t{seed}.csv", "-O", f"partition_seed={seed}")
+                 for seed in (1, 2, 9)}
+        assert len(set(seeds.values())) == 3  # each seed picks different targets
+        assert targets("file.csv", "-c", str(cfg)) == seeds[2]
+        assert targets("override.csv", "-c", str(cfg), "-O", "partition_seed=1") == seeds[1]
+        assert targets("flag.csv", "--seed", "9", "-c", str(cfg),
+                       "-O", "partition_seed=1") == seeds[9]
+
+    @pytest.mark.parametrize("command,setting", [
+        ("train", ["--hidden", "5"]),
+        ("train", ["--lr", "0"]),
+        ("train", ["--epochs", "0"]),
+        ("train", ["--batch", "0"]),
+        ("train", ["-O", "hidden_units=5"]),
+        ("partition", ["--train-days", "0"]),
+    ], ids=["hidden", "lr", "epochs", "batch", "hidden_units", "train_days"])
+    def test_out_of_range_setting_is_usage_error(self, scored_run, tmp_path, capsys,
+                                                 command, setting):
+        w = scored_run
+        inputs = {
+            "train": ["--kind", "ranknet",
+                      "--train-features", str(w / "features_train.csv"),
+                      "--val-features", str(w / "features_validation.csv")],
+            "partition": ["--cache", str(w / "s.cache")],
+        }
+        assert run(command, *inputs[command], "--out", str(tmp_path / "out"), *setting) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_threads_below_one_is_usage_error(self, scored_run, tmp_path):
+        w = scored_run
+        assert run("extract", "--cache", str(w / "s.cache"), "--targets", str(w / "t.csv"),
+                   "--out-dir", str(tmp_path), "--threads", "0") == 1
+        assert list(tmp_path.iterdir()) == []
+
+
 def rewrite_rows(src: Path, dst: Path, edit) -> Path:
     """Copy a CSV, passing its rows (header first) through `edit`."""
     with open(src, newline="") as fh:
@@ -408,6 +473,16 @@ class TestMalformedInputs:
     def test_short_score_row_is_data_error(self, scored_run, tmp_path):
         bad = corrupt_field(scored_run / "scores.csv", tmp_path / "s.csv", "score", None)
         assert run("eval", "--scores", str(bad), "--out-dir", str(tmp_path)) == 2
+
+    def test_eval_of_target_listing_a_document_twice(self, scored_run, tmp_path):
+        def second_doc_repeats_first(rows):
+            col = rows[0].index("doc_id")
+            rows[2][col] = rows[1][col]
+            return rows
+
+        dup = rewrite_rows(scored_run / "scores.csv", tmp_path / "s.csv",
+                           second_doc_repeats_first)
+        assert run("eval", "--scores", str(dup), "--out-dir", str(tmp_path)) == 0
 
     def test_truncated_session_cache_is_data_error(self, scored_run, tmp_path):
         cut = tmp_path / "s.cache"

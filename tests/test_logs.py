@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from persorank.logs import (
     ClickAction,
@@ -89,6 +91,29 @@ class TestParse:
         assert again == records
         # the padded metadata layout canonicalizes to the plain one
         assert format_record(parse_line("1\t5\tM\t3\t100")) == "1\tM\t3\t100"
+
+
+ids = st.integers(min_value=0, max_value=10**12)
+log_records = st.one_of(
+    st.builds(SessionMeta, session_id=ids, day=ids, user_id=ids),
+    st.builds(
+        QueryAction,
+        session_id=ids,
+        time_passed=ids,
+        serp_id=ids,
+        is_test=st.booleans(),
+        query_id=ids,
+        terms=st.lists(ids, max_size=4).map(tuple),
+        results=st.lists(st.tuples(ids, ids), min_size=10, max_size=10).map(tuple),
+    ),
+    st.builds(ClickAction, session_id=ids, time_passed=ids, serp_id=ids, url_id=ids),
+)
+
+
+@settings(max_examples=300)
+@given(log_records)
+def test_format_then_parse_gives_back_the_record(record):
+    assert parse_line(format_record(record)) == record
 
 
 class TestSessionize:
