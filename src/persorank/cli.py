@@ -4,8 +4,9 @@ Subcommands cover the full flow: gen, parse, stats, partition, index,
 extract, train, score, blend, eval, analyze. Settings resolve as defaults
 < ``--config`` file < ``-O key=value`` < flags; a flag that stands for a
 config key is parsed into that key, so handlers read settings only from the
-config. Every artifact is written atomically and accompanied by a JSON run
-manifest recording the effective parameters, inputs, outputs, and wall time.
+config, and every setting is range-checked before a handler runs. Every
+artifact is written atomically and accompanied by a JSON run manifest
+recording the effective parameters, inputs, outputs, and wall time.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 3 internal error.
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import gzip
 import json
 import sys
@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, blend as blend_mod, cache, contexts, evaluate, features
-from .config import KEY_TYPES, ConfigError, PipelineConfig, load_config
+from .config import KEY_TYPES, ConfigError, PipelineConfig, load_config, seed
 from .logs import (
     DataError,
     Grade,
@@ -37,8 +37,8 @@ from .logs import (
     sessionize,
 )
 from .partition import ROLES, order_sessions, read_targets, select_targets, write_targets
-from .ranker import ModelKind, RankModel, TrainSettings, score_table, train
-from .synth import GenConfig, generate_lines
+from .ranker import ModelKind, RankModel, score_table, train
+from .synth import generate_lines
 
 
 def _stage_start() -> tuple[float, datetime]:
@@ -73,17 +73,9 @@ def _write_manifest(command: str, params: dict, inputs: list, outputs: list,
     cache.save_json(manifest, Path(str(primary_output) + ".manifest.json"))
 
 
-def _gen_config(cfg: PipelineConfig) -> GenConfig:
-    """Generator settings share their names with config keys, but for the seed."""
-    shared = {f.name: getattr(cfg, f.name)
-              for f in dataclasses.fields(GenConfig) if f.name != "rng_seed"}
-    return GenConfig(**shared, rng_seed=cfg.synth_seed)
-
-
 def _cmd_gen(args, cfg: PipelineConfig) -> int:
     started = _stage_start()
-    gencfg = _gen_config(cfg)
-    lines, stats = generate_lines(gencfg)
+    lines, stats = generate_lines(cfg.generator)
     text = "\n".join(lines) + "\n"
     if cfg.log_path == "-":
         sys.stdout.write(text)
@@ -99,7 +91,7 @@ def _cmd_gen(args, cfg: PipelineConfig) -> int:
     counts_path = Path(str(out) + ".counts.json")
     with cache.atomic_write(counts_path) as fh:
         json.dump(stats.as_dict(), fh, indent=1, sort_keys=True)
-    _write_manifest("gen", {"generator": gencfg.__dict__}, [], [out, counts_path],
+    _write_manifest("gen", {"generator": cfg.generator.__dict__}, [], [out, counts_path],
                     started, out)
     print(f"wrote {out} ({stats.total_records} records) and {counts_path}")
     return 0
@@ -238,21 +230,13 @@ def _cmd_train(args, cfg: PipelineConfig) -> int:
                         or Path(cfg.features_dir) / "features_validation.csv")
     kind = ModelKind(args.kind)
     out = Path(args.out or Path(cfg.models_dir) / f"model_{kind.value}.json")
-    settings = TrainSettings(
-        hidden=cfg.hidden_units,
-        learning_rate=cfg.learning_rate,
-        epochs=cfg.epochs,
-        batch_queries=cfg.batch_queries,
-        patience=cfg.patience,
-        cutoff=cfg.ndcg_cutoff,
-    )
     train_table = features.read_features(train_path)
     val_table = features.read_features(val_path)
-    model = train(kind, train_table, val_table, settings, seed=cfg.train_seed)
+    model = train(kind, train_table, val_table, cfg.training, seed=cfg.train_seed)
     model.save(out)
     _write_manifest(
         "train",
-        {"kind": kind.value, "seed": cfg.train_seed, "settings": settings.__dict__},
+        {"kind": kind.value, "seed": cfg.train_seed, "settings": cfg.training.__dict__},
         [train_path, val_path], [out], started, out,
     )
     best = model.metadata.get("best_validation_ndcg")
@@ -302,7 +286,7 @@ def _cmd_blend(args, cfg: PipelineConfig) -> int:
     else:
         blended, model = blend_mod.blend_learned(
             member_scores, table.gains, table.base_ranks,
-            split_seed=cfg.blend_split_seed, names=names, cutoff=cfg.ndcg_cutoff,
+            split_seed=cfg.blend_split_seed, names=names, cutoff=cfg.training.cutoff,
         )
 
     with cache.atomic_path(out) as tmp:
@@ -332,7 +316,7 @@ def _cmd_eval(args, cfg: PipelineConfig) -> int:
     out_dir = Path(cfg.reports_dir)
     table, scores = evaluate.read_scores(scores_path)
     report = evaluate.evaluate_run(
-        table, scores, cutoff=cfg.ndcg_cutoff, split_seed=args.split_seed
+        table, scores, cutoff=cfg.training.cutoff, split_seed=args.split_seed
     )
     report_path = out_dir / "report.csv"
     summary_path = out_dir / "summary.csv"
@@ -345,7 +329,7 @@ def _cmd_eval(args, cfg: PipelineConfig) -> int:
         [scores_path], [report_path, summary_path], started, report_path,
     )
     print(
-        f"wrote {report_path}, {summary_path}: mean NDCG@{cfg.ndcg_cutoff} "
+        f"wrote {report_path}, {summary_path}: mean NDCG@{cfg.training.cutoff} "
         f"{report.mean_ndcg:.5f} (base {report.mean_base_ndcg:.5f}, "
         f"mean tau {report.mean_tau:.5f})"
     )
@@ -393,8 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def setting(p, flag, key, help_text):
         """A flag that overrides config key `key`; absent unless given."""
-        p.add_argument(flag, dest=key, type=KEY_TYPES[key],
-                       default=argparse.SUPPRESS, help=f"{help_text} (sets {key})")
+        p.add_argument(flag, dest=key, default=argparse.SUPPRESS,
+                       help=f"{help_text} (sets {key})")
 
     p = add("gen", _cmd_gen, "generate a synthetic click log")
     setting(p, "--out", "log_path", "log file to write (.gz for gzip, - for stdout)")
@@ -428,8 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     setting(p, "--out-dir", "features_dir", "directory for feature files")
     setting(p, "--seed", "partition_seed", "session order seed")
     setting(p, "--train-days", "train_days", "days in the training period")
-    setting(p, "--threads", "threads",
-            "accepted for compatibility; extraction runs in one process")
 
     p = add("train", _cmd_train, "train a scoring model")
     p.add_argument("--kind", required=True,
@@ -461,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("eval", _cmd_eval, "evaluate a score file")
     p.add_argument("--scores", required=True)
     setting(p, "--out-dir", "reports_dir", "directory for the reports")
-    p.add_argument("--split-seed", dest="split_seed", type=int,
+    p.add_argument("--split-seed", dest="split_seed", type=seed,
                    help="emulate a hidden half/half leaderboard split")
 
     p = add("analyze", _cmd_analyze, "histogram the per-query report")

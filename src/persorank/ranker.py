@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .cache import load_json, save_json
-from .config import ConfigError
+from .config import TrainSettings
 from .evaluate import mean_ndcg
 from .features import HIST_RELEVANCE_INDEX, N_FEATURES, FeatureTable
 from .logs import DataError
@@ -192,22 +192,6 @@ def training_loss(
     scores, _ = forward(params, x)
     loss, _ = loss_and_score_grad(kind, scores, gains)
     return loss
-
-
-@dataclass
-class TrainSettings:
-    hidden: int = 64
-    learning_rate: float = 1e-3
-    epochs: int = 200
-    batch_queries: int = 100
-    patience: int = 10
-    cutoff: int = 10
-
-    def validate(self) -> None:
-        if not 10 <= self.hidden <= 200:
-            raise ConfigError("hidden must be within [10, 200]")
-        if self.learning_rate <= 0 or self.epochs < 1 or self.batch_queries < 1:
-            raise ConfigError("invalid training settings")
 
 
 @dataclass

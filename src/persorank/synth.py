@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .config import ConfigError
+from .config import GenConfig
 from .logs import (
     DWELL_LONG,
     SERP_SIZE,
@@ -32,7 +32,6 @@ from .logs import (
 )
 
 POOL_SIZE = 20
-TEST_WINDOW_DAYS = 3
 
 # cascade simulation constants
 BASE_CLICK_PROB = 0.08
@@ -42,47 +41,6 @@ STOP_AFTER_SHORT_CLICK = 0.30
 STOP_AFTER_LONG_CLICK = 0.80
 SPLIT_DAY_PROB = 0.30
 PREF_TOP_BIAS = 0.25
-
-
-@dataclass(frozen=True)
-class GenConfig:
-    n_users: int = 100
-    n_days: int = 30
-    queries_per_user_per_day: int = 3
-    n_queries: int = 500
-    n_terms: int = 400
-    n_documents: int = 3000
-    n_domains: int = 300
-    preference_strength: float = 0.9
-    repeat_query_prob: float = 0.5
-    rng_seed: int = 7
-
-    def validate(self) -> None:
-        counts = {
-            "n_users": self.n_users,
-            "n_days": self.n_days,
-            "queries_per_user_per_day": self.queries_per_user_per_day,
-            "n_queries": self.n_queries,
-            "n_terms": self.n_terms,
-            "n_documents": self.n_documents,
-            "n_domains": self.n_domains,
-        }
-        for name, value in counts.items():
-            if value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
-        if not 0.0 <= self.preference_strength <= 1.0:
-            raise ConfigError("preference_strength must be in [0, 1]")
-        if not 0.0 <= self.repeat_query_prob <= 1.0:
-            raise ConfigError("repeat_query_prob must be in [0, 1]")
-        if self.n_days < 4:
-            raise ConfigError("n_days must be >= 4")
-        if self.n_documents < SERP_SIZE:
-            raise ConfigError(f"n_documents must be >= {SERP_SIZE}")
-
-    @property
-    def train_days(self) -> int:
-        """Days 1..train_days are the training period; the rest is test."""
-        return self.n_days - TEST_WINDOW_DAYS
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
+import argparse
 import csv
 import json
 import os
 import pickle
+import re
 import stat
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -11,7 +13,8 @@ import pytest
 
 from persorank import cache as cache_mod
 from persorank.blend import blend_average
-from persorank.cli import main
+from persorank.cli import build_parser, main
+from persorank.config import KEY_TYPES
 from persorank.features import N_FEATURES
 from persorank.ranker import ModelKind, RankModel, Standardizer, init_params
 
@@ -79,21 +82,6 @@ class TestPipeline:
             "report.csv", "summary.csv", "tau_hist.csv", "delta_ndcg_hist.csv",
         ):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
-
-    def test_threads_do_not_change_features(self, tmp_path):
-        w = tmp_path
-        log, cache, targets = w / "log.tsv", w / "s.cache", w / "t.csv"
-        assert run("gen", "--out", str(log), *GEN_OVERRIDES) == 0
-        assert run("parse", "--log", str(log), "--out", str(cache)) == 0
-        assert run("partition", "--cache", str(cache), "--out", str(targets)) == 0
-        (w / "one").mkdir()
-        (w / "two").mkdir()
-        for threads, sub in (("1", "one"), ("2", "two")):
-            assert run("extract", "--cache", str(cache), "--targets", str(targets),
-                       "--out-dir", str(w / sub), "--threads", threads) == 0
-        for role in ("train", "validation", "test"):
-            name = f"features_{role}.csv"
-            assert (w / "one" / name).read_bytes() == (w / "two" / name).read_bytes()
 
     def test_blend_subcommand(self, tmp_path):
         w = run_pipeline(tmp_path)
@@ -371,7 +359,13 @@ class TestSettings:
         ("train", ["--batch", "0"]),
         ("train", ["-O", "hidden_units=5"]),
         ("partition", ["--train-days", "0"]),
-    ], ids=["hidden", "lr", "epochs", "batch", "hidden_units", "train_days"])
+        ("train", ["--seed", "-1"]),
+        ("partition", ["--seed", "-1"]),
+        ("partition", ["-O", "synth_seed=-1"]),
+        ("train", ["--lr", "nan"]),
+        ("train", ["-O", "learning_rate=inf"]),
+    ], ids=["hidden", "lr", "epochs", "batch", "hidden_units", "train_days",
+            "train_seed", "partition_seed", "synth_seed", "lr_nan", "learning_rate_inf"])
     def test_out_of_range_setting_is_usage_error(self, scored_run, tmp_path, capsys,
                                                  command, setting):
         w = scored_run
@@ -384,6 +378,45 @@ class TestSettings:
         assert run(command, *inputs[command], "--out", str(tmp_path / "out"), *setting) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--kind", "heuristic", "--hidden", "5"],
+        ["train", "--kind", "ranknet", "--hidden", "5"],
+        ["blend", "--method", "learned", "--split-seed", "-1"],
+        ["eval", "--split-seed", "-1"],
+        ["partition", "-O", "n_users=0"],
+    ], ids=["heuristic_hidden", "ranknet_hidden", "blend_split_seed", "eval_split_seed",
+            "n_users"])
+    def test_settings_are_checked_before_inputs_are_read(self, tmp_path, capsys, argv):
+        missing = str(tmp_path / "missing")
+        inputs = {
+            "train": ["--train-features", missing, "--val-features", missing,
+                      "--out", str(tmp_path / "out")],
+            "blend": ["--scores", missing, missing, "--out", str(tmp_path / "out")],
+            "eval": ["--scores", missing, "--out-dir", str(tmp_path)],
+            "partition": ["--cache", missing, "--out", str(tmp_path / "out")],
+        }
+        assert run(*argv, *inputs[argv[0]]) == 1
+        assert "error: " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_readme_flag_table_matches_parser(self):
+        """Every flag that sets a config key is in the README's table, and only those keys."""
+        (subcommands,) = [a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction)]
+        flag_keys = {
+            (flag, action.dest)
+            for sub in subcommands.choices.values()
+            for action in sub._actions if action.dest in KEY_TYPES
+            for flag in action.option_strings
+        }
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("| flag | key |\n|---|---|\n")[1].split("\n\n")[0]
+        rows = [line.split("|")[1:3] for line in table.splitlines()]
+        assert ({key for _, keys in rows for key in re.findall(r"`(\w+)`", keys)}
+                == {key for _, key in flag_keys})
+        for flag, key in flag_keys:
+            assert any(f"`{key}`" in keys and flag in flags for flags, keys in rows), (flag, key)
 
     def test_threads_below_one_is_usage_error(self, scored_run, tmp_path):
         w = scored_run

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -315,6 +316,37 @@ class TestExtract:
         write_features(a["validation"], pa)
         write_features(b["validation"], pb)
         assert pa.read_bytes() == pb.read_bytes()
+
+    def test_features_do_not_depend_on_id_values(self, small_corpus):
+        # User ids stay: session order draws its tie-breaks per user id.
+        def relabel(i):
+            """A fixed bijection of ids below 2**32 onto a distant, shuffled range."""
+            return 10**9 + (i * 2654435761) % 2**32
+
+        def relabeled(imp):
+            return dataclasses.replace(
+                imp,
+                query_id=relabel(imp.query_id),
+                terms=tuple(map(relabel, imp.terms)),
+                documents=tuple(map(relabel, imp.documents)),
+                domains=tuple(map(relabel, imp.domains)),
+                clicks=[(relabel(url), t) for url, t in imp.clicks],
+            )
+
+        sessions = [
+            dataclasses.replace(s, impressions=[relabeled(imp) for imp in s.impressions])
+            for s in small_corpus.sessions
+        ]
+        kwargs = dict(train_days=small_corpus.train_days, seed=small_corpus.partition_seed)
+        before = extract_targets(small_corpus.sessions, small_corpus.targets, **kwargs)
+        after = extract_targets(sessions, small_corpus.targets, **kwargs)
+        for role, rows in before.items():
+            assert len(after[role]) == len(rows) > 0
+            for a, b in zip(after[role], rows):
+                assert (a.user_id, a.session_id, a.serp_id) == (b.user_id, b.session_id, b.serp_id)
+                assert (a.query_id, a.doc_id) == (relabel(b.query_id), relabel(b.doc_id))
+                assert a.values == b.values
+                assert a.gain == b.gain
 
 
 def assert_columnar_matches_scalar(six, imp):
