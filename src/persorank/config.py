@@ -77,7 +77,7 @@ class TrainSettings:
     def validate(self) -> None:
         if not 10 <= self.hidden <= 200:
             raise ConfigError("hidden must be within [10, 200]")
-        if self.learning_rate <= 0 or self.epochs < 1 or self.batch_queries < 1:
+        if min(self.epochs, self.batch_queries, self.patience) < 1 or self.learning_rate <= 0:
             raise ConfigError("invalid training settings")
 
 

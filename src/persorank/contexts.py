@@ -10,12 +10,12 @@ tie-broken session order shared with the partitioner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .logs import Grade, Session
+from .logs import SERP_SIZE, Grade, Session
 from .partition import order_sessions, session_ranks
 
 OrderKey = tuple[int, int]  # (session rank in user's timeline, time_passed)
@@ -57,90 +57,12 @@ class Occurrence:
         return table.get(item, ())
 
 
-@dataclass(eq=False)
-class QueryColumns:
-    """Every indexed impression of one query as arrays, rows in index order.
-
-    Row n of `items` holds the codes of its documents in columns 0..W-1 and
-    of its domains in columns W..2W-1, where W is the longest result list.
-    Codes number the query's distinct documents and domains from 0 in one
-    shared sequence, so any id fits a small dtype and one comparison serves
-    both item kinds. Code -1 fills the slots that never match: padding of a
-    short result list, and the earlier slots of a document listed twice,
-    which counts only at its last slot, as in `Occurrence.doc_ranks`.
-    """
-
-    users: np.ndarray       # (N,) int32 user codes
-    items: np.ndarray       # (N, 2W) int16/int32 document then domain codes
-    gains: np.ndarray       # (N, W) int8
-    clicked: np.ndarray     # (N, W) bool
-    last_click: np.ndarray  # (N,) int16, bottom-most clicked slot, 0 without clicks
-    variants: np.ndarray    # (N,) int32 index into `terms`
-    terms: list[tuple[int, ...]]  # distinct term tuples of the query's rows
-    user_codes: dict[int, int]
-    document_codes: dict[int, int]
-    domain_codes: dict[int, int]
-
-    @classmethod
-    def from_occurrences(cls, occurrences: list[Occurrence]) -> "QueryColumns":
-        width = max(max(len(o.documents), len(o.domains)) for o in occurrences)
-        users: dict[int, int] = {}
-        docs: dict[int, int] = {}
-        domains: dict[int, int] = {}
-        variants: dict[tuple[int, ...], int] = {}
-        item_rows, gain_rows, click_slots = [], [], []
-        for row, o in enumerate(occurrences):
-            codes = [docs.setdefault(d, len(docs) + len(domains)) for d in o.documents]
-            if len(o.doc_ranks) < len(o.documents):
-                codes = [
-                    c if o.doc_ranks[d] == (pos,) else -1
-                    for pos, (c, d) in enumerate(zip(codes, o.documents), 1)
-                ]
-            codes += [-1] * (width - len(o.documents))
-            codes += [domains.setdefault(d, len(docs) + len(domains)) for d in o.domains]
-            codes += [-1] * (width - len(o.domains))
-            item_rows.append(codes)
-            gain_rows.append(o.gains + (0,) * (width - len(o.gains)))
-            click_slots.extend(row * width + r - 1 for r in o.click_ranks)
-        clicked = np.zeros((len(occurrences), width), dtype=bool)
-        clicked.flat[click_slots] = True
-        n_codes = len(docs) + len(domains)
-        return cls(
-            users=np.array(
-                [users.setdefault(o.user_id, len(users)) for o in occurrences],
-                dtype=np.int32,
-            ),
-            items=np.array(item_rows, dtype=np.int16 if n_codes <= 2**15 else np.int32),
-            gains=np.array(gain_rows, dtype=np.int8),
-            clicked=clicked,
-            last_click=np.array(
-                [o.click_ranks[-1] if o.click_ranks else 0 for o in occurrences],
-                dtype=np.int16,
-            ),
-            variants=np.array(
-                [variants.setdefault(o.terms, len(variants)) for o in occurrences],
-                dtype=np.int32,
-            ),
-            terms=list(variants),
-            user_codes=users,
-            document_codes=docs,
-            domain_codes=domains,
-        )
-
-
 @dataclass
 class Context:
-    """Entries relating to one target: impressions with aligned item/grade lists.
-
-    Contexts 5 and 6 from `assemble_contexts` given query columns also carry
-    the query's `columns` and the `keep` mask of their rows that belong to
-    other users; `occurrences` lists the same rows as objects.
-    """
+    """Entries relating to one target: impressions with aligned item/grade lists."""
 
     kind: ItemKind
     occurrences: list[Occurrence]
-    columns: QueryColumns | None = field(default=None, compare=False)
-    keep: np.ndarray | None = field(default=None, compare=False)  # (N,) bool over rows
 
     def __len__(self) -> int:
         return len(self.occurrences)
@@ -181,6 +103,19 @@ def make_occurrence(session: Session, imp, rank: int) -> Occurrence:
     )
 
 
+def _indexed(ordered: dict[int, list[Session]], train_days: int):
+    """(session rank, session, impression) of each training-period impression, by user."""
+    for user_id in sorted(ordered):
+        for rank, session in enumerate(ordered[user_id]):
+            if session.day > train_days:
+                continue
+            for imp in session.impressions:
+                if imp.labels is None:
+                    raise ValueError(f"impression serp={imp.serp_id} in session "
+                                     f"{session.session_id} is unlabeled")
+                yield rank, session, imp
+
+
 def build(
     ordered: dict[int, list[Session]], train_days: int = 27
 ) -> tuple[QueryIndex, UserHistory]:
@@ -192,24 +127,81 @@ def build(
     """
     query_index: QueryIndex = {}
     user_history: UserHistory = {}
-    for user_id in sorted(ordered):
-        for rank, session in enumerate(ordered[user_id]):
-            if session.day > train_days:
-                continue
-            for imp in session.impressions:
-                if imp.labels is None:
-                    raise ValueError(
-                        f"impression serp={imp.serp_id} in session "
-                        f"{session.session_id} is unlabeled"
-                    )
-                occ = make_occurrence(session, imp, rank)
-                query_index.setdefault(imp.query_id, []).append(occ)
-                user_history.setdefault(user_id, []).append(occ)
+    for rank, session, imp in _indexed(ordered, train_days):
+        occ = make_occurrence(session, imp, rank)
+        query_index.setdefault(imp.query_id, []).append(occ)
+        user_history.setdefault(session.user_id, []).append(occ)
     for occurrences in query_index.values():
         occurrences.sort(key=INDEX_SORT_KEY)
     for occurrences in user_history.values():
         occurrences.sort(key=INDEX_SORT_KEY)
     return query_index, user_history
+
+
+@dataclass(eq=False)
+class IndexRows:
+    """The impressions `build` indexes, as arrays with one row each.
+
+    Rows follow `INDEX_SORT_KEY`, ties in `build`'s order, so one query's
+    (or user's) rows in row order are its index list. Columns 0-9 of
+    `items` are codes into `documents`, columns 10-19 codes into `domains`
+    plus len(documents). Code -1 marks the earlier slot of a document
+    listed twice, which counts only at its last slot, as in `doc_ranks`.
+    """
+
+    users: np.ndarray       # (N,) user ids
+    queries: np.ndarray     # (N,) query ids
+    ranks: np.ndarray       # (N,) session rank; (rank, time) is the order key
+    times: np.ndarray       # (N,) time_passed
+    items: np.ndarray       # (N, 20) document codes, then domain codes
+    gains: np.ndarray       # (N, 10) int8
+    clicked: np.ndarray     # (N, 10) bool
+    last_click: np.ndarray  # (N,) bottom-most clicked rank, 0 without clicks
+    variants: np.ndarray    # (N,) index into `terms`
+    terms: list[tuple[int, ...]]  # distinct term tuples of the rows
+    documents: np.ndarray   # sorted distinct document ids
+    domains: np.ndarray     # sorted distinct domain ids
+
+
+def index_rows(ordered: dict[int, list[Session]], train_days: int = 27) -> IndexRows:
+    """The rows `build` indexes, read straight from the ordered sessions."""
+    keys, docs, domains, grades, variants = [], [], [], [], []
+    terms: dict[tuple[int, ...], int] = {}
+    for rank, session, imp in _indexed(ordered, train_days):
+        keys.append((imp.time_passed, session.session_id, session.day,
+                     session.user_id, imp.query_id, rank))
+        docs += imp.documents
+        domains += imp.domains
+        grades += imp.labels
+        variants.append(terms.setdefault(imp.terms, len(terms)))
+    keys = np.array(keys, dtype=np.int64).reshape(-1, 6)
+    order = np.lexsort(keys[:, :3].T)  # stable: ties keep insertion order
+    shape = (len(keys), SERP_SIZE)
+    document_ids, doc_codes = np.unique(np.array(docs, dtype=np.int64), return_inverse=True)
+    domain_ids, domain_codes = np.unique(np.array(domains, dtype=np.int64), return_inverse=True)
+    doc_codes = doc_codes.reshape(shape)[order]
+    for gap in range(1, SERP_SIZE):  # -1 at the earlier slot of a document listed twice
+        earlier = doc_codes[:, :-gap]
+        earlier[earlier == doc_codes[:, gap:]] = -1
+    # Grades are singletons, so each is known by its id (hashing an Enum is slow).
+    grade_ids = np.fromiter(map(id, grades), np.int64, len(grades)).reshape(shape)[order]
+    code = sum(k * (grade_ids == id(grade)) for k, grade in enumerate(Grade))
+    gains = np.array([grade.gain for grade in Grade], dtype=np.int8)[code]
+    clicked = np.array([grade.clicked for grade in Grade])[code]
+    return IndexRows(
+        users=keys[order, 3],
+        queries=keys[order, 4],
+        ranks=keys[order, 5],
+        times=keys[order, 0],
+        items=np.hstack([doc_codes, domain_codes.reshape(shape)[order] + len(document_ids)]),
+        gains=gains,
+        clicked=clicked,
+        last_click=np.where(clicked, np.arange(1, SERP_SIZE + 1), 0).max(axis=1, initial=0),
+        variants=np.array(variants, dtype=np.int64)[order],
+        terms=list(terms),
+        documents=document_ids,
+        domains=domain_ids,
+    )
 
 
 def build_from_sessions(
@@ -231,7 +223,6 @@ def assemble_contexts(
     target_key: OrderKey,
     query_index: QueryIndex,
     user_history: UserHistory,
-    query_columns: dict[int, QueryColumns] | None = None,
 ) -> tuple[Context, Context, Context, Context, Context, Context]:
     """The six contexts for a (user, query) target, in canonical order.
 
@@ -241,9 +232,6 @@ def assemble_contexts(
     4: same entries, domain items
     5: other users' training-period repetitions of the query, document items
     6: same entries, domain items
-
-    When `query_columns` holds the query, contexts 5 and 6 carry its columns
-    and the mask of other users' rows.
     """
     history = user_history.get(user_id, [])
     same_query = [
@@ -253,15 +241,11 @@ def assemble_contexts(
         o for o in history if o.query_id != query_id and o.order_key < target_key
     ]
     others = [o for o in query_index.get(query_id, []) if o.user_id != user_id]
-    columns = keep = None
-    if query_columns is not None and query_id in query_columns:
-        columns = query_columns[query_id]
-        keep = columns.users != columns.user_codes.get(user_id, -1)
     return (
         Context(ItemKind.DOCUMENT, same_query),
         Context(ItemKind.DOMAIN, same_query),
         Context(ItemKind.DOCUMENT, other_query),
         Context(ItemKind.DOMAIN, other_query),
-        Context(ItemKind.DOCUMENT, others, columns, keep),
-        Context(ItemKind.DOMAIN, others, columns, keep),
+        Context(ItemKind.DOCUMENT, others),
+        Context(ItemKind.DOMAIN, others),
     )

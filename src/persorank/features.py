@@ -19,15 +19,9 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .contexts import (
-    Context,
-    ItemKind,
-    Occurrence,
-    QueryColumns,
-    assemble_contexts,
-    build,
-)
-from .logs import DataError, Impression, Session
+from .contexts import Context, IndexRows, ItemKind, Occurrence, index_rows
+from .contexts import assemble_contexts, build  # noqa: F401  (perfbench/spans.py wraps them here)
+from .logs import SERP_SIZE, DataError, Impression, Session
 from .partition import ROLES, TargetSet, order_sessions, session_ranks
 
 N_CONTEXTS = 6
@@ -173,120 +167,6 @@ def context_features(
     ]
 
 
-# Value summed for each event row of `columnar_features`: 0 the inverse
-# top rank, 1 the inverse clicked rank, 2 the query similarity.
-_EVENT_VALUE = np.array([0, 1, 0, 0, 2, 2, 2])
-
-
-def columnar_features(
-    documents: Sequence[int],
-    domains: Sequence[int],
-    query_terms: Sequence[int],
-    context: Context,
-) -> dict[ItemKind, np.ndarray]:
-    """`context_features` of every document and domain at once.
-
-    `context` carries query columns (contexts 5 and 6 from
-    `assemble_contexts`); the result, a (len(items), 20) float64 array per
-    item kind, holds the blocks of both contexts, since they share their
-    rows. One masked pass finds every slot of a kept row that holds a
-    wanted item, then reduces per (row, item) and per item. Rows outside
-    `context.keep` add 0 to every count and nothing to any sum. Float sums
-    run in row order (`np.bincount`), which reproduces the scalar loop's
-    bits; `np.sum` adds pairwise and could change the last bit.
-    """
-    cols = context.columns
-    width = cols.gains.shape[1]
-    n_codes = len(cols.document_codes) + len(cols.domain_codes)
-    wanted = [cols.document_codes.get(d, n_codes) for d in documents]
-    wanted += [cols.domain_codes.get(d, n_codes) for d in domains]
-    # One feature row per distinct wanted code; `inverse` maps items to rows.
-    distinct: dict[int, int] = {}
-    inverse = [distinct.setdefault(code, len(distinct)) for code in wanted]
-    n_items = len(distinct)
-    lookup = np.full(n_codes + 2, -1)  # code -1 reads the last entry
-    lookup[list(distinct)] = np.arange(n_items)
-    slot_item = lookup[cols.items]
-    rows, slot = np.nonzero((slot_item >= 0) & context.keep[:, None])
-    item = slot_item[rows, slot]
-    pos = slot % width + 1  # 1-based rank
-    gain = cols.gains[rows, pos - 1].astype(np.int64)
-    hit = cols.clicked[rows, pos - 1]
-
-    slot_count = np.bincount(item, minlength=n_items)
-    gain_sum = np.bincount(item, weights=gain, minlength=n_items)  # exact integers
-    gain_max = np.zeros(n_items, dtype=np.int64)
-    np.maximum.at(gain_max, item, gain)  # gains are >= 0
-    gain_min = np.full(n_items, np.iinfo(np.int64).max)
-    np.minimum.at(gain_min, item, gain)
-
-    # Per (row, item): topmost slot and topmost clicked slot, `none` if absent.
-    none = width + 1
-    cell = rows * n_items + item
-    top = np.full(len(cols.users) * n_items, none)
-    np.minimum.at(top, cell, pos)
-    r_clicked = np.full_like(top, none)
-    np.minimum.at(r_clicked, cell[hit], pos[hit])
-    top = top.reshape(-1, n_items)
-    r_clicked = r_clicked.reshape(top.shape)
-    shown = top < none
-    clicked = r_clicked < none
-    unclicked = shown & ~clicked
-    last_click = cols.last_click[:, None]
-    skipped = unclicked & (last_click > top)
-    missed = unclicked & ~skipped & (last_click > 0)
-    sims = np.array([similarity(query_terms, t) for t in cols.terms])
-    sim = np.broadcast_to(sims[cols.variants][:, None], top.shape)
-
-    # Sums per (event, item). np.bincount adds its weights one at a time in
-    # input order, and the flat event indices run event by event, then row
-    # by row, so every float sum accumulates in row order.
-    events = np.stack([shown, clicked, skipped, missed, clicked, skipped, missed])
-    values = np.stack([1.0 / top, 1.0 / r_clicked, sim]).reshape(3, -1)
-    event, at = np.divmod(np.flatnonzero(events), top.size)
-    bins = event * n_items + at % n_items
-    weights = values[_EVENT_VALUE[event], at]
-    n_bins = len(_EVENT_VALUE) * n_items
-    ordered = np.bincount(bins, weights, minlength=n_bins).reshape(-1, n_items)
-    counts = np.bincount(bins, minlength=n_bins).reshape(-1, n_items)
-    shown_disc, clicked_disc, skipped_disc, missed_disc = ordered[:4]
-    sim_clicked, sim_skipped, sim_missed = ordered[4:]
-    shown_n, clicked_n, skipped_n, missed_n = counts[:4]
-
-    def mean(total, n):
-        return np.divide(total, n, out=np.zeros(n_items), where=n > 0)
-
-    block = np.stack(
-        [
-            gain_sum,
-            mean(gain_sum, slot_count),
-            gain_max,
-            np.where(slot_count > 0, gain_min, 0),
-            mean(sim_clicked, clicked_n),
-            np.where(clicked, sim, 0.0).max(axis=0),
-            mean(sim_skipped, skipped_n),
-            np.where(skipped, sim, 0.0).max(axis=0),
-            mean(sim_missed, missed_n),
-            np.where(missed, sim, 0.0).max(axis=0),
-            shown_n,
-            clicked_n,
-            skipped_n,
-            missed_n,
-            shown_disc,
-            clicked_disc,
-            np.where(clicked, r_clicked, 0).max(axis=0),
-            np.where(clicked_n > 0, r_clicked.min(axis=0), 0),
-            skipped_disc,
-            missed_disc,
-        ],
-        axis=1,
-    )[inverse]
-    return {
-        ItemKind.DOCUMENT: block[: len(documents)],
-        ItemKind.DOMAIN: block[len(documents) :],
-    }
-
-
 @dataclass
 class FeatureVector:
     user_id: int
@@ -313,31 +193,161 @@ def extract_impression(
         raise ValueError(f"expected {N_CONTEXTS} contexts, got {len(six_contexts)}")
     gains = imp.gains() if imp.labels is not None else None
     blocks = []
-    columnar = None  # contexts 5 and 6 share their rows: one pass serves both
     for context in six_contexts:
         items = imp.documents if context.kind is ItemKind.DOCUMENT else imp.domains
-        if context.columns is None:
-            blocks.append([context_features(item, imp.terms, context) for item in items])
-            continue
-        if columnar is None:
-            columnar = columnar_features(imp.documents, imp.domains, imp.terms, context)
-        blocks.append(columnar[context.kind].tolist())
+        blocks.append([context_features(item, imp.terms, context) for item in items])
     rows = []
     for pos, (doc, _) in enumerate(zip(imp.documents, imp.domains)):
         values = [v for block in blocks for v in block[pos]]
         values.append(float(pos + 1))  # original engine rank
-        rows.append(
-            FeatureVector(
-                user_id=user_id,
-                query_id=imp.query_id,
-                session_id=session_id,
-                serp_id=imp.serp_id,
-                doc_id=doc,
-                values=values,
-                gain=gains[pos] if gains is not None else None,
-            )
-        )
+        gain = gains[pos] if gains is not None else None
+        rows.append(FeatureVector(user_id, imp.query_id, session_id, imp.serp_id, doc, values,
+                                  gain))
     return rows
+
+
+# Targets per kernel call. It bounds the hit arrays of one call, and with
+# them peak memory, while sharing numpy's fixed cost per call among many.
+CHUNK_TARGETS = 256
+
+
+def _codes(vocabulary: np.ndarray, ids) -> np.ndarray:
+    """Index of each id in the sorted `vocabulary`, -1 where it is absent."""
+    at = np.searchsorted(vocabulary, ids)
+    found = np.append(vocabulary, 0)[at] == ids  # `at` past the end reads the padding 0
+    return np.where(found & (at < len(vocabulary)), at, -1)
+
+
+def _per_run(ufunc: np.ufunc, groups: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """`ufunc` reduced over each run of equal sorted `groups` (>= 0); 0 for absent groups."""
+    out = np.zeros(n, dtype=values.dtype)
+    starts = np.flatnonzero(np.diff(groups, prepend=-1))
+    out[groups[starts]] = ufunc.reduceat(values, starts)
+    return out
+
+
+class _Slots(NamedTuple):
+    """Every item slot of the index rows, by (segment, item) key, then row and rank."""
+
+    segments: np.ndarray  # sorted distinct segment ids: users, or queries
+    keys: np.ndarray      # sorted segment code * n_items + item code
+    rows: np.ndarray
+    ranks: np.ndarray     # 0-based
+    n_items: int          # item codes of the rows
+
+    @classmethod
+    def of(cls, rows: IndexRows, segment_of_row: np.ndarray) -> "_Slots":
+        segments, seg = np.unique(segment_of_row, return_inverse=True)
+        n_items = len(rows.documents) + len(rows.domains)
+        row, col = np.nonzero(rows.items >= 0)  # row-major: row, then slot order
+        keys = seg[row] * n_items + rows.items[row, col]
+        order = np.argsort(keys, kind="stable")
+        return cls(segments, keys[order], row[order], col[order] % SERP_SIZE, n_items)
+
+    def hits(self, segment_of_target: np.ndarray, items: np.ndarray):
+        """(item, row, rank) of each slot holding a target's item in its segment.
+
+        Item t * 20 + j is `items[t, j]`, one of the targets' (T, 20) item
+        codes. Hits come by item, then in row order and rank order.
+        """
+        seg = _codes(self.segments, segment_of_target)[:, None]
+        wanted = np.where((seg >= 0) & (items >= 0), seg * self.n_items + items, -1).ravel()
+        lo = np.searchsorted(self.keys, wanted, "left")
+        n = np.searchsorted(self.keys, wanted, "right") - lo
+        at = np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)
+        return np.repeat(np.arange(len(wanted)), n), self.rows[at], self.ranks[at]
+
+
+def _pair_blocks(rows: IndexRows, hits, keep: np.ndarray, terms) -> np.ndarray:
+    """Blocks of one context pair for a chunk of targets, (T, 10, 40).
+
+    Each document position holds its document's block, then its domain's.
+    `keep` marks the `hits` in the context; `terms` are the targets' query
+    terms. As hits come by item, then row, the first hit of a (row, item)
+    is its topmost slot, and `np.bincount` adds each float sum in row
+    order, as `context_features` does (`np.sum` adds pairwise).
+    """
+    u, row, rank = (a[keep] for a in hits)
+    n_targets, width = len(terms), 2 * SERP_SIZE
+    n_u = n_targets * width
+    gain = rows.gains[row, rank]
+    # One occurrence per (item, row): its topmost slot and topmost clicked slot.
+    first = np.diff(u * len(rows.users) + row, prepend=-1) != 0
+    occurrence = np.cumsum(first) - 1
+    o_u, o_row, top = u[first], row[first], rank[first] + 1
+    hit = rows.clicked[row, rank]
+    r_clicked = _per_run(np.minimum, occurrence[hit], rank[hit] + 1, len(o_u))
+    clicked = r_clicked > 0
+    last_click = rows.last_click[o_row]
+    skipped = ~clicked & (last_click > top)
+    missed = ~clicked & ~skipped & (last_click > 0)
+    # Similarity once per distinct (target terms, row terms).
+    n_terms = len(rows.terms)
+    pairs, pair_of = np.unique(o_u // width * n_terms + rows.variants[o_row], return_inverse=True)
+    sim = np.array([similarity(terms[p // n_terms], rows.terms[p % n_terms])
+                    for p in pairs.tolist()])[pair_of]
+
+    def total(mask, values=None):
+        return np.bincount(o_u[mask], None if values is None else values[mask], n_u)
+
+    def mean(sums, counts):
+        return np.divide(sums, counts, out=np.zeros(n_u), where=counts > 0)
+
+    def top_of(ufunc, mask, values):
+        return _per_run(ufunc, o_u[mask], values[mask], n_u)
+
+    slot_count = np.bincount(u, minlength=n_u)
+    gain_sum = np.bincount(u, gain, n_u)  # exact integers
+    inv_top, every = 1.0 / top, slice(None)
+    block = np.stack([
+        # g1-g4: total, mean, max and min gain over the item's slots
+        gain_sum, mean(gain_sum, slot_count),
+        _per_run(np.maximum, u, gain, n_u), _per_run(np.minimum, u, gain, n_u),
+        # g5-g10: mean and max similarity when clicked, skipped, missed
+        mean(total(clicked, sim), total(clicked)), top_of(np.maximum, clicked, sim),
+        mean(total(skipped, sim), total(skipped)), top_of(np.maximum, skipped, sim),
+        mean(total(missed, sim), total(missed)), top_of(np.maximum, missed, sim),
+        # g11-g16: shown, clicked, skipped, missed counts; shown, clicked discounts
+        total(every), total(clicked), total(skipped), total(missed),
+        total(every, inv_top), total(clicked, 1.0 / np.where(clicked, r_clicked, 1)),
+        # g17-g20: max and min clicked rank; skipped, missed discounts
+        top_of(np.maximum, clicked, r_clicked), top_of(np.minimum, clicked, r_clicked),
+        total(skipped, inv_top), total(missed, inv_top),
+    ], axis=1, dtype=np.float64)
+    return (block.reshape(n_targets, 2, SERP_SIZE, -1).swapaxes(1, 2)
+            .reshape(n_targets, SERP_SIZE, -1))
+
+
+def _target_blocks(rows: IndexRows, slots: tuple[_Slots, _Slots], imps, users, ranks):
+    """(T, 10, 121) feature values of the target impressions `imps`.
+
+    Contexts 1-2 (the user's earlier rows of the query) and 5-6 (other users'
+    rows of it) come from the query's segment, 3-4 (the user's earlier rows of
+    other queries) from the user's.
+    """
+    users, ranks = np.array(users), np.array(ranks)
+    queries = np.array([imp.query_id for imp in imps])
+    times = np.array([imp.time_passed for imp in imps])
+    domains = _codes(rows.domains, [imp.domains for imp in imps])
+    items = np.hstack([_codes(rows.documents, [imp.documents for imp in imps]),
+                       np.where(domains >= 0, domains + len(rows.documents), -1)])
+    terms = [imp.terms for imp in imps]
+
+    def earlier(hits):
+        """Each hit's target, and whether the hit's row precedes it."""
+        t, rank = hits[0] // (2 * SERP_SIZE), rows.ranks[hits[1]]
+        return t, (rank < ranks[t]) | ((rank == ranks[t]) & (rows.times[hits[1]] < times[t]))
+
+    q_hits, u_hits = slots[0].hits(queries, items), slots[1].hits(users, items)
+    (tq, q_earlier), (tu, u_earlier) = earlier(q_hits), earlier(u_hits)
+    own = rows.users[q_hits[1]] == users[tq]
+    other_query = rows.queries[u_hits[1]] != queries[tu]
+    return np.concatenate([
+        _pair_blocks(rows, q_hits, own & q_earlier, terms),
+        _pair_blocks(rows, u_hits, other_query & u_earlier, terms),
+        _pair_blocks(rows, q_hits, ~own, terms),
+        np.arange(1.0, SERP_SIZE + 1)[None, :, None].repeat(len(imps), axis=0),  # base rank
+    ], axis=2)
 
 
 def extract_targets(
@@ -350,52 +360,37 @@ def extract_targets(
 
     Within each role the targets are processed in (user_id, session_id,
     serp_id) order, so output is deterministic. The session order seed must
-    match the one used for partitioning.
+    match the one used for partitioning. The values equal
+    `extract_impression` over `assemble_contexts` bit for bit; they come
+    from one kernel call per context pair and chunk of `CHUNK_TARGETS`.
     """
     ordered = order_sessions(sessions, seed)
-    query_index, user_history = build(ordered, train_days)
+    rows = index_rows(ordered, train_days)
     ranks = session_ranks(ordered)
-    impressions = {
-        (s.user_id, s.session_id, imp.serp_id): imp
-        for user_sessions in ordered.values()
-        for s in user_sessions
-        for imp in s.impressions
-    }
-    refs = {
-        role: sorted((r.user_id, r.session_id, r.serp_id) for r in targets.by_role(role))
-        for role in ROLES
-    }
-    # Columns of the queries that targets ask for, built once for all roles.
-    target_queries = {
-        impressions[key].query_id
-        for keys in refs.values()
-        for key in keys
-        if key in impressions
-    }
-    query_columns = {
-        q: QueryColumns.from_occurrences(query_index[q])
-        for q in target_queries
-        if q in query_index
-    }
+    impressions = {(s.user_id, s.session_id, imp.serp_id): imp
+                   for user_sessions in ordered.values() for s in user_sessions
+                   for imp in s.impressions}
+    slots = (_Slots.of(rows, rows.queries), _Slots.of(rows, rows.users))
     out: dict[str, list[FeatureVector]] = {}
     for role in ROLES:
-        out[role] = rows = []
-        for user_id, session_id, serp_id in refs[role]:
-            imp = impressions.get((user_id, session_id, serp_id))
-            if imp is None:
-                raise DataError(
-                    f"target user={user_id} session={session_id} serp={serp_id} "
-                    "not found in the parsed sessions"
-                )
-            six = assemble_contexts(
-                user_id,
-                imp.query_id,
-                (ranks[(user_id, session_id)], imp.time_passed),
-                query_index,
-                user_history,
-                query_columns,
-            )
-            rows += extract_impression(user_id, imp, session_id, six)
+        out[role] = vectors = []
+        refs = sorted((r.user_id, r.session_id, r.serp_id) for r in targets.by_role(role))
+        for start in range(0, len(refs), CHUNK_TARGETS):
+            chunk = refs[start : start + CHUNK_TARGETS]
+            missing = [key for key in chunk if key not in impressions]
+            if missing:
+                raise DataError("target user={} session={} serp={} not found in the "
+                                "parsed sessions".format(*missing[0]))
+            imps = [impressions[key] for key in chunk]
+            block = _target_blocks(rows, slots, imps, [key[0] for key in chunk],
+                                   [ranks[key[:2]] for key in chunk])
+            # Most values are 0 (no values are negative): let them share one float.
+            shared = block.astype(object)
+            shared[block == 0] = 0.0
+            for (user_id, session_id, serp_id), imp, values in zip(chunk, imps, shared.tolist()):
+                gains = imp.gains() if imp.labels is not None else [None] * SERP_SIZE
+                vectors += [FeatureVector(user_id, imp.query_id, session_id, serp_id, doc, v, gain)
+                            for doc, v, gain in zip(imp.documents, values, gains)]
     return out
 
 
@@ -459,39 +454,58 @@ def _read_grouped(
     target ids that change within a group, ids that are not integers, and
     values that are not numbers or not finite.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != header:
-            raise DataError(f"unexpected header in {path}")
-        raw = list(reader)
-    if len(raw) % 10 != 0:
-        raise DataError(f"{path}: row count {len(raw)} is not a multiple of 10")
     width = len(header)
     g = header.index("gain")
-    numbers = header[len(ID_COLUMNS) : g] + header[g + 1 :]
-    n_targets = len(raw) // 10
-    ids = np.empty((n_targets, 4), dtype=np.int64)
-    doc_ids = np.empty((n_targets, 10), dtype=np.int64)
-    values = np.empty((n_targets, 10, len(numbers)), dtype=np.float64)
-    gains = np.empty((n_targets, 10), dtype=np.float64)
-    labeled = True
-    for i, row in enumerate(raw):
-        t, j = divmod(i, 10)
-        if len(row) != width:
-            raise DataError(f"{path}: line {i + 2} has {len(row)} fields, expected {width}")
-        if row[:4] != raw[t * 10][:4]:
-            raise DataError(f"{path}: line {i + 2} changes target within a group of 10")
-        try:
+    numbers = [c for c in range(len(ID_COLUMNS), width) if c != g]
+    with open(path, newline="") as fh:
+        if next(csv.reader([fh.readline()]), None) != header:
+            raise DataError(f"unexpected header in {path}")
+        n_rows = sum(1 for _ in fh)
+        if n_rows % 10 != 0:
+            raise DataError(f"{path}: row count {n_rows} is not a multiple of 10")
+        n_targets = n_rows // 10
+        ids = np.empty((n_targets, 4), dtype=np.int64)
+        doc_ids = np.empty((n_targets, 10), dtype=np.int64)
+        gains = np.empty((n_targets, 10), dtype=np.float64)
+        labeled = True
+        # One line at a time for the ids and the gain; the values come after.
+        fh.seek(0)
+        fh.readline()
+        for i, line in enumerate(fh):
+            t, j = divmod(i, 10)
+            line = line.rstrip("\r\n")
+            fields = line.split(",") if line else []
+            if len(fields) != width:
+                raise DataError(f"{path}: line {i + 2} has {len(fields)} fields, expected {width}")
             if j == 0:
-                ids[t] = [int(v) for v in row[:4]]
-            doc_ids[t, j] = int(row[4])
-            values[t, j] = [float(v) for v in row[len(ID_COLUMNS) : g] + row[g + 1 :]]
-            if row[g]:
-                gains[t, j] = float(row[g])
-            else:
-                labeled = False
-        except ValueError as exc:
-            raise DataError(f"{path}: line {i + 2}: {exc}") from None
+                target = fields[:4]
+            elif fields[:4] != target:
+                raise DataError(f"{path}: line {i + 2} changes target within a group of 10")
+            try:
+                if j == 0:
+                    ids[t] = [int(v) for v in target]
+                doc_ids[t, j] = int(fields[4])
+                if fields[g]:
+                    gains[t, j] = float(fields[g])
+                else:
+                    labeled = False
+            except ValueError as exc:
+                raise DataError(f"{path}: line {i + 2}: {exc}") from None
+    try:
+        values = np.loadtxt(path, delimiter=",", skiprows=1, usecols=numbers, ndmin=2,
+                            comments=None) if n_rows else np.empty((0, len(numbers)))
+    except ValueError as error:
+        with open(path, newline="") as fh:  # name the line, in float()'s words
+            rows = csv.reader(fh)
+            next(rows)
+            for i, row in enumerate(rows):
+                try:
+                    for c in numbers:
+                        float(row[c])
+                except ValueError as exc:
+                    raise DataError(f"{path}: line {i + 2}: {exc}") from None
+        raise DataError(f"{path}: {error}") from None
+    values = values.reshape(n_targets, 10, len(numbers))
 
     finite = np.isfinite(values).all(axis=2)
     if labeled:
@@ -507,7 +521,7 @@ def _read_grouped(
         serp_ids=ids[:, 3].copy(),
         doc_ids=doc_ids,
         x=values[:, :, :n_features],
-        base_ranks=values[:, :, numbers.index("base_rank")].copy(),
+        base_ranks=values[:, :, numbers.index(header.index("base_rank"))].copy(),
         gains=gains if labeled else None,
     )
     return table, values

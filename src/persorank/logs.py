@@ -106,11 +106,6 @@ class Impression:
     clicks: list[tuple[int, int]] = field(default_factory=list)  # (url_id, time)
     labels: list[Grade] | None = None
 
-    @property
-    def base_ranks(self) -> tuple[int, ...]:
-        """Positions 1..10 of the engine's original ordering."""
-        return tuple(range(1, len(self.documents) + 1))
-
     def gains(self) -> list[int]:
         if self.labels is None:
             raise DataError(f"impression serp={self.serp_id} has no labels")

@@ -5,12 +5,15 @@ import os
 import pickle
 import re
 import stat
+import subprocess
+import sys
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import persorank
 from persorank import cache as cache_mod
 from persorank.blend import blend_average
 from persorank.cli import build_parser, main
@@ -222,6 +225,15 @@ class TestErrors:
         counts = json.loads((tmp_path / "log.tsv.counts.json").read_text())
         assert counts["unique_users"] == 6
 
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(persorank.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-m", "persorank", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0
+        assert "usage: persorank" in done.stdout
+
     def test_malformed_log_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.tsv"
         bad.write_text("1\tM\t3\t100\ngarbage line\n")
@@ -364,8 +376,11 @@ class TestSettings:
         ("partition", ["-O", "synth_seed=-1"]),
         ("train", ["--lr", "nan"]),
         ("train", ["-O", "learning_rate=inf"]),
+        ("train", ["--patience", "0"]),
+        ("train", ["-O", "patience=-5"]),
     ], ids=["hidden", "lr", "epochs", "batch", "hidden_units", "train_days",
-            "train_seed", "partition_seed", "synth_seed", "lr_nan", "learning_rate_inf"])
+            "train_seed", "partition_seed", "synth_seed", "lr_nan", "learning_rate_inf",
+            "patience", "patience_negative"])
     def test_out_of_range_setting_is_usage_error(self, scored_run, tmp_path, capsys,
                                                  command, setting):
         w = scored_run

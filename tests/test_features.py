@@ -5,10 +5,10 @@ import random
 import numpy as np
 import pytest
 
+from persorank import features
 from persorank.contexts import (
     Context,
     ItemKind,
-    QueryColumns,
     assemble_contexts,
     build_from_sessions,
     make_occurrence,
@@ -16,7 +16,7 @@ from persorank.contexts import (
 from persorank.features import (
     HEADER,
     N_FEATURES,
-    columnar_features,
+    FeatureVector,
     context_features,
     event_flags,
     extract_impression,
@@ -25,7 +25,8 @@ from persorank.features import (
     similarity,
     write_features,
 )
-from persorank.logs import Grade, Impression, Session
+from persorank.logs import DataError, Grade, Impression, Session
+from persorank.partition import TargetRef, TargetSet
 
 from oracles import OracleEntry, oracle_block, oracle_sim
 
@@ -349,23 +350,89 @@ class TestExtract:
                 assert a.gain == b.gain
 
 
-def assert_columnar_matches_scalar(six, imp):
-    """Contexts 5 and 6 of a target: the columnar pass equals the scalar loop bitwise."""
-    assert six[4].columns is not None and six[5].columns is six[4].columns
-    got = columnar_features(imp.documents, imp.domains, imp.terms, six[4])
-    for context, items in ((six[4], imp.documents), (six[5], imp.domains)):
-        want = np.array([context_features(item, imp.terms, context) for item in items])
-        assert np.array_equal(got[context.kind], want)
-        assert got[context.kind].tobytes() == want.tobytes()  # also tells -0.0 from 0.0
+def set_field(col, value):
+    def edit(fields):
+        fields[col] = value
+        return fields
+    return edit
+
+
+class TestReadFeatures:
+    @pytest.mark.parametrize("line,edit", [
+        (13, lambda fields: fields[:-1]),
+        (13, lambda fields: fields + ["0"]),
+        (13, set_field(2, "99")),
+        (12, set_field(0, "u1")),
+        (13, set_field(4, "d7")),
+        (13, set_field(10, "x")),
+        (13, set_field(10, "nan")),
+        (13, set_field(-1, "g")),
+        (13, set_field(-1, "inf")),
+    ], ids=["short_row", "long_row", "target_change", "user_id", "doc_id", "value",
+            "nan_value", "gain", "inf_gain"])
+    def test_malformed_row_is_data_error_naming_its_line(self, tmp_path, line, edit):
+        rows = [
+            FeatureVector(1, 2, 3, t, 10 * t + j, [0.5] * 120 + [float(j + 1)], gain=j % 3)
+            for t in range(2)
+            for j in range(10)
+        ]
+        path = tmp_path / "features.csv"
+        write_features(rows, path)
+        assert read_features(path).n_targets == 2
+        lines = path.read_text().splitlines()
+        lines[line - 1] = ",".join(edit(lines[line - 1].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=rf"line {line}\b"):
+            read_features(path)
+
+
+def scalar_vectors(sessions, refs, train_days, seed):
+    """`extract_impression` over `assemble_contexts` for each target reference."""
+    qidx, hist, ranks = build_from_sessions(sessions, train_days, seed)
+    lookup = {
+        (s.user_id, s.session_id, imp.serp_id): imp
+        for s in sessions
+        for imp in s.impressions
+    }
+    vectors = []
+    for ref in refs:
+        imp = lookup[(ref.user_id, ref.session_id, ref.serp_id)]
+        key = (ranks[(ref.user_id, ref.session_id)], imp.time_passed)
+        six = assemble_contexts(ref.user_id, imp.query_id, key, qidx, hist)
+        vectors += extract_impression(ref.user_id, imp, ref.session_id, six)
+    return vectors
+
+
+def assert_same_vectors(got, want):
+    """The batched kernel equals the scalar reference bitwise, in every context."""
+    assert [(r.user_id, r.session_id, r.serp_id, r.doc_id, r.gain) for r in got] == [
+        (r.user_id, r.session_id, r.serp_id, r.doc_id, r.gain) for r in want
+    ]
+    got_x = np.array([r.values for r in got])
+    want_x = np.array([r.values for r in want])
+    assert got_x.shape == (len(want), N_FEATURES)
+    assert got_x.tobytes() == want_x.tobytes()  # also tells -0.0 from 0.0
+
+
+TARGET_SESSION = 10**6
 
 
 def check_hand_built(sessions, user_id, imp):
-    """Index hand-built sessions, check the target's contexts 5 and 6, return all six."""
-    qidx, hist, _ = build_from_sessions(sessions, train_days=27, seed=0)
-    columns = {q: QueryColumns.from_occurrences(occs) for q, occs in qidx.items()}
-    six = assemble_contexts(user_id, imp.query_id, (10**9, 0), qidx, hist, columns)
-    assert_columnar_matches_scalar(six, imp)
-    return six
+    """Extract a target logged after hand-built training sessions; return its values.
+
+    The target's session falls in the test period, so every training row of
+    its user is earlier. The batched values must equal the scalar reference.
+    """
+    sessions = sessions + [Session(TARGET_SESSION, user_id, 28, [imp])]
+    ref = TargetRef(user_id, TARGET_SESSION, imp.serp_id)
+    got = extract_targets(sessions, TargetSet(test=[ref]), train_days=27, seed=0)["test"]
+    assert_same_vectors(got, scalar_vectors(sessions, [ref], 27, 0))
+    return np.array([r.values for r in got])
+
+
+def block(values, k):
+    """Context k's (10, 20) block of one target's (10, 121) values."""
+    return values[:, (k - 1) * 20 : k * 20]
 
 
 def serp(serp_id, docs, domains, clicks=None, terms=(1, 2), query=5, time=0):
@@ -383,28 +450,31 @@ def serp(serp_id, docs, domains, clicks=None, terms=(1, 2), query=5, time=0):
 
 class TestColumnar:
     def test_matches_scalar_on_every_small_corpus_target(self, small_corpus):
-        sessions = small_corpus.sessions
-        qidx, hist, ranks = build_from_sessions(
-            sessions, small_corpus.train_days, small_corpus.partition_seed
-        )
-        columns = {q: QueryColumns.from_occurrences(occs) for q, occs in qidx.items()}
-        lookup = {
-            (s.user_id, s.session_id, imp.serp_id): imp
-            for s in sessions
-            for imp in s.impressions
-        }
+        kwargs = dict(train_days=small_corpus.train_days, seed=small_corpus.partition_seed)
+        extracted = extract_targets(small_corpus.sessions, small_corpus.targets, **kwargs)
         checked = 0
         for role in ("train", "validation", "test"):
-            for ref in small_corpus.targets.by_role(role):
-                imp = lookup[(ref.user_id, ref.session_id, ref.serp_id)]
-                key = (ranks[(ref.user_id, ref.session_id)], imp.time_passed)
-                six = assemble_contexts(
-                    ref.user_id, imp.query_id, key, qidx, hist, columns
-                )
-                if six[4].columns is not None:
-                    assert_columnar_matches_scalar(six, imp)
-                    checked += 1
+            refs = sorted(small_corpus.targets.by_role(role))
+            want = scalar_vectors(small_corpus.sessions, refs, **kwargs)
+            assert_same_vectors(extracted[role], want)
+            checked += len(refs)
         assert checked > 50
+
+    def test_chunk_size_does_not_change_features(self, small_corpus, monkeypatch):
+        def extract():
+            return extract_targets(
+                small_corpus.sessions,
+                small_corpus.targets,
+                train_days=small_corpus.train_days,
+                seed=small_corpus.partition_seed,
+            )
+
+        default = extract()
+        n_targets = sum(len(rows) // 10 for rows in default.values())
+        for chunk in (1, n_targets + 1):
+            monkeypatch.setattr(features, "CHUNK_TARGETS", chunk)
+            for role, rows in extract().items():
+                assert_same_vectors(rows, default[role])
 
     def test_domain_filling_several_slots(self):
         domains = [3, 0, 3, 0, 7, 7, 1, 2, 3, 4]
@@ -412,10 +482,13 @@ class TestColumnar:
             Session(1, 2, 1, [serp(0, range(10), domains, {1: Grade.R1, 3: Grade.R2})]),
             Session(2, 3, 2, [serp(0, range(10, 20), domains, {6: Grade.R0})]),
             Session(3, 4, 3, [serp(0, range(10), domains, {9: Grade.R2})]),
+            Session(4, 1, 4, [serp(0, range(10), domains, {3: Grade.R1})]),
         ]
         target = serp(1, range(10), [3, 3, 7, 0, 9, 1, 2, 4, 3, 8])
-        six = check_hand_built(sessions, 1, target)
-        assert len(six[5]) == 3
+        values = check_hand_built(sessions, 1, target)
+        # Domain 3 fills slots 1, 3 and 9 of every row: three rows of others.
+        assert block(values, 6)[0, [0, 10]].tolist() == [5.0, 3.0]
+        assert block(values, 2)[0, [0, 10]].tolist() == [1.0, 1.0]
 
     def test_target_users_rows_interleaved_with_others(self):
         docs = list(range(10))
@@ -425,9 +498,9 @@ class TestColumnar:
             for day, user in enumerate([1, 2, 1, 3, 1, 2, 1, 3], start=1)
         ]
         target = serp(9, docs, doms)
-        six = check_hand_built(sessions, 1, target)
-        assert len(six[4]) == 4
-        assert {o.user_id for o in six[4].occurrences} == {2, 3}
+        values = check_hand_built(sessions, 1, target)
+        assert (block(values, 1)[:, 10] == 4.0).all()  # user 1's own four rows
+        assert (block(values, 5)[:, 10] == 4.0).all()  # users 2 and 3, two rows each
 
     def test_query_logged_with_two_term_sets(self):
         docs = list(range(10))
@@ -436,12 +509,14 @@ class TestColumnar:
             Session(1, 2, 1, [serp(0, docs, doms, {2: Grade.R2}, terms=(1, 2))]),
             Session(2, 3, 2, [serp(0, docs, doms, {5: Grade.R1}, terms=(1, 2, 3))]),
             Session(3, 4, 3, [serp(0, docs, doms, {1: Grade.R0}, terms=(4,))]),
+            Session(4, 1, 4, [serp(0, docs, doms, {3: Grade.R1}, terms=(1, 2))]),
         ]
         target = serp(1, docs, doms, terms=(1, 2, 3))
-        six = check_hand_built(sessions, 1, target)
-        c5 = columnar_features(target.documents, target.domains, target.terms, six[4])
+        values = check_hand_built(sessions, 1, target)
         # Document 1: clicked under (1, 2), skipped under (1, 2, 3), missed under (4,).
-        assert c5[ItemKind.DOCUMENT][1, [4, 6, 8]].tolist() == [2 / 3, 1.0, 0.0]
+        assert block(values, 5)[1, [4, 6, 8]].tolist() == [2 / 3, 1.0, 0.0]
+        # The user's own row, under (1, 2), skips document 1.
+        assert block(values, 1)[1, [6, 7]].tolist() == [2 / 3, 2 / 3]
 
     def test_query_with_no_other_users(self):
         docs = list(range(10))
@@ -450,20 +525,25 @@ class TestColumnar:
             Session(2, 1, 2, [serp(0, docs, [0] * 10, {4: Grade.R1})]),
         ]
         target = serp(1, docs, [0] * 10)
-        six = check_hand_built(sessions, 1, target)
-        assert len(six[4]) == 0 and not six[4].keep.any()
+        values = check_hand_built(sessions, 1, target)
+        assert not values[:, 80:120].any()
+        assert block(values, 1)[:, 10].tolist() == [2.0] * 10
 
     def test_document_listed_twice_counts_at_its_last_slot(self):
         docs = [0, 1, 2, 0, 4, 5, 6, 7, 8, 9]
         sessions = [
             Session(1, 2, 1, [serp(0, docs, [d % 3 for d in docs], {1: Grade.R2})]),
             Session(2, 3, 2, [serp(0, docs, [d % 3 for d in docs], {4: Grade.R1})]),
+            Session(3, 1, 3, [serp(0, docs, [d % 3 for d in docs], {1: Grade.R1})]),
         ]
         target = serp(1, [0, 9, 8, 7, 6, 5, 4, 3, 2, 1], [0, 0, 2, 1, 0, 2, 1, 0, 2, 1])
-        check_hand_built(sessions, 1, target)
+        values = check_hand_built(sessions, 1, target)
+        # Document 0 counts at rank 4 only: the R2 click at rank 1 adds no gain,
+        # and each of the two rows adds 1/4 to its shown discount.
+        assert block(values, 5)[0, [0, 14]].tolist() == [1.0, 0.5]
 
     def test_query_with_more_codes_than_int16_holds(self):
-        n = 1700  # 1700 rows x 20 distinct documents and domains > 32767 codes
+        n = 1700  # 1700 rows x 20 distinct documents and domains > 32767 items
         sessions = [
             Session(k + 1, 2 + k % 7, 1 + k % 20, [
                 serp(0, range(10 * k, 10 * k + 10), range(10 * k, 10 * k + 10),
@@ -473,5 +553,6 @@ class TestColumnar:
         ]
         target = serp(1, [0, 10, 25, 999, 16990, 5, 7, 33, 16999, 123456],
                       [0, 10, 20, 30, 40, 50, 60, 70, 80, 90])
-        six = check_hand_built(sessions, 1, target)
-        assert six[4].columns.items.dtype == np.int32
+        values = check_hand_built(sessions, 1, target)
+        assert block(values, 5)[:9, 10].tolist() == [1.0] * 9
+        assert not block(values, 5)[9].any()

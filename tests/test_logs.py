@@ -172,6 +172,63 @@ def make_session(impressions):
     return session
 
 
+# Gaps between consecutive actions, dense around the dwell boundaries.
+ACTION_GAPS = st.one_of(
+    st.sampled_from([1, 48, 49, 50, 51, 398, 399, 400, 401]), st.integers(1, 900)
+)
+
+
+@st.composite
+def click_sessions(draw):
+    """A session of up to three SERPs and clicks, every action at its own time."""
+    session = make_session([(0, 0, [])])
+    time = 0
+    for _ in range(draw(st.integers(0, 12))):
+        time += draw(ACTION_GAPS)
+        if len(session.impressions) < 3 and draw(st.booleans()):
+            session.impressions.append(make_session([(len(session.impressions), time, [])])
+                                       .impressions[0])
+        else:
+            imp = draw(st.sampled_from(session.impressions))
+            imp.clicks.append((draw(st.integers(0, 9)), time))
+    return session
+
+
+def readme_grades(session):
+    """Grades by the README rule, written apart from `label_impression`.
+
+    Dwell runs from a click to the next action of the session. Action times
+    are distinct, so only the session's final click has no next action, and
+    the final click grades R2 whatever its dwell.
+    """
+    times = sorted([imp.time_passed for imp in session.impressions]
+                   + [t for imp in session.impressions for _, t in imp.clicks])
+    final = max(((t, imp.serp_id, doc) for imp in session.impressions
+                 for doc, t in imp.clicks), default=None)
+    grades = []
+    for imp in session.impressions:
+        labels = []
+        for doc in imp.documents:
+            clicks = [t for d, t in imp.clicks if d == doc]
+            if not clicks:
+                labels.append(Grade.NO_CLICK)
+            elif final[1:] == (imp.serp_id, doc):
+                labels.append(Grade.R2)
+            else:
+                longest = max(min(a for a in times if a > t) - t for t in clicks)
+                labels.append(Grade.R0 if longest < 50 else Grade.R1 if longest < 400
+                              else Grade.R2)
+        grades.append(labels)
+    return grades
+
+
+@given(click_sessions())
+@settings(max_examples=300)
+def test_labels_follow_the_readme_rule_across_dwell_boundaries(session):
+    label_sessions([session])
+    assert [imp.labels for imp in session.impressions] == readme_grades(session)
+
+
 class TestLabeling:
     def test_dwell_49_is_r0(self):
         # a later click elsewhere keeps the last-click rule off this document
