@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, blend as blend_mod, cache, contexts, evaluate, features
-from .config import KEY_TYPES, ConfigError, PipelineConfig, load_config, seed
+from .config import KEY_TYPES, ConfigError, PipelineConfig, finite_float, load_config, seed
 from .logs import (
     DataError,
     Grade,
@@ -216,7 +216,7 @@ def _cmd_extract(args, cfg: PipelineConfig) -> int:
     )
     print(
         "wrote "
-        + ", ".join(f"{p} ({len(extracted[r]) // 10} targets)"
+        + ", ".join(f"{p} ({extracted[r].n_targets} targets)"
                     for p, r in zip(outputs, ROLES))
     )
     return 0
@@ -262,6 +262,8 @@ def _cmd_score(args, cfg: PipelineConfig) -> int:
 
 def _cmd_blend(args, cfg: PipelineConfig) -> int:
     started = _stage_start()
+    if args.method == "learned" and not args.apply and len(args.scores) < 2:
+        raise ConfigError("learned blending needs at least 2 score files")
     score_paths = [_require(p) for p in args.scores]
     out = Path(args.out or Path(cfg.reports_dir) / "blended_scores.csv")
     loaded = [evaluate.read_scores(p) for p in score_paths]
@@ -342,9 +344,15 @@ def _cmd_analyze(args, cfg: PipelineConfig) -> int:
     out_dir = Path(cfg.reports_dir)
     taus, deltas = [], []
     with open(report_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            taus.append(float(row["tau"]))
-            deltas.append(float(row["delta_ndcg"]))
+        rows = csv.DictReader(fh)
+        if not {"tau", "delta_ndcg"} <= set(rows.fieldnames or ()):
+            raise DataError(f"{report_path}: line 1: needs tau and delta_ndcg columns")
+        try:
+            for row in rows:
+                taus.append(finite_float(row["tau"]))
+                deltas.append(finite_float(row["delta_ndcg"]))
+        except (TypeError, ValueError) as exc:  # TypeError: a short row
+            raise DataError(f"{report_path}: line {rows.line_num}: {exc}") from None
     tau_path = out_dir / "tau_hist.csv"
     delta_path = out_dir / "delta_ndcg_hist.csv"
     with cache.atomic_path(tau_path) as tmp:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import FeatureTable, _read_grouped
+from .features import FeatureTable, _id_columns, _read_grouped
 from .logs import DataError
 
 NDCG_CUTOFF = 10
@@ -151,24 +151,14 @@ def write_scores(table: FeatureTable, scores: np.ndarray, path: str | Path) -> N
     """
     if scores.shape != table.doc_ids.shape:
         raise ValueError(f"scores shape {scores.shape} does not match the table")
+    gains = ([list(map(repr, row)) for row in table.gains.tolist()] if table.gains is not None
+             else [[""] * scores.shape[1]] * len(scores))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCORE_HEADER)
-        for t in range(table.n_targets):
-            for j in range(table.doc_ids.shape[1]):
-                gain = "" if table.gains is None else repr(float(table.gains[t, j]))
-                writer.writerow(
-                    [
-                        int(table.user_ids[t]),
-                        int(table.query_ids[t]),
-                        int(table.session_ids[t]),
-                        int(table.serp_ids[t]),
-                        int(table.doc_ids[t, j]),
-                        repr(float(table.base_ranks[t, j])),
-                        gain,
-                        repr(float(scores[t, j])),
-                    ]
-                )
+        fh.write(",".join(SCORE_HEADER) + "\r\n")
+        for ids, *columns in zip(_id_columns(table), table.doc_ids.tolist(),
+                                 table.base_ranks.tolist(), gains, scores.tolist()):
+            fh.write("".join(f"{ids}{doc},{rank!r},{gain},{score!r}\r\n"
+                             for doc, rank, gain, score in zip(*columns)))
 
 
 def read_scores(path: str | Path) -> tuple[FeatureTable, np.ndarray]:

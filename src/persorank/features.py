@@ -168,14 +168,28 @@ def context_features(
 
 
 @dataclass
-class FeatureVector:
-    user_id: int
-    query_id: int
-    session_id: int
-    serp_id: int
-    doc_id: int
-    values: list[float]  # 120 context features + base rank
-    gain: int | None = None
+class FeatureTable:
+    """Feature or score rows as arrays grouped by target (10 rows each)."""
+
+    user_ids: np.ndarray     # (T,)
+    query_ids: np.ndarray    # (T,)
+    session_ids: np.ndarray  # (T,)
+    serp_ids: np.ndarray     # (T,)
+    doc_ids: np.ndarray      # (T, 10)
+    x: np.ndarray            # (T, 10, 121) float64; (T, 10, 0) for score files
+    base_ranks: np.ndarray   # (T, 10) float64
+    gains: np.ndarray | None  # (T, 10) float64, None when unlabeled
+
+    @property
+    def n_targets(self) -> int:
+        return self.x.shape[0]
+
+    @property
+    def n_docs(self) -> int:
+        return self.x.shape[0] * self.x.shape[1]
+
+    def flat_x(self) -> np.ndarray:
+        return self.x.reshape(self.n_docs, self.x.shape[2])
 
 
 def extract_impression(
@@ -183,27 +197,35 @@ def extract_impression(
     imp: Impression,
     session_id: int,
     six_contexts: Sequence[Context],
-) -> list[FeatureVector]:
-    """One feature vector per document of the target impression.
+) -> FeatureTable:
+    """The one-target table of the impression's documents.
 
     Document contexts (1, 3, 5) are probed with the document id; domain
     contexts (2, 4, 6) with the document's domain id.
     """
     if len(six_contexts) != N_CONTEXTS:
         raise ValueError(f"expected {N_CONTEXTS} contexts, got {len(six_contexts)}")
-    gains = imp.gains() if imp.labels is not None else None
     blocks = []
     for context in six_contexts:
         items = imp.documents if context.kind is ItemKind.DOCUMENT else imp.domains
         blocks.append([context_features(item, imp.terms, context) for item in items])
-    rows = []
-    for pos, (doc, _) in enumerate(zip(imp.documents, imp.domains)):
-        values = [v for block in blocks for v in block[pos]]
-        values.append(float(pos + 1))  # original engine rank
-        gain = gains[pos] if gains is not None else None
-        rows.append(FeatureVector(user_id, imp.query_id, session_id, imp.serp_id, doc, values,
-                                  gain))
-    return rows
+    x = np.array([[[v for block in blocks for v in block[pos]] + [float(pos + 1)]  # engine rank
+                   for pos in range(len(imp.documents))]])
+    return _table([(user_id, session_id, imp.serp_id)], [imp], x)
+
+
+def _table(refs: list[tuple[int, int, int]], imps: list[Impression], x: np.ndarray) -> FeatureTable:
+    """Targets `refs` (user, session, serp ids) of impressions `imps` with values `x`."""
+    user_ids, session_ids, serp_ids = np.array(refs, dtype=np.int64).reshape(-1, 3).T.copy()
+    shape = (len(imps), x.shape[1])  # one entry per document
+    labeled = all(imp.labels is not None for imp in imps)
+    return FeatureTable(
+        user_ids, np.array([imp.query_id for imp in imps], dtype=np.int64), session_ids, serp_ids,
+        np.array([imp.documents for imp in imps], dtype=np.int64).reshape(shape),
+        x, x[..., -1].copy(),
+        np.array([imp.gains() for imp in imps], dtype=np.float64).reshape(shape)
+        if labeled else None,
+    )
 
 
 # Targets per kernel call. It bounds the hit arrays of one call, and with
@@ -355,14 +377,15 @@ def extract_targets(
     targets: TargetSet,
     train_days: int = 27,
     seed: int = 0,
-) -> dict[str, list[FeatureVector]]:
-    """Feature vectors for every target, grouped by role.
+) -> dict[str, FeatureTable]:
+    """The feature table of each role's targets.
 
-    Within each role the targets are processed in (user_id, session_id,
-    serp_id) order, so output is deterministic. The session order seed must
-    match the one used for partitioning. The values equal
-    `extract_impression` over `assemble_contexts` bit for bit; they come
-    from one kernel call per context pair and chunk of `CHUNK_TARGETS`.
+    Within each role the targets are in (user_id, session_id, serp_id)
+    order, so output is deterministic. The session order seed must match
+    the one used for partitioning. The values equal `extract_impression`
+    over `assemble_contexts` bit for bit; they come from one kernel call per
+    context pair and chunk of `CHUNK_TARGETS`. A role with any unlabeled
+    target gets gains=None.
     """
     ordered = order_sessions(sessions, seed)
     rows = index_rows(ordered, train_days)
@@ -371,64 +394,43 @@ def extract_targets(
                    for user_sessions in ordered.values() for s in user_sessions
                    for imp in s.impressions}
     slots = (_Slots.of(rows, rows.queries), _Slots.of(rows, rows.users))
-    out: dict[str, list[FeatureVector]] = {}
+    out: dict[str, FeatureTable] = {}
     for role in ROLES:
-        out[role] = vectors = []
         refs = sorted((r.user_id, r.session_id, r.serp_id) for r in targets.by_role(role))
+        missing = [key for key in refs if key not in impressions]
+        if missing:
+            raise DataError("target user={} session={} serp={} not found in the "
+                            "parsed sessions".format(*missing[0]))
+        imps = [impressions[key] for key in refs]
+        x = np.empty((len(refs), SERP_SIZE, N_FEATURES))
         for start in range(0, len(refs), CHUNK_TARGETS):
-            chunk = refs[start : start + CHUNK_TARGETS]
-            missing = [key for key in chunk if key not in impressions]
-            if missing:
-                raise DataError("target user={} session={} serp={} not found in the "
-                                "parsed sessions".format(*missing[0]))
-            imps = [impressions[key] for key in chunk]
-            block = _target_blocks(rows, slots, imps, [key[0] for key in chunk],
-                                   [ranks[key[:2]] for key in chunk])
-            # Most values are 0 (no values are negative): let them share one float.
-            shared = block.astype(object)
-            shared[block == 0] = 0.0
-            for (user_id, session_id, serp_id), imp, values in zip(chunk, imps, shared.tolist()):
-                gains = imp.gains() if imp.labels is not None else [None] * SERP_SIZE
-                vectors += [FeatureVector(user_id, imp.query_id, session_id, serp_id, doc, v, gain)
-                            for doc, v, gain in zip(imp.documents, values, gains)]
+            chunk = slice(start, start + CHUNK_TARGETS)
+            x[chunk] = _target_blocks(rows, slots, imps[chunk], [key[0] for key in refs[chunk]],
+                                      [ranks[key[:2]] for key in refs[chunk]])
+        out[role] = _table(refs, imps, x)
     return out
 
 
-def write_features(rows: Iterable[FeatureVector], path: str | Path) -> None:
+def write_features(table: FeatureTable, path: str | Path) -> None:
+    """Write a feature file: ten rows per target, values in `repr` digits, gains as integers.
+
+    Lines end in CRLF, as `csv.writer` ends them; an unlabeled table leaves every gain empty.
+    """
+    gains = (table.gains.astype(np.int64).tolist() if table.gains is not None
+             else [[""] * table.doc_ids.shape[1]] * table.n_targets)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HEADER)
-        for row in rows:
-            writer.writerow(
-                [row.user_id, row.query_id, row.session_id, row.serp_id, row.doc_id]
-                + [repr(v) for v in row.values]
-                + ["" if row.gain is None else row.gain]
-            )
+        fh.write(",".join(HEADER) + "\r\n")
+        for ids, docs, x, target_gains in zip(_id_columns(table), table.doc_ids.tolist(),
+                                              table.x, gains):
+            fh.write("".join(f"{ids}{doc},{','.join(map(repr, values))},{gain}\r\n"
+                             for doc, values, gain in zip(docs, x.tolist(), target_gains)))
 
 
-@dataclass
-class FeatureTable:
-    """A feature or score file's contents as arrays grouped by target (10 rows each)."""
-
-    user_ids: np.ndarray     # (T,)
-    query_ids: np.ndarray    # (T,)
-    session_ids: np.ndarray  # (T,)
-    serp_ids: np.ndarray     # (T,)
-    doc_ids: np.ndarray      # (T, 10)
-    x: np.ndarray            # (T, 10, 121) float64; (T, 10, 0) for score files
-    base_ranks: np.ndarray   # (T, 10) float64
-    gains: np.ndarray | None  # (T, 10) float64, None when unlabeled
-
-    @property
-    def n_targets(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def n_docs(self) -> int:
-        return self.x.shape[0] * self.x.shape[1]
-
-    def flat_x(self) -> np.ndarray:
-        return self.x.reshape(self.n_docs, self.x.shape[2])
+def _id_columns(table: FeatureTable) -> list[str]:
+    """Each target's four id columns as they start its rows in a file."""
+    return ["{},{},{},{},".format(*ids) for ids in zip(
+        table.user_ids.tolist(), table.query_ids.tolist(),
+        table.session_ids.tolist(), table.serp_ids.tolist())]
 
 
 def read_features(path: str | Path) -> FeatureTable:

@@ -154,12 +154,11 @@ def test_criterion_2_feature_oracle_equivalence():
 
         by_key = {}
         for role in ("train", "validation", "test"):
-            rows = extracted[role]
-            for i in range(0, len(rows), 10):
-                first = rows[i]
-                by_key[(first.user_id, first.session_id, first.serp_id)] = [
-                    rows[i + j].values for j in range(10)
-                ]
+            table = extracted[role]
+            keys = zip(table.user_ids.tolist(), table.session_ids.tolist(),
+                       table.serp_ids.tolist())
+            for t, key in enumerate(keys):
+                by_key[key] = table.x[t]
 
         scan = OracleScan(sessions, seed=5)
         rng = random.Random(99)

@@ -400,10 +400,12 @@ class TestSettings:
         ["blend", "--method", "learned", "--split-seed", "-1"],
         ["eval", "--split-seed", "-1"],
         ["partition", "-O", "n_users=0"],
+        ["blend", "--method", "learned", "--scores", "{missing}"],
     ], ids=["heuristic_hidden", "ranknet_hidden", "blend_split_seed", "eval_split_seed",
-            "n_users"])
+            "n_users", "learned_blend_of_one_member"])
     def test_settings_are_checked_before_inputs_are_read(self, tmp_path, capsys, argv):
         missing = str(tmp_path / "missing")
+        argv = [arg.format(missing=missing) for arg in argv]
         inputs = {
             "train": ["--train-features", missing, "--val-features", missing,
                       "--out", str(tmp_path / "out")],
@@ -411,7 +413,8 @@ class TestSettings:
             "eval": ["--scores", missing, "--out-dir", str(tmp_path)],
             "partition": ["--cache", missing, "--out", str(tmp_path / "out")],
         }
-        assert run(*argv, *inputs[argv[0]]) == 1
+        # Flags after the inputs, so a case's own --scores replaces the default two.
+        assert run(argv[0], *inputs[argv[0]], *argv[1:]) == 1
         assert "error: " in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
@@ -464,6 +467,20 @@ def first_target_dropped(rows):
 
 def first_documents_swapped(rows):
     return rows[:1] + [rows[2], rows[1]] + rows[3:]
+
+
+def column_dropped(name):
+    def edit(rows):
+        col = rows[0].index(name)
+        return [row[:col] + row[col + 1 :] for row in rows]
+    return edit
+
+
+def first_row_set(name, value):
+    def edit(rows):
+        rows[1][rows[0].index(name)] = value
+        return rows
+    return edit
 
 
 def corrupt_field(src: Path, dst: Path, column: str, value: str | None) -> Path:
@@ -603,6 +620,25 @@ class TestMalformedInputs:
         bogus = tmp_path / "s.cache"
         bogus.write_bytes(cache_mod.SESSIONS_MAGIC + pickle.dumps(body))
         assert run("partition", "--cache", str(bogus), "--out", str(tmp_path / "t.csv")) == 2
+
+    @pytest.mark.parametrize("edit,line", [
+        (column_dropped("tau"), 1),
+        (column_dropped("delta_ndcg"), 1),
+        (first_row_set("tau", "abc"), 2),
+        (first_row_set("delta_ndcg", "nan"), 2),
+        (first_row_set("tau", "inf"), 2),
+        (lambda rows: rows[:1] + [rows[1][:-1]] + rows[2:], 2),
+    ], ids=["no_tau", "no_delta_ndcg", "tau_abc", "delta_ndcg_nan", "tau_inf", "short_row"])
+    def test_analyze_of_malformed_report_is_data_error(self, scored_run, tmp_path, capsys,
+                                                       edit, line):
+        assert run("eval", "--scores", str(scored_run / "scores.csv"),
+                   "--out-dir", str(tmp_path)) == 0
+        report = rewrite_rows(tmp_path / "report.csv", tmp_path / "bad.csv", edit)
+        out = tmp_path / "hist"
+        capsys.readouterr()
+        assert run("analyze", "--report", str(report), "--out-dir", str(out)) == 2
+        assert f"{report}: line {line}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_train_with_header_only_validation_is_data_error(self, scored_run, tmp_path):
         empty = rewrite_rows(scored_run / "features_validation.csv", tmp_path / "v.csv",

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 import random
 
 import numpy as np
@@ -16,7 +15,7 @@ from persorank.contexts import (
 from persorank.features import (
     HEADER,
     N_FEATURES,
-    FeatureVector,
+    FeatureTable,
     context_features,
     event_flags,
     extract_impression,
@@ -265,13 +264,13 @@ class TestExtract:
                 ItemKind.DOMAIN, ItemKind.DOCUMENT, ItemKind.DOMAIN,
             )
         ]
-        rows = extract_impression(9, imp, 4, empty)
-        assert len(rows) == 10
-        for pos, row in enumerate(rows):
-            assert len(row.values) == N_FEATURES == 121
-            assert row.values[:120] == [0.0] * 120
-            assert row.values[120] == pos + 1
-            assert row.gain == 0
+        table = extract_impression(9, imp, 4, empty)
+        assert table.x.shape == (1, 10, N_FEATURES) and N_FEATURES == 121
+        assert table.x[0, :, :120].tolist() == [[0.0] * 120] * 10
+        assert table.x[0, :, 120].tolist() == list(range(1, 11))
+        assert table.base_ranks.tolist() == [list(range(1, 11))]
+        assert table.gains.tolist() == [[0.0] * 10]
+        assert (table.user_ids.tolist(), table.session_ids.tolist()) == ([9], [4])
 
     def test_vector_length_everywhere(self, small_corpus):
         extracted = extract_targets(
@@ -280,10 +279,10 @@ class TestExtract:
             train_days=small_corpus.train_days,
             seed=small_corpus.partition_seed,
         )
-        for role, rows in extracted.items():
-            assert len(rows) % 10 == 0
-            assert all(len(r.values) == 121 for r in rows)
-            assert all(math.isfinite(v) for r in rows for v in r.values)
+        for role, table in extracted.items():
+            assert table.x.shape == (table.n_targets, 10, 121)
+            assert table.doc_ids.shape == table.base_ranks.shape == (table.n_targets, 10)
+            assert np.isfinite(table.x).all()
 
     def test_csv_round_trip(self, small_corpus, tmp_path):
         extracted = extract_targets(
@@ -297,15 +296,47 @@ class TestExtract:
         with open(path) as fh:
             assert fh.readline().strip() == ",".join(HEADER)
         table = read_features(path)
-        assert table.n_targets == len(extracted["train"]) // 10
-        flat_rows = extracted["train"]
-        for t in range(table.n_targets):
-            for j in range(10):
-                row = flat_rows[t * 10 + j]
-                assert table.doc_ids[t, j] == row.doc_id
-                assert np.array_equal(table.x[t, j], np.asarray(row.values))
-                assert table.gains[t, j] == row.gain
+        assert table.n_targets == extracted["train"].n_targets > 0
+        assert np.array_equal(table.doc_ids, extracted["train"].doc_ids)
+        assert np.array_equal(table.x, extracted["train"].x)
+        assert np.array_equal(table.gains, extracted["train"].gains)
         assert table.base_ranks.tolist() == [[float(r) for r in range(1, 11)]] * table.n_targets
+
+    def test_written_table_reads_back_field_by_field(self, small_corpus, tmp_path):
+        extracted = extract_targets(
+            small_corpus.sessions,
+            small_corpus.targets,
+            train_days=small_corpus.train_days,
+            seed=small_corpus.partition_seed,
+        )
+        for role, table in extracted.items():
+            path = tmp_path / f"{role}.csv"
+            write_features(table, path)
+            assert_same_table(read_features(path), table)
+
+    def test_unlabeled_target_leaves_every_gain_of_its_role_empty(self, small_corpus, tmp_path):
+        # One unlabeled test target among labeled ones: the whole role loads unlabeled.
+        unlabeled = min(small_corpus.targets.by_role("test"))
+        key = (unlabeled.user_id, unlabeled.session_id, unlabeled.serp_id)
+        sessions = [
+            dataclasses.replace(s, impressions=[
+                dataclasses.replace(imp, labels=None)
+                if (s.user_id, s.session_id, imp.serp_id) == key else imp
+                for imp in s.impressions
+            ])
+            for s in small_corpus.sessions
+        ]
+        kwargs = dict(train_days=small_corpus.train_days, seed=small_corpus.partition_seed)
+        labeled = extract_targets(small_corpus.sessions, small_corpus.targets, **kwargs)["test"]
+        table = extract_targets(sessions, small_corpus.targets, **kwargs)["test"]
+        assert table.gains is None and table.n_targets > 1
+        assert_same_table(table, dataclasses.replace(labeled, gains=None))
+        path = tmp_path / "features.csv"
+        write_features(table, path)
+        lines = path.read_bytes().split(b"\r\n")
+        assert lines[-1] == b"" and len(lines) == 10 * table.n_targets + 2
+        assert all(line.endswith(b",") for line in lines[1:-1])
+        assert_same_table(read_features(path), table)
 
     def test_extract_is_deterministic(self, small_corpus, tmp_path):
         kwargs = dict(
@@ -341,13 +372,15 @@ class TestExtract:
         kwargs = dict(train_days=small_corpus.train_days, seed=small_corpus.partition_seed)
         before = extract_targets(small_corpus.sessions, small_corpus.targets, **kwargs)
         after = extract_targets(sessions, small_corpus.targets, **kwargs)
-        for role, rows in before.items():
-            assert len(after[role]) == len(rows) > 0
-            for a, b in zip(after[role], rows):
-                assert (a.user_id, a.session_id, a.serp_id) == (b.user_id, b.session_id, b.serp_id)
-                assert (a.query_id, a.doc_id) == (relabel(b.query_id), relabel(b.doc_id))
-                assert a.values == b.values
-                assert a.gain == b.gain
+        for role, b in before.items():
+            a = after[role]
+            assert a.n_targets == b.n_targets > 0
+            for ids in ("user_ids", "session_ids", "serp_ids"):
+                assert np.array_equal(getattr(a, ids), getattr(b, ids))
+            assert a.query_ids.tolist() == [relabel(q) for q in b.query_ids.tolist()]
+            assert a.doc_ids.tolist() == [[relabel(d) for d in docs] for docs in b.doc_ids.tolist()]
+            assert a.x.tobytes() == b.x.tobytes()
+            assert np.array_equal(a.gains, b.gains)
 
 
 def set_field(col, value):
@@ -371,13 +404,15 @@ class TestReadFeatures:
     ], ids=["short_row", "long_row", "target_change", "user_id", "doc_id", "value",
             "nan_value", "gain", "inf_gain"])
     def test_malformed_row_is_data_error_naming_its_line(self, tmp_path, line, edit):
-        rows = [
-            FeatureVector(1, 2, 3, t, 10 * t + j, [0.5] * 120 + [float(j + 1)], gain=j % 3)
-            for t in range(2)
-            for j in range(10)
-        ]
+        x = np.full((2, 10, N_FEATURES), 0.5)
+        x[:, :, -1] = np.arange(1, 11)
+        table = FeatureTable(
+            user_ids=np.array([1, 1]), query_ids=np.array([2, 2]), session_ids=np.array([3, 3]),
+            serp_ids=np.array([0, 1]), doc_ids=np.arange(20).reshape(2, 10), x=x,
+            base_ranks=x[:, :, -1].copy(), gains=np.arange(20).reshape(2, 10) % 3 * 1.0,
+        )
         path = tmp_path / "features.csv"
-        write_features(rows, path)
+        write_features(table, path)
         assert read_features(path).n_targets == 2
         lines = path.read_text().splitlines()
         lines[line - 1] = ",".join(edit(lines[line - 1].split(",")))
@@ -386,32 +421,35 @@ class TestReadFeatures:
             read_features(path)
 
 
-def scalar_vectors(sessions, refs, train_days, seed):
-    """`extract_impression` over `assemble_contexts` for each target reference."""
+def scalar_table(sessions, refs, train_days, seed):
+    """`extract_impression` over `assemble_contexts` for each target reference, as one table."""
     qidx, hist, ranks = build_from_sessions(sessions, train_days, seed)
     lookup = {
         (s.user_id, s.session_id, imp.serp_id): imp
         for s in sessions
         for imp in s.impressions
     }
-    vectors = []
+    tables = []
     for ref in refs:
         imp = lookup[(ref.user_id, ref.session_id, ref.serp_id)]
         key = (ranks[(ref.user_id, ref.session_id)], imp.time_passed)
         six = assemble_contexts(ref.user_id, imp.query_id, key, qidx, hist)
-        vectors += extract_impression(ref.user_id, imp, ref.session_id, six)
-    return vectors
+        tables.append(extract_impression(ref.user_id, imp, ref.session_id, six))
+    return FeatureTable(*(
+        np.concatenate([getattr(t, field.name) for t in tables])
+        for field in dataclasses.fields(FeatureTable)
+    ))
 
 
-def assert_same_vectors(got, want):
-    """The batched kernel equals the scalar reference bitwise, in every context."""
-    assert [(r.user_id, r.session_id, r.serp_id, r.doc_id, r.gain) for r in got] == [
-        (r.user_id, r.session_id, r.serp_id, r.doc_id, r.gain) for r in want
-    ]
-    got_x = np.array([r.values for r in got])
-    want_x = np.array([r.values for r in want])
-    assert got_x.shape == (len(want), N_FEATURES)
-    assert got_x.tobytes() == want_x.tobytes()  # also tells -0.0 from 0.0
+def assert_same_table(got, want):
+    """Every field of two tables is equal bitwise: ids, doc ids, values, base ranks, gains."""
+    assert got.x.shape == want.x.shape
+    assert (got.gains is None) == (want.gains is None)
+    for field in dataclasses.fields(FeatureTable):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if b is not None:
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
+            assert a.tobytes() == b.tobytes(), field.name  # also tells -0.0 from 0.0
 
 
 TARGET_SESSION = 10**6
@@ -426,8 +464,8 @@ def check_hand_built(sessions, user_id, imp):
     sessions = sessions + [Session(TARGET_SESSION, user_id, 28, [imp])]
     ref = TargetRef(user_id, TARGET_SESSION, imp.serp_id)
     got = extract_targets(sessions, TargetSet(test=[ref]), train_days=27, seed=0)["test"]
-    assert_same_vectors(got, scalar_vectors(sessions, [ref], 27, 0))
-    return np.array([r.values for r in got])
+    assert_same_table(got, scalar_table(sessions, [ref], 27, 0))
+    return got.x[0]
 
 
 def block(values, k):
@@ -455,8 +493,8 @@ class TestColumnar:
         checked = 0
         for role in ("train", "validation", "test"):
             refs = sorted(small_corpus.targets.by_role(role))
-            want = scalar_vectors(small_corpus.sessions, refs, **kwargs)
-            assert_same_vectors(extracted[role], want)
+            want = scalar_table(small_corpus.sessions, refs, **kwargs)
+            assert_same_table(extracted[role], want)
             checked += len(refs)
         assert checked > 50
 
@@ -470,11 +508,11 @@ class TestColumnar:
             )
 
         default = extract()
-        n_targets = sum(len(rows) // 10 for rows in default.values())
+        n_targets = sum(table.n_targets for table in default.values())
         for chunk in (1, n_targets + 1):
             monkeypatch.setattr(features, "CHUNK_TARGETS", chunk)
-            for role, rows in extract().items():
-                assert_same_vectors(rows, default[role])
+            for role, table in extract().items():
+                assert_same_table(table, default[role])
 
     def test_domain_filling_several_slots(self):
         domains = [3, 0, 3, 0, 7, 7, 1, 2, 3, 4]
