@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import tempfile
+import zipfile
 from contextlib import contextmanager
 from pathlib import Path
 
-from .logs import DataError, Session
+import numpy as np
 
-SESSIONS_MAGIC = b"PRNK.SESSIONS.1\n"
+from .logs import GRADES, SERP_SIZE, DataError, Session, SessionColumns
+
+SESSIONS_MAGIC = b"PRNK.SESSIONS.2\n"
 
 
 def _umask() -> int:
@@ -52,29 +54,83 @@ def atomic_write(path: str | Path, mode: str = "w"):
         yield fh
 
 
-def save_sessions(sessions: list, path: str | Path) -> None:
+def save_sessions(sessions: list[Session], path: str | Path) -> None:
+    """Write sessions as `SessionColumns`: the magic line, then an uncompressed npz."""
     with atomic_write(path, "wb") as fh:
         fh.write(SESSIONS_MAGIC)
-        pickle.dump(sessions, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        np.savez(fh, **SessionColumns.of(sessions).arrays())
 
 
 def load_sessions(path: str | Path) -> list[Session]:
-    """A session cache.
+    """A session cache as a session list (see load_columns)."""
+    return load_columns(path).sessions()
 
-    A wrong header, a body that does not unpickle, and a body that is not
-    a list of sessions raise DataError.
+
+# Each column's dtype, and the column whose total gives its rows (None: one row
+# per session). Count columns come before the columns they count.
+_LAYOUT = {
+    "session_id": (np.int64, None),
+    "user_id": (np.int64, None),
+    "day": (np.int64, None),
+    "n_impressions": (np.int64, None),
+    "serp_id": (np.int64, "n_impressions"),
+    "query_id": (np.int64, "n_impressions"),
+    "time_passed": (np.int64, "n_impressions"),
+    "is_test": (np.bool_, "n_impressions"),
+    "n_terms": (np.int64, "n_impressions"),
+    "n_clicks": (np.int64, "n_impressions"),
+    "documents": (np.int64, "n_impressions"),
+    "domains": (np.int64, "n_impressions"),
+    "grades": (np.int8, "n_impressions"),
+    "terms": (np.int64, "n_terms"),
+    "click_url": (np.int64, "n_clicks"),
+    "click_time": (np.int64, "n_clicks"),
+}
+_PER_RESULT = ("documents", "domains", "grades")  # (rows, 10)
+
+
+def load_columns(path: str | Path) -> SessionColumns:
+    """A session cache, loaded without unpickling anything.
+
+    A wrong header, a body that is not an npz of plain arrays, and arrays
+    that do not form `SessionColumns` raise DataError naming the file: a
+    missing or extra array, a wrong dtype or shape, a negative count, counts
+    that do not add up to the rows they count, and grade codes other than
+    0-3, or -1 across a whole impression.
     """
     with open(path, "rb") as fh:
         if fh.read(len(SESSIONS_MAGIC)) != SESSIONS_MAGIC:
-            raise DataError(f"{path}: not a cache file of the expected kind/version")
+            raise DataError(f"{path}: not a cache file of the expected kind/version "
+                            "(rerun parse to rebuild it)")
         try:
-            sessions = pickle.load(fh)
-        except (pickle.UnpicklingError, AttributeError, EOFError, ImportError,
-                IndexError) as exc:
+            body = np.load(fh, allow_pickle=False)
+            if not isinstance(body, np.lib.npyio.NpzFile):
+                raise ValueError("not an npz archive")
+            with body:
+                arrays = {name: body[name] for name in body.files}
+        except (ValueError, OSError, EOFError, KeyError, zipfile.BadZipFile) as exc:
             raise DataError(f"{path}: corrupt cache body: {exc!r}") from None
-    if not isinstance(sessions, list) or not all(isinstance(s, Session) for s in sessions):
-        raise DataError(f"{path}: cache body is not a list of sessions")
-    return sessions
+    if set(arrays) != set(_LAYOUT):
+        raise DataError(f"{path}: cache body holds arrays {sorted(arrays)}, "
+                        f"expected {sorted(_LAYOUT)}")
+    rows = {None: len(arrays["session_id"])}
+    for name, (dtype, counted_by) in _LAYOUT.items():
+        array = arrays[name]
+        shape = (rows[counted_by],) + ((SERP_SIZE,) if name in _PER_RESULT else ())
+        if not isinstance(array, np.ndarray) or array.dtype != dtype or array.shape != shape:
+            counted = f" ({counted_by} adds up to {shape[0]})" if counted_by else ""
+            raise DataError(f"{path}: cache array {name} is not {np.dtype(dtype)} of "
+                            f"shape {shape}{counted}")
+        if name.startswith("n_"):
+            if array.min(initial=0) < 0:
+                raise DataError(f"{path}: cache array {name} holds a negative count")
+            rows[name] = sum(array.tolist())  # Python ints: no overflow
+    grades = arrays["grades"]
+    whole = (grades >= 0).all(axis=1) | (grades == -1).all(axis=1)
+    if grades.max(initial=0) >= len(GRADES) or not whole.all():
+        raise DataError(f"{path}: cache array grades holds a code other than "
+                        f"0-{len(GRADES) - 1}, or -1 across a whole impression")
+    return SessionColumns(**arrays)
 
 
 def save_json(payload: dict, path: str | Path) -> None:

@@ -104,6 +104,7 @@ def _cmd_parse(args, cfg: PipelineConfig) -> int:
     with _open_log(log_path) as fh:
         records = parse_log(fh)
     sessions = sessionize(records)
+    del records  # before labeling and the columns raise the peak
     label_sessions(sessions)
     cache.save_sessions(sessions, out)
     _write_manifest("parse", {}, [log_path], [out], started, out)
@@ -158,9 +159,9 @@ def _cmd_partition(args, cfg: PipelineConfig) -> int:
     started = _stage_start()
     cache_path = _require(cfg.cache_path)
     out = Path(cfg.targets_path)
-    sessions = cache.load_sessions(cache_path)
+    columns = cache.load_columns(cache_path)
     targets, report = select_targets(
-        sessions, train_days=cfg.train_days, seed=cfg.partition_seed
+        columns, train_days=cfg.train_days, seed=cfg.partition_seed
     )
     with cache.atomic_path(out) as tmp:
         write_targets(targets, tmp)
@@ -200,10 +201,10 @@ def _cmd_extract(args, cfg: PipelineConfig) -> int:
     started = _stage_start()
     cache_path = _require(cfg.cache_path)
     targets_path = _require(cfg.targets_path)
-    sessions = cache.load_sessions(cache_path)
+    columns = cache.load_columns(cache_path)
     targets = read_targets(targets_path)
     extracted = features.extract_targets(
-        sessions, targets, train_days=cfg.train_days, seed=cfg.partition_seed
+        columns, targets, train_days=cfg.train_days, seed=cfg.partition_seed
     )
     outputs = [Path(cfg.features_dir) / f"features_{role}.csv" for role in ROLES]
     for role, path in zip(ROLES, outputs):

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .logs import SERP_SIZE, Grade, Session
+from .logs import CODE_CLICKED, CODE_GAINS, SERP_SIZE, DataError, Grade, Session, SessionColumns
 from .partition import order_sessions, session_ranks
 
 OrderKey = tuple[int, int]  # (session rank in user's timeline, time_passed)
@@ -163,41 +163,43 @@ class IndexRows:
     domains: np.ndarray     # sorted distinct domain ids
 
 
-def index_rows(ordered: dict[int, list[Session]], train_days: int = 27) -> IndexRows:
-    """The rows `build` indexes, read straight from the ordered sessions."""
-    keys, docs, domains, grades, variants = [], [], [], [], []
-    terms: dict[tuple[int, ...], int] = {}
-    for rank, session, imp in _indexed(ordered, train_days):
-        keys.append((imp.time_passed, session.session_id, session.day,
-                     session.user_id, imp.query_id, rank))
-        docs += imp.documents
-        domains += imp.domains
-        grades += imp.labels
-        variants.append(terms.setdefault(imp.terms, len(terms)))
-    keys = np.array(keys, dtype=np.int64).reshape(-1, 6)
-    order = np.lexsort(keys[:, :3].T)  # stable: ties keep insertion order
-    shape = (len(keys), SERP_SIZE)
-    document_ids, doc_codes = np.unique(np.array(docs, dtype=np.int64), return_inverse=True)
-    domain_ids, domain_codes = np.unique(np.array(domains, dtype=np.int64), return_inverse=True)
-    doc_codes = doc_codes.reshape(shape)[order]
+def index_rows(columns: SessionColumns, ranks: np.ndarray, train_days: int = 27) -> IndexRows:
+    """The rows `build` indexes, from the session columns.
+
+    `ranks` holds each session's rank, as `partition.rank_sessions` gives it.
+    """
+    session = columns.impression_sessions()
+    at = np.flatnonzero(columns.day[session] <= train_days)
+    s = session[at]
+    unlabeled = columns.grades[at, 0] < 0
+    if unlabeled.any():
+        i = np.argmax(unlabeled)
+        raise DataError(f"impression serp={columns.serp_id[at[i]]} in session "
+                        f"{columns.session_id[s[i]]} is unlabeled")
+    # Session ids are unique, so tied rows share a session and keep its list order, as in build.
+    order = np.lexsort((columns.time_passed[at], columns.session_id[s], columns.day[s]))
+    at, s = at[order], s[order]
+    shape = (len(at), SERP_SIZE)
+    document_ids, doc_codes = np.unique(columns.documents[at], return_inverse=True)
+    domain_ids, domain_codes = np.unique(columns.domains[at], return_inverse=True)
+    doc_codes = doc_codes.reshape(shape)  # the inverse's shape differs across numpy versions
     for gap in range(1, SERP_SIZE):  # -1 at the earlier slot of a document listed twice
         earlier = doc_codes[:, :-gap]
         earlier[earlier == doc_codes[:, gap:]] = -1
-    # Grades are singletons, so each is known by its id (hashing an Enum is slow).
-    grade_ids = np.fromiter(map(id, grades), np.int64, len(grades)).reshape(shape)[order]
-    code = sum(k * (grade_ids == id(grade)) for k, grade in enumerate(Grade))
-    gains = np.array([grade.gain for grade in Grade], dtype=np.int8)[code]
-    clicked = np.array([grade.clicked for grade in Grade])[code]
+    grades = columns.grades[at]
+    clicked = CODE_CLICKED[grades]
+    terms: dict[tuple[int, ...], int] = {}
+    variants = [terms.setdefault(t, len(terms)) for t in columns.term_tuples(at)]
     return IndexRows(
-        users=keys[order, 3],
-        queries=keys[order, 4],
-        ranks=keys[order, 5],
-        times=keys[order, 0],
-        items=np.hstack([doc_codes, domain_codes.reshape(shape)[order] + len(document_ids)]),
-        gains=gains,
+        users=columns.user_id[s],
+        queries=columns.query_id[at],
+        ranks=ranks[s],
+        times=columns.time_passed[at],
+        items=np.hstack([doc_codes, domain_codes.reshape(shape) + len(document_ids)]),
+        gains=CODE_GAINS[grades],
         clicked=clicked,
         last_click=np.where(clicked, np.arange(1, SERP_SIZE + 1), 0).max(axis=1, initial=0),
-        variants=np.array(variants, dtype=np.int64)[order],
+        variants=np.array(variants, dtype=np.int64),
         terms=list(terms),
         documents=document_ids,
         domains=domain_ids,

@@ -21,8 +21,9 @@ import numpy as np
 
 from .contexts import Context, IndexRows, ItemKind, Occurrence, index_rows
 from .contexts import assemble_contexts, build  # noqa: F401  (perfbench/spans.py wraps them here)
-from .logs import SERP_SIZE, DataError, Impression, Session
-from .partition import ROLES, TargetSet, order_sessions, session_ranks
+from .logs import CODE_GAINS, SERP_SIZE, DataError, Impression, Session, SessionColumns
+from .partition import ROLES, TargetSet, rank_sessions
+from .partition import order_sessions  # noqa: F401  (perfbench/spans.py wraps it here)
 
 N_CONTEXTS = 6
 N_CONTEXT_FEATURES = 20
@@ -211,20 +212,19 @@ def extract_impression(
         blocks.append([context_features(item, imp.terms, context) for item in items])
     x = np.array([[[v for block in blocks for v in block[pos]] + [float(pos + 1)]  # engine rank
                    for pos in range(len(imp.documents))]])
-    return _table([(user_id, session_id, imp.serp_id)], [imp], x)
+    one = SessionColumns.of([Session(session_id, user_id, 0, [imp])])
+    return _table([(user_id, session_id, imp.serp_id)], one, np.zeros(1, dtype=np.int64), x)
 
 
-def _table(refs: list[tuple[int, int, int]], imps: list[Impression], x: np.ndarray) -> FeatureTable:
-    """Targets `refs` (user, session, serp ids) of impressions `imps` with values `x`."""
+def _table(refs: list[tuple[int, int, int]], columns: SessionColumns, at: np.ndarray,
+           x: np.ndarray) -> FeatureTable:
+    """Targets `refs` (user, session, serp ids), impression rows `at`, with values `x`."""
     user_ids, session_ids, serp_ids = np.array(refs, dtype=np.int64).reshape(-1, 3).T.copy()
-    shape = (len(imps), x.shape[1])  # one entry per document
-    labeled = all(imp.labels is not None for imp in imps)
+    grades = columns.grades[at]
     return FeatureTable(
-        user_ids, np.array([imp.query_id for imp in imps], dtype=np.int64), session_ids, serp_ids,
-        np.array([imp.documents for imp in imps], dtype=np.int64).reshape(shape),
+        user_ids, columns.query_id[at], session_ids, serp_ids, columns.documents[at],
         x, x[..., -1].copy(),
-        np.array([imp.gains() for imp in imps], dtype=np.float64).reshape(shape)
-        if labeled else None,
+        CODE_GAINS[grades].astype(np.float64) if (grades >= 0).all() else None,
     )
 
 
@@ -253,18 +253,17 @@ class _Slots(NamedTuple):
 
     segments: np.ndarray  # sorted distinct segment ids: users, or queries
     keys: np.ndarray      # sorted segment code * n_items + item code
-    rows: np.ndarray
-    ranks: np.ndarray     # 0-based
+    slots: np.ndarray     # row * 20 + column in `IndexRows.items` of each key
     n_items: int          # item codes of the rows
 
     @classmethod
     def of(cls, rows: IndexRows, segment_of_row: np.ndarray) -> "_Slots":
         segments, seg = np.unique(segment_of_row, return_inverse=True)
         n_items = len(rows.documents) + len(rows.domains)
-        row, col = np.nonzero(rows.items >= 0)  # row-major: row, then slot order
-        keys = seg[row] * n_items + rows.items[row, col]
+        slots = np.flatnonzero(rows.items >= 0)  # row-major: row, then slot order
+        keys = seg[slots // (2 * SERP_SIZE)] * n_items + rows.items.ravel()[slots]
         order = np.argsort(keys, kind="stable")
-        return cls(segments, keys[order], row[order], col[order] % SERP_SIZE, n_items)
+        return cls(segments, keys[order], slots[order], n_items)
 
     def hits(self, segment_of_target: np.ndarray, items: np.ndarray):
         """(item, row, rank) of each slot holding a target's item in its segment.
@@ -276,8 +275,8 @@ class _Slots(NamedTuple):
         wanted = np.where((seg >= 0) & (items >= 0), seg * self.n_items + items, -1).ravel()
         lo = np.searchsorted(self.keys, wanted, "left")
         n = np.searchsorted(self.keys, wanted, "right") - lo
-        at = np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)
-        return np.repeat(np.arange(len(wanted)), n), self.rows[at], self.ranks[at]
+        slots = self.slots[np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)]
+        return np.repeat(np.arange(len(wanted)), n), slots // (2 * SERP_SIZE), slots % SERP_SIZE
 
 
 def _pair_blocks(rows: IndexRows, hits, keep: np.ndarray, terms) -> np.ndarray:
@@ -340,20 +339,19 @@ def _pair_blocks(rows: IndexRows, hits, keep: np.ndarray, terms) -> np.ndarray:
             .reshape(n_targets, SERP_SIZE, -1))
 
 
-def _target_blocks(rows: IndexRows, slots: tuple[_Slots, _Slots], imps, users, ranks):
-    """(T, 10, 121) feature values of the target impressions `imps`.
+def _target_blocks(rows: IndexRows, slots: tuple[_Slots, _Slots], columns: SessionColumns,
+                   at: np.ndarray, terms: list[tuple[int, ...]], users, ranks):
+    """(T, 10, 121) feature values of the target impressions at rows `at`.
 
-    Contexts 1-2 (the user's earlier rows of the query) and 5-6 (other users'
-    rows of it) come from the query's segment, 3-4 (the user's earlier rows of
-    other queries) from the user's.
+    `terms` are their query terms, `users` and `ranks` their users and
+    session ranks. Contexts 1-2 (the user's earlier rows of the query) and
+    5-6 (other users' rows of it) come from the query's segment, 3-4 (the
+    user's earlier rows of other queries) from the user's.
     """
-    users, ranks = np.array(users), np.array(ranks)
-    queries = np.array([imp.query_id for imp in imps])
-    times = np.array([imp.time_passed for imp in imps])
-    domains = _codes(rows.domains, [imp.domains for imp in imps])
-    items = np.hstack([_codes(rows.documents, [imp.documents for imp in imps]),
+    queries, times = columns.query_id[at], columns.time_passed[at]
+    domains = _codes(rows.domains, columns.domains[at])
+    items = np.hstack([_codes(rows.documents, columns.documents[at]),
                        np.where(domains >= 0, domains + len(rows.documents), -1)])
-    terms = [imp.terms for imp in imps]
 
     def earlier(hits):
         """Each hit's target, and whether the hit's row precedes it."""
@@ -368,12 +366,21 @@ def _target_blocks(rows: IndexRows, slots: tuple[_Slots, _Slots], imps, users, r
         _pair_blocks(rows, q_hits, own & q_earlier, terms),
         _pair_blocks(rows, u_hits, other_query & u_earlier, terms),
         _pair_blocks(rows, q_hits, ~own, terms),
-        np.arange(1.0, SERP_SIZE + 1)[None, :, None].repeat(len(imps), axis=0),  # base rank
+        np.arange(1.0, SERP_SIZE + 1)[None, :, None].repeat(len(at), axis=0),  # base rank
     ], axis=2)
 
 
+_KEY = np.dtype([("user", np.int64), ("session", np.int64), ("serp", np.int64)])
+
+
+def _keys(users, sessions, serps) -> np.ndarray:
+    keys = np.empty(len(serps), dtype=_KEY)
+    keys["user"], keys["session"], keys["serp"] = users, sessions, serps
+    return keys
+
+
 def extract_targets(
-    sessions: list[Session],
+    columns: SessionColumns,
     targets: TargetSet,
     train_days: int = 27,
     seed: int = 0,
@@ -387,27 +394,31 @@ def extract_targets(
     context pair and chunk of `CHUNK_TARGETS`. A role with any unlabeled
     target gets gains=None.
     """
-    ordered = order_sessions(sessions, seed)
-    rows = index_rows(ordered, train_days)
-    ranks = session_ranks(ordered)
-    impressions = {(s.user_id, s.session_id, imp.serp_id): imp
-                   for user_sessions in ordered.values() for s in user_sessions
-                   for imp in s.impressions}
+    ranks = rank_sessions(columns, seed)
+    rows = index_rows(columns, ranks, train_days)
     slots = (_Slots.of(rows, rows.queries), _Slots.of(rows, rows.users))
+    session = columns.impression_sessions()
+    user, session_id = columns.user_id[session], columns.session_id[session]
+    by_key = np.lexsort((columns.serp_id, session_id, user))
+    keys = _keys(user, session_id, columns.serp_id)[by_key]
     out: dict[str, FeatureTable] = {}
     for role in ROLES:
         refs = sorted((r.user_id, r.session_id, r.serp_id) for r in targets.by_role(role))
-        missing = [key for key in refs if key not in impressions]
-        if missing:
+        wanted = _keys(*np.array(refs, dtype=np.int64).reshape(-1, 3).T)
+        at = np.searchsorted(keys, wanted)
+        found = at < len(keys)
+        found[found] = keys[at[found]] == wanted[found]
+        if not found.all():
             raise DataError("target user={} session={} serp={} not found in the "
-                            "parsed sessions".format(*missing[0]))
-        imps = [impressions[key] for key in refs]
+                            "parsed sessions".format(*refs[np.argmin(found)]))
+        at = by_key[at]
+        users, target_ranks, terms = wanted["user"], ranks[session[at]], columns.term_tuples(at)
         x = np.empty((len(refs), SERP_SIZE, N_FEATURES))
         for start in range(0, len(refs), CHUNK_TARGETS):
             chunk = slice(start, start + CHUNK_TARGETS)
-            x[chunk] = _target_blocks(rows, slots, imps[chunk], [key[0] for key in refs[chunk]],
-                                      [ranks[key[:2]] for key in refs[chunk]])
-        out[role] = _table(refs, imps, x)
+            x[chunk] = _target_blocks(rows, slots, columns, at[chunk], terms[chunk],
+                                      users[chunk], target_ranks[chunk])
+        out[role] = _table(refs, columns, at, x)
     return out
 
 
@@ -415,15 +426,20 @@ def write_features(table: FeatureTable, path: str | Path) -> None:
     """Write a feature file: ten rows per target, values in `repr` digits, gains as integers.
 
     Lines end in CRLF, as `csv.writer` ends them; an unlabeled table leaves every gain empty.
+    Each distinct value is formatted once; values are told apart by their bits, which keeps
+    -0.0 apart from 0.0.
     """
     gains = (table.gains.astype(np.int64).tolist() if table.gains is not None
              else [[""] * table.doc_ids.shape[1]] * table.n_targets)
+    bits, codes = np.unique(table.x.view(np.int64), return_inverse=True)
+    digits = list(map(repr, bits.view(np.float64).tolist()))
+    codes = codes.reshape(table.x.shape)  # the inverse's shape differs across numpy versions
     with open(path, "w", newline="") as fh:
         fh.write(",".join(HEADER) + "\r\n")
-        for ids, docs, x, target_gains in zip(_id_columns(table), table.doc_ids.tolist(),
-                                              table.x, gains):
-            fh.write("".join(f"{ids}{doc},{','.join(map(repr, values))},{gain}\r\n"
-                             for doc, values, gain in zip(docs, x.tolist(), target_gains)))
+        for ids, docs, target_codes, target_gains in zip(_id_columns(table), table.doc_ids.tolist(),
+                                                         codes, gains):
+            fh.write("".join(f"{ids}{doc},{','.join(map(digits.__getitem__, row))},{gain}\r\n"
+                             for doc, row, gain in zip(docs, target_codes.tolist(), target_gains)))
 
 
 def _id_columns(table: FeatureTable) -> list[str]:

@@ -13,9 +13,12 @@ a session is always treated as satisfied.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from itertools import chain
 from typing import Iterable
+
+import numpy as np
 
 SERP_SIZE = 10
 
@@ -62,6 +65,12 @@ class Grade(Enum):
 
 _GAIN = {Grade.NO_CLICK: 0, Grade.R0: 0, Grade.R1: 1, Grade.R2: 2}
 
+# A grade's code in the session columns is its position in Grade; -1 marks an
+# unlabeled impression. Indexed by code, these read gain 0 and not clicked at -1.
+GRADES = tuple(Grade)
+CODE_GAINS = np.array([g.gain for g in GRADES] + [0], dtype=np.int8)
+CODE_CLICKED = np.array([g.clicked for g in GRADES] + [False])
+
 
 @dataclass(frozen=True)
 class SessionMeta:
@@ -106,11 +115,6 @@ class Impression:
     clicks: list[tuple[int, int]] = field(default_factory=list)  # (url_id, time)
     labels: list[Grade] | None = None
 
-    def gains(self) -> list[int]:
-        if self.labels is None:
-            raise DataError(f"impression serp={self.serp_id} has no labels")
-        return [g.gain for g in self.labels]
-
 
 @dataclass
 class Session:
@@ -118,6 +122,112 @@ class Session:
     user_id: int
     day: int
     impressions: list[Impression] = field(default_factory=list)
+
+
+def _split(values: list, counts: np.ndarray) -> list[list]:
+    """`values` cut into consecutive runs of `counts` items."""
+    ends = np.cumsum(counts).tolist()
+    return [values[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+
+@dataclass(eq=False)
+class SessionColumns:
+    """A session list as integer arrays, the body of the session cache.
+
+    Sessions keep their list order and impressions follow session by
+    session in list order. A count column gives each row's share of the
+    flat arrays: `n_impressions` of the impression rows, `n_terms` of
+    `terms`, `n_clicks` of the clicks. `grades` holds grade codes (see
+    `GRADES`), -1 across an unlabeled impression.
+    """
+
+    session_id: np.ndarray     # (S,)
+    user_id: np.ndarray        # (S,)
+    day: np.ndarray            # (S,)
+    n_impressions: np.ndarray  # (S,)
+    serp_id: np.ndarray        # (I,)
+    query_id: np.ndarray       # (I,)
+    time_passed: np.ndarray    # (I,)
+    is_test: np.ndarray        # (I,) bool
+    n_terms: np.ndarray        # (I,)
+    n_clicks: np.ndarray       # (I,)
+    documents: np.ndarray      # (I, 10)
+    domains: np.ndarray        # (I, 10)
+    grades: np.ndarray         # (I, 10) int8
+    terms: np.ndarray          # (sum of n_terms,)
+    click_url: np.ndarray      # (sum of n_clicks,)
+    click_time: np.ndarray     # (sum of n_clicks,)
+
+    @classmethod
+    def of(cls, sessions: list[Session]) -> "SessionColumns":
+        imps = [imp for s in sessions for imp in s.impressions]
+        if any(len(imp.documents) != SERP_SIZE or len(imp.domains) != SERP_SIZE
+               or (imp.labels is not None and len(imp.labels) != SERP_SIZE) for imp in imps):
+            raise ValueError(f"an impression lists other than {SERP_SIZE} results or labels")
+
+        def ints(values, count=-1):
+            return np.fromiter(values, np.int64, count)
+
+        def flat(per_imp, count):
+            return ints(chain.from_iterable(map(per_imp, imps)), count)
+
+        n_terms = ints((len(imp.terms) for imp in imps), len(imps))
+        n_clicks = ints((len(imp.clicks) for imp in imps), len(imps))
+        n_slots, n_clicked = len(imps) * SERP_SIZE, int(n_clicks.sum())
+        # Grades are singletons, so each is known by its id (hashing an Enum is slow).
+        unlabeled = (None,) * SERP_SIZE
+        label_ids = flat(lambda imp: map(id, imp.labels or unlabeled), n_slots)
+        grades = np.full(n_slots, -1, dtype=np.int8)
+        for code, grade in enumerate(GRADES):
+            grades[label_ids == id(grade)] = code
+        return cls(
+            session_id=ints((s.session_id for s in sessions), len(sessions)),
+            user_id=ints((s.user_id for s in sessions), len(sessions)),
+            day=ints((s.day for s in sessions), len(sessions)),
+            n_impressions=ints((len(s.impressions) for s in sessions), len(sessions)),
+            serp_id=ints((imp.serp_id for imp in imps), len(imps)),
+            query_id=ints((imp.query_id for imp in imps), len(imps)),
+            time_passed=ints((imp.time_passed for imp in imps), len(imps)),
+            is_test=np.fromiter((imp.is_test for imp in imps), bool, len(imps)),
+            n_terms=n_terms,
+            n_clicks=n_clicks,
+            documents=flat(lambda imp: imp.documents, n_slots).reshape(-1, SERP_SIZE),
+            domains=flat(lambda imp: imp.domains, n_slots).reshape(-1, SERP_SIZE),
+            grades=grades.reshape(-1, SERP_SIZE),
+            terms=flat(lambda imp: imp.terms, int(n_terms.sum())),
+            click_url=flat(lambda imp: (url for url, _ in imp.clicks), n_clicked),
+            click_time=flat(lambda imp: (t for _, t in imp.clicks), n_clicked),
+        )
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def sessions(self) -> list[Session]:
+        clicks = _split(list(zip(self.click_url.tolist(), self.click_time.tolist())),
+                        self.n_clicks)
+        imps = [
+            Impression(serp, query, tuple(terms), tuple(docs), tuple(doms), time, test,
+                       imp_clicks, [GRADES[c] for c in codes] if codes[0] >= 0 else None)
+            for serp, query, terms, docs, doms, time, test, imp_clicks, codes in zip(
+                self.serp_id.tolist(), self.query_id.tolist(),
+                _split(self.terms.tolist(), self.n_terms), self.documents.tolist(),
+                self.domains.tolist(), self.time_passed.tolist(), self.is_test.tolist(),
+                clicks, self.grades.tolist())
+        ]
+        return [Session(sid, user, day, session_imps) for sid, user, day, session_imps in zip(
+            self.session_id.tolist(), self.user_id.tolist(), self.day.tolist(),
+            _split(imps, self.n_impressions))]
+
+    def impression_sessions(self) -> np.ndarray:
+        """The session row of each impression row."""
+        return np.repeat(np.arange(len(self.session_id)), self.n_impressions)
+
+    def term_tuples(self, rows: np.ndarray) -> list[tuple[int, ...]]:
+        """The query terms of impression rows `rows`."""
+        n = self.n_terms[rows]
+        starts = np.cumsum(self.n_terms)[rows] - n
+        at = np.arange(n.sum()) + np.repeat(starts - np.cumsum(n) + n, n)
+        return list(map(tuple, _split(self.terms[at].tolist(), n)))
 
 
 def _int_field(value: str, line_no: int, name: str) -> int:
@@ -307,8 +417,11 @@ def label_impression(imp: Impression, session: Session) -> list[Grade]:
     A document clicked several times is graded by its longest dwell. The
     document that received the session's last click is graded R2 outright.
     """
-    times = _session_action_times(session)
-    last = _last_click(session)
+    return _labels(imp, _session_action_times(session), _last_click(session))
+
+
+def _labels(imp: Impression, times: list[int], last: tuple[int, int] | None) -> list[Grade]:
+    """`label_impression` given its session's sorted action times and last click."""
 
     def dwell_of(t: int) -> int | None:
         idx = bisect.bisect_right(times, t)
@@ -346,8 +459,9 @@ def label_impression(imp: Impression, session: Session) -> list[Grade]:
 def label_sessions(sessions: Iterable[Session]) -> None:
     """Attach labels to every impression, in place."""
     for session in sessions:
+        times, last = _session_action_times(session), _last_click(session)
         for imp in session.impressions:
-            imp.labels = label_impression(imp, session)
+            imp.labels = _labels(imp, times, last)
 
 
 @dataclass

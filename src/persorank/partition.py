@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .logs import DataError, Impression, Session
+import numpy as np
+
+from .logs import CODE_GAINS, DataError, Session, SessionColumns
 
 ROLES = ("train", "validation", "test")
 
@@ -51,6 +53,12 @@ class PartitionReport:
     users_without_test: int = 0
 
 
+def _jitter(seed: int, user_id: int, n: int) -> list[float]:
+    """Tie-break draws for a user's n sessions, one each in ascending session_id order."""
+    rng = random.Random(f"{seed}:order:{user_id}")
+    return [rng.random() for _ in range(n)]
+
+
 def order_sessions(sessions: Iterable[Session], seed: int) -> dict[int, list[Session]]:
     """Group sessions by user, sorted by day with seeded tie-breaking.
 
@@ -63,9 +71,9 @@ def order_sessions(sessions: Iterable[Session], seed: int) -> dict[int, list[Ses
         by_user.setdefault(session.user_id, []).append(session)
     ordered = {}
     for user_id in sorted(by_user):
-        rng = random.Random(f"{seed}:order:{user_id}")
         user_sessions = sorted(by_user[user_id], key=lambda s: s.session_id)
-        jitter = {s.session_id: rng.random() for s in user_sessions}
+        jitter = dict(zip([s.session_id for s in user_sessions],
+                          _jitter(seed, user_id, len(user_sessions))))
         user_sessions.sort(key=lambda s: (s.day, jitter[s.session_id], s.session_id))
         ordered[user_id] = user_sessions
     return ordered
@@ -80,92 +88,95 @@ def session_ranks(ordered: dict[int, list[Session]]) -> dict[tuple[int, int], in
     return ranks
 
 
-def _has_relevant(imp: Impression) -> bool:
-    if imp.labels is None:
-        raise DataError(
-            f"impression serp={imp.serp_id} is unlabeled; label sessions first"
-        )
-    return any(g.gain > 0 for g in imp.labels)
+def rank_sessions(columns: SessionColumns, seed: int) -> np.ndarray:
+    """Each session's position in its user's `order_sessions` order.
+
+    The same draws as `order_sessions`; session ids are unique, as
+    `sessionize` makes them.
+    """
+    users = columns.user_id
+    by_id = np.lexsort((columns.session_id, users))
+    user_ids, counts = np.unique(users, return_counts=True)
+    jitter = np.empty(len(users))
+    jitter[by_id] = [draw for user_id, n in zip(user_ids.tolist(), counts.tolist())
+                     for draw in _jitter(seed, user_id, n)]
+    order = np.lexsort((columns.session_id, jitter, columns.day, users))
+    ranks = np.empty(len(users), dtype=np.int64)
+    ranks[order] = np.arange(len(users)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return ranks
 
 
-def _find_test_impression(
-    user_sessions: list[Session], train_days: int
-) -> tuple[Session, Impression] | None:
-    flagged = [
-        (s, imp)
-        for s in user_sessions
-        for imp in s.impressions
-        if imp.is_test
-    ]
-    if flagged:
-        return flagged[-1]
-    # Synthetic fallback: the last impression of the last session, provided
-    # that session falls in the test period.
-    if user_sessions:
-        last = user_sessions[-1]
-        if last.day > train_days and last.impressions:
-            return last, last.impressions[-1]
-    return None
+def _first_last(user: np.ndarray, mask: np.ndarray, n_users: int):
+    """Per user code, the first and the last position where `mask` holds, -1 if none.
+
+    `user` holds each position's user code, in ascending order.
+    """
+    at = np.flatnonzero(mask)
+    codes = np.arange(n_users)
+    lo, hi = np.searchsorted(user[at], codes, "left"), np.searchsorted(user[at], codes, "right")
+    at = np.append(at, -1)
+    return np.where(hi > lo, at[lo], -1), np.where(hi > lo, at[hi - 1], -1)
 
 
 def select_targets(
-    sessions: Iterable[Session],
+    columns: SessionColumns,
     train_days: int = 27,
     seed: int = 0,
 ) -> tuple[TargetSet, PartitionReport]:
     """Pick per-user train/validation/test target impressions.
 
     Users lacking a qualifying impression for a role are simply absent from
-    that role's list; the report counts them.
+    that role's list; the report counts them. An unlabeled impression that
+    the training or validation search has to judge raises DataError.
     """
-    ordered = order_sessions(sessions, seed)
-    targets = TargetSet()
-    report = PartitionReport(n_users=len(ordered))
+    ranks = rank_sessions(columns, seed)
+    user_ids, user_of, n_sessions = np.unique(columns.user_id, return_inverse=True,
+                                              return_counts=True)
+    n_users = len(user_ids)
+    # Every impression on its user's timeline: by user, session rank, list order.
+    session = columns.impression_sessions()
+    timeline = np.lexsort((ranks[session], columns.user_id[session]))
+    s, position = session[timeline], np.arange(len(timeline))
+    u, day, time = user_of[s], columns.day[s], columns.time_passed[timeline]
+    grades = columns.grades[timeline]
+    relevant = (CODE_GAINS[grades] > 0).any(axis=1)
 
-    for user_id, user_sessions in ordered.items():
-        if not any(s.impressions for s in user_sessions):
-            report.users_without_sessions += 1
-            report.users_without_train += 1
-            report.users_without_validation += 1
-            report.users_without_test += 1
-            continue
+    # Training: the last relevant training-period impression, judged from the end.
+    training = day <= train_days
+    _, train = _first_last(u, training & relevant, n_users)
+    judged = training & (position > train[u])
 
-        train_target = None
-        for session in reversed(user_sessions):
-            if session.day > train_days:
-                continue
-            for imp in reversed(session.impressions):
-                if _has_relevant(imp):
-                    train_target = TargetRef(user_id, session.session_id, imp.serp_id)
-                    break
-            if train_target is not None:
-                break
-        if train_target is not None:
-            targets.train.append(train_target)
-        else:
-            report.users_without_train += 1
+    # Test: the last flagged impression, or else the last impression of the
+    # user's last session when that session falls in the test period.
+    _, test = _first_last(u, columns.is_test[timeline], n_users)
+    last_session = np.lexsort((ranks, columns.user_id))[np.cumsum(n_sessions) - 1]
+    first, last = _first_last(u, np.ones(len(u), dtype=bool), n_users)
+    s_at = np.append(s, -1)  # position -1 reads session -1
+    fallback = (s_at[last] == last_session) & (columns.day[last_session] > train_days)
+    test = np.where(test >= 0, test, np.where(fallback, last, -1))
 
-        found = _find_test_impression(user_sessions, train_days)
-        if found is None:
-            report.users_without_test += 1
-            report.users_without_validation += 1
-            continue
-        test_session, test_imp = found
-        targets.test.append(TargetRef(user_id, test_session.session_id, test_imp.serp_id))
+    # Validation: the last relevant impression of the test session logged
+    # before the first one at or after the test target's time.
+    in_session = s == s_at[test][u]
+    late = in_session & (time >= np.append(time, 0)[test][u])
+    earlier = in_session & (position < _first_last(u, late, n_users)[0][u])
+    _, validation = _first_last(u, earlier & relevant, n_users)
+    judged |= earlier
 
-        validation_target = None
-        for imp in test_session.impressions:
-            if imp.time_passed >= test_imp.time_passed:
-                break
-            if _has_relevant(imp):
-                validation_target = TargetRef(
-                    user_id, test_session.session_id, imp.serp_id
-                )
-        if validation_target is not None:
-            targets.validation.append(validation_target)
-        else:
-            report.users_without_validation += 1
+    unlabeled = judged & (grades[:, 0] < 0)
+    if unlabeled.any():
+        serp = columns.serp_id[timeline[np.argmax(unlabeled)]]
+        raise DataError(f"impression serp={serp} is unlabeled; label sessions first")
 
+    def refs(found: np.ndarray) -> list[TargetRef]:
+        at = timeline[found[found >= 0]]
+        return [TargetRef(*key) for key in zip(
+            user_ids[found >= 0].tolist(), columns.session_id[session[at]].tolist(),
+            columns.serp_id[at].tolist())]
+
+    targets = TargetSet(refs(train), refs(validation), refs(test))
+    report = PartitionReport(n_users, *(int((found < 0).sum()) for found in (
+        first, train, validation, test)))
     return targets, report
 
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from persorank.logs import label_sessions
+from persorank.logs import SessionColumns, label_sessions
 from persorank.partition import select_targets
 from persorank.synth import GenConfig, generate_sessions
 
@@ -14,6 +14,7 @@ class Corpus:
     def __init__(self, cfg, sessions, stats, targets, report, seed):
         self.cfg = cfg
         self.sessions = sessions
+        self.columns = SessionColumns.of(sessions)
         self.stats = stats
         self.targets = targets
         self.report = report
@@ -25,7 +26,7 @@ def make_corpus(gen_cfg: GenConfig, partition_seed: int = 5) -> Corpus:
     sessions, stats = generate_sessions(gen_cfg)
     label_sessions(sessions)
     targets, report = select_targets(
-        sessions, train_days=gen_cfg.train_days, seed=partition_seed
+        SessionColumns.of(sessions), train_days=gen_cfg.train_days, seed=partition_seed
     )
     return Corpus(gen_cfg, sessions, stats, targets, report, partition_seed)
 

@@ -181,6 +181,36 @@ def oracle_extract(scan: OracleScan, train_days, user_id, session_id, serp_id):
     return vectors
 
 
+def oracle_targets(sessions, train_days, seed):
+    """user_id -> (train, validation, test) (session_id, serp_id) keys, None where absent.
+
+    Read straight from the partition rules over each user's ordered sessions.
+    """
+    def relevant(imp):
+        return any(g.gain > 0 for g in imp.labels)
+
+    out = {}
+    for user_id, user_sessions in order_sessions(sessions, seed).items():
+        timeline = [(s, imp) for s in user_sessions for imp in s.impressions]
+        train = [(s, imp) for s, imp in timeline if s.day <= train_days and relevant(imp)]
+        test = ([(s, imp) for s, imp in timeline if imp.is_test] or [None])[-1]
+        last = user_sessions[-1]
+        if test is None and last.day > train_days and last.impressions:
+            test = (last, last.impressions[-1])
+        validation = None
+        if test is not None:
+            before = []
+            for imp in test[0].impressions:
+                if imp.time_passed >= test[1].time_passed:
+                    break
+                before.append(imp)
+            qualified = [imp for imp in before if relevant(imp)]
+            validation = (test[0], qualified[-1]) if qualified else None
+        out[user_id] = tuple(None if found is None else (found[0].session_id, found[1].serp_id)
+                             for found in (train[-1] if train else None, validation, test))
+    return out
+
+
 def finite_difference_grads(loss_fn, params, step=1e-5):
     """Central finite differences of a scalar loss over NetParams arrays."""
     import numpy as np

@@ -20,7 +20,7 @@ from persorank.cli import main as cli_main
 from persorank.contexts import Context, ItemKind
 from persorank.evaluate import kendall_tau, mean_ndcg, ndcg_at, rank_by_score
 from persorank.features import N_FEATURES, context_features
-from persorank.logs import Grade, label_impression, label_sessions
+from persorank.logs import Grade, SessionColumns, label_impression, label_sessions
 from persorank.partition import select_targets, write_targets
 from persorank.ranker import (
     ModelKind,
@@ -88,11 +88,12 @@ def desk(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("desk")
     sessions, _ = generate_sessions(DESK_GEN)
     label_sessions(sessions)
+    columns = SessionColumns.of(sessions)
     targets, _ = select_targets(
-        sessions, train_days=DESK_GEN.train_days, seed=DESK_PARTITION_SEED
+        columns, train_days=DESK_GEN.train_days, seed=DESK_PARTITION_SEED
     )
     extracted = features.extract_targets(
-        sessions, targets, train_days=DESK_GEN.train_days, seed=DESK_PARTITION_SEED
+        columns, targets, train_days=DESK_GEN.train_days, seed=DESK_PARTITION_SEED
     )
     tables = {}
     for role in ("train", "validation"):
@@ -143,11 +144,12 @@ def test_criterion_2_feature_oracle_equivalence():
         n_impressions = sum(len(s.impressions) for s in sessions)
         assert stats.unique_users >= 1000
         assert n_impressions >= 50_000
-        targets, _ = select_targets(sessions, train_days=cfg.train_days, seed=5)
+        columns = SessionColumns.of(sessions)
+        targets, _ = select_targets(columns, train_days=cfg.train_days, seed=5)
 
         start = time.perf_counter()
         extracted = features.extract_targets(
-            sessions, targets, train_days=cfg.train_days, seed=5
+            columns, targets, train_days=cfg.train_days, seed=5
         )
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, f"full extraction took {elapsed:.1f}s"
@@ -241,7 +243,7 @@ def test_criterion_4_partitioner(desk, tmp_path):
             assert v_imp.time_passed < t_imp.time_passed
 
         again, _ = select_targets(
-            sessions, train_days=DESK_GEN.train_days, seed=DESK_PARTITION_SEED
+            SessionColumns.of(sessions), train_days=DESK_GEN.train_days, seed=DESK_PARTITION_SEED
         )
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_targets(targets, a)

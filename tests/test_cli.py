@@ -497,6 +497,66 @@ def corrupt_field(src: Path, dst: Path, column: str, value: str | None) -> Path:
     return dst
 
 
+def cache_arrays(path: Path) -> dict:
+    return cache_mod.load_columns(path).arrays()
+
+
+def write_cache(path: Path, arrays: dict) -> Path:
+    with open(path, "wb") as fh:
+        fh.write(cache_mod.SESSIONS_MAGIC)
+        np.savez(fh, **arrays)
+    return path
+
+
+def with_array(name, value):
+    """A cache edit setting array `name` to value(old array); None drops it."""
+    def edit(arrays):
+        if value is None:
+            del arrays[name]
+        else:
+            arrays[name] = value(arrays[name].copy())
+        return arrays
+    return edit
+
+
+def first_raised(counts):
+    counts[0] += 1
+    return counts
+
+
+def first_negative(counts):
+    """The first count -1, the second raised to keep the total."""
+    counts[1] += counts[0] + 1
+    counts[0] = -1
+    return counts
+
+
+def first_set(value):
+    def edit(array):
+        array.flat[0] = value
+        return array
+    return edit
+
+
+CACHE_EDITS = {
+    "object_array": with_array("terms", lambda a: a.astype(object)),
+    "missing_array": with_array("click_time", None),
+    "wrong_dtype": with_array("day", lambda a: a.astype(np.int32)),
+    "documents_not_10_wide": with_array("documents", lambda a: a[:, :9]),
+    "impressions_miscounted": with_array("n_impressions", first_raised),
+    "negative_count": with_array("n_impressions", first_negative),
+    "grade_code_4": with_array("grades", first_set(4)),
+    "grade_code_minus_2": with_array("grades", first_set(-2)),
+}
+CACHE_COMMANDS = {
+    "partition": lambda cache, w: ["partition", "--cache", cache, "--out", f"{w}/t.csv"],
+    "extract": lambda cache, w: ["extract", "--cache", cache, "--targets", f"{w}/targets.csv",
+                                 "--out-dir", w],
+    "stats": lambda cache, w: ["stats", "--cache", cache, "--out", f"{w}/stats.csv"],
+    "index": lambda cache, w: ["index", "--cache", cache, "--lookup", "1"],
+}
+
+
 class TestMalformedInputs:
     def score(self, w, features):
         return run("score", "--model", str(w / "model.json"), "--features", str(features),
@@ -553,6 +613,32 @@ class TestMalformedInputs:
         cut = tmp_path / "s.cache"
         cut.write_bytes((scored_run / "s.cache").read_bytes()[:200])
         assert run("partition", "--cache", str(cut), "--out", str(tmp_path / "t.csv")) == 2
+
+    @pytest.mark.parametrize("command", sorted(CACHE_COMMANDS))
+    @pytest.mark.parametrize("case", ["version_1_pickle", "cut_at_200_bytes", *CACHE_EDITS])
+    def test_malformed_session_cache_is_data_error(self, scored_run, tmp_path, capsys,
+                                                    command, case):
+        good = scored_run / "s.cache"
+        bad = tmp_path / "s.cache"
+        if case == "version_1_pickle":
+            bad.write_bytes(b"PRNK.SESSIONS.1\n" + pickle.dumps(cache_mod.load_sessions(good)))
+        elif case == "cut_at_200_bytes":
+            bad.write_bytes(good.read_bytes()[:200])
+        else:
+            write_cache(bad, CACHE_EDITS[case](cache_arrays(good)))
+        (tmp_path / "targets.csv").write_bytes((scored_run / "t.csv").read_bytes())
+        capsys.readouterr()
+        assert run(*CACHE_COMMANDS[command](str(bad), str(tmp_path))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(bad) in err
+
+    def test_rewritten_cache_arrays_load(self, scored_run, tmp_path):
+        # The probes above start from a cache that write_cache reproduces faithfully.
+        copy = write_cache(tmp_path / "s.cache", cache_arrays(scored_run / "s.cache"))
+        (tmp_path / "targets.csv").write_bytes((scored_run / "t.csv").read_bytes())
+        assert cache_mod.load_sessions(copy) == cache_mod.load_sessions(scored_run / "s.cache")
+        for command in CACHE_COMMANDS.values():
+            assert run(*command(str(copy), str(tmp_path))) == 0
 
     def test_truncated_model_is_data_error(self, scored_run, tmp_path):
         cut = tmp_path / "model.json"

@@ -187,7 +187,7 @@ class TestReRankShape:
         from persorank.ranker import ModelKind, RankModel, score_table
 
         extracted = features.extract_targets(
-            small_corpus.sessions,
+            small_corpus.columns,
             small_corpus.targets,
             train_days=small_corpus.train_days,
             seed=small_corpus.partition_seed,
@@ -210,7 +210,7 @@ class TestScoreFiles:
         from persorank.ranker import ModelKind, RankModel, score_table
 
         extracted = features.extract_targets(
-            small_corpus.sessions,
+            small_corpus.columns,
             small_corpus.targets,
             train_days=small_corpus.train_days,
             seed=small_corpus.partition_seed,

@@ -24,7 +24,7 @@ from persorank.features import (
     similarity,
     write_features,
 )
-from persorank.logs import DataError, Grade, Impression, Session
+from persorank.logs import DataError, Grade, Impression, Session, SessionColumns
 from persorank.partition import TargetRef, TargetSet
 
 from oracles import OracleEntry, oracle_block, oracle_sim
@@ -274,7 +274,7 @@ class TestExtract:
 
     def test_vector_length_everywhere(self, small_corpus):
         extracted = extract_targets(
-            small_corpus.sessions,
+            small_corpus.columns,
             small_corpus.targets,
             train_days=small_corpus.train_days,
             seed=small_corpus.partition_seed,
@@ -286,7 +286,7 @@ class TestExtract:
 
     def test_csv_round_trip(self, small_corpus, tmp_path):
         extracted = extract_targets(
-            small_corpus.sessions,
+            small_corpus.columns,
             small_corpus.targets,
             train_days=small_corpus.train_days,
             seed=small_corpus.partition_seed,
@@ -304,7 +304,7 @@ class TestExtract:
 
     def test_written_table_reads_back_field_by_field(self, small_corpus, tmp_path):
         extracted = extract_targets(
-            small_corpus.sessions,
+            small_corpus.columns,
             small_corpus.targets,
             train_days=small_corpus.train_days,
             seed=small_corpus.partition_seed,
@@ -327,8 +327,8 @@ class TestExtract:
             for s in small_corpus.sessions
         ]
         kwargs = dict(train_days=small_corpus.train_days, seed=small_corpus.partition_seed)
-        labeled = extract_targets(small_corpus.sessions, small_corpus.targets, **kwargs)["test"]
-        table = extract_targets(sessions, small_corpus.targets, **kwargs)["test"]
+        labeled = extract_targets(small_corpus.columns, small_corpus.targets, **kwargs)["test"]
+        table = extract_targets(SessionColumns.of(sessions), small_corpus.targets, **kwargs)["test"]
         assert table.gains is None and table.n_targets > 1
         assert_same_table(table, dataclasses.replace(labeled, gains=None))
         path = tmp_path / "features.csv"
@@ -342,8 +342,8 @@ class TestExtract:
         kwargs = dict(
             train_days=small_corpus.train_days, seed=small_corpus.partition_seed
         )
-        a = extract_targets(small_corpus.sessions, small_corpus.targets, **kwargs)
-        b = extract_targets(small_corpus.sessions, small_corpus.targets, **kwargs)
+        a = extract_targets(small_corpus.columns, small_corpus.targets, **kwargs)
+        b = extract_targets(small_corpus.columns, small_corpus.targets, **kwargs)
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
         write_features(a["validation"], pa)
         write_features(b["validation"], pb)
@@ -370,8 +370,8 @@ class TestExtract:
             for s in small_corpus.sessions
         ]
         kwargs = dict(train_days=small_corpus.train_days, seed=small_corpus.partition_seed)
-        before = extract_targets(small_corpus.sessions, small_corpus.targets, **kwargs)
-        after = extract_targets(sessions, small_corpus.targets, **kwargs)
+        before = extract_targets(small_corpus.columns, small_corpus.targets, **kwargs)
+        after = extract_targets(SessionColumns.of(sessions), small_corpus.targets, **kwargs)
         for role, b in before.items():
             a = after[role]
             assert a.n_targets == b.n_targets > 0
@@ -388,6 +388,52 @@ def set_field(col, value):
         fields[col] = value
         return fields
     return edit
+
+
+class TestWriteFeatures:
+    # Signed zeros, subnormals, extremes, and values whose repr needs 17 digits.
+    SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300,
+               1.7976931348623157e308, 1 / 3, 0.1, 1.0, 2.0, -7.5]
+
+    def random_table(self, rng, n_targets, labeled):
+        x = np.where(rng.random((n_targets, 10, N_FEATURES)) < 0.5,
+                     rng.choice(self.SPECIAL, (n_targets, 10, N_FEATURES)),
+                     rng.normal(size=(n_targets, 10, N_FEATURES))
+                     * 10.0 ** rng.integers(-320, 300, (n_targets, 10, N_FEATURES)))
+        ids = rng.integers(-2**62, 2**62, (4, n_targets))
+        return FeatureTable(*ids, doc_ids=rng.integers(-2**62, 2**62, (n_targets, 10)), x=x,
+                            base_ranks=x[..., -1].copy(),
+                            gains=rng.integers(0, 3, (n_targets, 10)) * 1.0 if labeled else None)
+
+    @staticmethod
+    def expected_bytes(table):
+        """The file, formatted one value at a time with `repr`."""
+        lines = [",".join(HEADER)]
+        for t in range(table.n_targets):
+            ids = [table.user_ids[t], table.query_ids[t], table.session_ids[t], table.serp_ids[t]]
+            for j in range(10):
+                gain = "" if table.gains is None else str(int(table.gains[t, j]))
+                values = [repr(float(v)) for v in table.x[t, j]]
+                lines.append(",".join([*map(str, ids), str(table.doc_ids[t, j]), *values, gain]))
+        return "".join(line + "\r\n" for line in lines).encode()
+
+    @pytest.mark.parametrize("n_targets,labeled", [(0, True), (1, False), (7, True)])
+    def test_each_value_is_written_as_its_repr(self, tmp_path, n_targets, labeled):
+        table = self.random_table(np.random.default_rng(n_targets), n_targets, labeled)
+        path = tmp_path / "features.csv"
+        write_features(table, path)
+        assert path.read_bytes() == self.expected_bytes(table)
+        # A table read back holds x as a strided view of the file's columns.
+        again = tmp_path / "again.csv"
+        write_features(read_features(path), again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_signed_zeros_stay_apart(self, tmp_path):
+        table = self.random_table(np.random.default_rng(0), 1, True)
+        table.x[0, 0, :4] = [0.0, -0.0, 0.0, -0.0]
+        path = tmp_path / "features.csv"
+        write_features(table, path)
+        assert b",0.0,-0.0,0.0,-0.0," in path.read_bytes()
 
 
 class TestReadFeatures:
@@ -463,7 +509,8 @@ def check_hand_built(sessions, user_id, imp):
     """
     sessions = sessions + [Session(TARGET_SESSION, user_id, 28, [imp])]
     ref = TargetRef(user_id, TARGET_SESSION, imp.serp_id)
-    got = extract_targets(sessions, TargetSet(test=[ref]), train_days=27, seed=0)["test"]
+    got = extract_targets(SessionColumns.of(sessions), TargetSet(test=[ref]), train_days=27,
+                          seed=0)["test"]
     assert_same_table(got, scalar_table(sessions, [ref], 27, 0))
     return got.x[0]
 
@@ -489,7 +536,7 @@ def serp(serp_id, docs, domains, clicks=None, terms=(1, 2), query=5, time=0):
 class TestColumnar:
     def test_matches_scalar_on_every_small_corpus_target(self, small_corpus):
         kwargs = dict(train_days=small_corpus.train_days, seed=small_corpus.partition_seed)
-        extracted = extract_targets(small_corpus.sessions, small_corpus.targets, **kwargs)
+        extracted = extract_targets(small_corpus.columns, small_corpus.targets, **kwargs)
         checked = 0
         for role in ("train", "validation", "test"):
             refs = sorted(small_corpus.targets.by_role(role))
@@ -501,7 +548,7 @@ class TestColumnar:
     def test_chunk_size_does_not_change_features(self, small_corpus, monkeypatch):
         def extract():
             return extract_targets(
-                small_corpus.sessions,
+                small_corpus.columns,
                 small_corpus.targets,
                 train_days=small_corpus.train_days,
                 seed=small_corpus.partition_seed,
@@ -579,6 +626,15 @@ class TestColumnar:
         # Document 0 counts at rank 4 only: the R2 click at rank 1 adds no gain,
         # and each of the two rows adds 1/4 to its shown discount.
         assert block(values, 5)[0, [0, 14]].tolist() == [1.0, 0.5]
+
+    def test_session_listing_impressions_out_of_time_order(self):
+        # Rows add up in index order, by time within a session, not in list order.
+        docs = list(range(10))
+        latest_first = [serp(k, docs, docs, {1: Grade.R1}, terms=range(1, 4 - k), time=80 - 40 * k)
+                        for k in range(3)]
+        values = check_hand_built([Session(1, 2, 1, latest_first)], 1,
+                                  serp(9, docs, docs, terms=range(1, 11)))
+        assert block(values, 5)[0, 4] == (0.1 + 0.2 + 0.3) / 3 != (0.3 + 0.2 + 0.1) / 3
 
     def test_query_with_more_codes_than_int16_holds(self):
         n = 1700  # 1700 rows x 20 distinct documents and domains > 32767 items

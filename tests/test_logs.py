@@ -1,7 +1,12 @@
+import tempfile
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from persorank.cache import load_columns, load_sessions, save_sessions
 from persorank.logs import (
     ClickAction,
     DataError,
@@ -10,6 +15,7 @@ from persorank.logs import (
     LogParseError,
     QueryAction,
     Session,
+    SessionColumns,
     SessionMeta,
     StructuralError,
     format_record,
@@ -227,6 +233,7 @@ def readme_grades(session):
 def test_labels_follow_the_readme_rule_across_dwell_boundaries(session):
     label_sessions([session])
     assert [imp.labels for imp in session.impressions] == readme_grades(session)
+    assert [label_impression(imp, session) for imp in session.impressions] == readme_grades(session)
 
 
 class TestLabeling:
@@ -338,3 +345,75 @@ class TestLabeling:
         records = parse_log(lines)
         again = parse_log(format_record(r) for r in records)
         assert again == records
+
+
+# Ids span the int64 range the cache stores; small ones make repeats likely.
+IDS = st.one_of(st.integers(0, 3), st.integers(-2**62, 2**62))
+
+
+@st.composite
+def cached_impressions(draw):
+    documents = tuple(draw(st.lists(IDS, min_size=10, max_size=10)))
+    clicks = draw(st.lists(st.tuples(st.sampled_from(documents), IDS), max_size=4))
+    return Impression(
+        serp_id=draw(IDS),
+        query_id=draw(IDS),
+        terms=tuple(draw(st.lists(IDS, max_size=4))),
+        documents=documents,
+        domains=tuple(draw(st.lists(IDS, min_size=10, max_size=10))),
+        time_passed=draw(IDS),
+        is_test=draw(st.booleans()),
+        clicks=clicks,
+        labels=draw(st.none() | st.lists(st.sampled_from(list(Grade)), min_size=10,
+                                         max_size=10)),
+    )
+
+
+cached_sessions = st.lists(st.builds(Session, IDS, IDS, IDS,
+                                     st.lists(cached_impressions(), max_size=4)), max_size=5)
+
+
+def saved_and_loaded(sessions):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.cache"
+        save_sessions(sessions, path)
+        return load_sessions(path)
+
+
+class TestSessionCache:
+    @given(cached_sessions)
+    @settings(max_examples=150)
+    def test_round_trip(self, sessions):
+        assert saved_and_loaded(sessions) == sessions
+
+    def test_round_trip_of_each_edge_case(self):
+        docs = (2**62, 7, 7, -(2**62), 0, 1, 2, 3, 4, 5)  # document 7 listed twice
+        imp = Impression(serp_id=2**62, query_id=-1, terms=(), documents=docs,
+                         domains=tuple(range(10)), time_passed=-(2**62), is_test=True,
+                         clicks=[(7, 5), (7, 9), (2**62, 9)])  # url 7 clicked twice
+        labeled = Impression(1, 2, (3, 3), tuple(range(10)), tuple(range(10)), 4,
+                             labels=[Grade.R2] + [Grade.NO_CLICK] * 9)
+        sessions = [Session(2**62, -(2**62), 30, [imp, labeled]), Session(1, 1, 1, []),
+                    Session(3, 1, 2, [labeled] * 4)]
+        assert imp.labels is None
+        assert saved_and_loaded(sessions) == sessions
+        assert saved_and_loaded([]) == []
+
+    def test_columns_of_the_generated_corpus(self, small_corpus, tmp_path):
+        path = tmp_path / "s.cache"
+        save_sessions(small_corpus.sessions, path)
+        with open(path, "rb") as fh:
+            assert fh.read(16) == b"PRNK.SESSIONS.2\n"
+        columns = load_columns(path)
+        for name, array in small_corpus.columns.arrays().items():
+            loaded = getattr(columns, name)
+            assert (loaded.dtype, loaded.shape) == (array.dtype, array.shape), name
+            assert np.array_equal(loaded, array), name
+        assert columns.documents.shape == (columns.serp_id.size, 10)
+        assert columns.sessions() == small_corpus.sessions
+
+    def test_impressions_must_list_ten_results(self):
+        imp = make_session([(0, 0, [])]).impressions[0]
+        short = Session(1, 1, 1, [Impression(0, 0, (), imp.documents[:9], imp.domains[:9], 0)])
+        with pytest.raises(ValueError):
+            SessionColumns.of([short])

@@ -1,15 +1,21 @@
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from persorank.logs import DataError, Grade, Impression, Session
+from persorank.logs import DataError, Grade, Impression, Session, SessionColumns
 from persorank.partition import (
+    ROLES,
     TargetRef,
     order_sessions,
+    rank_sessions,
     read_targets,
     select_targets,
     session_ranks,
     write_targets,
 )
+
+from oracles import oracle_targets
 
 
 def imp(serp, time, gains, is_test=False, query=5):
@@ -42,7 +48,7 @@ class TestSelection:
             sess(1, 7, day=5, imps=[imp(0, 0, ZERO), imp(1, 50, ZERO)]),
             sess(2, 7, day=29, imps=[imp(0, 0, ONE_REL, is_test=True)]),
         ]
-        targets, report = select_targets(sessions, train_days=27, seed=0)
+        targets, report = select_targets(SessionColumns.of(sessions), train_days=27, seed=0)
         assert targets.train == []
         assert report.users_without_train == 1
         assert targets.test == [TargetRef(7, 2, 0)]
@@ -52,7 +58,7 @@ class TestSelection:
             sess(1, 7, day=3, imps=[imp(0, 0, ONE_REL)]),
             sess(2, 7, day=28, imps=[imp(0, 0, ONE_REL, is_test=True)]),
         ]
-        targets, report = select_targets(sessions, train_days=27, seed=0)
+        targets, report = select_targets(SessionColumns.of(sessions), train_days=27, seed=0)
         assert targets.validation == []
         assert report.users_without_validation == 1
 
@@ -63,7 +69,7 @@ class TestSelection:
             sess(3, 7, day=27, imps=[imp(0, 0, ONE_REL), imp(1, 40, ZERO)]),
             sess(4, 7, day=29, imps=[imp(0, 0, ONE_REL, is_test=True)]),
         ]
-        targets, _ = select_targets(sessions, train_days=27, seed=0)
+        targets, _ = select_targets(SessionColumns.of(sessions), train_days=27, seed=0)
         # serp 1 on day 27 has no relevant document, so serp 0 qualifies last
         assert targets.train == [TargetRef(7, 3, 0)]
 
@@ -80,7 +86,7 @@ class TestSelection:
                 ],
             ),
         ]
-        targets, _ = select_targets(sessions, train_days=27, seed=0)
+        targets, _ = select_targets(SessionColumns.of(sessions), train_days=27, seed=0)
         assert targets.validation == [TargetRef(7, 2, 1)]
         assert targets.test == [TargetRef(7, 2, 3)]
 
@@ -89,12 +95,12 @@ class TestSelection:
             sess(1, 7, day=1, imps=[imp(0, 0, ONE_REL)]),
             sess(2, 7, day=30, imps=[imp(0, 0, ONE_REL), imp(1, 60, ZERO)]),
         ]
-        targets, _ = select_targets(sessions, train_days=27, seed=0)
+        targets, _ = select_targets(SessionColumns.of(sessions), train_days=27, seed=0)
         assert targets.test == [TargetRef(7, 2, 1)]
 
     def test_no_fallback_when_last_session_is_in_training_period(self):
         sessions = [sess(1, 7, day=10, imps=[imp(0, 0, ONE_REL)])]
-        targets, report = select_targets(sessions, train_days=27, seed=0)
+        targets, report = select_targets(SessionColumns.of(sessions), train_days=27, seed=0)
         assert targets.test == []
         assert report.users_without_test == 1
 
@@ -103,14 +109,14 @@ class TestSelection:
             sess(1, 7, day=28, imps=[imp(0, 0, ONE_REL)]),
             sess(2, 7, day=29, imps=[imp(0, 0, ONE_REL, is_test=True)]),
         ]
-        targets, _ = select_targets(sessions, train_days=27, seed=0)
+        targets, _ = select_targets(SessionColumns.of(sessions), train_days=27, seed=0)
         assert targets.train == []
 
     def test_unlabeled_sessions_rejected(self):
         bad = sess(1, 7, day=1, imps=[imp(0, 0, ONE_REL)])
         bad.impressions[0].labels = None
         with pytest.raises(DataError):
-            select_targets([bad], train_days=27, seed=0)
+            select_targets(SessionColumns.of([bad]), train_days=27, seed=0)
 
 
 class TestOrdering:
@@ -141,6 +147,53 @@ class TestOrdering:
         ordered = order_sessions(small_corpus.sessions, seed=5)
         ranks = session_ranks(ordered)
         assert len(ranks) == len(small_corpus.sessions)
+
+
+def order_positions(sessions, seed):
+    """Each session's position in its user's `order_sessions` list, in input order."""
+    ordered = order_sessions(sessions, seed)
+    position = {(user_id, s.session_id): k for user_id, user_sessions in ordered.items()
+                for k, s in enumerate(user_sessions)}
+    return [position[(s.user_id, s.session_id)] for s in sessions]
+
+
+# Few users and days, so sessions often share a day and need the tie-break.
+@st.composite
+def small_logs(draw):
+    ids = draw(st.lists(st.integers(-2**62, 2**62), unique=True, max_size=30))
+    sessions = []
+    for sid in ids:
+        imps = [imp(serp, draw(st.integers(0, 3)) * 40,
+                    draw(st.sampled_from([ZERO, ONE_REL, [1] * 10])),
+                    is_test=draw(st.integers(0, 5)) == 0)
+                for serp in range(draw(st.integers(0, 3)))]
+        sessions.append(sess(sid, draw(st.integers(0, 3)), draw(st.integers(25, 30)), imps))
+    return sessions
+
+
+class TestRanks:
+    def test_array_ranks_equal_order_sessions_positions(self, small_corpus):
+        for seed in range(5):
+            ranks = rank_sessions(small_corpus.columns, seed)
+            assert ranks.tolist() == order_positions(small_corpus.sessions, seed)
+
+    @given(small_logs(), st.integers(0, 2**32))
+    @settings(max_examples=100)
+    def test_array_ranks_equal_order_sessions_positions_on_ties(self, sessions, seed):
+        ranks = rank_sessions(SessionColumns.of(sessions), seed)
+        assert ranks.tolist() == order_positions(sessions, seed)
+
+    @given(small_logs(), st.integers(0, 2**32))
+    @settings(max_examples=150)
+    def test_targets_follow_the_partition_rules(self, sessions, seed):
+        targets, report = select_targets(SessionColumns.of(sessions), train_days=27, seed=seed)
+        want = oracle_targets(sessions, 27, seed)
+        for k, role in enumerate(ROLES):
+            assert targets.by_role(role) == [TargetRef(user_id, *keys[k])
+                                             for user_id, keys in want.items() if keys[k]]
+        assert report.n_users == len(want)
+        assert report.users_without_sessions == sum(
+            not any(s.impressions for s in sessions if s.user_id == u) for u in want)
 
 
 class TestCorpusInvariants:
@@ -186,7 +239,7 @@ class TestCorpusInvariants:
 
     def test_deterministic_target_set(self, small_corpus):
         again, _ = select_targets(
-            small_corpus.sessions,
+            small_corpus.columns,
             train_days=small_corpus.train_days,
             seed=small_corpus.partition_seed,
         )

@@ -217,7 +217,7 @@ def tables(tmp_path_factory):
         )
     )
     extracted = features.extract_targets(
-        corpus.sessions, corpus.targets,
+        corpus.columns, corpus.targets,
         train_days=corpus.train_days, seed=corpus.partition_seed,
     )
     tmp = tmp_path_factory.mktemp("tables")

@@ -2,7 +2,7 @@ import pytest
 
 from persorank.config import ConfigError
 from persorank.evaluate import mean_ndcg
-from persorank.logs import SERP_SIZE, label_sessions, parse_log, sessionize
+from persorank.logs import SERP_SIZE, SessionColumns, label_sessions, parse_log, sessionize
 from persorank.partition import select_targets
 from persorank.ranker import ModelKind, RankModel, score_table
 from persorank.synth import GenConfig, generate_lines, generate_sessions
@@ -119,9 +119,10 @@ def _heuristic_gain(p: float, tmp_path):
     )
     sessions, _ = generate_sessions(cfg)
     label_sessions(sessions)
-    targets, _ = select_targets(sessions, train_days=cfg.train_days, seed=5)
+    columns = SessionColumns.of(sessions)
+    targets, _ = select_targets(columns, train_days=cfg.train_days, seed=5)
     extracted = features.extract_targets(
-        sessions, targets, train_days=cfg.train_days, seed=5
+        columns, targets, train_days=cfg.train_days, seed=5
     )
     path = tmp_path / "val.csv"
     features.write_features(extracted["validation"], path)
