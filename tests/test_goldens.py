@@ -1,6 +1,7 @@
 """sha256 goldens of a fixed-seed 40-user CLI run.
 
-For fixed seeds the artifacts are the spec: the log, targets, the three
+For fixed seeds the artifacts are the spec: the log and the generator's
+counts, the stats report, one query's ``index`` listing, targets, the three
 feature files, the heuristic's scores and the evaluation report must stay
 byte-identical unless a change means to alter them. Trained networks and
 their scores are left out, because their last bits vary across BLAS builds.
@@ -10,7 +11,9 @@ After a deliberate output change, print the new digests with
 they moved.
 """
 
+import contextlib
 import hashlib
+import io
 import sys
 import tempfile
 from pathlib import Path
@@ -23,8 +26,13 @@ GEN_OVERRIDES = [
     "-O", "preference_strength=0.9", "-O", "synth_seed=11",
 ]
 
+LOOKUP_QUERY = 141  # the query with the most impressions in the golden log
+
 GOLDENS = {
     "log.tsv": "eb24213cb57fc939baeb8e136e98c0453d952b86dd671c3d4d4a158e44d404a9",
+    "log.tsv.counts.json": "40868e388080b3881a8bb17013c85e53e987ed412025bef402115be9abc36442",
+    "stats.csv": "12263c63cda8ff61bab357558b88a8b9743edf27751a8171794c34a8e6e8204b",
+    "index.txt": "14852305b647fbc56da2558fed566115a58aa38d70d529a2ba1db952d0751ed9",
     "targets.csv": "16b48fe0ad622f576b322ae4b290da9e657695682fe530a1b61d98c3a18884e1",
     "features_train.csv": "ecb606a715959c4ed44a39ff9b1bbe9061caf95101a05ce523a3786edf2bae67",
     "features_validation.csv": "82bb38da157373a0fb73abd061fa166170cc79802f1a277a94a42c6324b9103a",
@@ -36,12 +44,14 @@ GOLDENS = {
 
 
 def run_golden_pipeline(w: Path) -> dict[str, str]:
-    """gen -> parse -> partition -> extract -> heuristic score -> eval; digests."""
+    """gen -> parse -> partition -> stats, index, extract -> heuristic score -> eval; digests."""
     steps = [
         ["gen", "--out", f"{w}/log.tsv", *GEN_OVERRIDES],
         ["parse", "--log", f"{w}/log.tsv", "--out", f"{w}/sessions.cache"],
         ["partition", "--cache", f"{w}/sessions.cache", "--out", f"{w}/targets.csv",
          "--seed", "5"],
+        ["stats", "--cache", f"{w}/sessions.cache", "--targets", f"{w}/targets.csv",
+         "--out", f"{w}/stats.csv"],
         ["extract", "--cache", f"{w}/sessions.cache", "--targets", f"{w}/targets.csv",
          "--out-dir", str(w), "--seed", "5"],
         ["train", "--kind", "heuristic",
@@ -59,12 +69,12 @@ def run_golden_pipeline(w: Path) -> dict[str, str]:
     ]
     for argv in steps:
         assert main(argv) == 0, argv
-    names = [
-        "log.tsv", "targets.csv", "features_train.csv", "features_validation.csv",
-        "features_test.csv", "scores_heuristic_validation.csv",
-        "scores_heuristic_test.csv", "report.csv",
-    ]
-    return {name: hashlib.sha256((w / name).read_bytes()).hexdigest() for name in names}
+    listing = io.StringIO()
+    with contextlib.redirect_stdout(listing):
+        assert main(["index", "--cache", f"{w}/sessions.cache",
+                     "--lookup", str(LOOKUP_QUERY)]) == 0
+    (w / "index.txt").write_text(listing.getvalue())
+    return {name: hashlib.sha256((w / name).read_bytes()).hexdigest() for name in GOLDENS}
 
 
 def test_artifacts_match_goldens(tmp_path):
