@@ -28,15 +28,17 @@ import numpy as np
 from . import __version__, blend as blend_mod, cache, contexts, evaluate, features
 from .config import KEY_TYPES, ConfigError, PipelineConfig, finite_float, load_config, seed
 from .logs import (
+    CODE_GAINS,
     DataError,
-    Grade,
     LogParseError,
     corpus_stats,
+    count_grades,
+    decoding,
     label_sessions,
     parse_log,
     sessionize,
 )
-from .partition import ROLES, order_sessions, read_targets, select_targets, write_targets
+from .partition import ROLES, read_targets, select_targets, write_targets
 from .ranker import ModelKind, RankModel, score_table, train
 from .synth import generate_lines
 
@@ -101,7 +103,7 @@ def _cmd_parse(args, cfg: PipelineConfig) -> int:
     started = _stage_start()
     log_path = _require(cfg.log_path)
     out = Path(cfg.cache_path)
-    with _open_log(log_path) as fh:
+    with decoding(log_path), _open_log(log_path) as fh:
         records = parse_log(fh)
     sessions = sessionize(records)
     del records  # before labeling and the columns raise the peak
@@ -117,9 +119,9 @@ def _cmd_stats(args, cfg: PipelineConfig) -> int:
     started = _stage_start()
     cache_path = _require(cfg.cache_path)
     out = Path(args.out or Path(cfg.reports_dir) / "stats.csv")
-    sessions = cache.load_sessions(cache_path)
+    columns = cache.load_columns(cache_path)
 
-    stats = corpus_stats(sessions, cfg.train_days)
+    stats = corpus_stats(columns, cfg.train_days)
     rows = [("corpus", metric, value) for metric, value in stats.as_dict().items()
             if metric != "grade_counts"]
     for period, counts in stats.grade_counts.items():
@@ -130,21 +132,14 @@ def _cmd_stats(args, cfg: PipelineConfig) -> int:
         targets_path = _require(args.targets)
         inputs.append(targets_path)
         targets = read_targets(targets_path)
-        lookup = {
-            (s.user_id, s.session_id, imp.serp_id): imp
-            for s in sessions
-            for imp in s.impressions
-        }
         for role in ("train", "validation"):
-            counts = {g.value: 0 for g in Grade}
-            for ref in targets.by_role(role):
-                imp = lookup.get((ref.user_id, ref.session_id, ref.serp_id))
-                if imp is None or imp.labels is None:
-                    raise DataError(f"target not found or unlabeled: {ref}")
-                for g in imp.labels:
-                    counts[g.value] += 1
-            for grade, count in counts.items():
-                rows.append((f"relevance_{role}_targets", grade, count))
+            refs = [(r.user_id, r.session_id, r.serp_id) for r in targets.by_role(role)]
+            grades = columns.grades[columns.rows_of(refs)]
+            if (grades < 0).any():
+                raise DataError("target user={} session={} serp={} is unlabeled".format(
+                    *refs[np.argmax(grades[:, 0] < 0)]))
+            rows += [(f"relevance_{role}_targets", grade, count)
+                     for grade, count in count_grades(grades).items()]
 
     with cache.atomic_write(out) as fh:
         fh.write("section,metric,value\n")
@@ -182,18 +177,17 @@ def _cmd_partition(args, cfg: PipelineConfig) -> int:
 
 
 def _cmd_index(args, cfg: PipelineConfig) -> int:
-    sessions = cache.load_sessions(_require(cfg.cache_path))
-    query_index, _ = contexts.build(
-        order_sessions(sessions, cfg.partition_seed), cfg.train_days
-    )
-    occurrences = contexts.lookup(query_index, args.lookup)
-    print(f"query {args.lookup}: {len(occurrences)} occurrences")
-    for occ in occurrences:
-        print(
-            f"  user={occ.user_id} day={occ.day} session={occ.session_id} "
-            f"t={occ.time_passed} docs={list(occ.documents)} "
-            f"gains={list(occ.gains)}"
-        )
+    columns = cache.load_columns(_require(cfg.cache_path))
+    at, session = contexts.training_rows(columns, cfg.train_days)
+    hit = columns.query_id[at] == args.lookup
+    at, session = at[hit], session[hit]
+    print(f"query {args.lookup}: {len(at)} occurrences")
+    for user, day, session_id, t, docs, gains in zip(
+        columns.user_id[session].tolist(), columns.day[session].tolist(),
+        columns.session_id[session].tolist(), columns.time_passed[at].tolist(),
+        columns.documents[at].tolist(), CODE_GAINS[columns.grades[at]].tolist(),
+    ):
+        print(f"  user={user} day={day} session={session_id} t={t} docs={docs} gains={gains}")
     return 0
 
 
@@ -344,7 +338,7 @@ def _cmd_analyze(args, cfg: PipelineConfig) -> int:
     report_path = _require(args.report)
     out_dir = Path(cfg.reports_dir)
     taus, deltas = [], []
-    with open(report_path, newline="") as fh:
+    with decoding(report_path), open(report_path, newline="") as fh:
         rows = csv.DictReader(fh)
         if not {"tau", "delta_ndcg"} <= set(rows.fieldnames or ()):
             raise DataError(f"{report_path}: line 1: needs tau and delta_ndcg columns")
@@ -410,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("index", _cmd_index, "print a query's indexed occurrences")
     setting(p, "--cache", "cache_path", "session cache")
-    setting(p, "--seed", "partition_seed", "session order seed")
     setting(p, "--train-days", "train_days", "days in the training period")
     p.add_argument("--lookup", type=int, metavar="QUERY_ID", required=True,
                    help="query whose occurrences to print")

@@ -165,7 +165,11 @@ def load_config(
     """
     pairs = []
     if path is not None:
-        lines = (line.strip() for line in Path(path).read_text().splitlines())
+        try:
+            text = Path(path).read_text()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not a UTF-8 text file: {exc}") from None
+        lines = (line.strip() for line in text.splitlines())
         pairs = [line for line in lines if line and not line.startswith("#")]
     assigned = []
     for pair in pairs + list(overrides or []):

@@ -163,10 +163,10 @@ class IndexRows:
     domains: np.ndarray     # sorted distinct domain ids
 
 
-def index_rows(columns: SessionColumns, ranks: np.ndarray, train_days: int = 27) -> IndexRows:
-    """The rows `build` indexes, from the session columns.
+def training_rows(columns: SessionColumns, train_days: int = 27) -> tuple[np.ndarray, np.ndarray]:
+    """The impression rows `build` indexes, in its order, and their session rows.
 
-    `ranks` holds each session's rank, as `partition.rank_sessions` gives it.
+    An unlabeled one raises DataError.
     """
     session = columns.impression_sessions()
     at = np.flatnonzero(columns.day[session] <= train_days)
@@ -178,7 +178,15 @@ def index_rows(columns: SessionColumns, ranks: np.ndarray, train_days: int = 27)
                         f"{columns.session_id[s[i]]} is unlabeled")
     # Session ids are unique, so tied rows share a session and keep its list order, as in build.
     order = np.lexsort((columns.time_passed[at], columns.session_id[s], columns.day[s]))
-    at, s = at[order], s[order]
+    return at[order], s[order]
+
+
+def index_rows(columns: SessionColumns, ranks: np.ndarray, train_days: int = 27) -> IndexRows:
+    """The rows `build` indexes, from the session columns.
+
+    `ranks` holds each session's rank, as `partition.rank_sessions` gives it.
+    """
+    at, s = training_rows(columns, train_days)
     shape = (len(at), SERP_SIZE)
     document_ids, doc_codes = np.unique(columns.documents[at], return_inverse=True)
     domain_ids, domain_codes = np.unique(columns.domains[at], return_inverse=True)
@@ -213,10 +221,6 @@ def build_from_sessions(
     ordered = order_sessions(sessions, seed)
     query_index, user_history = build(ordered, train_days)
     return query_index, user_history, session_ranks(ordered)
-
-
-def lookup(query_index: QueryIndex, query_id: int) -> list[Occurrence]:
-    return query_index.get(query_id, [])
 
 
 def assemble_contexts(

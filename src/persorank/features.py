@@ -21,7 +21,7 @@ import numpy as np
 
 from .contexts import Context, IndexRows, ItemKind, Occurrence, index_rows
 from .contexts import assemble_contexts, build  # noqa: F401  (perfbench/spans.py wraps them here)
-from .logs import CODE_GAINS, SERP_SIZE, DataError, Impression, Session, SessionColumns
+from .logs import CODE_GAINS, SERP_SIZE, DataError, Impression, Session, SessionColumns, decoding
 from .partition import ROLES, TargetSet, rank_sessions
 from .partition import order_sessions  # noqa: F401  (perfbench/spans.py wraps it here)
 
@@ -370,15 +370,6 @@ def _target_blocks(rows: IndexRows, slots: tuple[_Slots, _Slots], columns: Sessi
     ], axis=2)
 
 
-_KEY = np.dtype([("user", np.int64), ("session", np.int64), ("serp", np.int64)])
-
-
-def _keys(users, sessions, serps) -> np.ndarray:
-    keys = np.empty(len(serps), dtype=_KEY)
-    keys["user"], keys["session"], keys["serp"] = users, sessions, serps
-    return keys
-
-
 def extract_targets(
     columns: SessionColumns,
     targets: TargetSet,
@@ -398,21 +389,12 @@ def extract_targets(
     rows = index_rows(columns, ranks, train_days)
     slots = (_Slots.of(rows, rows.queries), _Slots.of(rows, rows.users))
     session = columns.impression_sessions()
-    user, session_id = columns.user_id[session], columns.session_id[session]
-    by_key = np.lexsort((columns.serp_id, session_id, user))
-    keys = _keys(user, session_id, columns.serp_id)[by_key]
     out: dict[str, FeatureTable] = {}
     for role in ROLES:
         refs = sorted((r.user_id, r.session_id, r.serp_id) for r in targets.by_role(role))
-        wanted = _keys(*np.array(refs, dtype=np.int64).reshape(-1, 3).T)
-        at = np.searchsorted(keys, wanted)
-        found = at < len(keys)
-        found[found] = keys[at[found]] == wanted[found]
-        if not found.all():
-            raise DataError("target user={} session={} serp={} not found in the "
-                            "parsed sessions".format(*refs[np.argmin(found)]))
-        at = by_key[at]
-        users, target_ranks, terms = wanted["user"], ranks[session[at]], columns.term_tuples(at)
+        at = columns.rows_of(refs)
+        users, target_ranks = columns.user_id[session[at]], ranks[session[at]]
+        terms = columns.term_tuples(at)
         x = np.empty((len(refs), SERP_SIZE, N_FEATURES))
         for start in range(0, len(refs), CHUNK_TARGETS):
             chunk = slice(start, start + CHUNK_TARGETS)
@@ -475,7 +457,7 @@ def _read_grouped(
     width = len(header)
     g = header.index("gain")
     numbers = [c for c in range(len(ID_COLUMNS), width) if c != g]
-    with open(path, newline="") as fh:
+    with decoding(path), open(path, newline="") as fh:
         if next(csv.reader([fh.readline()]), None) != header:
             raise DataError(f"unexpected header in {path}")
         n_rows = sum(1 for _ in fh)

@@ -13,7 +13,10 @@ a session is always treated as satisfied.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field, fields
+import gzip
+import zlib
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from itertools import chain
 from typing import Iterable
@@ -40,6 +43,15 @@ class StructuralError(LogParseError):
 
 class DataError(ValueError):
     """Well-formed records that break referential integrity."""
+
+
+@contextmanager
+def decoding(path):
+    """Content of input `path` that is not UTF-8, or not intact gzip, raises DataError naming it."""
+    try:
+        yield
+    except (UnicodeDecodeError, gzip.BadGzipFile, EOFError, zlib.error) as exc:
+        raise DataError(f"{path}: cannot decode: {exc}") from None
 
 
 class Grade(Enum):
@@ -70,6 +82,12 @@ _GAIN = {Grade.NO_CLICK: 0, Grade.R0: 0, Grade.R1: 1, Grade.R2: 2}
 GRADES = tuple(Grade)
 CODE_GAINS = np.array([g.gain for g in GRADES] + [0], dtype=np.int8)
 CODE_CLICKED = np.array([g.clicked for g in GRADES] + [False])
+
+
+def count_grades(codes: np.ndarray) -> dict[str, int]:
+    """How often each grade occurs among grade codes `codes`, by grade name; -1 counts as none."""
+    counts = np.bincount(codes[codes >= 0], minlength=len(GRADES))
+    return {g.value: n for g, n in zip(GRADES, counts.tolist())}
 
 
 @dataclass(frozen=True)
@@ -128,6 +146,9 @@ def _split(values: list, counts: np.ndarray) -> list[list]:
     """`values` cut into consecutive runs of `counts` items."""
     ends = np.cumsum(counts).tolist()
     return [values[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+
+_KEY = np.dtype([("user", np.int64), ("session", np.int64), ("serp", np.int64)])
 
 
 @dataclass(eq=False)
@@ -221,6 +242,25 @@ class SessionColumns:
     def impression_sessions(self) -> np.ndarray:
         """The session row of each impression row."""
         return np.repeat(np.arange(len(self.session_id)), self.n_impressions)
+
+    def rows_of(self, refs) -> np.ndarray:
+        """The impression row of each (user_id, session_id, serp_id) triple in `refs`.
+
+        A triple that names no impression raises DataError.
+        """
+        session = self.impression_sessions()
+        keys = np.empty(len(session), dtype=_KEY)
+        keys["user"], keys["session"], keys["serp"] = (
+            self.user_id[session], self.session_id[session], self.serp_id)
+        by_key = np.lexsort((keys["serp"], keys["session"], keys["user"]))
+        keys, wanted = keys[by_key], np.array(refs, dtype=_KEY)
+        at = np.searchsorted(keys, wanted)
+        found = at < len(keys)
+        found[found] = keys[at[found]] == wanted[found]
+        if not found.all():
+            raise DataError("target user={} session={} serp={} not found in the "
+                            "parsed sessions".format(*wanted[np.argmin(found)].item()))
+        return by_key[at]
 
     def term_tuples(self, rows: np.ndarray) -> list[tuple[int, ...]]:
         """The query terms of impression rows `rows`."""
@@ -468,60 +508,38 @@ def label_sessions(sessions: Iterable[Session]) -> None:
 class CorpusStats:
     """Corpus and relevance-grade counts of a session list."""
 
-    unique_queries: int = 0
-    unique_documents: int = 0
-    unique_users: int = 0
-    training_sessions: int = 0
-    test_sessions: int = 0
-    training_clicks: int = 0
-    total_records: int = 0
-    grade_counts: dict = field(default_factory=dict)  # period -> grade name -> count
+    unique_queries: int
+    unique_documents: int
+    unique_users: int
+    training_sessions: int
+    test_sessions: int
+    training_clicks: int
+    total_records: int
+    grade_counts: dict  # period -> grade name -> count
 
     def as_dict(self) -> dict:
-        return {
-            "unique_queries": self.unique_queries,
-            "unique_documents": self.unique_documents,
-            "unique_users": self.unique_users,
-            "training_sessions": self.training_sessions,
-            "test_sessions": self.test_sessions,
-            "training_clicks": self.training_clicks,
-            "total_records": self.total_records,
-            "grade_counts": self.grade_counts,
-        }
+        return asdict(self)
 
 
-def corpus_stats(sessions: Iterable[Session], train_days: int) -> CorpusStats:
+def corpus_stats(columns: SessionColumns, train_days: int) -> CorpusStats:
     """Count users, queries, documents, sessions, clicks, records and grades.
 
     Sessions of days 1..train_days form the training period, later ones the
     test period. Records are the log lines the sessions serialize to: one
     per session, impression and click. Grades come from the impressions'
-    labels; unlabeled impressions add none.
+    grade codes; unlabeled impressions add none.
     """
-    stats = CorpusStats(
-        grade_counts={p: {g.value: 0 for g in Grade} for p in ("training", "test")}
+    training = columns.day <= train_days
+    imp_training = training[columns.impression_sessions()]
+    n_training = int(training.sum())
+    return CorpusStats(
+        unique_queries=len(np.unique(columns.query_id)),
+        unique_documents=len(np.unique(columns.documents)),
+        unique_users=len(np.unique(columns.user_id)),
+        training_sessions=n_training,
+        test_sessions=len(training) - n_training,
+        training_clicks=int(columns.n_clicks[imp_training].sum()),
+        total_records=len(columns.session_id) + len(columns.serp_id) + len(columns.click_url),
+        grade_counts={"training": count_grades(columns.grades[imp_training]),
+                      "test": count_grades(columns.grades[~imp_training])},
     )
-    queries: set[int] = set()
-    documents: set[int] = set()
-    users: set[int] = set()
-    for session in sessions:
-        users.add(session.user_id)
-        clicks = sum(len(imp.clicks) for imp in session.impressions)
-        if session.day <= train_days:
-            period = "training"
-            stats.training_sessions += 1
-            stats.training_clicks += clicks
-        else:
-            period = "test"
-            stats.test_sessions += 1
-        stats.total_records += 1 + len(session.impressions) + clicks
-        counts = stats.grade_counts[period]
-        for imp in session.impressions:
-            queries.add(imp.query_id)
-            documents.update(imp.documents)
-            for grade in imp.labels or ():
-                counts[grade.value] += 1
-    stats.unique_queries = len(queries)
-    stats.unique_documents = len(documents)
-    stats.unique_users = len(users)
-    return stats

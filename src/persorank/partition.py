@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .logs import CODE_GAINS, DataError, Session, SessionColumns
+from .logs import CODE_GAINS, DataError, Session, SessionColumns, decoding
 
 ROLES = ("train", "validation", "test")
 
@@ -192,7 +192,7 @@ def write_targets(targets: TargetSet, path: str | Path) -> None:
 def read_targets(path: str | Path) -> TargetSet:
     """Load a targets CSV; a row that does not parse raises DataError naming its line."""
     targets = TargetSet()
-    with open(path, newline="") as fh:
+    with decoding(path), open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             try:

@@ -26,6 +26,7 @@ from .logs import (
     Impression,
     LogRecord,
     Session,
+    SessionColumns,
     corpus_stats,
     format_record,
     label_sessions,
@@ -248,7 +249,7 @@ def generate_sessions(cfg: GenConfig) -> tuple[list[Session], CorpusStats]:
             imp.domains = tuple(doc_domains[d] for d in imp.documents)
         sessions.append(session)
     label_sessions(sessions)
-    return sessions, corpus_stats(sessions, cfg.train_days)
+    return sessions, corpus_stats(SessionColumns.of(sessions), cfg.train_days)
 
 
 def session_records(session: Session) -> list[LogRecord]:

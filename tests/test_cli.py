@@ -1,5 +1,6 @@
 import argparse
 import csv
+import gzip
 import json
 import os
 import pickle
@@ -7,6 +8,7 @@ import re
 import stat
 import subprocess
 import sys
+from collections import Counter
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -142,31 +144,88 @@ class TestPipeline:
         assert train_and_blend("held_out") == intact
 
 
+def counted_by_hand(log: Path, cache: Path, targets: Path, train_days: int) -> Counter:
+    """The nonzero counts of stats, from the log lines and the cached sessions' labels.
+
+    Keys are (section, metric) as in stats.csv. Nothing here goes through
+    `corpus_stats`, `count_grades` or `rows_of`, so a miscount there shows.
+    """
+    lines = log.read_text().splitlines()
+    days, users, queries, documents, counts = {}, set(), set(), set(), Counter()
+    for line in lines:
+        fields = line.split("\t")
+        if fields[1] == "M":
+            days[fields[0]] = int(fields[2])
+            users.add(fields[3])
+            period = "training" if int(fields[2]) <= train_days else "test"
+            counts[("corpus", f"{period}_sessions")] += 1
+        elif fields[2] in ("Q", "T"):
+            queries.add(fields[4])
+            documents.update(pair.split(",")[0] for pair in fields[6:])
+        elif days[fields[0]] <= train_days:
+            counts[("corpus", "training_clicks")] += 1
+    counts.update({("corpus", "unique_users"): len(users),
+                   ("corpus", "unique_queries"): len(queries),
+                   ("corpus", "unique_documents"): len(documents),
+                   ("corpus", "total_records"): len(lines)})
+    by_ref = {}
+    for session in cache_mod.load_sessions(cache):
+        period = "training" if session.day <= train_days else "test"
+        for imp in session.impressions:
+            by_ref[(session.user_id, session.session_id, imp.serp_id)] = imp
+            counts.update((f"relevance_{period}", grade.value) for grade in imp.labels)
+    with open(targets, newline="") as fh:
+        for row in csv.DictReader(fh):
+            if row["role"] != "test":
+                ref = (int(row["user_id"]), int(row["session_id"]), int(row["serp_id"]))
+                counts.update((f"relevance_{row['role']}_targets", grade.value)
+                              for grade in by_ref[ref].labels)
+    return +counts
+
+
+def stats_run(w: Path, train_days: int) -> dict:
+    """gen -> parse -> partition -> stats --targets, all at `train_days`; stats.csv's rows."""
+    days = ["--train-days", str(train_days)]
+    assert run("gen", "--out", str(w / "log.tsv"), *GEN_OVERRIDES) == 0
+    assert run("parse", "--log", str(w / "log.tsv"), "--out", str(w / "s.cache")) == 0
+    assert run("partition", "--cache", str(w / "s.cache"), "--out", str(w / "t.csv"),
+               *days) == 0
+    assert run("stats", "--cache", str(w / "s.cache"), "--targets", str(w / "t.csv"),
+               "--out", str(w / "stats.csv"), *days) == 0
+    with open(w / "stats.csv") as fh:
+        return {(row["section"], row["metric"]): int(row["value"]) for row in csv.DictReader(fh)}
+
+
 class TestStats:
     def test_totals_match_generator_bookkeeping(self, tmp_path):
         w = tmp_path
-        log, cache = w / "log.tsv", w / "s.cache"
-        assert run("gen", "--out", str(log), *GEN_OVERRIDES) == 0
-        assert run("parse", "--log", str(log), "--out", str(cache)) == 0
-        assert run("partition", "--cache", str(cache), "--out", str(w / "t.csv")) == 0
-        out = w / "stats.csv"
-        assert run("stats", "--cache", str(cache), "--targets", str(w / "t.csv"),
-                   "--out", str(out)) == 0
+        rows = stats_run(w, 27)  # the generator's training period
+        assert +Counter(rows) == counted_by_hand(w / "log.tsv", w / "s.cache", w / "t.csv", 27)
         bookkeeping = json.loads((w / "log.tsv.counts.json").read_text())
-        rows = {}
-        with open(out) as fh:
-            for row in csv.DictReader(fh):
-                rows[(row["section"], row["metric"])] = int(row["value"])
-        for metric in (
-            "unique_queries", "unique_documents", "unique_users",
-            "training_sessions", "test_sessions", "training_clicks",
-            "total_records",
-        ):
-            assert rows[("corpus", metric)] == bookkeeping[metric], metric
+        for metric, value in bookkeeping.items():
+            if metric != "grade_counts":
+                assert rows[("corpus", metric)] == value, metric
         for period in ("training", "test"):
             for grade, count in bookkeeping["grade_counts"][period].items():
                 assert rows[(f"relevance_{period}", grade)] == count
         assert ("relevance_train_targets", "r2") in rows
+
+    def test_other_training_period_matches_a_count_by_hand(self, tmp_path):
+        rows = stats_run(tmp_path, 20)
+        assert +Counter(rows) == counted_by_hand(
+            tmp_path / "log.tsv", tmp_path / "s.cache", tmp_path / "t.csv", 20)
+
+    def test_unlabeled_target_is_data_error(self, scored_run, tmp_path, capsys):
+        columns = cache_mod.load_columns(scored_run / "s.cache")
+        with open(scored_run / "t.csv", newline="") as fh:
+            ref = next(csv.DictReader(fh))  # the first train target
+        columns.grades[columns.rows_of(
+            [(int(ref["user_id"]), int(ref["session_id"]), int(ref["serp_id"]))])] = -1
+        bad = write_cache(tmp_path / "s.cache", columns.arrays())
+        capsys.readouterr()
+        assert run("stats", "--cache", str(bad), "--targets", str(scored_run / "t.csv"),
+                   "--out", str(tmp_path / "stats.csv")) == 2
+        assert "is unlabeled" in capsys.readouterr().err
 
 
 class TestLookup:
@@ -175,17 +234,8 @@ class TestLookup:
         assert run("gen", "--out", str(w / "log.tsv"), *GEN_OVERRIDES) == 0
         assert run("parse", "--log", str(w / "log.tsv"),
                    "--out", str(w / "s.cache")) == 0
-        targets = w / "t.csv"
-        assert run("partition", "--cache", str(w / "s.cache"),
-                   "--out", str(targets)) == 0
         capsys.readouterr()
-        with open(w / "features_does_not_matter", "w"):
-            pass
-        # find some query id present in the corpus
-        from persorank import cache as cache_mod
-
-        sessions = cache_mod.load_sessions(w / "s.cache")
-        qid = sessions[0].impressions[0].query_id
+        qid = cache_mod.load_columns(w / "s.cache").query_id[0]  # a query of the corpus
         assert run("index", "--cache", str(w / "s.cache"),
                    "--lookup", str(qid)) == 0
         out = capsys.readouterr().out
@@ -194,6 +244,11 @@ class TestLookup:
 
     def test_index_needs_a_query_to_look_up(self, tmp_path):
         assert run("index", "--cache", str(tmp_path / "s.cache")) == 1
+
+    def test_index_takes_no_seed(self, scored_run, capsys):
+        assert run("index", "--cache", str(scored_run / "s.cache"), "--lookup", "1",
+                   "--seed", "1") == 1
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 class TestErrors:
@@ -342,6 +397,7 @@ def scored_run(tmp_path_factory):
     assert run("score", "--model", str(w / "model.json"),
                "--features", str(w / "features_validation.csv"),
                "--out", str(w / "scores.csv")) == 0
+    assert run("eval", "--scores", str(w / "scores.csv"), "--out-dir", str(w)) == 0
     return w
 
 
@@ -557,7 +613,67 @@ CACHE_COMMANDS = {
 }
 
 
+def ff_inside(data: bytes) -> bytes:
+    """`data` with a 0xff byte, which is never valid UTF-8, in its middle."""
+    return data[:len(data) // 2] + b"\xff" + data[len(data) // 2:]
+
+
+def gzip_cut(data: bytes) -> bytes:
+    packed = gzip.compress(data)
+    return packed[:len(packed) // 2]
+
+
+# case: (file of the scored run to corrupt, the corruption, the corrupt file's
+# suffix, the command reading it as `bad` with scratch directory `w`, exit code)
+UNDECODABLE = {
+    "log": ("log.tsv", ff_inside, ".tsv",
+            lambda bad, w: ["parse", "--log", bad, "--out", f"{w}/c"], 2),
+    "gz_log_not_gzip": ("log.tsv", lambda data: data, ".tsv.gz",
+                        lambda bad, w: ["parse", "--log", bad, "--out", f"{w}/c"], 2),
+    "gz_log_truncated": ("log.tsv", gzip_cut, ".tsv.gz",
+                         lambda bad, w: ["parse", "--log", bad, "--out", f"{w}/c"], 2),
+    "targets": ("t.csv", ff_inside, ".csv",
+                lambda bad, w: ["extract", "--cache", f"{w}/s.cache", "--targets", bad,
+                                "--out-dir", w], 2),
+    "features": ("features_validation.csv", ff_inside, ".csv",
+                 lambda bad, w: ["score", "--model", f"{w}/model.json", "--features", bad,
+                                 "--out", f"{w}/s.csv"], 2),
+    "scores": ("scores.csv", ff_inside, ".csv",
+               lambda bad, w: ["eval", "--scores", bad, "--out-dir", w], 2),
+    "report": ("report.csv", ff_inside, ".csv",
+               lambda bad, w: ["analyze", "--report", bad, "--out-dir", w], 2),
+    "config": (None, lambda data: b"partition_seed = 2\n\xff\n", ".cfg",
+               lambda bad, w: ["partition", "--cache", f"{w}/s.cache", "--out", f"{w}/t.csv",
+                               "-c", bad], 1),
+}
+
+
 class TestMalformedInputs:
+    @pytest.mark.parametrize("case", sorted(UNDECODABLE))
+    def test_undecodable_input_is_data_or_usage_error(self, scored_run, tmp_path, capsys, case):
+        source, corrupt, suffix, argv, code = UNDECODABLE[case]
+        for name in ("s.cache", "model.json"):
+            (tmp_path / name).write_bytes((scored_run / name).read_bytes())
+        bad = tmp_path / f"bad{suffix}"
+        bad.write_bytes(corrupt((scored_run / source).read_bytes() if source else b""))
+        capsys.readouterr()
+        assert run(*argv(str(bad), str(tmp_path))) == code
+        err = capsys.readouterr().err
+        assert err.startswith("data error: " if code == 2 else "error: ") and str(bad) in err
+
+    @pytest.mark.parametrize("command", ["index", "extract"])
+    def test_unlabeled_training_impression_is_data_error(self, scored_run, tmp_path, capsys,
+                                                         command):
+        arrays = cache_arrays(scored_run / "s.cache")
+        training = np.repeat(arrays["day"] <= 27, arrays["n_impressions"])
+        arrays["grades"][np.argmax(training)] = -1  # a whole impression, as load_columns allows
+        bad = write_cache(tmp_path / "s.cache", arrays)
+        (tmp_path / "targets.csv").write_bytes((scored_run / "t.csv").read_bytes())
+        capsys.readouterr()
+        assert run(*CACHE_COMMANDS[command](str(bad), str(tmp_path))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "is unlabeled" in err
+
     def score(self, w, features):
         return run("score", "--model", str(w / "model.json"), "--features", str(features),
                    "--out", str(w / "probe_scores.csv"))

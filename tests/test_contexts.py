@@ -1,12 +1,15 @@
 import random
 
+import numpy as np
+import pytest
+
 from persorank.contexts import (
     ItemKind,
     assemble_contexts,
     build_from_sessions,
-    lookup,
+    training_rows,
 )
-from persorank.logs import Grade, Impression, Session
+from persorank.logs import DataError, Grade, Impression, Session, SessionColumns
 from persorank.partition import order_sessions
 
 
@@ -37,14 +40,14 @@ class TestBuild:
             sess(2, 11, day=1, imps=[imp(0, 0, query=42)]),
         ]
         qidx, _, _ = build_from_sessions(sessions, train_days=27, seed=0)
-        occurrences = lookup(qidx, 42)
+        occurrences = qidx.get(42, [])
         assert [(o.user_id, o.day) for o in occurrences] == [(11, 1), (10, 2)]
 
     def test_lookup_unseen_query_is_empty(self):
         qidx, _, _ = build_from_sessions(
             [sess(1, 10, day=2, imps=[imp(0, 0, query=42)])], train_days=27, seed=0
         )
-        assert lookup(qidx, 999) == []
+        assert qidx.get(999, []) == []
 
     def test_test_period_impressions_are_not_indexed(self):
         sessions = [
@@ -52,7 +55,7 @@ class TestBuild:
             sess(2, 10, day=28, imps=[imp(0, 0, query=42)]),
         ]
         qidx, hist, _ = build_from_sessions(sessions, train_days=27, seed=0)
-        assert len(lookup(qidx, 42)) == 1
+        assert len(qidx.get(42, [])) == 1
         assert len(hist[10]) == 1
 
     def test_occurrence_counts_match_full_scan(self, small_corpus):
@@ -79,11 +82,35 @@ class TestBuild:
             keys = [(o.day, o.session_id, o.time_passed) for o in occurrences]
             assert keys == sorted(keys)
 
+    def test_training_rows_list_each_query_in_index_order(self, small_corpus):
+        qidx, _, _ = build_from_sessions(
+            small_corpus.sessions,
+            train_days=small_corpus.train_days,
+            seed=small_corpus.partition_seed,
+        )
+        columns = small_corpus.columns
+        at, session = training_rows(columns, small_corpus.train_days)
+        assert np.array_equal(session, columns.impression_sessions()[at])
+        for query, occurrences in qidx.items():
+            hit = columns.query_id[at] == query
+            assert [(o.session_id, o.time_passed, o.documents) for o in occurrences] == list(zip(
+                columns.session_id[session[hit]].tolist(), columns.time_passed[at[hit]].tolist(),
+                map(tuple, columns.documents[at[hit]].tolist())))
+        assert len(at) == sum(map(len, qidx.values()))
+
+    def test_training_rows_refuse_an_unlabeled_impression(self):
+        unlabeled = imp(3, 0)
+        unlabeled.labels = None
+        columns = SessionColumns.of([sess(1, 10, day=2, imps=[imp(0, 0), unlabeled])])
+        with pytest.raises(DataError, match="serp=3 in session 1 is unlabeled"):
+            training_rows(columns, train_days=27)
+        assert len(training_rows(columns, train_days=1)[0]) == 0  # day 2 is past training
+
     def test_click_ranks_and_item_ranks(self):
         one = imp(0, 0, docs=[7, 8, 9, 3, 4, 5, 6, 0, 1, 2], clicked=(9, 3))
         sessions = [sess(1, 10, day=1, imps=[one])]
         qidx, _, _ = build_from_sessions(sessions, train_days=27, seed=0)
-        occ = lookup(qidx, 5)[0]
+        occ = qidx.get(5, [])[0]
         assert occ.click_ranks == (3, 4)
         assert occ.item_ranks(ItemKind.DOCUMENT, 9) == (3,)
         assert occ.item_ranks(ItemKind.DOCUMENT, 99) == ()
