@@ -506,7 +506,7 @@ def label_sessions(sessions: Iterable[Session]) -> None:
 
 @dataclass
 class CorpusStats:
-    """Corpus and relevance-grade counts of a session list."""
+    """Corpus and relevance-grade counts of the session columns."""
 
     unique_queries: int
     unique_documents: int
