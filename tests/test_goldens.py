@@ -2,7 +2,7 @@
 
 For fixed seeds the artifacts are the spec: the log and the generator's
 counts, the stats report, one query's ``index`` listing, targets, the three
-feature files, the heuristic's scores and the evaluation report must stay
+feature files, the heuristic's scores, the evaluation report and its summary must stay
 byte-identical unless a change means to alter them. Trained networks and
 their scores are left out, because their last bits vary across BLAS builds.
 
@@ -40,6 +40,7 @@ GOLDENS = {
     "scores_heuristic_validation.csv": "1acf493612f778b37e9479de3f597dc01d7152a8f4badc6d8e0a622a3dee4918",
     "scores_heuristic_test.csv": "712cd3915cfd3c68b24bf4f3cf1e533314a202f8e937bb16a95297e4ef8aca46",
     "report.csv": "ec6b0b47aebd7dd1e25a8d9c42429ddb4474a33d42cd46383993671f46682db3",
+    "summary.csv": "2d3adc3c5326fec9eca2fcbd99d7e616af00d0251ea1b73d1e724c42fc023cf9",
 }
 
 
