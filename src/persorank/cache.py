@@ -23,12 +23,13 @@ def _umask() -> int:
 
 
 @contextmanager
-def atomic_path(path: str | Path):
-    """Yield a fresh temp path beside `path`; rename it into place on success.
+def atomic_write(path: str | Path, mode: str = "w", newline: str | None = None):
+    """Open a temp file beside `path` for writing; rename it into place on success.
 
     The temp name is unique (mkstemp), so concurrent writers into one
     directory never share a temp file. The renamed file gets the usual
-    umask-default permissions rather than mkstemp's 0600.
+    umask-default permissions rather than mkstemp's 0600. `newline` is
+    `open`'s: CSV writers pass "" to keep their CRLF line ends.
     """
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(
@@ -36,7 +37,8 @@ def atomic_path(path: str | Path):
     )
     os.close(fd)
     try:
-        yield Path(tmp_name)
+        with open(tmp_name, mode, newline=newline) as fh:
+            yield fh
         os.chmod(tmp_name, 0o666 & ~_umask())
         os.replace(tmp_name, path)
     except BaseException:
@@ -45,13 +47,6 @@ def atomic_path(path: str | Path):
         except OSError:
             pass
         raise
-
-
-@contextmanager
-def atomic_write(path: str | Path, mode: str = "w"):
-    """Open a temp file beside `path` for writing; rename it into place on success."""
-    with atomic_path(path) as tmp, open(tmp, mode) as fh:
-        yield fh
 
 
 def save_sessions(sessions: list[Session], path: str | Path) -> None:

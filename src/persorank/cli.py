@@ -133,11 +133,11 @@ def _cmd_stats(args, cfg: PipelineConfig) -> int:
         inputs.append(targets_path)
         targets = read_targets(targets_path)
         for role in ("train", "validation"):
-            refs = [(r.user_id, r.session_id, r.serp_id) for r in targets.by_role(role)]
-            grades = columns.grades[columns.rows_of(refs)]
+            ids = targets.by_role(role)
+            grades = columns.grades[columns.rows_of(ids)]
             if (grades < 0).any():
                 raise DataError("target user={} session={} serp={} is unlabeled".format(
-                    *refs[np.argmax(grades[:, 0] < 0)]))
+                    *ids[np.argmax(grades[:, 0] < 0)].tolist()))
             rows += [(f"relevance_{role}_targets", grade, count)
                      for grade, count in count_grades(grades).items()]
 
@@ -158,8 +158,7 @@ def _cmd_partition(args, cfg: PipelineConfig) -> int:
     targets, report = select_targets(
         columns, train_days=cfg.train_days, seed=cfg.partition_seed
     )
-    with cache.atomic_path(out) as tmp:
-        write_targets(targets, tmp)
+    write_targets(targets, out)
     _write_manifest(
         "partition",
         {"seed": cfg.partition_seed, "train_days": cfg.train_days,
@@ -202,8 +201,7 @@ def _cmd_extract(args, cfg: PipelineConfig) -> int:
     )
     outputs = [Path(cfg.features_dir) / f"features_{role}.csv" for role in ROLES]
     for role, path in zip(ROLES, outputs):
-        with cache.atomic_path(path) as tmp:
-            features.write_features(extracted[role], tmp)
+        features.write_features(extracted[role], path)
     _write_manifest(
         "extract",
         {"seed": cfg.partition_seed, "train_days": cfg.train_days},
@@ -247,8 +245,7 @@ def _cmd_score(args, cfg: PipelineConfig) -> int:
     model = RankModel.load(model_path)
     table = features.read_features(features_path)
     scores = score_table(model, table)
-    with cache.atomic_path(out) as tmp:
-        evaluate.write_scores(table, scores, tmp)
+    evaluate.write_scores(table, scores, out)
     _write_manifest("score", {"model": str(model_path)},
                     [model_path, features_path], [out], started, out)
     print(f"wrote {out} ({table.n_targets} targets)")
@@ -286,8 +283,7 @@ def _cmd_blend(args, cfg: PipelineConfig) -> int:
             split_seed=cfg.blend_split_seed, names=names, cutoff=cfg.training.cutoff,
         )
 
-    with cache.atomic_path(out) as tmp:
-        evaluate.write_scores(table, blended.reshape(table.doc_ids.shape), tmp)
+    evaluate.write_scores(table, blended.reshape(table.doc_ids.shape), out)
     outputs = [out]
     if not args.apply:
         model_out = Path(args.model_out
@@ -317,10 +313,8 @@ def _cmd_eval(args, cfg: PipelineConfig) -> int:
     )
     report_path = out_dir / "report.csv"
     summary_path = out_dir / "summary.csv"
-    with cache.atomic_path(report_path) as tmp:
-        evaluate.write_report(report, tmp)
-    with cache.atomic_path(summary_path) as tmp:
-        evaluate.write_summary(report, tmp)
+    evaluate.write_report(report, report_path)
+    evaluate.write_summary(report, summary_path)
     _write_manifest(
         "eval", {"split_seed": args.split_seed},
         [scores_path], [report_path, summary_path], started, report_path,
@@ -350,10 +344,8 @@ def _cmd_analyze(args, cfg: PipelineConfig) -> int:
             raise DataError(f"{report_path}: line {rows.line_num}: {exc}") from None
     tau_path = out_dir / "tau_hist.csv"
     delta_path = out_dir / "delta_ndcg_hist.csv"
-    with cache.atomic_path(tau_path) as tmp:
-        evaluate.write_histogram(evaluate.histogram(taus, -1.0, 1.0, 20), tmp)
-    with cache.atomic_path(delta_path) as tmp:
-        evaluate.write_histogram(evaluate.histogram(deltas, -1.0, 1.0, 40), tmp)
+    evaluate.write_histogram(evaluate.histogram(taus, -1.0, 1.0, 20), tau_path)
+    evaluate.write_histogram(evaluate.histogram(deltas, -1.0, 1.0, 40), delta_path)
     _write_manifest("analyze", {}, [report_path], [tau_path, delta_path],
                     started, tau_path)
     print(f"wrote {tau_path}, {delta_path}")

@@ -169,6 +169,8 @@ def load_config(
             text = Path(path).read_text()
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not a UTF-8 text file: {exc}") from None
+        except OSError as exc:  # missing, a directory, unreadable
+            raise ConfigError(f"cannot read config file: {exc}") from None
         lines = (line.strip() for line in text.splitlines())
         pairs = [line for line in lines if line and not line.startswith("#")]
     assigned = []

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .cache import atomic_write
 from .features import FeatureTable, _id_columns, _read_grouped
 from .logs import DataError
 
@@ -115,26 +116,38 @@ def kendall_tau(ranking_a: Sequence[int], ranking_b: Sequence[int]) -> float:
 
 
 @dataclass
-class QueryEval:
-    user_id: int
-    query_id: int
-    session_id: int
-    serp_id: int
-    ndcg: float
-    base_ndcg: float
-    delta_ndcg: float
-    tau: float
-
-
-@dataclass
 class EvalReport:
-    rows: list[QueryEval] = field(default_factory=list)
-    mean_ndcg: float = 0.0
-    mean_base_ndcg: float = 0.0
-    mean_delta_ndcg: float = 0.0
-    mean_tau: float = 0.0
+    """Per-target results, (T,) arrays in score-table order, and their means."""
+
+    user_ids: np.ndarray
+    query_ids: np.ndarray
+    session_ids: np.ndarray
+    serp_ids: np.ndarray
+    ndcg: np.ndarray
+    base_ndcg: np.ndarray
+    tau: np.ndarray
     split_a_mean_ndcg: float | None = None
     split_b_mean_ndcg: float | None = None
+
+    @property
+    def delta_ndcg(self) -> np.ndarray:
+        return self.ndcg - self.base_ndcg
+
+    @property
+    def mean_ndcg(self) -> float:
+        return float(np.mean(self.ndcg))
+
+    @property
+    def mean_base_ndcg(self) -> float:
+        return float(np.mean(self.base_ndcg))
+
+    @property
+    def mean_delta_ndcg(self) -> float:
+        return float(np.mean(self.delta_ndcg))
+
+    @property
+    def mean_tau(self) -> float:
+        return float(np.mean(self.tau))
 
 
 SCORE_HEADER = [
@@ -153,7 +166,7 @@ def write_scores(table: FeatureTable, scores: np.ndarray, path: str | Path) -> N
         raise ValueError(f"scores shape {scores.shape} does not match the table")
     gains = ([list(map(repr, row)) for row in table.gains.tolist()] if table.gains is not None
              else [[""] * scores.shape[1]] * len(scores))
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         fh.write(",".join(SCORE_HEADER) + "\r\n")
         for ids, *columns in zip(_id_columns(table), table.doc_ids.tolist(),
                                  table.base_ranks.tolist(), gains, scores.tolist()):
@@ -189,67 +202,43 @@ def evaluate_run(
         raise DataError("no targets to evaluate")
     if table.gains is None:
         raise DataError("targets without relevance labels; cannot evaluate")
-    report = EvalReport()
     order = rank_rows(scores, table.base_ranks)
     base_order = np.argsort(table.base_ranks, axis=-1, kind="stable")
-    ndcgs = ndcg_rows(order, table.gains, cutoff).tolist()
-    rows = zip(
-        table.user_ids.tolist(), table.query_ids.tolist(),
-        table.session_ids.tolist(), table.serp_ids.tolist(),
-        order.tolist(), base_order.tolist(),
-        ndcgs, ndcg_rows(base_order, table.gains, cutoff).tolist(),
-    )
-    for (user_id, query_id, session_id, serp_id,
-         ranked, base_ranked, value, base_value) in rows:
-        # Both orders permute the same ten slots, so tau compares slots, not
-        # doc ids: a target that lists one document twice still has a tau.
-        tau = kendall_tau(ranked, base_ranked)
-        report.rows.append(
-            QueryEval(
-                user_id=user_id,
-                query_id=query_id,
-                session_id=session_id,
-                serp_id=serp_id,
-                ndcg=value,
-                base_ndcg=base_value,
-                delta_ndcg=value - base_value,
-                tau=tau,
-            )
-        )
-    report.mean_ndcg = float(np.mean([r.ndcg for r in report.rows]))
-    report.mean_base_ndcg = float(np.mean([r.base_ndcg for r in report.rows]))
-    report.mean_delta_ndcg = float(np.mean([r.delta_ndcg for r in report.rows]))
-    report.mean_tau = float(np.mean([r.tau for r in report.rows]))
-    if split_seed is not None and len(ndcgs) >= 2:
-        rng = np.random.default_rng(split_seed)
-        perm = rng.permutation(len(ndcgs))
-        half = len(ndcgs) // 2
-        values = np.asarray(ndcgs)
-        report.split_a_mean_ndcg = float(values[perm[:half]].mean())
-        report.split_b_mean_ndcg = float(values[perm[half:]].mean())
+    ndcg = ndcg_rows(order, table.gains, cutoff)
+    # Both orders permute the same ten slots, so tau compares slots, not
+    # doc ids: a target that lists one document twice still has a tau.
+    tau = np.array([kendall_tau(ranked, base_ranked)
+                    for ranked, base_ranked in zip(order.tolist(), base_order.tolist())])
+    report = EvalReport(table.user_ids, table.query_ids, table.session_ids, table.serp_ids,
+                        ndcg, ndcg_rows(base_order, table.gains, cutoff), tau)
+    if split_seed is not None and len(ndcg) >= 2:
+        perm = np.random.default_rng(split_seed).permutation(len(ndcg))
+        half = len(ndcg) // 2
+        report.split_a_mean_ndcg = float(ndcg[perm[:half]].mean())
+        report.split_b_mean_ndcg = float(ndcg[perm[half:]].mean())
     return report
 
 
 def write_report(report: EvalReport, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["user_id", "query_id", "session_id", "serp_id",
              "ndcg", "base_ndcg", "delta_ndcg", "tau"]
         )
-        for row in report.rows:
-            writer.writerow(
-                [row.user_id, row.query_id, row.session_id, row.serp_id,
-                 repr(row.ndcg), repr(row.base_ndcg),
-                 repr(row.delta_ndcg), repr(row.tau)]
-            )
+        writer.writerows(zip(
+            report.user_ids.tolist(), report.query_ids.tolist(),
+            report.session_ids.tolist(), report.serp_ids.tolist(),
+            *(map(repr, values.tolist()) for values in (
+                report.ndcg, report.base_ndcg, report.delta_ndcg, report.tau)),
+        ))
 
 
 def write_summary(report: EvalReport, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["metric", "value"])
-        writer.writerow(["n_queries", len(report.rows)])
+        writer.writerow(["n_queries", len(report.ndcg)])
         writer.writerow(["mean_ndcg", repr(report.mean_ndcg)])
         writer.writerow(["mean_base_ndcg", repr(report.mean_base_ndcg)])
         writer.writerow(["mean_delta_ndcg", repr(report.mean_delta_ndcg)])
@@ -273,7 +262,7 @@ def histogram(values: Sequence[float], lo: float, hi: float, bins: int) -> list[
 
 
 def write_histogram(rows: list[tuple[float, float, int]], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin_lo", "bin_hi", "count"])
         for lo, hi, count in rows:

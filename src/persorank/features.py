@@ -19,6 +19,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .cache import atomic_write
 from .contexts import Context, IndexRows, ItemKind, Occurrence, index_rows
 from .contexts import assemble_contexts, build  # noqa: F401  (perfbench/spans.py wraps them here)
 from .logs import CODE_GAINS, SERP_SIZE, DataError, Impression, Session, SessionColumns, decoding
@@ -213,13 +214,14 @@ def extract_impression(
     x = np.array([[[v for block in blocks for v in block[pos]] + [float(pos + 1)]  # engine rank
                    for pos in range(len(imp.documents))]])
     one = SessionColumns.of([Session(session_id, user_id, 0, [imp])])
-    return _table([(user_id, session_id, imp.serp_id)], one, np.zeros(1, dtype=np.int64), x)
+    target = np.array([[user_id, session_id, imp.serp_id]], dtype=np.int64)
+    return _table(target, one, np.zeros(1, dtype=np.int64), x)
 
 
-def _table(refs: list[tuple[int, int, int]], columns: SessionColumns, at: np.ndarray,
+def _table(targets: np.ndarray, columns: SessionColumns, at: np.ndarray,
            x: np.ndarray) -> FeatureTable:
-    """Targets `refs` (user, session, serp ids), impression rows `at`, with values `x`."""
-    user_ids, session_ids, serp_ids = np.array(refs, dtype=np.int64).reshape(-1, 3).T.copy()
+    """(T, 3) `targets` (user, session, serp ids), impression rows `at`, with values `x`."""
+    user_ids, session_ids, serp_ids = targets.T.copy()
     grades = columns.grades[at]
     return FeatureTable(
         user_ids, columns.query_id[at], session_ids, serp_ids, columns.documents[at],
@@ -391,16 +393,17 @@ def extract_targets(
     session = columns.impression_sessions()
     out: dict[str, FeatureTable] = {}
     for role in ROLES:
-        refs = sorted((r.user_id, r.session_id, r.serp_id) for r in targets.by_role(role))
-        at = columns.rows_of(refs)
+        ids = targets.by_role(role)
+        ids = ids[np.lexsort(ids.T[::-1])]  # by user, session, serp; duplicates kept
+        at = columns.rows_of(ids)
         users, target_ranks = columns.user_id[session[at]], ranks[session[at]]
         terms = columns.term_tuples(at)
-        x = np.empty((len(refs), SERP_SIZE, N_FEATURES))
-        for start in range(0, len(refs), CHUNK_TARGETS):
+        x = np.empty((len(ids), SERP_SIZE, N_FEATURES))
+        for start in range(0, len(ids), CHUNK_TARGETS):
             chunk = slice(start, start + CHUNK_TARGETS)
             x[chunk] = _target_blocks(rows, slots, columns, at[chunk], terms[chunk],
                                       users[chunk], target_ranks[chunk])
-        out[role] = _table(refs, columns, at, x)
+        out[role] = _table(ids, columns, at, x)
     return out
 
 
@@ -416,7 +419,7 @@ def write_features(table: FeatureTable, path: str | Path) -> None:
     bits, codes = np.unique(table.x.view(np.int64), return_inverse=True)
     digits = list(map(repr, bits.view(np.float64).tolist()))
     codes = codes.reshape(table.x.shape)  # the inverse's shape differs across numpy versions
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         fh.write(",".join(HEADER) + "\r\n")
         for ids, docs, target_codes, target_gains in zip(_id_columns(table), table.doc_ids.tolist(),
                                                          codes, gains):

@@ -148,6 +148,7 @@ def _split(values: list, counts: np.ndarray) -> list[list]:
     return [values[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
+# A (user, session, serp) id row viewed as one value that sorts row by row.
 _KEY = np.dtype([("user", np.int64), ("session", np.int64), ("serp", np.int64)])
 
 
@@ -243,17 +244,16 @@ class SessionColumns:
         """The session row of each impression row."""
         return np.repeat(np.arange(len(self.session_id)), self.n_impressions)
 
-    def rows_of(self, refs) -> np.ndarray:
-        """The impression row of each (user_id, session_id, serp_id) triple in `refs`.
+    def rows_of(self, targets: np.ndarray) -> np.ndarray:
+        """The impression row of each (user_id, session_id, serp_id) row of (N, 3) `targets`.
 
-        A triple that names no impression raises DataError.
+        A row that names no impression raises DataError.
         """
         session = self.impression_sessions()
-        keys = np.empty(len(session), dtype=_KEY)
-        keys["user"], keys["session"], keys["serp"] = (
-            self.user_id[session], self.session_id[session], self.serp_id)
-        by_key = np.lexsort((keys["serp"], keys["session"], keys["user"]))
-        keys, wanted = keys[by_key], np.array(refs, dtype=_KEY)
+        keys = np.stack((self.user_id[session], self.session_id[session], self.serp_id), axis=1)
+        by_key = np.lexsort(keys.T[::-1])
+        keys = keys[by_key].view(_KEY)[:, 0]
+        wanted = np.ascontiguousarray(targets, dtype=np.int64).view(_KEY)[:, 0]
         at = np.searchsorted(keys, wanted)
         found = at < len(keys)
         found[found] = keys[at[found]] == wanted[found]

@@ -20,25 +20,26 @@ from typing import Iterable
 
 import numpy as np
 
+from .cache import atomic_write
 from .logs import CODE_GAINS, DataError, Session, SessionColumns, decoding
 
 ROLES = ("train", "validation", "test")
+_INT64 = np.iinfo(np.int64)
 
 
-@dataclass(frozen=True, order=True)
-class TargetRef:
-    user_id: int
-    session_id: int
-    serp_id: int
+def _no_targets() -> np.ndarray:
+    return np.empty((0, 3), dtype=np.int64)
 
 
-@dataclass
+@dataclass(eq=False)
 class TargetSet:
-    train: list[TargetRef] = field(default_factory=list)
-    validation: list[TargetRef] = field(default_factory=list)
-    test: list[TargetRef] = field(default_factory=list)
+    """Each role's targets: an (N, 3) int64 array of (user_id, session_id, serp_id) rows."""
 
-    def by_role(self, role: str) -> list[TargetRef]:
+    train: np.ndarray = field(default_factory=_no_targets)
+    validation: np.ndarray = field(default_factory=_no_targets)
+    test: np.ndarray = field(default_factory=_no_targets)
+
+    def by_role(self, role: str) -> np.ndarray:
         if role not in ROLES:
             raise ValueError(f"unknown role: {role}")
         return getattr(self, role)
@@ -168,38 +169,43 @@ def select_targets(
         serp = columns.serp_id[timeline[np.argmax(unlabeled)]]
         raise DataError(f"impression serp={serp} is unlabeled; label sessions first")
 
-    def refs(found: np.ndarray) -> list[TargetRef]:
+    def rows(found: np.ndarray) -> np.ndarray:
         at = timeline[found[found >= 0]]
-        return [TargetRef(*key) for key in zip(
-            user_ids[found >= 0].tolist(), columns.session_id[session[at]].tolist(),
-            columns.serp_id[at].tolist())]
+        return np.stack((user_ids[found >= 0], columns.session_id[session[at]],
+                         columns.serp_id[at]), axis=1)
 
-    targets = TargetSet(refs(train), refs(validation), refs(test))
+    targets = TargetSet(rows(train), rows(validation), rows(test))
     report = PartitionReport(n_users, *(int((found < 0).sum()) for found in (
         first, train, validation, test)))
     return targets, report
 
 
 def write_targets(targets: TargetSet, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["role", "user_id", "session_id", "serp_id"])
         for role in ROLES:
-            for ref in targets.by_role(role):
-                writer.writerow([role, ref.user_id, ref.session_id, ref.serp_id])
+            writer.writerows([role, *ids] for ids in targets.by_role(role).tolist())
 
 
 def read_targets(path: str | Path) -> TargetSet:
-    """Load a targets CSV; a row that does not parse raises DataError naming its line."""
-    targets = TargetSet()
+    """Load a targets CSV.
+
+    A row that does not parse, names an unknown role, or holds an id outside
+    int64 raises DataError naming its line.
+    """
+    rows: dict[str, list[list[int]]] = {role: [] for role in ROLES}
     with decoding(path), open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             try:
-                ref = TargetRef(
-                    int(row["user_id"]), int(row["session_id"]), int(row["serp_id"])
-                )
-                targets.by_role(row["role"]).append(ref)
+                ids = [int(row[name]) for name in ("user_id", "session_id", "serp_id")]
+                if not all(_INT64.min <= i <= _INT64.max for i in ids):
+                    raise ValueError(f"ids {ids} do not all fit in int64")
+                if row["role"] not in rows:
+                    raise ValueError(f"unknown role: {row['role']}")
+                rows[row["role"]].append(ids)
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-    return targets
+    return TargetSet(**{role: np.array(ids, dtype=np.int64).reshape(-1, 3)
+                        for role, ids in rows.items()})

@@ -165,16 +165,14 @@ def test_criterion_2_feature_oracle_equivalence():
         scan = OracleScan(sessions, seed=5)
         rng = random.Random(99)
         all_refs = [
-            ref
+            tuple(ref)
             for role in ("train", "validation", "test")
-            for ref in targets.by_role(role)
+            for ref in targets.by_role(role).tolist()
         ]
         integer_features = {0, 2, 3, 10, 11, 12, 13, 16, 17}
         for ref in rng.sample(all_refs, 500):
-            got = by_key[(ref.user_id, ref.session_id, ref.serp_id)]
-            want = oracle_extract(
-                scan, cfg.train_days, ref.user_id, ref.session_id, ref.serp_id
-            )
+            got = by_key[ref]
+            want = oracle_extract(scan, cfg.train_days, *ref)
             for got_doc, want_doc in zip(got, want):
                 assert got_doc[120] == want_doc[120]
                 for block in range(6):
@@ -227,19 +225,17 @@ def test_criterion_4_partitioner(desk, tmp_path):
             for i in s.impressions
         }
         for role in ("train", "validation"):
-            refs = targets.by_role(role)
+            refs = targets.by_role(role).tolist()
             assert refs
             for ref in refs:
-                _, imp = lookup[(ref.user_id, ref.session_id, ref.serp_id)]
+                _, imp = lookup[tuple(ref)]
                 assert any(g.gain > 0 for g in imp.labels)
-        tests_by_user = {t.user_id: t for t in targets.test}
-        for ref in targets.validation:
-            test_ref = tests_by_user[ref.user_id]
-            assert ref.session_id == test_ref.session_id
-            _, v_imp = lookup[(ref.user_id, ref.session_id, ref.serp_id)]
-            _, t_imp = lookup[
-                (test_ref.user_id, test_ref.session_id, test_ref.serp_id)
-            ]
+        tests_by_user = {t[0]: tuple(t) for t in targets.test.tolist()}
+        for ref in map(tuple, targets.validation.tolist()):
+            test_ref = tests_by_user[ref[0]]
+            assert ref[1] == test_ref[1]
+            _, v_imp = lookup[ref]
+            _, t_imp = lookup[test_ref]
             assert v_imp.time_passed < t_imp.time_passed
 
         again, _ = select_targets(

@@ -331,11 +331,11 @@ class TestManifests:
 class TestAtomicWrite:
     def test_concurrent_writers_get_distinct_temp_files(self, tmp_path):
         out = tmp_path / "out.csv"
-        with cache_mod.atomic_path(out) as a, cache_mod.atomic_path(out) as b:
-            assert a != b
-            assert a.parent == b.parent == tmp_path
-            a.write_text("first\n")
-            b.write_text("second\n")
+        with cache_mod.atomic_write(out) as a, cache_mod.atomic_write(out) as b:
+            assert a.name != b.name
+            assert Path(a.name).parent == Path(b.name).parent == tmp_path
+            a.write("first\n")
+            b.write("second\n")
         assert out.read_text() == "first\n"  # the writer that finished last wins
         assert list(tmp_path.glob("*.tmp")) == []
 
@@ -344,8 +344,8 @@ class TestAtomicWrite:
         try:
             with cache_mod.atomic_write(tmp_path / "a.txt") as fh:
                 fh.write("x")
-            with cache_mod.atomic_path(tmp_path / "b.txt") as tmp:
-                tmp.write_text("y")
+            with cache_mod.atomic_write(tmp_path / "b.txt", newline="") as fh:
+                fh.write("y\r\n")
         finally:
             os.umask(mask)
         for name in ("a.txt", "b.txt"):
@@ -457,11 +457,14 @@ class TestSettings:
         ["eval", "--split-seed", "-1"],
         ["partition", "-O", "n_users=0"],
         ["blend", "--method", "learned", "--scores", "{missing}"],
+        ["partition", "-c", "{missing}.cfg"],
+        ["partition", "-c", "{directory}"],
     ], ids=["heuristic_hidden", "ranknet_hidden", "blend_split_seed", "eval_split_seed",
-            "n_users", "learned_blend_of_one_member"])
+            "n_users", "learned_blend_of_one_member", "missing_config_file",
+            "config_path_is_a_directory"])
     def test_settings_are_checked_before_inputs_are_read(self, tmp_path, capsys, argv):
         missing = str(tmp_path / "missing")
-        argv = [arg.format(missing=missing) for arg in argv]
+        argv = [arg.format(missing=missing, directory=tmp_path) for arg in argv]
         inputs = {
             "train": ["--train-features", missing, "--val-features", missing,
                       "--out", str(tmp_path / "out")],
@@ -763,14 +766,21 @@ class TestMalformedInputs:
                    "--features", str(scored_run / "features_validation.csv"),
                    "--out", str(tmp_path / "s.csv")) == 2
 
-    @pytest.mark.parametrize("row", ["train,abc,1,0", "bogus,1,1,0"],
-                             ids=["non_integer_id", "unknown_role"])
+    @pytest.mark.parametrize("row", ["train,abc,1,0", "bogus,1,1,0",
+                                     "train,99999999999999999999,1,0"],
+                             ids=["non_integer_id", "unknown_role", "id_beyond_int64"])
     def test_malformed_target_row_is_data_error(self, scored_run, tmp_path, capsys, row):
         targets = tmp_path / "t.csv"
         targets.write_text(f"role,user_id,session_id,serp_id\n{row}\n")
-        assert run("extract", "--cache", str(scored_run / "s.cache"),
-                   "--targets", str(targets), "--out-dir", str(tmp_path)) == 2
-        assert "line 2" in capsys.readouterr().err
+        cache_file = str(scored_run / "s.cache")
+        for argv in (["extract", "--cache", cache_file, "--targets", str(targets),
+                      "--out-dir", str(tmp_path)],
+                     ["stats", "--cache", cache_file, "--targets", str(targets),
+                      "--out", str(tmp_path / "stats.csv")]):
+            capsys.readouterr()
+            assert run(*argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("data error: ") and f"{targets}: line 2" in err, argv
 
     def blend(self, tmp_path, *members, method="average"):
         return run("blend", "--scores", *map(str, members), "--method", method,

@@ -142,17 +142,17 @@ class TestAssemble:
         qidx, hist, ranks = build_from_sessions(
             small_corpus.sessions, small_corpus.train_days, small_corpus.partition_seed
         )
-        ref = small_corpus.targets.validation[0]
+        user_id, session_id, serp_id = small_corpus.targets.validation[0].tolist()
         lookup_imp = {
             (s.user_id, s.session_id, i.serp_id): i
             for s in small_corpus.sessions
             for i in s.impressions
         }
-        target = lookup_imp[(ref.user_id, ref.session_id, ref.serp_id)]
+        target = lookup_imp[(user_id, session_id, serp_id)]
         six = assemble_contexts(
-            ref.user_id,
+            user_id,
             target.query_id,
-            (ranks[(ref.user_id, ref.session_id)], target.time_passed),
+            (ranks[(user_id, session_id)], target.time_passed),
             qidx,
             hist,
         )

@@ -152,8 +152,8 @@ class TestEvaluateRun:
         rng = random.Random(3)
         targets = _targets(20, rng, lambda gains, base: [-b for b in base])
         report = evaluate_run(*targets)
-        assert all(row.tau == 1.0 for row in report.rows)
-        assert all(row.delta_ndcg == 0.0 for row in report.rows)
+        assert all(tau == 1.0 for tau in report.tau.tolist())
+        assert all(delta == 0.0 for delta in report.delta_ndcg.tolist())
         assert report.mean_ndcg == report.mean_base_ndcg
 
     def test_base_mean_matches_identity_ndcg(self):
@@ -199,7 +199,7 @@ class TestReRankShape:
         spath = tmp_path / "s.csv"
         write_scores(table, scores, spath)
         report = evaluate_run(*read_scores(spath))
-        taus = [row.tau for row in report.rows]
+        taus = report.tau.tolist()
         assert sum(1 for t in taus if t >= 0.7) / len(taus) > 0.5
         assert min(taus) < 1.0
 
@@ -346,13 +346,15 @@ class TestArrayNdcg:
         scores, gains, base, cutoff = pool
         table = _table(list(range(len(scores))), gains, base)
         report = evaluate_run(table, scores, cutoff)
-        for row, row_scores, row_gains, row_base in zip(
-            report.rows, scores.tolist(), gains.tolist(), base.tolist()
+        assert report.ndcg.dtype == report.base_ndcg.dtype == np.float64
+        for ndcg, base_ndcg, row_scores, row_gains, row_base in zip(
+            report.ndcg.tolist(), report.base_ndcg.tolist(),
+            scores.tolist(), gains.tolist(), base.tolist()
         ):
-            assert row.ndcg == ndcg_at(rank_by_score(row_scores, row_base), row_gains, cutoff)
+            assert ndcg == ndcg_at(rank_by_score(row_scores, row_base), row_gains, cutoff)
             base_order = sorted(range(10), key=lambda i: row_base[i])
-            assert row.base_ndcg == ndcg_at(base_order, row_gains, cutoff)
-            assert type(row.ndcg) is float and type(row.base_ndcg) is float
+            assert base_ndcg == ndcg_at(base_order, row_gains, cutoff)
+            assert type(ndcg) is float and type(base_ndcg) is float
 
     def test_one_target_without_gains_scores_one(self):
         scores = np.zeros((1, 10))

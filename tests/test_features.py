@@ -25,7 +25,7 @@ from persorank.features import (
     write_features,
 )
 from persorank.logs import DataError, Grade, Impression, Session, SessionColumns
-from persorank.partition import TargetRef, TargetSet
+from persorank.partition import TargetSet
 
 from oracles import OracleEntry, oracle_block, oracle_sim
 
@@ -316,8 +316,7 @@ class TestExtract:
 
     def test_unlabeled_target_leaves_every_gain_of_its_role_empty(self, small_corpus, tmp_path):
         # One unlabeled test target among labeled ones: the whole role loads unlabeled.
-        unlabeled = min(small_corpus.targets.by_role("test"))
-        key = (unlabeled.user_id, unlabeled.session_id, unlabeled.serp_id)
+        key = min(map(tuple, small_corpus.targets.by_role("test").tolist()))
         sessions = [
             dataclasses.replace(s, impressions=[
                 dataclasses.replace(imp, labels=None)
@@ -468,7 +467,7 @@ class TestReadFeatures:
 
 
 def scalar_table(sessions, refs, train_days, seed):
-    """`extract_impression` over `assemble_contexts` for each target reference, as one table."""
+    """`extract_impression` over `assemble_contexts` for each (user, session, serp) in `refs`."""
     qidx, hist, ranks = build_from_sessions(sessions, train_days, seed)
     lookup = {
         (s.user_id, s.session_id, imp.serp_id): imp
@@ -476,11 +475,11 @@ def scalar_table(sessions, refs, train_days, seed):
         for imp in s.impressions
     }
     tables = []
-    for ref in refs:
-        imp = lookup[(ref.user_id, ref.session_id, ref.serp_id)]
-        key = (ranks[(ref.user_id, ref.session_id)], imp.time_passed)
-        six = assemble_contexts(ref.user_id, imp.query_id, key, qidx, hist)
-        tables.append(extract_impression(ref.user_id, imp, ref.session_id, six))
+    for user_id, session_id, serp_id in refs:
+        imp = lookup[(user_id, session_id, serp_id)]
+        key = (ranks[(user_id, session_id)], imp.time_passed)
+        six = assemble_contexts(user_id, imp.query_id, key, qidx, hist)
+        tables.append(extract_impression(user_id, imp, session_id, six))
     return FeatureTable(*(
         np.concatenate([getattr(t, field.name) for t in tables])
         for field in dataclasses.fields(FeatureTable)
@@ -508,10 +507,10 @@ def check_hand_built(sessions, user_id, imp):
     its user is earlier. The batched values must equal the scalar reference.
     """
     sessions = sessions + [Session(TARGET_SESSION, user_id, 28, [imp])]
-    ref = TargetRef(user_id, TARGET_SESSION, imp.serp_id)
-    got = extract_targets(SessionColumns.of(sessions), TargetSet(test=[ref]), train_days=27,
-                          seed=0)["test"]
-    assert_same_table(got, scalar_table(sessions, [ref], 27, 0))
+    refs = [(user_id, TARGET_SESSION, imp.serp_id)]
+    got = extract_targets(SessionColumns.of(sessions), TargetSet(test=np.array(refs)),
+                          train_days=27, seed=0)["test"]
+    assert_same_table(got, scalar_table(sessions, refs, 27, 0))
     return got.x[0]
 
 
@@ -539,7 +538,7 @@ class TestColumnar:
         extracted = extract_targets(small_corpus.columns, small_corpus.targets, **kwargs)
         checked = 0
         for role in ("train", "validation", "test"):
-            refs = sorted(small_corpus.targets.by_role(role))
+            refs = sorted(map(tuple, small_corpus.targets.by_role(role).tolist()))
             want = scalar_table(small_corpus.sessions, refs, **kwargs)
             assert_same_table(extracted[role], want)
             checked += len(refs)

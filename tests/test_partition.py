@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from persorank.logs import DataError, Grade, Impression, Session, SessionColumns
 from persorank.partition import (
     ROLES,
-    TargetRef,
     order_sessions,
     rank_sessions,
     read_targets,
@@ -49,9 +50,9 @@ class TestSelection:
             sess(2, 7, day=29, imps=[imp(0, 0, ONE_REL, is_test=True)]),
         ]
         targets, report = select_targets(SessionColumns.of(sessions), train_days=27, seed=0)
-        assert targets.train == []
+        assert targets.train.tolist() == []
         assert report.users_without_train == 1
-        assert targets.test == [TargetRef(7, 2, 0)]
+        assert targets.test.tolist() == [[7, 2, 0]]
 
     def test_test_session_with_only_the_test_query_has_no_validation(self):
         sessions = [
@@ -59,7 +60,7 @@ class TestSelection:
             sess(2, 7, day=28, imps=[imp(0, 0, ONE_REL, is_test=True)]),
         ]
         targets, report = select_targets(SessionColumns.of(sessions), train_days=27, seed=0)
-        assert targets.validation == []
+        assert targets.validation.tolist() == []
         assert report.users_without_validation == 1
 
     def test_training_target_is_last_qualifying_impression_of_latest_day(self):
@@ -71,7 +72,7 @@ class TestSelection:
         ]
         targets, _ = select_targets(SessionColumns.of(sessions), train_days=27, seed=0)
         # serp 1 on day 27 has no relevant document, so serp 0 qualifies last
-        assert targets.train == [TargetRef(7, 3, 0)]
+        assert targets.train.tolist() == [[7, 3, 0]]
 
     def test_validation_is_last_qualifier_strictly_before_test(self):
         sessions = [
@@ -87,8 +88,8 @@ class TestSelection:
             ),
         ]
         targets, _ = select_targets(SessionColumns.of(sessions), train_days=27, seed=0)
-        assert targets.validation == [TargetRef(7, 2, 1)]
-        assert targets.test == [TargetRef(7, 2, 3)]
+        assert targets.validation.tolist() == [[7, 2, 1]]
+        assert targets.test.tolist() == [[7, 2, 3]]
 
     def test_synthetic_fallback_uses_last_test_period_session(self):
         sessions = [
@@ -96,12 +97,12 @@ class TestSelection:
             sess(2, 7, day=30, imps=[imp(0, 0, ONE_REL), imp(1, 60, ZERO)]),
         ]
         targets, _ = select_targets(SessionColumns.of(sessions), train_days=27, seed=0)
-        assert targets.test == [TargetRef(7, 2, 1)]
+        assert targets.test.tolist() == [[7, 2, 1]]
 
     def test_no_fallback_when_last_session_is_in_training_period(self):
         sessions = [sess(1, 7, day=10, imps=[imp(0, 0, ONE_REL)])]
         targets, report = select_targets(SessionColumns.of(sessions), train_days=27, seed=0)
-        assert targets.test == []
+        assert targets.test.tolist() == []
         assert report.users_without_test == 1
 
     def test_training_target_day_bound_respected(self):
@@ -110,7 +111,7 @@ class TestSelection:
             sess(2, 7, day=29, imps=[imp(0, 0, ONE_REL, is_test=True)]),
         ]
         targets, _ = select_targets(SessionColumns.of(sessions), train_days=27, seed=0)
-        assert targets.train == []
+        assert targets.train.tolist() == []
 
     def test_unlabeled_sessions_rejected(self):
         bad = sess(1, 7, day=1, imps=[imp(0, 0, ONE_REL)])
@@ -189,8 +190,8 @@ class TestRanks:
         targets, report = select_targets(SessionColumns.of(sessions), train_days=27, seed=seed)
         want = oracle_targets(sessions, 27, seed)
         for k, role in enumerate(ROLES):
-            assert targets.by_role(role) == [TargetRef(user_id, *keys[k])
-                                             for user_id, keys in want.items() if keys[k]]
+            assert targets.by_role(role).tolist() == [[user_id, *keys[k]]
+                                                      for user_id, keys in want.items() if keys[k]]
         assert report.n_users == len(want)
         assert report.users_without_sessions == sum(
             not any(s.impressions for s in sessions if s.user_id == u) for u in want)
@@ -205,35 +206,34 @@ class TestCorpusInvariants:
         }
         for role in ("train", "validation"):
             refs = small_corpus.targets.by_role(role)
-            assert refs, f"no {role} targets selected"
-            for ref in refs:
-                imp = lookup[(ref.user_id, ref.session_id, ref.serp_id)]
+            assert len(refs), f"no {role} targets selected"
+            for ref in refs.tolist():
+                imp = lookup[tuple(ref)]
                 assert any(g.gain > 0 for g in imp.labels)
 
     def test_validation_strictly_precedes_test_in_same_session(self, small_corpus):
-        tests = {t.user_id: t for t in small_corpus.targets.test}
+        tests = {t[0]: tuple(t) for t in small_corpus.targets.test.tolist()}
         lookup = {
             (s.user_id, s.session_id, i.serp_id): i
             for s in small_corpus.sessions
             for i in s.impressions
         }
-        for ref in small_corpus.targets.validation:
-            test_ref = tests[ref.user_id]
-            assert ref.session_id == test_ref.session_id
-            v = lookup[(ref.user_id, ref.session_id, ref.serp_id)]
-            t = lookup[(test_ref.user_id, test_ref.session_id, test_ref.serp_id)]
+        for ref in map(tuple, small_corpus.targets.validation.tolist()):
+            test_ref = tests[ref[0]]
+            assert ref[1] == test_ref[1]
+            v = lookup[ref]
+            t = lookup[test_ref]
             assert v.time_passed < t.time_passed
 
     def test_training_targets_within_training_days(self, small_corpus):
         days = {s.session_id: s.day for s in small_corpus.sessions}
-        for ref in small_corpus.targets.train:
-            assert days[ref.session_id] <= small_corpus.train_days
+        for _, session_id, _ in small_corpus.targets.train.tolist():
+            assert days[session_id] <= small_corpus.train_days
 
     def test_no_impression_in_two_roles(self, small_corpus):
         seen = set()
         for role in ("train", "validation", "test"):
-            for ref in small_corpus.targets.by_role(role):
-                key = (ref.user_id, ref.session_id, ref.serp_id)
+            for key in map(tuple, small_corpus.targets.by_role(role).tolist()):
                 assert key not in seen
                 seen.add(key)
 
@@ -243,9 +243,8 @@ class TestCorpusInvariants:
             train_days=small_corpus.train_days,
             seed=small_corpus.partition_seed,
         )
-        assert again.train == small_corpus.targets.train
-        assert again.validation == small_corpus.targets.validation
-        assert again.test == small_corpus.targets.test
+        for role in ROLES:
+            assert np.array_equal(again.by_role(role), small_corpus.targets.by_role(role))
 
     def test_targets_csv_round_trip_and_bytes(self, small_corpus, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -253,6 +252,6 @@ class TestCorpusInvariants:
         write_targets(small_corpus.targets, b)
         assert a.read_bytes() == b.read_bytes()
         loaded = read_targets(a)
-        assert loaded.train == small_corpus.targets.train
-        assert loaded.validation == small_corpus.targets.validation
-        assert loaded.test == small_corpus.targets.test
+        for role in ROLES:
+            assert loaded.by_role(role).dtype == np.int64
+            assert np.array_equal(loaded.by_role(role), small_corpus.targets.by_role(role))
