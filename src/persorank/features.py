@@ -13,6 +13,8 @@ contributes 0.
 from __future__ import annotations
 
 import csv
+import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -440,6 +442,14 @@ def read_features(path: str | Path) -> FeatureTable:
     return table
 
 
+def _gain(field: str) -> float:
+    """An empty gain (unlabeled) reads as NaN; a written gain must be finite."""
+    gain = float(field) if field else math.nan
+    if field and not math.isfinite(gain):
+        raise ValueError(field)  # numpy reports the field and its column
+    return gain
+
+
 def _read_grouped(
     path: str | Path, header: list[str], n_features: int
 ) -> tuple[FeatureTable, np.ndarray]:
@@ -448,83 +458,57 @@ def _read_grouped(
     Each target is 10 consecutive rows: four target id columns and a doc
     id, then number columns, one of them `base_rank` and one `gain`, which
     is empty for unlabeled documents. Returns the table, whose x holds the
-    first `n_features` number columns, and every number column other than
-    the gain as (T, 10, columns). A file with any empty gain loads with
-    gains=None.
+    first `n_features` number columns, and every number column as
+    (T, 10, columns). A file with any empty gain loads with gains=None.
 
-    Malformed content raises DataError: an unexpected header, a row count
-    that is not a multiple of 10, rows with the wrong number of fields,
-    target ids that change within a group, ids that are not integers, and
-    values that are not numbers or not finite.
+    The body is parsed once, into int64 ids and float64 numbers. Malformed
+    content raises DataError naming the first bad line: an unexpected
+    header, a row count that is not a multiple of 10, a blank line, a row
+    with the wrong number of fields, an id that is not an int64, a value
+    that is not a number, target ids that change within a group, and
+    non-finite values.
     """
-    width = len(header)
-    g = header.index("gain")
-    numbers = [c for c in range(len(ID_COLUMNS), width) if c != g]
-    with decoding(path), open(path, newline="") as fh:
+    n_ids = len(ID_COLUMNS)
+    row = np.dtype([("ids", np.int64, n_ids), ("numbers", np.float64, len(header) - n_ids)])
+
+    def parse(lines: list[str]) -> np.ndarray:
+        return np.loadtxt(lines, dtype=row, delimiter=",", comments=None, ndmin=1,
+                          converters={header.index("gain"): _gain})
+
+    with decoding(path), open(path, encoding="utf-8") as fh:
         if next(csv.reader([fh.readline()]), None) != header:
             raise DataError(f"unexpected header in {path}")
-        n_rows = sum(1 for _ in fh)
-        if n_rows % 10 != 0:
-            raise DataError(f"{path}: row count {n_rows} is not a multiple of 10")
-        n_targets = n_rows // 10
-        ids = np.empty((n_targets, 4), dtype=np.int64)
-        doc_ids = np.empty((n_targets, 10), dtype=np.int64)
-        gains = np.empty((n_targets, 10), dtype=np.float64)
-        labeled = True
-        # One line at a time for the ids and the gain; the values come after.
-        fh.seek(0)
-        fh.readline()
-        for i, line in enumerate(fh):
-            t, j = divmod(i, 10)
-            line = line.rstrip("\r\n")
-            fields = line.split(",") if line else []
-            if len(fields) != width:
-                raise DataError(f"{path}: line {i + 2} has {len(fields)} fields, expected {width}")
-            if j == 0:
-                target = fields[:4]
-            elif fields[:4] != target:
-                raise DataError(f"{path}: line {i + 2} changes target within a group of 10")
-            try:
-                if j == 0:
-                    ids[t] = [int(v) for v in target]
-                doc_ids[t, j] = int(fields[4])
-                if fields[g]:
-                    gains[t, j] = float(fields[g])
-                else:
-                    labeled = False
-            except ValueError as exc:
-                raise DataError(f"{path}: line {i + 2}: {exc}") from None
+        lines = list(fh)
+    if len(lines) % 10 != 0:
+        raise DataError(f"{path}: row count {len(lines)} is not a multiple of 10")
     try:
-        values = np.loadtxt(path, delimiter=",", skiprows=1, usecols=numbers, ndmin=2,
-                            comments=None) if n_rows else np.empty((0, len(numbers)))
-    except ValueError as error:
-        with open(path, newline="") as fh:  # name the line, in float()'s words
-            rows = csv.reader(fh)
-            next(rows)
-            for i, row in enumerate(rows):
-                try:
-                    for c in numbers:
-                        float(row[c])
-                except ValueError as exc:
-                    raise DataError(f"{path}: line {i + 2}: {exc}") from None
-        raise DataError(f"{path}: {error}") from None
-    values = values.reshape(n_targets, 10, len(numbers))
-
-    finite = np.isfinite(values).all(axis=2)
-    if labeled:
-        finite &= np.isfinite(gains)
-    if not finite.all():
-        t, j = np.argwhere(~finite)[0]
-        raise DataError(f"{path}: line {t * 10 + j + 2} holds a non-finite value")
-
+        rows = parse(lines) if lines else np.empty(0, row)
+    except ValueError:
+        rows = None
+    if rows is None or len(rows) != len(lines):  # loadtxt skips blank lines
+        for n, line in enumerate(lines, start=2):  # numpy's row numbers are no file lines
+            if not line.strip():
+                raise DataError(f"{path}: line {n} is blank")
+            try:
+                parse([line])
+            except ValueError as exc:
+                reason = re.sub(r" at row \d+", "", str(exc)).split(";")[0]
+                raise DataError(f"{path}: line {n}: {reason}") from None
+    ids = rows["ids"].reshape(-1, 10, n_ids)
+    numbers = rows["numbers"].reshape(-1, 10, len(header) - n_ids)
+    gain = header.index("gain") - n_ids
+    finite = np.isfinite(numbers)
+    finite[..., gain] = True  # an empty gain reads as NaN; `_gain` checked the others
+    for bad, what in (((ids[:, :, :4] != ids[:, :1, :4]).any(axis=2),
+                       "changes target within a group of 10"),
+                      (~finite.all(axis=2), "holds a non-finite value")):
+        if bad.any():
+            raise DataError(f"{path}: line {np.argmax(bad) + 2} {what}")
     table = FeatureTable(
-        user_ids=ids[:, 0].copy(),
-        query_ids=ids[:, 1].copy(),
-        session_ids=ids[:, 2].copy(),
-        serp_ids=ids[:, 3].copy(),
-        doc_ids=doc_ids,
-        x=values[:, :, :n_features],
-        base_ranks=values[:, :, numbers.index(header.index("base_rank"))].copy(),
-        gains=gains if labeled else None,
+        *ids[:, 0, :4].T.copy(),
+        doc_ids=ids[:, :, 4].copy(),
+        x=numbers[:, :, :n_features],
+        base_ranks=numbers[..., header.index("base_rank") - n_ids].copy(),
+        gains=None if np.isnan(numbers[..., gain]).any() else numbers[..., gain].copy(),
     )
-    return table, values
+    return table, numbers

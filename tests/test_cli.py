@@ -718,6 +718,19 @@ class TestMalformedInputs:
         bad = corrupt_field(scored_run / "scores.csv", tmp_path / "s.csv", "score", None)
         assert run("eval", "--scores", str(bad), "--out-dir", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("edit,where", [
+        (first_row_set("user_id", "9" * 20), "line 2"),
+        (first_row_set("doc_id", "-" + "9" * 20), "line 2"),
+        (lambda rows: rows[:3] + [[]] + rows[4:], "line 4"),
+        (lambda rows: rows[:3] + [[]] + rows[3:], "row count"),
+    ], ids=["user_id_beyond_int64", "doc_id_below_int64", "blank_line", "inserted_blank_line"])
+    def test_malformed_score_row_is_data_error(self, scored_run, tmp_path, capsys, edit, where):
+        bad = rewrite_rows(scored_run / "scores.csv", tmp_path / "s.csv", edit)
+        capsys.readouterr()
+        assert run("eval", "--scores", str(bad), "--out-dir", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and f"{bad}: {where}" in err
+
     def test_eval_of_target_listing_a_document_twice(self, scored_run, tmp_path):
         def second_doc_repeats_first(rows):
             col = rows[0].index("doc_id")

@@ -446,8 +446,14 @@ class TestReadFeatures:
         (13, set_field(10, "nan")),
         (13, set_field(-1, "g")),
         (13, set_field(-1, "inf")),
+        (12, set_field(0, "9" * 20)),
+        (13, set_field(4, "9" * 20)),
+        (13, set_field(-1, "nan")),
+        (13, lambda fields: []),
+        (13, lambda fields: set_field(10, "inf")(set_field(-1, "")(fields))),
     ], ids=["short_row", "long_row", "target_change", "user_id", "doc_id", "value",
-            "nan_value", "gain", "inf_gain"])
+            "nan_value", "gain", "inf_gain", "user_id_beyond_int64", "doc_id_beyond_int64",
+            "nan_gain", "blank_line", "inf_value_without_gain"])
     def test_malformed_row_is_data_error_naming_its_line(self, tmp_path, line, edit):
         x = np.full((2, 10, N_FEATURES), 0.5)
         x[:, :, -1] = np.arange(1, 11)
