@@ -19,7 +19,7 @@ import numpy as np
 from .cache import load_json, save_json
 from .evaluate import mean_ndcg
 from .logs import DataError
-from .ranker import loss_and_score_grad, ModelKind
+from .ranker import ModelKind, Standardizer, load_array, loss_and_score_grad
 
 LEARNED_BLEND_LR = 0.5
 LEARNED_BLEND_EPOCHS = 200
@@ -29,8 +29,7 @@ LEARNED_BLEND_EPOCHS = 200
 class BlendModel:
     method: str  # "average" or "learned"
     member_names: list[str]
-    member_means: np.ndarray
-    member_scales: np.ndarray
+    standardizer: Standardizer  # of the member scores over the blended pool
     weights: np.ndarray
     bias: float = 0.0
     metadata: dict = field(default_factory=dict)
@@ -45,8 +44,7 @@ class BlendModel:
             raise DataError(
                 f"expected {len(self.member_names)} members, got {stacked.shape[1]}"
             )
-        z = (stacked - self.member_means) / self.member_scales
-        return z @ self.weights + self.bias
+        return self.standardizer.apply(stacked) @ self.weights + self.bias
 
     def save(self, path: str | Path) -> None:
         payload = {
@@ -54,8 +52,8 @@ class BlendModel:
             "version": 1,
             "method": self.method,
             "members": self.member_names,
-            "member_means": self.member_means.tolist(),
-            "member_scales": self.member_scales.tolist(),
+            "member_means": self.standardizer.mean.tolist(),
+            "member_scales": self.standardizer.scale.tolist(),
             "weights": self.weights.tolist(),
             "bias": self.bias,
             "metadata": self.metadata,
@@ -66,13 +64,17 @@ class BlendModel:
     def load(cls, path: str | Path) -> "BlendModel":
         payload = load_json(path, "persorank-blend")
         try:
+            names = list(payload["members"])
+            per_member = (len(names),)
             return cls(
                 method=payload["method"],
-                member_names=list(payload["members"]),
-                member_means=np.asarray(payload["member_means"], dtype=np.float64),
-                member_scales=np.asarray(payload["member_scales"], dtype=np.float64),
-                weights=np.asarray(payload["weights"], dtype=np.float64),
-                bias=float(payload["bias"]),
+                member_names=names,
+                standardizer=Standardizer(
+                    load_array(path, "member_means", payload["member_means"], per_member),
+                    load_array(path, "member_scales", payload["member_scales"],
+                               per_member, positive=True)),
+                weights=load_array(path, "weights", payload["weights"], per_member),
+                bias=float(load_array(path, "bias", payload["bias"], ())),
                 metadata=payload.get("metadata", {}),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -89,26 +91,17 @@ def _stack(member_scores: Sequence[np.ndarray]) -> np.ndarray:
     return np.stack(arrays, axis=1)
 
 
-def _pool_stats(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    means = stacked.mean(axis=0)
-    scales = stacked.std(axis=0)
-    scales = np.where(scales > 0.0, scales, 1.0)
-    return means, scales
-
-
 def blend_average(
     member_scores: Sequence[np.ndarray], names: Sequence[str] | None = None
 ) -> tuple[np.ndarray, BlendModel]:
     """Standardize each member over the pool, then average per document."""
     stacked = _stack(member_scores)
-    means, scales = _pool_stats(stacked)
     n_members = stacked.shape[1]
     weights = np.full(n_members, 1.0 / n_members)
     model = BlendModel(
         method="average",
         member_names=list(names) if names else [f"m{i}" for i in range(n_members)],
-        member_means=means,
-        member_scales=scales,
+        standardizer=Standardizer.fit(stacked),
         weights=weights,
     )
     return model.apply(member_scores), model
@@ -148,8 +141,8 @@ def blend_learned(
     if fit_idx.size == 0 or holdout_idx.size == 0:
         raise DataError("validation pool too small to split")
 
-    means, scales = _pool_stats(stacked)
-    z = ((stacked - means) / scales).reshape(n_queries, gains.shape[1], n_members)
+    standardizer = Standardizer.fit(stacked)
+    z = standardizer.apply(stacked).reshape(n_queries, gains.shape[1], n_members)
 
     z_fit = z[fit_idx].reshape(-1, n_members)
     gains_fit = gains[fit_idx]
@@ -169,8 +162,7 @@ def blend_learned(
     model = BlendModel(
         method="learned",
         member_names=list(names) if names else [f"m{i}" for i in range(n_members)],
-        member_means=means,
-        member_scales=scales,
+        standardizer=standardizer,
         weights=weights,
         metadata={
             "split_seed": split_seed,

@@ -29,12 +29,14 @@ def atomic_write(path: str | Path, mode: str = "w", newline: str | None = None):
     The temp name is unique (mkstemp), so concurrent writers into one
     directory never share a temp file. The renamed file gets the usual
     umask-default permissions rather than mkstemp's 0600. `newline` is
-    `open`'s: CSV writers pass "" to keep their CRLF line ends.
+    `open`'s: CSV writers pass "" to keep their CRLF line ends. A temp file
+    that cannot be created raises DataError naming `path`.
     """
     path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-    )
+    try:
+        fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    except OSError as exc:
+        raise DataError(f"cannot create {path}: {exc.strerror}") from None
     os.close(fd)
     try:
         with open(tmp_name, mode, newline=newline) as fh:

@@ -468,12 +468,12 @@ def _read_grouped(
     that is not a number, target ids that change within a group, and
     non-finite values.
     """
-    n_ids = len(ID_COLUMNS)
+    n_ids, gain = len(ID_COLUMNS), header.index("gain")
     row = np.dtype([("ids", np.int64, n_ids), ("numbers", np.float64, len(header) - n_ids)])
 
     def parse(lines: list[str]) -> np.ndarray:
         return np.loadtxt(lines, dtype=row, delimiter=",", comments=None, ndmin=1,
-                          converters={header.index("gain"): _gain})
+                          converters={gain: _gain})
 
     with decoding(path), open(path, encoding="utf-8") as fh:
         if next(csv.reader([fh.readline()]), None) != header:
@@ -486,7 +486,7 @@ def _read_grouped(
     except ValueError:
         rows = None
     if rows is None or len(rows) != len(lines):  # loadtxt skips blank lines
-        for n, line in enumerate(lines, start=2):  # numpy's row numbers are no file lines
+        for n, line in enumerate(lines, start=2):  # numpy's row numbers are not file lines
             if not line.strip():
                 raise DataError(f"{path}: line {n} is blank")
             try:
@@ -496,9 +496,9 @@ def _read_grouped(
                 raise DataError(f"{path}: line {n}: {reason}") from None
     ids = rows["ids"].reshape(-1, 10, n_ids)
     numbers = rows["numbers"].reshape(-1, 10, len(header) - n_ids)
-    gain = header.index("gain") - n_ids
+    gains = numbers[..., gain - n_ids]
     finite = np.isfinite(numbers)
-    finite[..., gain] = True  # an empty gain reads as NaN; `_gain` checked the others
+    finite[..., gain - n_ids] = True  # an empty gain reads as NaN; `_gain` checked the others
     for bad, what in (((ids[:, :, :4] != ids[:, :1, :4]).any(axis=2),
                        "changes target within a group of 10"),
                       (~finite.all(axis=2), "holds a non-finite value")):
@@ -509,6 +509,6 @@ def _read_grouped(
         doc_ids=ids[:, :, 4].copy(),
         x=numbers[:, :, :n_features],
         base_ranks=numbers[..., header.index("base_rank") - n_ids].copy(),
-        gains=None if np.isnan(numbers[..., gain]).any() else numbers[..., gain].copy(),
+        gains=None if np.isnan(gains).any() else gains.copy(),
     )
     return table, numbers

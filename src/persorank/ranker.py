@@ -68,12 +68,22 @@ class Standardizer:
     def as_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "scale": self.scale.tolist()}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Standardizer":
-        return cls(
-            mean=np.asarray(data["mean"], dtype=np.float64),
-            scale=np.asarray(data["scale"], dtype=np.float64),
-        )
+
+def load_array(path: str | Path, name: str, value, shape: tuple[int, ...],
+               positive: bool = False) -> np.ndarray:
+    """A saved array as float64 of `shape`, finite, and > 0 if `positive`.
+
+    Another shape or value raises DataError naming `path` and the array;
+    a value that is not numbers raises numpy's TypeError or ValueError.
+    """
+    array = np.asarray(value, dtype=np.float64)
+    if array.shape != shape:
+        raise DataError(f"{path}: {name} has shape {array.shape}, expected {shape}")
+    if not np.isfinite(array).all():
+        raise DataError(f"{path}: {name} holds non-finite values")
+    if positive and not (array > 0).all():
+        raise DataError(f"{path}: {name} holds a value <= 0")
+    return array
 
 
 @dataclass
@@ -237,38 +247,21 @@ class RankModel:
             kind = ModelKind(payload["kind"])
             model = cls(kind=kind, metadata=payload.get("metadata", {}))
             if kind is not ModelKind.HEURISTIC:
-                model.standardizer = Standardizer.from_dict(payload["standardizer"])
-                w = payload["weights"]
+                std, w = payload["standardizer"], payload["weights"]
+                per_feature, hidden = (N_FEATURES,), len(w["b1"])
+                model.standardizer = Standardizer(
+                    load_array(path, "standardizer mean", std["mean"], per_feature),
+                    load_array(path, "standardizer scale", std["scale"], per_feature,
+                               positive=True))
                 model.params = NetParams(
-                    w1=np.asarray(w["w1"], dtype=np.float64),
-                    b1=np.asarray(w["b1"], dtype=np.float64),
-                    w2=np.asarray(w["w2"], dtype=np.float64),
-                    b2=float(w["b2"]),
+                    w1=load_array(path, "w1", w["w1"], (N_FEATURES, hidden)),
+                    b1=load_array(path, "b1", w["b1"], (hidden,)),
+                    w2=load_array(path, "w2", w["w2"], (hidden,)),
+                    b2=float(load_array(path, "b2", w["b2"], ())),
                 )
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: malformed model file: {exc!r}") from None
-        if kind is not ModelKind.HEURISTIC:
-            _check_network(path, model.standardizer, model.params)
         return model
-
-
-def _check_network(path: str | Path, standardizer: Standardizer, params: NetParams) -> None:
-    """Raise DataError unless loaded arrays have the network's shapes and finite values."""
-    hidden = params.b1.size
-    expected = {
-        "w1": (params.w1, (N_FEATURES, hidden)),
-        "b1": (params.b1, (hidden,)),
-        "w2": (params.w2, (hidden,)),
-        "standardizer mean": (standardizer.mean, (N_FEATURES,)),
-        "standardizer scale": (standardizer.scale, (N_FEATURES,)),
-    }
-    for name, (array, shape) in expected.items():
-        if array.shape != shape:
-            raise DataError(f"{path}: {name} has shape {array.shape}, expected {shape}")
-        if not np.isfinite(array).all():
-            raise DataError(f"{path}: {name} holds non-finite values")
-    if not np.isfinite(params.b2):
-        raise DataError(f"{path}: b2 is not finite")
 
 
 def _validation_ndcg(

@@ -840,6 +840,65 @@ class TestMalformedInputs:
         assert run("score", "--model", str(path), "--features", str(features_file),
                    "--out", str(tmp_path / "s.csv")) == 2
 
+    @pytest.mark.parametrize("key,value", [
+        ("weights", [0.5, 0.5, 0.5]),
+        ("weights", [float("nan"), 1.0]),
+        ("weights", [[1.0], [2.0]]),
+        ("member_scales", [0.0, 1.0]),
+        ("member_means", [1.0, float("inf")]),
+        ("bias", float("nan")),
+    ], ids=["three_weights", "nan_weight", "nested_weights", "zero_scale", "inf_mean",
+            "nan_bias"])
+    def test_blend_apply_of_malformed_blend_file_is_data_error(self, scored_run, tmp_path,
+                                                               capsys, key, value):
+        scores = scored_run / "scores.csv"
+        assert self.blend(tmp_path, scores, scores) == 0
+        blend_file = tmp_path / "b.json"
+        payload = json.loads(blend_file.read_text())
+        payload[key] = value
+        blend_file.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run("blend", "--scores", str(scores), str(scores), "--apply", str(blend_file),
+                   "--out", str(tmp_path / "applied.csv")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and f"{blend_file}: {key}" in err
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0])
+    def test_model_with_non_positive_scale_is_data_error(self, scored_run, tmp_path, capsys,
+                                                         scale):
+        path = tmp_path / "model.json"
+        RankModel(kind=ModelKind.RANKNET,
+                  standardizer=Standardizer(np.zeros(N_FEATURES), np.ones(N_FEATURES)),
+                  params=init_params(N_FEATURES, 4, np.random.default_rng(0))).save(path)
+        payload = json.loads(path.read_text())
+        payload["standardizer"]["scale"][7] = scale
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run("score", "--model", str(path),
+                   "--features", str(scored_run / "features_validation.csv"),
+                   "--out", str(tmp_path / "s.csv")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and f"{path}: standardizer scale" in err
+
+    @pytest.mark.parametrize("command", ["partition", "extract"])
+    @pytest.mark.parametrize("parent", ["missing", "t.csv"],
+                             ids=["missing_directory", "file_as_directory"])
+    def test_output_that_cannot_be_created_is_data_error(self, scored_run, tmp_path, capsys,
+                                                         command, parent):
+        (tmp_path / "t.csv").write_bytes((scored_run / "t.csv").read_bytes())
+        out_dir = tmp_path / parent
+        if command == "partition":
+            out = out_dir / "t2.csv"
+            argv = ["partition", "--cache", str(scored_run / "s.cache"), "--out", str(out)]
+        else:
+            out = out_dir / "features_train.csv"
+            argv = ["extract", "--cache", str(scored_run / "s.cache"),
+                    "--targets", str(tmp_path / "t.csv"), "--out-dir", str(out_dir)]
+        capsys.readouterr()
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: cannot create {out}: ") and ".tmp" not in err
+
     @pytest.mark.parametrize("body", [42, [42]], ids=["not_a_list", "not_sessions"])
     def test_session_cache_of_other_objects_is_data_error(self, tmp_path, body):
         bogus = tmp_path / "s.cache"
