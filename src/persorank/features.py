@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -472,8 +473,14 @@ def _read_grouped(
     row = np.dtype([("ids", np.int64, n_ids), ("numbers", np.float64, len(header) - n_ids)])
 
     def parse(lines: list[str]) -> np.ndarray:
-        return np.loadtxt(lines, dtype=row, delimiter=",", comments=None, ndmin=1,
-                          converters={gain: _gain})
+        if not lines:
+            return np.empty(0, row)  # loadtxt would warn that the input holds no data
+        with warnings.catch_warnings():
+            # Older numpy reads an int field that fails to parse through float, only
+            # warning; as an error, loadtxt reports it as the field's ValueError.
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(lines, dtype=row, delimiter=",", comments=None, ndmin=1,
+                              converters={gain: _gain})
 
     with decoding(path), open(path, encoding="utf-8") as fh:
         if next(csv.reader([fh.readline()]), None) != header:
@@ -482,10 +489,10 @@ def _read_grouped(
     if len(lines) % 10 != 0:
         raise DataError(f"{path}: row count {len(lines)} is not a multiple of 10")
     try:
-        rows = parse(lines) if lines else np.empty(0, row)
+        rows = parse(lines) if all(map(str.strip, lines)) else None  # loadtxt skips blank lines
     except ValueError:
         rows = None
-    if rows is None or len(rows) != len(lines):  # loadtxt skips blank lines
+    if rows is None:
         for n, line in enumerate(lines, start=2):  # numpy's row numbers are not file lines
             if not line.strip():
                 raise DataError(f"{path}: line {n} is blank")

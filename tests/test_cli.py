@@ -863,23 +863,6 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and f"{blend_file}: {key}" in err
 
-    @pytest.mark.parametrize("scale", [0.0, -1.0])
-    def test_model_with_non_positive_scale_is_data_error(self, scored_run, tmp_path, capsys,
-                                                         scale):
-        path = tmp_path / "model.json"
-        RankModel(kind=ModelKind.RANKNET,
-                  standardizer=Standardizer(np.zeros(N_FEATURES), np.ones(N_FEATURES)),
-                  params=init_params(N_FEATURES, 4, np.random.default_rng(0))).save(path)
-        payload = json.loads(path.read_text())
-        payload["standardizer"]["scale"][7] = scale
-        path.write_text(json.dumps(payload))
-        capsys.readouterr()
-        assert run("score", "--model", str(path),
-                   "--features", str(scored_run / "features_validation.csv"),
-                   "--out", str(tmp_path / "s.csv")) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("data error: ") and f"{path}: standardizer scale" in err
-
     @pytest.mark.parametrize("command", ["partition", "extract"])
     @pytest.mark.parametrize("parent", ["missing", "t.csv"],
                              ids=["missing_directory", "file_as_directory"])

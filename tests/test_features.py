@@ -451,9 +451,12 @@ class TestReadFeatures:
         (13, set_field(-1, "nan")),
         (13, lambda fields: []),
         (13, lambda fields: set_field(10, "inf")(set_field(-1, "")(fields))),
+        (13, set_field(4, "1.5")),
+        (12, set_field(0, "1e3")),
     ], ids=["short_row", "long_row", "target_change", "user_id", "doc_id", "value",
             "nan_value", "gain", "inf_gain", "user_id_beyond_int64", "doc_id_beyond_int64",
-            "nan_gain", "blank_line", "inf_value_without_gain"])
+            "nan_gain", "blank_line", "inf_value_without_gain", "fractional_doc_id",
+            "float_user_id"])
     def test_malformed_row_is_data_error_naming_its_line(self, tmp_path, line, edit):
         x = np.full((2, 10, N_FEATURES), 0.5)
         x[:, :, -1] = np.arange(1, 11)
@@ -469,6 +472,12 @@ class TestReadFeatures:
         lines[line - 1] = ",".join(edit(lines[line - 1].split(",")))
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match=rf"line {line}\b"):
+            read_features(path)
+
+    def test_all_blank_body_is_data_error_naming_its_first_line(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text(",".join(HEADER) + "\n" * 11)
+        with pytest.raises(DataError, match=r"line 2 is blank"):
             read_features(path)
 
 

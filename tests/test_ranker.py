@@ -424,6 +424,14 @@ def _infinite_b2(payload):
     payload["weights"]["b2"] = float("inf")
 
 
+def _zero_scale(payload):
+    payload["standardizer"]["scale"][7] = 0.0
+
+
+def _negative_scale(payload):
+    payload["standardizer"]["scale"][7] = -1.0
+
+
 class TestModelFileShapes:
     def test_valid_network_loads(self, tmp_path):
         model = _network_model()
@@ -433,7 +441,8 @@ class TestModelFileShapes:
         assert np.array_equal(loaded.scores(x), model.scores(x))
 
     @pytest.mark.parametrize("edit", [_cut_w1, _short_b1, _long_w2, _short_mean,
-                                      _scale_matrix, _nan_weight, _infinite_b2])
+                                      _scale_matrix, _nan_weight, _infinite_b2,
+                                      _zero_scale, _negative_scale])
     def test_wrong_shape_or_non_finite_weight_is_data_error(self, tmp_path, edit):
         path = tmp_path / "m.json"
         _network_model().save(path)
