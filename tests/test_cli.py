@@ -301,6 +301,83 @@ class TestErrors:
                    "--out", str(tmp_path / "t.csv")) == 2
 
 
+def manifests(*dirs: Path) -> set[Path]:
+    return {p for d in dirs for p in d.rglob("*.manifest.json")}
+
+
+def _blend_case(w: Path, o: Path, apply: bool):
+    scores = w / "scores.csv"
+    members = [scores, scores]
+    if apply:
+        fit = o.parent / "fit"
+        fit.mkdir()
+        assert run("blend", "--scores", *map(str, members), "--method", "learned",
+                   "--out", str(fit / "b.csv"), "--model-out", str(fit / "b.json")) == 0
+        outputs = [o / "applied.csv"]
+        argv = ["blend", "--scores", *map(str, members), "--apply", str(fit / "b.json"),
+                "--out", str(outputs[0])]
+        method = f"apply:{fit / 'b.json'}"
+    else:
+        outputs = [o / "b.csv", o / "b.json"]
+        argv = ["blend", "--scores", *map(str, members), "--method", "learned",
+                "--out", str(outputs[0]), "--model-out", str(outputs[1])]
+        method = "learned"
+    return argv, members, outputs, {"method": method, "members": ["scores.csv"] * 2}
+
+
+# case: (scored run w, empty output directory o) -> (argv, the inputs and
+# outputs the manifest lists, its params)
+MANIFEST_CASES = {
+    "gen": lambda w, o: (
+        ["gen", "--out", str(o / "log.tsv"), *GEN_OVERRIDES], [],
+        [o / "log.tsv", o / "log.tsv.counts.json"],
+        {"generator": {"n_users": 25, "n_days": 30, "queries_per_user_per_day": 3,
+                       "n_queries": 200, "n_terms": 150, "n_documents": 1200,
+                       "n_domains": 100, "preference_strength": 0.9,
+                       "repeat_query_prob": 0.5, "rng_seed": 31}}),
+    "parse": lambda w, o: (
+        ["parse", "--log", str(w / "log.tsv"), "--out", str(o / "s.cache")],
+        [w / "log.tsv"], [o / "s.cache"], {}),
+    "stats_targets": lambda w, o: (
+        ["stats", "--cache", str(w / "s.cache"), "--targets", str(w / "t.csv"),
+         "--out", str(o / "stats.csv")],
+        [w / "s.cache", w / "t.csv"], [o / "stats.csv"], {"train_days": 27}),
+    "partition": lambda w, o: (
+        ["partition", "--cache", str(w / "s.cache"), "--out", str(o / "t.csv"), "--seed", "4"],
+        [w / "s.cache"], [o / "t.csv"],
+        {"seed": 4, "train_days": 27,
+         "report": {"n_users": 25, "users_without_sessions": 0, "users_without_train": 0,
+                    "users_without_validation": 5, "users_without_test": 0}}),
+    "extract": lambda w, o: (
+        ["extract", "--cache", str(w / "s.cache"), "--targets", str(w / "t.csv"),
+         "--out-dir", str(o)],
+        [w / "s.cache", w / "t.csv"],
+        [o / f"features_{role}.csv" for role in ("train", "validation", "test")],
+        {"seed": 1, "train_days": 27}),
+    "train": lambda w, o: (
+        ["train", "--kind", "ranknet", "--train-features", str(w / "features_train.csv"),
+         "--val-features", str(w / "features_validation.csv"), "--out", str(o / "m.json"),
+         "--epochs", "2", "--hidden", "16"],
+        [w / "features_train.csv", w / "features_validation.csv"], [o / "m.json"],
+        {"kind": "ranknet", "seed": 2,
+         "settings": {"hidden": 16, "learning_rate": 0.001, "epochs": 2,
+                      "batch_queries": 100, "patience": 10, "cutoff": 10}}),
+    "score": lambda w, o: (
+        ["score", "--model", str(w / "model.json"),
+         "--features", str(w / "features_test.csv"), "--out", str(o / "s.csv")],
+        [w / "model.json", w / "features_test.csv"], [o / "s.csv"],
+        {"model": str(w / "model.json")}),
+    "blend_learned": lambda w, o: _blend_case(w, o, apply=False),
+    "blend_apply": lambda w, o: _blend_case(w, o, apply=True),
+    "eval": lambda w, o: (
+        ["eval", "--scores", str(w / "scores.csv"), "--out-dir", str(o), "--split-seed", "4"],
+        [w / "scores.csv"], [o / "report.csv", o / "summary.csv"], {"split_seed": 4}),
+    "analyze": lambda w, o: (
+        ["analyze", "--report", str(w / "report.csv"), "--out-dir", str(o)],
+        [w / "report.csv"], [o / "tau_hist.csv", o / "delta_ndcg_hist.csv"], {}),
+}
+
+
 class TestManifests:
     def test_manifest_written_with_required_fields(self, tmp_path):
         log = tmp_path / "log.tsv"
@@ -311,6 +388,33 @@ class TestManifests:
             assert key in manifest
         assert manifest["command"] == "gen"
         assert manifest["params"]["generator"]["rng_seed"] == 31
+
+    @pytest.mark.parametrize("case", sorted(MANIFEST_CASES))
+    def test_one_manifest_beside_the_first_output(self, scored_run, tmp_path, case):
+        out = tmp_path / "out"
+        out.mkdir()
+        argv, inputs, outputs, params = MANIFEST_CASES[case](scored_run, out)
+        before = manifests(scored_run, tmp_path)
+        assert run(*argv) == 0
+        new = manifests(scored_run, tmp_path) - before
+        assert new == {Path(f"{outputs[0]}.manifest.json")}
+        manifest = json.loads(new.pop().read_text())
+        assert manifest["command"] == argv[0]
+        assert manifest["inputs"] == [str(p) for p in inputs]
+        assert manifest["outputs"] == [str(p) for p in outputs]
+        assert manifest["params"] == params
+
+    @pytest.mark.parametrize("argv", [
+        lambda w: ["gen", "--out", "-", *GEN_OVERRIDES],
+        lambda w: ["index", "--cache", str(w / "s.cache"), "--lookup", "1"],
+    ], ids=["gen_to_stdout", "index"])
+    def test_commands_writing_no_file_write_no_manifest(self, scored_run, tmp_path,
+                                                         monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        before = manifests(scored_run, tmp_path)
+        assert run(*argv(scored_run)) == 0
+        assert manifests(scored_run, tmp_path) == before
+        assert list(tmp_path.iterdir()) == []
 
     def test_no_leftover_temp_files(self, tmp_path):
         run_pipeline(tmp_path)

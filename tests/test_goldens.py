@@ -2,8 +2,9 @@
 
 For fixed seeds the artifacts are the spec: the log and the generator's
 counts, the stats report, one query's ``index`` listing, targets, the three
-feature files, the heuristic's scores, the evaluation report and its summary must stay
-byte-identical unless a change means to alter them. Trained networks and
+feature files, the heuristic's scores, the evaluation report, its summary and
+the two ``analyze`` histograms must stay byte-identical unless a change means
+to alter them. Trained networks and
 their scores are left out, because their last bits vary across BLAS builds.
 
 After a deliberate output change, print the new digests with
@@ -41,11 +42,14 @@ GOLDENS = {
     "scores_heuristic_test.csv": "712cd3915cfd3c68b24bf4f3cf1e533314a202f8e937bb16a95297e4ef8aca46",
     "report.csv": "ec6b0b47aebd7dd1e25a8d9c42429ddb4474a33d42cd46383993671f46682db3",
     "summary.csv": "2d3adc3c5326fec9eca2fcbd99d7e616af00d0251ea1b73d1e724c42fc023cf9",
+    "tau_hist.csv": "30ce1a7dd1e60dd968d739070661359506c65a906954dbb30c27b515135dfdb1",
+    "delta_ndcg_hist.csv": "8f06b5c337a8aae13ff2fd42101992d349ce3340a47b803f31aa2e0c3aa7b265",
 }
 
 
 def run_golden_pipeline(w: Path) -> dict[str, str]:
-    """gen -> parse -> partition -> stats, index, extract -> heuristic score -> eval; digests."""
+    """gen -> parse -> partition -> stats, index, extract -> heuristic score -> eval -> analyze;
+    digests."""
     steps = [
         ["gen", "--out", f"{w}/log.tsv", *GEN_OVERRIDES],
         ["parse", "--log", f"{w}/log.tsv", "--out", f"{w}/sessions.cache"],
@@ -67,6 +71,7 @@ def run_golden_pipeline(w: Path) -> dict[str, str]:
          "--out", f"{w}/scores_heuristic_test.csv"],
         ["eval", "--scores", f"{w}/scores_heuristic_test.csv", "--out-dir", str(w),
          "--split-seed", "4"],
+        ["analyze", "--report", f"{w}/report.csv", "--out-dir", str(w)],
     ]
     for argv in steps:
         assert main(argv) == 0, argv
