@@ -5,8 +5,9 @@ extract, train, score, blend, eval, analyze. Settings resolve as defaults
 < ``--config`` file < ``-O key=value`` < flags; a flag that stands for a
 config key is parsed into that key, so handlers read settings only from the
 config, and every setting is range-checked before a handler runs. Every
-artifact is written atomically and accompanied by a JSON run manifest
-recording the effective parameters, inputs, outputs, and wall time.
+artifact is written atomically. ``main`` records each command that writes
+files in one JSON run manifest: its parameters, inputs, outputs, start time
+and wall time.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 3 internal error.
@@ -43,11 +44,6 @@ from .ranker import ModelKind, RankModel, score_table, train
 from .synth import generate_lines
 
 
-def _stage_start() -> tuple[float, datetime]:
-    """When a stage starts: a perf counter for its wall time, and a UTC stamp."""
-    return time.perf_counter(), datetime.now(timezone.utc)
-
-
 def _open_log(path: Path):
     if str(path).endswith(".gz"):
         return gzip.open(path, "rt")
@@ -61,27 +57,17 @@ def _require(path: str | Path) -> Path:
     return path
 
 
-def _write_manifest(command: str, params: dict, inputs: list, outputs: list,
-                    started: tuple[float, datetime], primary_output: str | Path) -> None:
-    manifest = {
-        "command": command,
-        "version": __version__,
-        "params": params,
-        "inputs": [str(p) for p in inputs],
-        "outputs": [str(p) for p in outputs],
-        "started_utc": started[1].isoformat(),
-        "wall_time_s": round(time.perf_counter() - started[0], 6),
-    }
-    cache.save_json(manifest, Path(str(primary_output) + ".manifest.json"))
+# Each handler writes its files, then returns (params, inputs, outputs, the
+# line to print) for `main` to record in a manifest beside outputs[0]; a
+# handler that writes no file returns None.
 
 
-def _cmd_gen(args, cfg: PipelineConfig) -> int:
-    started = _stage_start()
+def _cmd_gen(args, cfg: PipelineConfig):
     lines, stats = generate_lines(cfg.generator)
     text = "\n".join(lines) + "\n"
     if cfg.log_path == "-":
         sys.stdout.write(text)
-        return 0
+        return None
     out = Path(cfg.log_path)
     if str(out).endswith(".gz"):
         with cache.atomic_write(out, "wb") as fh:
@@ -93,14 +79,11 @@ def _cmd_gen(args, cfg: PipelineConfig) -> int:
     counts_path = Path(str(out) + ".counts.json")
     with cache.atomic_write(counts_path) as fh:
         json.dump(stats.as_dict(), fh, indent=1, sort_keys=True)
-    _write_manifest("gen", {"generator": cfg.generator.__dict__}, [], [out, counts_path],
-                    started, out)
-    print(f"wrote {out} ({stats.total_records} records) and {counts_path}")
-    return 0
+    return ({"generator": cfg.generator.__dict__}, [], [out, counts_path],
+            f"wrote {out} ({stats.total_records} records) and {counts_path}")
 
 
-def _cmd_parse(args, cfg: PipelineConfig) -> int:
-    started = _stage_start()
+def _cmd_parse(args, cfg: PipelineConfig):
     log_path = _require(cfg.log_path)
     out = Path(cfg.cache_path)
     with decoding(log_path), _open_log(log_path) as fh:
@@ -109,14 +92,11 @@ def _cmd_parse(args, cfg: PipelineConfig) -> int:
     del records  # before labeling and the columns raise the peak
     label_sessions(sessions)
     cache.save_sessions(sessions, out)
-    _write_manifest("parse", {}, [log_path], [out], started, out)
     n_imps = sum(len(s.impressions) for s in sessions)
-    print(f"wrote {out}: {len(sessions)} sessions, {n_imps} impressions")
-    return 0
+    return {}, [log_path], [out], f"wrote {out}: {len(sessions)} sessions, {n_imps} impressions"
 
 
-def _cmd_stats(args, cfg: PipelineConfig) -> int:
-    started = _stage_start()
+def _cmd_stats(args, cfg: PipelineConfig):
     cache_path = _require(cfg.cache_path)
     out = Path(args.out or Path(cfg.reports_dir) / "stats.csv")
     columns = cache.load_columns(cache_path)
@@ -145,13 +125,10 @@ def _cmd_stats(args, cfg: PipelineConfig) -> int:
         fh.write("section,metric,value\n")
         for section, metric, value in rows:
             fh.write(f"{section},{metric},{value}\n")
-    _write_manifest("stats", {"train_days": cfg.train_days}, inputs, [out], started, out)
-    print(f"wrote {out}")
-    return 0
+    return {"train_days": cfg.train_days}, inputs, [out], f"wrote {out}"
 
 
-def _cmd_partition(args, cfg: PipelineConfig) -> int:
-    started = _stage_start()
+def _cmd_partition(args, cfg: PipelineConfig):
     cache_path = _require(cfg.cache_path)
     out = Path(cfg.targets_path)
     columns = cache.load_columns(cache_path)
@@ -159,23 +136,18 @@ def _cmd_partition(args, cfg: PipelineConfig) -> int:
         columns, train_days=cfg.train_days, seed=cfg.partition_seed
     )
     write_targets(targets, out)
-    _write_manifest(
-        "partition",
-        {"seed": cfg.partition_seed, "train_days": cfg.train_days,
-         "report": report.__dict__},
-        [cache_path], [out], started, out,
-    )
-    print(
+    params = {"seed": cfg.partition_seed, "train_days": cfg.train_days,
+              "report": report.__dict__}
+    return params, [cache_path], [out], (
         f"wrote {out}: train={len(targets.train)} "
         f"validation={len(targets.validation)} test={len(targets.test)} "
         f"(users={report.n_users}, no-train={report.users_without_train}, "
         f"no-validation={report.users_without_validation}, "
         f"no-test={report.users_without_test})"
     )
-    return 0
 
 
-def _cmd_index(args, cfg: PipelineConfig) -> int:
+def _cmd_index(args, cfg: PipelineConfig):
     columns = cache.load_columns(_require(cfg.cache_path))
     at, session = contexts.training_rows(columns, cfg.train_days)
     hit = columns.query_id[at] == args.lookup
@@ -187,11 +159,9 @@ def _cmd_index(args, cfg: PipelineConfig) -> int:
         columns.documents[at].tolist(), CODE_GAINS[columns.grades[at]].tolist(),
     ):
         print(f"  user={user} day={day} session={session_id} t={t} docs={docs} gains={gains}")
-    return 0
 
 
-def _cmd_extract(args, cfg: PipelineConfig) -> int:
-    started = _stage_start()
+def _cmd_extract(args, cfg: PipelineConfig):
     cache_path = _require(cfg.cache_path)
     targets_path = _require(cfg.targets_path)
     columns = cache.load_columns(cache_path)
@@ -202,21 +172,15 @@ def _cmd_extract(args, cfg: PipelineConfig) -> int:
     outputs = [Path(cfg.features_dir) / f"features_{role}.csv" for role in ROLES]
     for role, path in zip(ROLES, outputs):
         features.write_features(extracted[role], path)
-    _write_manifest(
-        "extract",
+    return (
         {"seed": cfg.partition_seed, "train_days": cfg.train_days},
-        [cache_path, targets_path], outputs, started, outputs[0],
+        [cache_path, targets_path], outputs,
+        "wrote " + ", ".join(f"{p} ({extracted[r].n_targets} targets)"
+                             for p, r in zip(outputs, ROLES)),
     )
-    print(
-        "wrote "
-        + ", ".join(f"{p} ({extracted[r].n_targets} targets)"
-                    for p, r in zip(outputs, ROLES))
-    )
-    return 0
 
 
-def _cmd_train(args, cfg: PipelineConfig) -> int:
-    started = _stage_start()
+def _cmd_train(args, cfg: PipelineConfig):
     train_path = _require(args.train_features
                           or Path(cfg.features_dir) / "features_train.csv")
     val_path = _require(args.val_features
@@ -227,18 +191,15 @@ def _cmd_train(args, cfg: PipelineConfig) -> int:
     val_table = features.read_features(val_path)
     model = train(kind, train_table, val_table, cfg.training, seed=cfg.train_seed)
     model.save(out)
-    _write_manifest(
-        "train",
-        {"kind": kind.value, "seed": cfg.train_seed, "settings": cfg.training.__dict__},
-        [train_path, val_path], [out], started, out,
-    )
     best = model.metadata.get("best_validation_ndcg")
-    print(f"wrote {out}" + (f" (validation NDCG@10 {best:.5f})" if best else ""))
-    return 0
+    return (
+        {"kind": kind.value, "seed": cfg.train_seed, "settings": cfg.training.__dict__},
+        [train_path, val_path], [out],
+        f"wrote {out}" + (f" (validation NDCG@10 {best:.5f})" if best else ""),
+    )
 
 
-def _cmd_score(args, cfg: PipelineConfig) -> int:
-    started = _stage_start()
+def _cmd_score(args, cfg: PipelineConfig):
     model_path = _require(args.model)
     features_path = _require(args.features)
     out = Path(args.out or Path(cfg.reports_dir) / "scores.csv")
@@ -246,14 +207,11 @@ def _cmd_score(args, cfg: PipelineConfig) -> int:
     table = features.read_features(features_path)
     scores = score_table(model, table)
     evaluate.write_scores(table, scores, out)
-    _write_manifest("score", {"model": str(model_path)},
-                    [model_path, features_path], [out], started, out)
-    print(f"wrote {out} ({table.n_targets} targets)")
-    return 0
+    return ({"model": str(model_path)}, [model_path, features_path], [out],
+            f"wrote {out} ({table.n_targets} targets)")
 
 
-def _cmd_blend(args, cfg: PipelineConfig) -> int:
-    started = _stage_start()
+def _cmd_blend(args, cfg: PipelineConfig):
     if args.method == "learned" and not args.apply and len(args.scores) < 2:
         raise ConfigError("learned blending needs at least 2 score files")
     score_paths = [_require(p) for p in args.scores]
@@ -290,21 +248,15 @@ def _cmd_blend(args, cfg: PipelineConfig) -> int:
                          or Path(cfg.models_dir) / f"blend_{model.method}.json")
         model.save(model_out)
         outputs.append(model_out)
-    _write_manifest(
-        "blend",
-        {"method": (f"apply:{args.apply}" if args.apply else args.method),
-         "members": names},
-        score_paths, outputs, started, out,
-    )
     extra = ""
     if not args.apply and model.method == "learned":
         extra = f" (holdout NDCG@10 {model.metadata['holdout_mean_ndcg']:.5f})"
-    print(f"wrote {', '.join(str(p) for p in outputs)}{extra}")
-    return 0
+    params = {"method": (f"apply:{args.apply}" if args.apply else args.method),
+              "members": names}
+    return params, score_paths, outputs, f"wrote {', '.join(str(p) for p in outputs)}{extra}"
 
 
-def _cmd_eval(args, cfg: PipelineConfig) -> int:
-    started = _stage_start()
+def _cmd_eval(args, cfg: PipelineConfig):
     scores_path = _require(args.scores)
     out_dir = Path(cfg.reports_dir)
     table, scores = evaluate.read_scores(scores_path)
@@ -315,20 +267,14 @@ def _cmd_eval(args, cfg: PipelineConfig) -> int:
     summary_path = out_dir / "summary.csv"
     evaluate.write_report(report, report_path)
     evaluate.write_summary(report, summary_path)
-    _write_manifest(
-        "eval", {"split_seed": args.split_seed},
-        [scores_path], [report_path, summary_path], started, report_path,
-    )
-    print(
+    return {"split_seed": args.split_seed}, [scores_path], [report_path, summary_path], (
         f"wrote {report_path}, {summary_path}: mean NDCG@{cfg.training.cutoff} "
         f"{report.mean_ndcg:.5f} (base {report.mean_base_ndcg:.5f}, "
         f"mean tau {report.mean_tau:.5f})"
     )
-    return 0
 
 
-def _cmd_analyze(args, cfg: PipelineConfig) -> int:
-    started = _stage_start()
+def _cmd_analyze(args, cfg: PipelineConfig):
     report_path = _require(args.report)
     out_dir = Path(cfg.reports_dir)
     taus, deltas = [], []
@@ -346,10 +292,7 @@ def _cmd_analyze(args, cfg: PipelineConfig) -> int:
     delta_path = out_dir / "delta_ndcg_hist.csv"
     evaluate.write_histogram(evaluate.histogram(taus, -1.0, 1.0, 20), tau_path)
     evaluate.write_histogram(evaluate.histogram(deltas, -1.0, 1.0, 40), delta_path)
-    _write_manifest("analyze", {}, [report_path], [tau_path, delta_path],
-                    started, tau_path)
-    print(f"wrote {tau_path}, {delta_path}")
-    return 0
+    return {}, [report_path], [tau_path, delta_path], f"wrote {tau_path}, {delta_path}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -448,6 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    start, started_utc = time.perf_counter(), datetime.now(timezone.utc)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -456,7 +400,21 @@ def main(argv: list[str] | None = None) -> int:
     flags = {k: v for k, v in vars(args).items() if k in KEY_TYPES}
     try:
         cfg = load_config(args.config, args.overrides, flags)
-        return args.handler(args, cfg)
+        wrote = args.handler(args, cfg)
+        if wrote is not None:
+            params, inputs, outputs, line = wrote
+            manifest = {
+                "command": args.command,
+                "version": __version__,
+                "params": params,
+                "inputs": [str(p) for p in inputs],
+                "outputs": [str(p) for p in outputs],
+                "started_utc": started_utc.isoformat(),
+                "wall_time_s": round(time.perf_counter() - start, 6),
+            }
+            cache.save_json(manifest, Path(f"{outputs[0]}.manifest.json"))
+            print(line)
+        return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
