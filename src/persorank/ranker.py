@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -33,16 +32,6 @@ class ModelKind(str, Enum):
     REGRESSION = "regression"
     RANKNET = "ranknet"
     LISTNET = "listnet"
-
-
-def heuristic_rerank(
-    hist_relevance: Sequence[float], base_ranks: Sequence[float]
-) -> list[int]:
-    """Order documents by descending historical relevance, engine order on ties."""
-    if len(hist_relevance) != len(base_ranks):
-        raise ValueError("hist_relevance and base_ranks must be aligned")
-    idx = range(len(hist_relevance))
-    return sorted(idx, key=lambda i: (-hist_relevance[i], base_ranks[i]))
 
 
 @dataclass

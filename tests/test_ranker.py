@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from persorank import features, ranker
-from persorank.evaluate import ndcg_at, rank_by_score
-from persorank.features import N_FEATURES
+from persorank.evaluate import ndcg_at, rank_by_score, rank_rows
+from persorank.features import HIST_RELEVANCE_INDEX, N_FEATURES
 from persorank.logs import DataError
 from persorank.ranker import (
     ModelKind,
@@ -16,7 +16,6 @@ from persorank.ranker import (
     TrainSettings,
     backward,
     forward,
-    heuristic_rerank,
     init_params,
     loss_and_score_grad,
     query_pairs,
@@ -51,26 +50,35 @@ def reference_mean_ndcg(scores, gains, base_ranks, cutoff=10):
     return total / scores.shape[0]
 
 
+def heuristic_order(g1) -> list[int]:
+    """The shipped heuristic's ranking of ten documents with history g1, base ranks 1..10."""
+    x = np.zeros((10, N_FEATURES))
+    x[:, HIST_RELEVANCE_INDEX] = g1
+    x[:, -1] = np.arange(1, 11)
+    scores = RankModel(ModelKind.HEURISTIC).scores(x)
+    return rank_rows(scores[None], x[None, :, -1])[0].tolist()
+
+
 class TestHeuristic:
     def test_all_zero_history_keeps_base_order(self):
-        assert heuristic_rerank([0.0] * 10, list(range(1, 11))) == list(range(10))
+        assert heuristic_order([0.0] * 10) == list(range(10))
 
     def test_single_positive_moves_first(self):
         g1 = [0, 0, 3, 0, 0, 0, 0, 0, 0, 0]
-        order = heuristic_rerank(g1, list(range(1, 11)))
+        order = heuristic_order(g1)
         assert order[0] == 2
         assert order[1:] == [0, 1, 3, 4, 5, 6, 7, 8, 9]
 
     def test_equal_positive_ties_resolved_by_base_rank(self):
         g1 = [0, 2, 0, 2, 0, 0, 0, 0, 0, 0]
-        order = heuristic_rerank(g1, list(range(1, 11)))
+        order = heuristic_order(g1)
         assert order[:2] == [1, 3]
 
     def test_is_a_permutation(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             g1 = rng.integers(0, 4, size=10).astype(float)
-            order = heuristic_rerank(g1.tolist(), list(range(1, 11)))
+            order = heuristic_order(g1)
             assert sorted(order) == list(range(10))
 
 
