@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import gzip
 import json
+import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -57,18 +59,33 @@ def _require(path: str | Path) -> Path:
     return path
 
 
+def _outputs(*paths: str | Path) -> list[Path]:
+    """Paths to write, each checked to lie in an existing directory.
+
+    Handlers check their outputs before they load their inputs, so a path
+    that cannot be written fails before the stage's work, not after it.
+    """
+    paths = [Path(p) for p in paths]
+    for path in paths:
+        if not path.parent.is_dir():
+            reason = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+            raise DataError(f"cannot create {path}: {os.strerror(reason)}")
+    return paths
+
+
 # Each handler writes its files, then returns (params, inputs, outputs, the
 # line to print) for `main` to record in a manifest beside outputs[0]; a
 # handler that writes no file returns None.
 
 
 def _cmd_gen(args, cfg: PipelineConfig):
+    out = Path(cfg.log_path)
+    outputs = [] if cfg.log_path == "-" else _outputs(out, f"{out}.counts.json")
     lines, stats = generate_lines(cfg.generator)
     text = "\n".join(lines) + "\n"
-    if cfg.log_path == "-":
+    if not outputs:
         sys.stdout.write(text)
         return None
-    out = Path(cfg.log_path)
     if str(out).endswith(".gz"):
         with cache.atomic_write(out, "wb") as fh:
             with gzip.GzipFile(fileobj=fh, mode="wb", mtime=0) as gz:
@@ -76,16 +93,15 @@ def _cmd_gen(args, cfg: PipelineConfig):
     else:
         with cache.atomic_write(out) as fh:
             fh.write(text)
-    counts_path = Path(str(out) + ".counts.json")
-    with cache.atomic_write(counts_path) as fh:
+    with cache.atomic_write(outputs[1]) as fh:
         json.dump(stats.as_dict(), fh, indent=1, sort_keys=True)
-    return ({"generator": cfg.generator.__dict__}, [], [out, counts_path],
-            f"wrote {out} ({stats.total_records} records) and {counts_path}")
+    return ({"generator": cfg.generator.__dict__}, [], outputs,
+            f"wrote {out} ({stats.total_records} records) and {outputs[1]}")
 
 
 def _cmd_parse(args, cfg: PipelineConfig):
     log_path = _require(cfg.log_path)
-    out = Path(cfg.cache_path)
+    [out] = _outputs(cfg.cache_path)
     with decoding(log_path), _open_log(log_path) as fh:
         records = parse_log(fh)
     sessions = sessionize(records)
@@ -97,9 +113,9 @@ def _cmd_parse(args, cfg: PipelineConfig):
 
 
 def _cmd_stats(args, cfg: PipelineConfig):
-    cache_path = _require(cfg.cache_path)
-    out = Path(args.out or Path(cfg.reports_dir) / "stats.csv")
-    columns = cache.load_columns(cache_path)
+    inputs = [_require(cfg.cache_path)] + ([_require(args.targets)] if args.targets else [])
+    [out] = _outputs(args.out or Path(cfg.reports_dir) / "stats.csv")
+    columns = cache.load_columns(inputs[0])
 
     stats = corpus_stats(columns, cfg.train_days)
     rows = [("corpus", metric, value) for metric, value in stats.as_dict().items()
@@ -107,11 +123,8 @@ def _cmd_stats(args, cfg: PipelineConfig):
     for period, counts in stats.grade_counts.items():
         rows += [(f"relevance_{period}", grade, count) for grade, count in counts.items()]
 
-    inputs = [cache_path]
     if args.targets:
-        targets_path = _require(args.targets)
-        inputs.append(targets_path)
-        targets = read_targets(targets_path)
+        targets = read_targets(inputs[1])
         for role in ("train", "validation"):
             ids = targets.by_role(role)
             grades = columns.grades[columns.rows_of(ids)]
@@ -130,7 +143,7 @@ def _cmd_stats(args, cfg: PipelineConfig):
 
 def _cmd_partition(args, cfg: PipelineConfig):
     cache_path = _require(cfg.cache_path)
-    out = Path(cfg.targets_path)
+    [out] = _outputs(cfg.targets_path)
     columns = cache.load_columns(cache_path)
     targets, report = select_targets(
         columns, train_days=cfg.train_days, seed=cfg.partition_seed
@@ -164,12 +177,12 @@ def _cmd_index(args, cfg: PipelineConfig):
 def _cmd_extract(args, cfg: PipelineConfig):
     cache_path = _require(cfg.cache_path)
     targets_path = _require(cfg.targets_path)
+    outputs = _outputs(*(Path(cfg.features_dir) / f"features_{role}.csv" for role in ROLES))
     columns = cache.load_columns(cache_path)
     targets = read_targets(targets_path)
     extracted = features.extract_targets(
         columns, targets, train_days=cfg.train_days, seed=cfg.partition_seed
     )
-    outputs = [Path(cfg.features_dir) / f"features_{role}.csv" for role in ROLES]
     for role, path in zip(ROLES, outputs):
         features.write_features(extracted[role], path)
     return (
@@ -186,7 +199,7 @@ def _cmd_train(args, cfg: PipelineConfig):
     val_path = _require(args.val_features
                         or Path(cfg.features_dir) / "features_validation.csv")
     kind = ModelKind(args.kind)
-    out = Path(args.out or Path(cfg.models_dir) / f"model_{kind.value}.json")
+    [out] = _outputs(args.out or Path(cfg.models_dir) / f"model_{kind.value}.json")
     train_table = features.read_features(train_path)
     val_table = features.read_features(val_path)
     model = train(kind, train_table, val_table, cfg.training, seed=cfg.train_seed)
@@ -202,7 +215,7 @@ def _cmd_train(args, cfg: PipelineConfig):
 def _cmd_score(args, cfg: PipelineConfig):
     model_path = _require(args.model)
     features_path = _require(args.features)
-    out = Path(args.out or Path(cfg.reports_dir) / "scores.csv")
+    [out] = _outputs(args.out or Path(cfg.reports_dir) / "scores.csv")
     model = RankModel.load(model_path)
     table = features.read_features(features_path)
     scores = score_table(model, table)
@@ -215,7 +228,11 @@ def _cmd_blend(args, cfg: PipelineConfig):
     if args.method == "learned" and not args.apply and len(args.scores) < 2:
         raise ConfigError("learned blending needs at least 2 score files")
     score_paths = [_require(p) for p in args.scores]
-    out = Path(args.out or Path(cfg.reports_dir) / "blended_scores.csv")
+    apply_path = args.apply and _require(args.apply)
+    outputs = [args.out or Path(cfg.reports_dir) / "blended_scores.csv"]
+    if not args.apply:
+        outputs.append(args.model_out or Path(cfg.models_dir) / f"blend_{args.method}.json")
+    outputs = _outputs(*outputs)
     loaded = [evaluate.read_scores(p) for p in score_paths]
     table = loaded[0][0]
     if table.n_targets == 0:
@@ -231,7 +248,7 @@ def _cmd_blend(args, cfg: PipelineConfig):
     names = [Path(p).name for p in score_paths]
 
     if args.apply:
-        model = blend_mod.BlendModel.load(_require(args.apply))
+        model = blend_mod.BlendModel.load(apply_path)
         blended = model.apply(member_scores)
     elif args.method == "average":
         blended, model = blend_mod.blend_average(member_scores, names)
@@ -241,13 +258,9 @@ def _cmd_blend(args, cfg: PipelineConfig):
             split_seed=cfg.blend_split_seed, names=names, cutoff=cfg.training.cutoff,
         )
 
-    evaluate.write_scores(table, blended.reshape(table.doc_ids.shape), out)
-    outputs = [out]
+    evaluate.write_scores(table, blended.reshape(table.doc_ids.shape), outputs[0])
     if not args.apply:
-        model_out = Path(args.model_out
-                         or Path(cfg.models_dir) / f"blend_{model.method}.json")
-        model.save(model_out)
-        outputs.append(model_out)
+        model.save(outputs[1])
     extra = ""
     if not args.apply and model.method == "learned":
         extra = f" (holdout NDCG@10 {model.metadata['holdout_mean_ndcg']:.5f})"
@@ -259,12 +272,11 @@ def _cmd_blend(args, cfg: PipelineConfig):
 def _cmd_eval(args, cfg: PipelineConfig):
     scores_path = _require(args.scores)
     out_dir = Path(cfg.reports_dir)
+    report_path, summary_path = _outputs(out_dir / "report.csv", out_dir / "summary.csv")
     table, scores = evaluate.read_scores(scores_path)
     report = evaluate.evaluate_run(
         table, scores, cutoff=cfg.training.cutoff, split_seed=args.split_seed
     )
-    report_path = out_dir / "report.csv"
-    summary_path = out_dir / "summary.csv"
     evaluate.write_report(report, report_path)
     evaluate.write_summary(report, summary_path)
     return {"split_seed": args.split_seed}, [scores_path], [report_path, summary_path], (
@@ -277,6 +289,7 @@ def _cmd_eval(args, cfg: PipelineConfig):
 def _cmd_analyze(args, cfg: PipelineConfig):
     report_path = _require(args.report)
     out_dir = Path(cfg.reports_dir)
+    tau_path, delta_path = _outputs(out_dir / "tau_hist.csv", out_dir / "delta_ndcg_hist.csv")
     taus, deltas = [], []
     with decoding(report_path), open(report_path, newline="") as fh:
         rows = csv.DictReader(fh)
@@ -288,8 +301,6 @@ def _cmd_analyze(args, cfg: PipelineConfig):
                 deltas.append(finite_float(row["delta_ndcg"]))
         except (TypeError, ValueError) as exc:  # TypeError: a short row
             raise DataError(f"{report_path}: line {rows.line_num}: {exc}") from None
-    tau_path = out_dir / "tau_hist.csv"
-    delta_path = out_dir / "delta_ndcg_hist.csv"
     evaluate.write_histogram(evaluate.histogram(taus, -1.0, 1.0, 20), tau_path)
     evaluate.write_histogram(evaluate.histogram(deltas, -1.0, 1.0, 40), delta_path)
     return {}, [report_path], [tau_path, delta_path], f"wrote {tau_path}, {delta_path}"
