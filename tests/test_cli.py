@@ -755,42 +755,20 @@ UNDECODABLE = {
 }
 
 
-# command: (its work function, which must not run when an output cannot be
-# created; its argv reading the scored run w and writing into directory d; its
-# first output's name)
-UNCREATABLE = {
-    "gen": ("persorank.cli.generate_lines",
-            lambda w, d: ["gen", "--out", f"{d}/log.tsv", *GEN_OVERRIDES], "log.tsv"),
-    "parse": ("persorank.cli.parse_log",
-              lambda w, d: ["parse", "--log", f"{w}/log.tsv", "--out", f"{d}/s.cache"],
-              "s.cache"),
-    "stats": ("persorank.cli.corpus_stats",
-              lambda w, d: ["stats", "--cache", f"{w}/s.cache", "--targets", f"{w}/t.csv",
-                            "--out", f"{d}/stats.csv"], "stats.csv"),
-    "partition": ("persorank.cli.select_targets",
-                  lambda w, d: ["partition", "--cache", f"{w}/s.cache", "--out", f"{d}/t2.csv"],
-                  "t2.csv"),
-    "extract": ("persorank.features.extract_targets",
-                lambda w, d: ["extract", "--cache", f"{w}/s.cache", "--targets", f"{w}/t.csv",
-                              "--out-dir", str(d)], "features_train.csv"),
-    "train": ("persorank.cli.train",
-              lambda w, d: ["train", "--kind", "ranknet",
-                            "--train-features", f"{w}/features_train.csv",
-                            "--val-features", f"{w}/features_validation.csv",
-                            "--out", f"{d}/m.json"], "m.json"),
-    "score": ("persorank.cli.score_table",
-              lambda w, d: ["score", "--model", f"{w}/model.json",
-                            "--features", f"{w}/features_test.csv", "--out", f"{d}/s.csv"],
-              "s.csv"),
-    "blend": ("persorank.blend.blend_learned",
-              lambda w, d: ["blend", "--scores", f"{w}/scores.csv", f"{w}/scores.csv",
-                            "--method", "learned", "--out", f"{d}/b.csv"], "b.csv"),
-    "eval": ("persorank.evaluate.evaluate_run",
-             lambda w, d: ["eval", "--scores", f"{w}/scores.csv", "--out-dir", str(d)],
-             "report.csv"),
-    "analyze": ("persorank.evaluate.histogram",
-                lambda w, d: ["analyze", "--report", f"{w}/report.csv", "--out-dir", str(d)],
-                "tau_hist.csv"),
+# The work function of each command of MANIFEST_CASES, which must not run when
+# an output cannot be created.
+WORK = {
+    "gen": "persorank.cli.generate_lines",
+    "parse": "persorank.cli.parse_log",
+    "stats_targets": "persorank.cli.corpus_stats",
+    "partition": "persorank.cli.select_targets",
+    "extract": "persorank.features.extract_targets",
+    "train": "persorank.cli.train",
+    "score": "persorank.cli.score_table",
+    "blend_learned": "persorank.blend.blend_learned",
+    "blend_apply": "persorank.blend.BlendModel.apply",
+    "eval": "persorank.evaluate.evaluate_run",
+    "analyze": "persorank.evaluate.histogram",
 }
 
 
@@ -1006,24 +984,22 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and f"{blend_file}: {key}" in err
 
-    @pytest.mark.parametrize("command", sorted(UNCREATABLE))
+    @pytest.mark.parametrize("command", sorted(WORK))
     @pytest.mark.parametrize("parent", ["missing", "t.csv"],
                              ids=["missing_directory", "file_as_directory"])
     def test_output_that_cannot_be_created_is_data_error(self, scored_run, tmp_path, capsys,
                                                          monkeypatch, command, parent):
         (tmp_path / "t.csv").write_bytes((scored_run / "t.csv").read_bytes())
-        work, argv, first_output = UNCREATABLE[command]
+        argv, _, outputs, _ = MANIFEST_CASES[command](scored_run, tmp_path / parent)
 
         def must_not_run(*args, **kwargs):
-            raise AssertionError(f"{work} ran before the outputs were checked")
+            raise AssertionError(f"{WORK[command]} ran before the outputs were checked")
 
-        monkeypatch.setattr(work, must_not_run)
-        out_dir = tmp_path / parent
+        monkeypatch.setattr(WORK[command], must_not_run)
         capsys.readouterr()
-        assert run(*argv(scored_run, out_dir)) == 2
+        assert run(*argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"data error: cannot create {out_dir / first_output}: ")
-        assert ".tmp" not in err
+        assert err.startswith(f"data error: cannot create {outputs[0]}: ") and ".tmp" not in err
 
     @pytest.mark.parametrize("body", [42, [42]], ids=["not_a_list", "not_sessions"])
     def test_session_cache_of_other_objects_is_data_error(self, tmp_path, body):
