@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import errno
 import gzip
 import json
@@ -44,6 +45,16 @@ from .logs import (
 from .partition import ROLES, read_targets, select_targets, write_targets
 from .ranker import ModelKind, RankModel, score_table, train
 from .synth import generate_lines
+
+
+# A stage's numpy temporaries are freed when its handler returns, but one small
+# allocation left above them can keep glibc from shrinking its heap, as layout
+# happens to fall (even a path's length moves it). `main` hands the free pages
+# back after each command, so a run of commands peaks at the largest one's need.
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):  # not glibc: its allocator decides
+    _malloc_trim = None
 
 
 def _open_log(path: Path):
@@ -435,6 +446,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if _malloc_trim is not None:
+            _malloc_trim(0)
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ import gzip
 import json
 import os
 import pickle
+import platform
 import re
 import stat
 import subprocess
@@ -430,6 +431,22 @@ class TestManifests:
         started = datetime.fromisoformat(manifest["started_utc"])
         assert before <= started
         assert started + timedelta(seconds=manifest["wall_time_s"]) <= after
+
+    @pytest.mark.parametrize("argv,code", [
+        (["gen", "--out", "log.tsv", *GEN_OVERRIDES], 0),
+        (["parse", "--log", "missing.tsv", "--out", "s.cache"], 2),
+    ], ids=["success", "data_error"])
+    def test_freed_heap_is_returned_after_each_command(self, tmp_path, monkeypatch, capsys,
+                                                        argv, code):
+        trims = []
+        monkeypatch.setattr("persorank.cli._malloc_trim", trims.append)
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv) == code
+        assert trims == [0]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc_trim is glibc's")
+    def test_malloc_trim_is_found_on_glibc(self):
+        assert persorank.cli._malloc_trim is not None
 
 
 class TestAtomicWrite:
