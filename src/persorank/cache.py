@@ -51,11 +51,13 @@ def atomic_write(path: str | Path, mode: str = "w", newline: str | None = None):
         raise
 
 
-def save_sessions(sessions: list[Session], path: str | Path) -> None:
+def save_sessions(sessions: list[Session] | SessionColumns, path: str | Path) -> None:
     """Write sessions as `SessionColumns`: the magic line, then an uncompressed npz."""
+    if not isinstance(sessions, SessionColumns):
+        sessions = SessionColumns.of(sessions)
     with atomic_write(path, "wb") as fh:
         fh.write(SESSIONS_MAGIC)
-        np.savez(fh, **SessionColumns.of(sessions).arrays())
+        np.savez(fh, **sessions.arrays())
 
 
 def load_sessions(path: str | Path) -> list[Session]:

@@ -35,10 +35,12 @@ from .logs import (
     CODE_GAINS,
     DataError,
     LogParseError,
+    SessionColumns,
     corpus_stats,
     count_grades,
     decoding,
     label_sessions,
+    parse_columns,
     parse_log,
     sessionize,
 )
@@ -113,14 +115,21 @@ def _cmd_gen(args, cfg: PipelineConfig):
 def _cmd_parse(args, cfg: PipelineConfig):
     log_path = _require(cfg.log_path)
     [out] = _outputs(cfg.cache_path)
-    with decoding(log_path), _open_log(log_path) as fh:
-        records = parse_log(fh)
-    sessions = sessionize(records)
-    del records  # before labeling and the columns raise the peak
-    label_sessions(sessions)
-    cache.save_sessions(sessions, out)
-    n_imps = sum(len(s.impressions) for s in sessions)
-    return {}, [log_path], [out], f"wrote {out}: {len(sessions)} sessions, {n_imps} impressions"
+    try:
+        with decoding(log_path), _open_log(log_path) as fh:
+            columns = parse_columns(fh)
+    except DataError:  # left to the line-by-line path, which meets it in file order
+        columns = None
+    if columns is None:  # not a canonical log: the result or the error is the reference's
+        with decoding(log_path), _open_log(log_path) as fh:
+            records = parse_log(fh)
+        sessions = sessionize(records)
+        del records  # before labeling and the columns raise the peak
+        label_sessions(sessions)
+        columns = SessionColumns.of(sessions)
+    cache.save_sessions(columns, out)
+    return {}, [log_path], [out], (f"wrote {out}: {len(columns.session_id)} sessions, "
+                                   f"{len(columns.serp_id)} impressions")
 
 
 def _cmd_stats(args, cfg: PipelineConfig):

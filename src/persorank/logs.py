@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import bisect
 import gzip
+import re
 import zlib
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
-from itertools import chain
+from itertools import chain, islice, repeat
 from typing import Iterable
 
 import numpy as np
@@ -148,6 +149,11 @@ def _split(values: list, counts: np.ndarray) -> list[list]:
     return [values[a:b] for a, b in zip([0] + ends[:-1], ends)]
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Positions `start, start + 1, ...` of runs of `counts` items at `starts`, run after run."""
+    return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+
+
 # A (user, session, serp) id row viewed as one value that sorts row by row.
 _KEY = np.dtype([("user", np.int64), ("session", np.int64), ("serp", np.int64)])
 
@@ -265,8 +271,7 @@ class SessionColumns:
     def term_tuples(self, rows: np.ndarray) -> list[tuple[int, ...]]:
         """The query terms of impression rows `rows`."""
         n = self.n_terms[rows]
-        starts = np.cumsum(self.n_terms)[rows] - n
-        at = np.arange(n.sum()) + np.repeat(starts - np.cumsum(n) + n, n)
+        at = _ranges(np.cumsum(self.n_terms)[rows] - n, n)
         return list(map(tuple, _split(self.terms[at].tolist(), n)))
 
 
@@ -502,6 +507,130 @@ def label_sessions(sessions: Iterable[Session]) -> None:
         times, last = _session_action_times(session), _last_click(session)
         for imp in session.impressions:
             imp.labels = _labels(imp, times, last)
+
+
+# A log line that `parse_line` reads, held strictly: every number plain ASCII
+# digits, few enough to fit int64; a query's terms may be empty.
+_ID = "[0-9]{1,18}"
+_LINE = re.compile(
+    rf"{_ID}\t(?:M\t{_ID}\t{_ID}|{_ID}\t(?:M\t{_ID}\t{_ID}|C\t{_ID}\t{_ID}"
+    rf"|[QT]\t{_ID}\t{_ID}\t(?:{_ID}(?:,{_ID})*)?" + rf"\t{_ID},{_ID}" * SERP_SIZE + r"))\n")
+# Token codes of the kind markers and of a line's end; numbers are never negative.
+_META, _QUERY, _TEST, _CLICK, _END = -1, -2, -3, -4, -5
+_CHUNK_LINES = 1 << 14
+
+
+def _tokens(text: str) -> np.ndarray | None:
+    """Whole log lines `text` as int64 tokens, each line's ending in `_END`.
+
+    None unless every line matches `_LINE` and every token is read.
+    """
+    if _LINE.sub("", text):  # anything left over is part of a line that does not match
+        return None
+    data = text.encode()
+    for mark, code in (b"M", _META), (b"Q", _QUERY), (b"T", _TEST), (b"C", _CLICK):
+        data = data.replace(mark, b"%d" % code)
+    data = data.replace(b",", b" ").replace(b"\n", b" %d\n" % _END)
+    tokens = np.fromstring(data, dtype=np.int64, sep=" ")
+    # numpy before 2.0 only warns where it stops reading, and returns the tokens
+    # before: then the last lines' `_END` tokens are missing.
+    return tokens if np.count_nonzero(tokens == _END) == text.count("\n") else None
+
+
+def _find(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray | None:
+    """The index in `keys` of each of `wanted`; None if a key repeats or one is missing."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    if (keys[1:] == keys[:-1]).any() or (wanted.size and not keys.size):
+        return None
+    at = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+    return order[at] if (keys[at] == wanted).all() else None
+
+
+def parse_columns(lines: Iterable[str]) -> SessionColumns | None:
+    """The labeled sessions of log `lines` as `SessionColumns`, built by array passes.
+
+    `lines` are read as a text file yields them, in chunks. None when the log
+    is not canonical: a line that does not match `_LINE`, a blank line, a last
+    line without its newline, a duplicate session or SERP, an action before
+    its session's metadata, a click before its query or on a URL the query did
+    not show, or times or SERP ids too large to pack two to an int64. The
+    line-by-line path (`parse_log`, `sessionize`, `label_sessions`) then
+    gives the result or the error.
+    """
+    lines, parts = iter(lines), []
+    for chunk in iter(lambda: list(islice(lines, _CHUNK_LINES)), []):
+        text = "".join(chunk)
+        if text.count("\n") != len(chunk) or not all(map(str.endswith, chunk, repeat("\n"))):
+            return None
+        parts.append(_tokens(text))
+        if parts[-1] is None:
+            return None
+    if not parts:
+        return None
+    tok = np.concatenate(parts)
+    del parts
+
+    end = np.flatnonzero(tok == _END)
+    start = np.r_[0, end[:-1] + 1]
+    plain = tok[start + 1] == _META
+    kind = np.where(plain, _META, tok[start + 2])
+    meta, click = kind == _META, kind == _CLICK
+    query = ~(meta | click)
+    sm, sq, sc = start[meta] + ~plain[meta], start[query], start[click]
+    m_line, q_line, c_line = map(np.flatnonzero, (meta, query, click))
+
+    # Sessions stay in metadata order; each action follows its session's metadata.
+    session_id = tok[start[meta]]
+    q_session, c_session = _find(session_id, tok[sq]), _find(session_id, tok[sc])
+    if (q_session is None or c_session is None or (m_line[q_session] > q_line).any()
+            or (m_line[c_session] > c_line).any()):
+        return None
+    # (session, time) and (session, serp) pairs sort as one int64: major * width + minor.
+    t_width = int(tok[np.r_[sq, sc] + 1].max(initial=0)) + 1
+    s_width = int(tok[np.r_[sq, sc] + 3].max(initial=0)) + 1
+    if max(len(session_id), len(sq)) * max(t_width, s_width) >= 2**63:
+        return None
+
+    # Impressions by (session, time, line); clicks join them by (session, serp).
+    imp = np.argsort(q_session * t_width + tok[sq + 1], kind="stable")
+    sq, eq, q_session, q_line = sq[imp], end[query][imp], q_session[imp], q_line[imp]
+    c_row = _find(q_session * s_width + tok[sq + 3], c_session * s_width + tok[sc + 3])
+    if c_row is None or (q_line[c_row] > c_line).any():
+        return None
+    clk = np.argsort(c_row * t_width + tok[sc + 1], kind="stable")  # (row, time, line)
+    sc, c_row, c_session = sc[clk], c_row[clk], c_session[clk]
+    c_time, c_url = tok[sc + 1], tok[sc + 4]
+    pairs = tok[(eq - 2 * SERP_SIZE)[:, None] + np.arange(2 * SERP_SIZE)]
+    documents = pairs[:, 0::2]
+    shown = documents[c_row] == c_url[:, None]
+    if not shown.any(axis=1).all():
+        return None
+
+    # Dwell runs to the session's next action; the session's last click by
+    # (time, position) grades R2; a document keeps its best click's grade.
+    key = c_session * t_width + c_time
+    action = np.sort(np.r_[q_session * t_width + tok[sq + 1], key])
+    after = np.append(action, np.iinfo(np.int64).max)[np.searchsorted(action, key, side="right")]
+    dwell = np.where(after < (c_session + 1) * t_width, after - key, -1)
+    code = GRADES.index(Grade.R0) + (dwell >= DWELL_SHORT) + (dwell >= DWELL_LONG)
+    by_time = np.argsort(key, kind="stable")
+    code[by_time[np.diff(c_session[by_time], append=-1) != 0]] = GRADES.index(Grade.R2)
+    hit, slot = np.nonzero(shown)
+    slot += c_row[hit] * SERP_SIZE
+    grades = np.zeros((len(sq), SERP_SIZE), np.int8)  # NO_CLICK
+    for grade in range(1, len(GRADES)):  # ascending, so the best grade is written last
+        grades.reshape(-1)[slot[code[hit] == grade]] = grade
+
+    n_terms = eq - sq - 5 - 2 * SERP_SIZE
+    return SessionColumns(
+        session_id=session_id, user_id=tok[sm + 3], day=tok[sm + 2],
+        n_impressions=np.bincount(q_session, minlength=len(session_id)),
+        serp_id=tok[sq + 3], query_id=tok[sq + 4], time_passed=tok[sq + 1],
+        is_test=tok[sq + 2] == _TEST, n_terms=n_terms,
+        n_clicks=np.bincount(c_row, minlength=len(sq)),
+        documents=documents, domains=pairs[:, 1::2], grades=grades,
+        terms=tok[_ranges(sq + 5, n_terms)], click_url=c_url, click_time=c_time)
 
 
 @dataclass

@@ -776,7 +776,7 @@ UNDECODABLE = {
 # an output cannot be created.
 WORK = {
     "gen": "persorank.cli.generate_lines",
-    "parse": "persorank.cli.parse_log",
+    "parse": "persorank.cli.parse_columns",
     "stats_targets": "persorank.cli.corpus_stats",
     "partition": "persorank.cli.select_targets",
     "extract": "persorank.features.extract_targets",

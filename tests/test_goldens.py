@@ -1,10 +1,10 @@
 """sha256 goldens of a fixed-seed 40-user CLI run.
 
 For fixed seeds the artifacts are the spec: the log and the generator's
-counts, the stats report, one query's ``index`` listing, targets, the three
-feature files, the heuristic's scores, the evaluation report, its summary and
-the two ``analyze`` histograms must stay byte-identical unless a change means
-to alter them. Trained networks and
+counts, the session cache, the stats report, one query's ``index`` listing,
+targets, the three feature files, the heuristic's scores, the evaluation
+report, its summary and the two ``analyze`` histograms must stay
+byte-identical unless a change means to alter them. Trained networks and
 their scores are left out, because their last bits vary across BLAS builds.
 
 After a deliberate output change, print the new digests with
@@ -32,6 +32,7 @@ LOOKUP_QUERY = 141  # the query with the most impressions in the golden log
 GOLDENS = {
     "log.tsv": "eb24213cb57fc939baeb8e136e98c0453d952b86dd671c3d4d4a158e44d404a9",
     "log.tsv.counts.json": "40868e388080b3881a8bb17013c85e53e987ed412025bef402115be9abc36442",
+    "sessions.cache": "73d219e5253b743ba1923eecd886db0fc27892798a0f0c1bbbb39656553c1b87",
     "stats.csv": "12263c63cda8ff61bab357558b88a8b9743edf27751a8171794c34a8e6e8204b",
     "index.txt": "14852305b647fbc56da2558fed566115a58aa38d70d529a2ba1db952d0751ed9",
     "targets.csv": "16b48fe0ad622f576b322ae4b290da9e657695682fe530a1b61d98c3a18884e1",

@@ -1,5 +1,9 @@
+import contextlib
+import io
+import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persorank.cache import load_columns, load_sessions, save_sessions
+from persorank.cli import main
 from persorank.logs import (
     ClickAction,
     DataError,
@@ -21,10 +26,12 @@ from persorank.logs import (
     format_record,
     label_impression,
     label_sessions,
+    parse_columns,
     parse_line,
     parse_log,
     sessionize,
 )
+from persorank.synth import GenConfig, generate_lines
 
 
 def q_line(session=1, time=0, kind="Q", serp=0, query=7, terms="1,2", n_results=10):
@@ -417,3 +424,227 @@ class TestSessionCache:
         short = Session(1, 1, 1, [Impression(0, 0, (), imp.documents[:9], imp.domains[:9], 0)])
         with pytest.raises(ValueError):
             SessionColumns.of([short])
+
+
+# -- the array parser against the line-by-line path --------------------------
+
+TIMES = st.one_of(st.integers(0, 3), st.sampled_from([49, 50, 399, 400, 449, 450]),
+                  st.integers(0, 900))
+
+
+@st.composite
+def canonical_logs(draw):
+    """A canonical log's lines, each with its newline, sessions interleaved.
+
+    `M` lines are plain or padded; a session's actions follow its `M` line
+    and a click follows its query. Small ids make repeated documents, shared
+    terms and tied times likely.
+    """
+    per_session = []
+    for sid in draw(st.lists(st.integers(0, 30), min_size=1, max_size=4, unique=True)):
+        day, user = draw(st.integers(1, 30)), draw(st.integers(0, 5))
+        lines = [f"{sid}\t{draw(TIMES)}\tM\t{day}\t{user}" if draw(st.booleans())
+                 else f"{sid}\tM\t{day}\t{user}"]
+        for serp in draw(st.lists(st.integers(0, 5), max_size=3, unique=True)):
+            docs = draw(st.lists(st.integers(0, 12), min_size=10, max_size=10))
+            terms = ",".join(map(str, draw(st.lists(st.integers(0, 9), max_size=3))))
+            lines.append(f"{sid}\t{draw(TIMES)}\t{draw(st.sampled_from('QT'))}\t{serp}\t"
+                         f"{draw(st.integers(0, 9))}\t{terms}\t"
+                         + "\t".join(f"{doc},{doc % 4}" for doc in docs))
+            lines += [f"{sid}\t{draw(TIMES)}\tC\t{serp}\t{draw(st.sampled_from(docs))}"
+                      for _ in range(draw(st.integers(0, 3)))]
+        per_session.append(lines)
+    slots = draw(st.permutations([k for k, lines in enumerate(per_session) for _ in lines]))
+    queues = [iter(lines) for lines in per_session]
+    return [next(queues[k]) + "\n" for k in slots]
+
+
+ACTION = r"^\d+\t\d+\t[QTC]\t"
+NUMBER_FORMS = ["+5", " 5", "5_000", "\u0665", "-5", str(2**63 + 5), "9" * 18, "007"]
+
+
+def line_at(data, lines, pattern):
+    found = [i for i, line in enumerate(lines) if re.search(pattern, line)]
+    return data.draw(st.sampled_from(found)) if found else None
+
+
+def set_field(data, lines, pattern, index, value):
+    i = line_at(data, lines, pattern)
+    if i is not None:
+        body = lines[i].rstrip("\r\n")
+        fields = body.split("\t")
+        if index < len(fields):
+            fields[index] = value
+            lines[i] = "\t".join(fields) + lines[i][len(body):]
+
+
+def swap_kind(data, lines):
+    i = line_at(data, lines, r"\t[MQTC]\t")
+    if i is not None:
+        kind = data.draw(st.sampled_from("MQTC"))
+        lines[i] = re.sub(r"\t[MQTC]\t", f"\t{kind}\t", lines[i], count=1)
+
+
+def drop_meta(data, lines):
+    i = line_at(data, lines, r"\tM\t")
+    if i is not None:
+        del lines[i]
+
+
+def duplicate(pattern):
+    def mutate(data, lines):
+        i = line_at(data, lines, pattern)
+        if i is not None:
+            lines.insert(data.draw(st.integers(i + 1, len(lines))), lines[i])
+    return mutate
+
+
+def click_before_query(data, lines):
+    i = line_at(data, lines, r"\tC\t")
+    fields = lines[i].split("\t") if i is not None else []
+    if len(fields) == 5:
+        query = re.compile(rf"{re.escape(fields[0])}\t[^\t]*\t[QT]\t{re.escape(fields[3])}\t")
+        j = next((j for j, line in enumerate(lines) if query.match(line)), None)
+        if j is not None and j < i:
+            lines.insert(j, lines.pop(i))
+
+
+def tie_times(data, lines):
+    i = line_at(data, lines, ACTION)
+    if i is not None:
+        set_field(data, lines, ACTION, 1, lines[i].split("\t")[1])
+
+
+def number_form(data, lines):
+    i = line_at(data, lines, r"[0-9]")
+    run = data.draw(st.sampled_from(list(re.finditer("[0-9]+", lines[i]))))
+    form = data.draw(st.sampled_from(NUMBER_FORMS))
+    lines[i] = lines[i][:run.start()] + form + lines[i][run.end():]
+
+
+def padded_meta_word(data, lines):
+    i = line_at(data, lines, r"\tM\t[^\t]*\t[^\t]*$")
+    if i is not None:
+        fields = lines[i].split("\t")
+        lines[i] = "\t".join([fields[0], "x", "M"] + fields[-2:])
+
+
+def blank_line(data, lines):
+    lines.insert(data.draw(st.integers(0, len(lines))), data.draw(st.sampled_from(["\n", " \t\n"])))
+
+
+def crlf(data, lines):
+    lines[:] = [line[:-1] + "\r\n" if line.endswith("\n") else line for line in lines]
+
+
+def no_final_newline(data, lines):
+    if lines:
+        lines[-1] = lines[-1].rstrip("\n")
+
+
+MUTATIONS = {
+    "swap_kind": swap_kind,
+    "drop_meta": drop_meta,
+    "duplicate_meta": duplicate(r"\tM\t"),
+    "duplicate_serp": duplicate(r"\t[QT]\t"),
+    "unshown_url": lambda data, lines: set_field(data, lines, r"\tC\t", 4, "999"),
+    "click_before_query": click_before_query,
+    "tie_times": tie_times,
+    "empty_terms": lambda data, lines: set_field(data, lines, r"\t[QT]\t", 5, ""),
+    "odd_terms": lambda data, lines: set_field(data, lines, r"\t[QT]\t", 5, "1,,2"),
+    "number_form": number_form,
+    "padded_meta_word": padded_meta_word,
+    "blank_line": blank_line,
+    "crlf": crlf,
+    "no_final_newline": no_final_newline,
+}
+
+
+def reference_columns(lines):
+    """`SessionColumns.of` over parse_log -> sessionize -> label_sessions, or what it raised."""
+    try:
+        sessions = sessionize(parse_log(lines))
+        label_sessions(sessions)
+        return SessionColumns.of(sessions)
+    except Exception as exc:  # noqa: BLE001 - any error, to compare with the array parser's
+        return exc
+
+
+def assert_same_columns(got, want):
+    assert isinstance(want, SessionColumns), want
+    for name, array in want.arrays().items():
+        mine = getattr(got, name)
+        assert (mine.dtype, mine.shape) == (array.dtype, array.shape), name
+        assert mine.tobytes() == array.tobytes(), name
+
+
+def parse_run(log: Path, out: Path):
+    """`persorank parse` of `log`: exit code, stdout, stderr and the cache's bytes, if any."""
+    out.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["parse", "--log", str(log), "--out", str(out)])
+    return code, stdout.getvalue(), stderr.getvalue(), out.read_bytes() if out.exists() else None
+
+
+def check_against_line_by_line(lines) -> bool:
+    """The array parser gives None or the line-by-line path's columns, and `persorank
+    parse` the same exit code, output and cache bytes either way; True if it gave columns."""
+    columns = parse_columns(lines)
+    if columns is not None:
+        assert_same_columns(columns, reference_columns(lines))
+    with tempfile.TemporaryDirectory() as tmp:
+        log, out = Path(tmp) / "log.tsv", Path(tmp) / "s.cache"
+        log.write_bytes("".join(lines).encode())
+        fast = parse_run(log, out)
+        with mock.patch("persorank.cli.parse_columns", return_value=None):
+            assert parse_run(log, out) == fast
+    return columns is not None
+
+
+@settings(max_examples=200)
+@given(canonical_logs())
+def test_array_parser_takes_canonical_logs(lines):
+    assert check_against_line_by_line(lines)
+
+
+@settings(max_examples=300)
+@given(canonical_logs(), st.lists(st.sampled_from(sorted(MUTATIONS)), min_size=1, max_size=2),
+       st.data())
+def test_array_parser_agrees_on_mutated_logs(lines, mutations, data):
+    for name in mutations:
+        MUTATIONS[name](data, lines)
+    check_against_line_by_line(lines)
+
+
+@pytest.mark.parametrize("sessions,fast", [(9, True), (10, False)])
+def test_array_parser_packs_keys_only_where_they_fit(sessions, fast):
+    """Times up to 10**18 - 1 pack with up to 9 sessions into one int64, not with 10."""
+    lines = [f"{sid}\tM\t1\t1\n" for sid in range(sessions)]
+    lines += [q_line(session=sid, time=10**18 - 1 - sid) + "\n" for sid in range(sessions)]
+    assert check_against_line_by_line(lines) is fast
+
+
+def generated_lines(users, seed):
+    return [line + "\n" for line in generate_lines(GenConfig(n_users=users, rng_seed=seed))[0]]
+
+
+@pytest.mark.parametrize("users,seed", [(3, 1), (40, 7), (150, 11)])
+def test_array_parser_takes_generated_logs(users, seed):
+    lines = generated_lines(users, seed)
+    columns = parse_columns(iter(lines))
+    assert columns is not None
+    assert_same_columns(columns, reference_columns(lines))
+
+
+def test_short_token_read_falls_back(tmp_path, monkeypatch):
+    """numpy before 2.0 only warns where `fromstring` stops early and returns what it read."""
+    lines = generated_lines(3, 1)
+    log = tmp_path / "log.tsv"
+    log.write_text("".join(lines))
+    read = np.fromstring
+    monkeypatch.setattr(np, "fromstring", lambda text, **kwargs: read(text, **kwargs)[:-1])
+    assert parse_columns(lines) is None
+    short = parse_run(log, tmp_path / "s.cache")
+    monkeypatch.undo()
+    assert short == parse_run(log, tmp_path / "s.cache") and short[0] == 0
