@@ -69,17 +69,21 @@ def _require(path: str | Path) -> Path:
     path = Path(path)
     if not path.exists():
         raise DataError(f"missing input file: {path}")
+    if path.is_dir():
+        raise DataError(f"cannot read {path}: {os.strerror(errno.EISDIR)}")
     return path
 
 
 def _outputs(*paths: str | Path) -> list[Path]:
-    """Paths to write, each checked to lie in an existing directory.
+    """Paths to write, each checked to be no directory and to lie in an existing one.
 
     Handlers check their outputs before they load their inputs, so a path
     that cannot be written fails before the stage's work, not after it.
     """
     paths = [Path(p) for p in paths]
     for path in paths:
+        if path.is_dir():
+            raise DataError(f"cannot create {path}: {os.strerror(errno.EISDIR)}")
         if not path.parent.is_dir():
             reason = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
             raise DataError(f"cannot create {path}: {os.strerror(reason)}")
@@ -101,7 +105,8 @@ def _cmd_gen(args, cfg: PipelineConfig):
         return None
     if str(out).endswith(".gz"):
         with cache.atomic_write(out, "wb") as fh:
-            with gzip.GzipFile(fileobj=fh, mode="wb", mtime=0) as gz:
+            # No file name in the header: the temp file's is random.
+            with gzip.GzipFile(filename="", fileobj=fh, mode="wb", mtime=0) as gz:
                 gz.write(text.encode())
     else:
         with cache.atomic_write(out) as fh:

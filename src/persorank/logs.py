@@ -277,9 +277,12 @@ class SessionColumns:
 
 def _int_field(value: str, line_no: int, name: str) -> int:
     try:
-        return int(value)
+        number = int(value)
     except ValueError:
         raise LogParseError(line_no, f"bad integer for {name}: {value!r}") from None
+    if not -2**63 <= number < 2**63:  # the session columns hold int64
+        raise LogParseError(line_no, f"{name} {value!r} does not fit in int64")
+    return number
 
 
 def _parse_terms(value: str, line_no: int) -> tuple[int, ...]:

@@ -8,6 +8,12 @@ correlated with those preferences, so re-ranking from history has headroom
 to improve NDCG. With preference_strength 0 the clicks carry no planted
 signal at all.
 
+Each user's sessions are planned first, then written straight to log
+records, with action times chosen so that the gap after each click is its
+planned dwell. The counts returned with the lines are taken from the lines
+themselves by the array parser, `logs.parse_columns`, so they are what
+`parse` reads from the log.
+
 The same seed always produces byte-identical output. Per-user randomness
 comes from independent streams keyed on (seed, user id), so generation
 order cannot change the data.
@@ -22,14 +28,14 @@ from .config import GenConfig
 from .logs import (
     DWELL_LONG,
     SERP_SIZE,
+    ClickAction,
     CorpusStats,
-    Impression,
     LogRecord,
-    Session,
-    SessionColumns,
+    QueryAction,
+    SessionMeta,
     corpus_stats,
     format_record,
-    label_sessions,
+    parse_columns,
 )
 
 POOL_SIZE = 20
@@ -203,83 +209,38 @@ def _plan_user(cfg: GenConfig, user_id: int, vocab: list[QueryInfo],
     return sessions
 
 
-def _realize_session(plan: _PlannedSession, session_id: int,
-                     rng: random.Random) -> Session:
-    """Assign times so that each click's dwell is realized by the next action."""
-    session = Session(session_id=session_id, user_id=plan.user_id, day=plan.day)
+def _session_records(plan: _PlannedSession, session_id: int, rng: random.Random,
+                     vocab: list[QueryInfo], doc_domains: list[int]) -> list[LogRecord]:
+    """The log records of one planned session, each click's dwell realized by the next action."""
+    records: list[LogRecord] = [SessionMeta(session_id, plan.day, plan.user_id)]
     t = 0
     for serp_id, (qid, docs, clicks, is_test) in enumerate(plan.impressions):
-        imp = Impression(
-            serp_id=serp_id,
-            query_id=qid,
-            terms=(),  # filled by caller from the vocab
-            documents=tuple(docs),
-            domains=(),
-            time_passed=t,
-            is_test=is_test,
-        )
-        if clicks:
-            ct = t + rng.randint(3, 30)
-            for doc, dwell in clicks:
-                imp.clicks.append((doc, ct))
-                ct += dwell
-            t = ct
-        else:
+        records.append(QueryAction(session_id, t, serp_id, is_test, qid, vocab[qid].terms,
+                                   tuple((doc, doc_domains[doc]) for doc in docs)))
+        if not clicks:
             t += rng.randint(30, 120)
-        session.impressions.append(imp)
-    return session
-
-
-def generate_sessions(cfg: GenConfig) -> tuple[list[Session], CorpusStats]:
-    """Build fully materialized, labeled sessions plus their corpus counts."""
-    cfg.validate()
-    vocab, doc_domains = _build_vocab(cfg)
-
-    plans: list[_PlannedSession] = []
-    for user_id in range(1, cfg.n_users + 1):
-        plans.extend(_plan_user(cfg, user_id, vocab, doc_domains))
-    plans.sort(key=lambda pl: (pl.day, pl.user_id, pl.user_seq))
-
-    sessions = []
-    for session_id, plan in enumerate(plans, 1):
-        timing_rng = random.Random(f"{cfg.rng_seed}:times:{plan.user_id}:{plan.user_seq}")
-        session = _realize_session(plan, session_id, timing_rng)
-        for imp in session.impressions:
-            imp.terms = vocab[imp.query_id].terms
-            imp.domains = tuple(doc_domains[d] for d in imp.documents)
-        sessions.append(session)
-    label_sessions(sessions)
-    return sessions, corpus_stats(SessionColumns.of(sessions), cfg.train_days)
-
-
-def session_records(session: Session) -> list[LogRecord]:
-    """Records for one session in chronological order."""
-    from .logs import ClickAction, QueryAction, SessionMeta
-
-    records: list[LogRecord] = [
-        SessionMeta(session.session_id, session.day, session.user_id)
-    ]
-    for imp in session.impressions:
-        records.append(
-            QueryAction(
-                session_id=session.session_id,
-                time_passed=imp.time_passed,
-                serp_id=imp.serp_id,
-                is_test=imp.is_test,
-                query_id=imp.query_id,
-                terms=imp.terms,
-                results=tuple(zip(imp.documents, imp.domains)),
-            )
-        )
-        for url_id, t in imp.clicks:
-            records.append(ClickAction(session.session_id, t, imp.serp_id, url_id))
+            continue
+        t += rng.randint(3, 30)
+        for doc, dwell in clicks:
+            records.append(ClickAction(session_id, t, serp_id, doc))
+            t += dwell
     return records
 
 
 def generate_lines(cfg: GenConfig) -> tuple[list[str], CorpusStats]:
-    """Generate the full log as serialized lines plus bookkeeping."""
-    sessions, stats = generate_sessions(cfg)
+    """The full log as serialized lines, and the counts of that log as `parse` reads it."""
+    cfg.validate()
+    vocab, doc_domains = _build_vocab(cfg)
+    plans = [plan for user_id in range(1, cfg.n_users + 1)
+             for plan in _plan_user(cfg, user_id, vocab, doc_domains)]
+    plans.sort(key=lambda pl: (pl.day, pl.user_id, pl.user_seq))
+
     lines = []
-    for session in sessions:
-        lines.extend(format_record(r) for r in session_records(session))
-    return lines, stats
+    for session_id, plan in enumerate(plans, 1):
+        timing_rng = random.Random(f"{cfg.rng_seed}:times:{plan.user_id}:{plan.user_seq}")
+        lines.extend(map(format_record, _session_records(
+            plan, session_id, timing_rng, vocab, doc_domains)))
+    columns = parse_columns(line + "\n" for line in lines)
+    if columns is None:
+        raise RuntimeError("the array parser declined a generated log")
+    return lines, corpus_stats(columns, cfg.train_days)

@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import settings
 
-from persorank.logs import SessionColumns, label_sessions
+from persorank.logs import SessionColumns, label_sessions, parse_log, sessionize
 from persorank.partition import select_targets
-from persorank.synth import GenConfig, generate_sessions
+from persorank.synth import GenConfig, generate_lines
 
 # Property tests draw the same examples on every run; each keeps its own max_examples.
 settings.register_profile("persorank", derandomize=True, deadline=None)
@@ -22,9 +22,21 @@ class Corpus:
         self.train_days = cfg.train_days
 
 
-def make_corpus(gen_cfg: GenConfig, partition_seed: int = 5) -> Corpus:
-    sessions, stats = generate_sessions(gen_cfg)
+def generated_sessions(gen_cfg: GenConfig):
+    """The labeled sessions of gen's log, read back line by line, and gen's counts.
+
+    The sessions come from the line-by-line reference (`parse_log`,
+    `sessionize`, `label_sessions`), not from `parse_columns`, which gen counts
+    with, so the oracles built on them stay independent of the array parser.
+    """
+    lines, stats = generate_lines(gen_cfg)
+    sessions = sessionize(parse_log(lines))
     label_sessions(sessions)
+    return sessions, stats
+
+
+def make_corpus(gen_cfg: GenConfig, partition_seed: int = 5) -> Corpus:
+    sessions, stats = generated_sessions(gen_cfg)
     targets, report = select_targets(
         SessionColumns.of(sessions), train_days=gen_cfg.train_days, seed=partition_seed
     )

@@ -20,7 +20,7 @@ from persorank.cli import main as cli_main
 from persorank.contexts import Context, ItemKind
 from persorank.evaluate import kendall_tau, mean_ndcg, ndcg_at, rank_by_score
 from persorank.features import N_FEATURES, context_features
-from persorank.logs import Grade, SessionColumns, label_impression, label_sessions
+from persorank.logs import Grade, SessionColumns, label_impression
 from persorank.partition import select_targets, write_targets
 from persorank.ranker import (
     ModelKind,
@@ -34,8 +34,9 @@ from persorank.ranker import (
     train,
     training_loss,
 )
-from persorank.synth import GenConfig, generate_sessions
+from persorank.synth import GenConfig
 
+from conftest import generated_sessions
 from oracles import OracleScan, finite_difference_grads, oracle_extract, oracle_ndcg
 from test_features import random_context
 from test_logs import make_session
@@ -86,8 +87,7 @@ NET_TOL = 5e-3
 @pytest.fixture(scope="module")
 def desk(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("desk")
-    sessions, _ = generate_sessions(DESK_GEN)
-    label_sessions(sessions)
+    sessions, _ = generated_sessions(DESK_GEN)
     columns = SessionColumns.of(sessions)
     targets, _ = select_targets(
         columns, train_days=DESK_GEN.train_days, seed=DESK_PARTITION_SEED
@@ -139,8 +139,7 @@ def test_criterion_2_feature_oracle_equivalence():
             repeat_query_prob=0.5,
             rng_seed=17,
         )
-        sessions, stats = generate_sessions(cfg)
-        label_sessions(sessions)
+        sessions, stats = generated_sessions(cfg)
         n_impressions = sum(len(s.impressions) for s in sessions)
         assert stats.unique_users >= 1000
         assert n_impressions >= 50_000

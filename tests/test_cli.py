@@ -79,6 +79,14 @@ class TestPipeline:
         assert run("parse", "--log", str(log),
                    "--out", str(tmp_path / "s.cache")) == 0
 
+    def test_gzip_log_is_deterministic(self, tmp_path):
+        log, written = tmp_path / "log.tsv.gz", []
+        for _ in range(2):
+            assert run("gen", "--out", str(log), *GEN_OVERRIDES) == 0
+            written.append(log.read_bytes())
+        assert written[0] == written[1]
+        assert not written[0][3] & gzip.FNAME  # the header names no (temp) file
+
     def test_pipeline_deterministic_across_runs(self, tmp_path):
         a = run_pipeline(tmp_path / "a")
         b = run_pipeline(tmp_path / "b")
@@ -294,6 +302,28 @@ class TestErrors:
         bad = tmp_path / "bad.tsv"
         bad.write_text("1\tM\t3\t100\ngarbage line\n")
         assert run("parse", "--log", str(bad), "--out", str(tmp_path / "c")) == 2
+
+    @pytest.mark.parametrize("kind,field,value", [
+        ("M", 3, str(2**63 + 5)),
+        ("Q", 6, f"{2**64},1"),
+        ("Q", 5, f"1,{2**64}"),
+        ("C", 1, str(-2**63 - 1)),
+    ], ids=["user_id", "document_id", "term_id", "click_time"])
+    def test_log_number_outside_int64_is_data_error(self, tmp_path, capsys, kind, field,
+                                                    value):
+        log = tmp_path / "log.tsv"
+        assert run("gen", "--out", str(log), *GEN_OVERRIDES) == 0
+        lines = log.read_text().splitlines(keepends=True)
+        at = next(i for i in range(len(lines) // 2, len(lines))
+                  if kind in lines[i].split("\t")[1:3])
+        fields = lines[at].rstrip("\n").split("\t")
+        fields[field] = value
+        lines[at] = "\t".join(fields) + "\n"
+        log.write_text("".join(lines))
+        capsys.readouterr()
+        assert run("parse", "--log", str(log), "--out", str(tmp_path / "s.cache")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: line {at + 1}: ") and "does not fit in int64" in err
 
     def test_corrupt_cache_is_data_error(self, tmp_path):
         fake = tmp_path / "fake.cache"
@@ -1002,12 +1032,15 @@ class TestMalformedInputs:
         assert err.startswith("data error: ") and f"{blend_file}: {key}" in err
 
     @pytest.mark.parametrize("command", sorted(WORK))
-    @pytest.mark.parametrize("parent", ["missing", "t.csv"],
-                             ids=["missing_directory", "file_as_directory"])
+    @pytest.mark.parametrize("parent", ["missing", "t.csv", "out"],
+                             ids=["missing_directory", "file_as_directory",
+                                  "directory_as_output"])
     def test_output_that_cannot_be_created_is_data_error(self, scored_run, tmp_path, capsys,
                                                          monkeypatch, command, parent):
         (tmp_path / "t.csv").write_bytes((scored_run / "t.csv").read_bytes())
         argv, _, outputs, _ = MANIFEST_CASES[command](scored_run, tmp_path / parent)
+        if parent == "out":
+            outputs[0].mkdir(parents=True)
 
         def must_not_run(*args, **kwargs):
             raise AssertionError(f"{WORK[command]} ran before the outputs were checked")
@@ -1017,6 +1050,12 @@ class TestMalformedInputs:
         assert run(*argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"data error: cannot create {outputs[0]}: ") and ".tmp" not in err
+
+    def test_directory_as_input_is_data_error(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert run("parse", "--log", str(tmp_path), "--out", str(tmp_path / "s.cache")) == 2
+        assert capsys.readouterr().err == f"data error: cannot read {tmp_path}: Is a directory\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("body", [42, [42]], ids=["not_a_list", "not_sessions"])
     def test_session_cache_of_other_objects_is_data_error(self, tmp_path, body):

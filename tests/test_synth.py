@@ -1,12 +1,22 @@
 import pytest
 
+from persorank.cli import main
 from persorank.config import ConfigError
 from persorank.evaluate import mean_ndcg
-from persorank.logs import SERP_SIZE, SessionColumns, label_sessions, parse_log, sessionize
+from persorank.logs import (
+    SERP_SIZE,
+    SessionColumns,
+    corpus_stats,
+    label_sessions,
+    parse_log,
+    sessionize,
+)
 from persorank.partition import select_targets
 from persorank.ranker import ModelKind, RankModel, score_table
-from persorank.synth import GenConfig, generate_lines, generate_sessions
+from persorank.synth import GenConfig, generate_lines
 from persorank import features
+
+from conftest import generated_sessions
 
 
 class TestDeterminism:
@@ -33,22 +43,6 @@ class TestValidity:
                 assert len(imp.documents) == SERP_SIZE
                 for url, _t in imp.clicks:
                     assert url in imp.documents
-
-    def test_parse_round_trip_matches_in_memory_sessions(self, small_corpus):
-        lines, _ = generate_lines(small_corpus.cfg)
-        sessions = sessionize(parse_log(lines))
-        label_sessions(sessions)
-        assert len(sessions) == len(small_corpus.sessions)
-        for parsed, built in zip(sessions, small_corpus.sessions):
-            assert parsed.session_id == built.session_id
-            assert parsed.user_id == built.user_id
-            assert parsed.day == built.day
-            for a, b in zip(parsed.impressions, built.impressions):
-                assert a.documents == b.documents
-                assert a.domains == b.domains
-                assert a.clicks == b.clicks
-                assert a.labels == b.labels
-                assert a.is_test == b.is_test
 
     def test_one_test_session_per_user(self, small_corpus):
         cfg = small_corpus.cfg
@@ -81,6 +75,37 @@ class TestValidity:
             for g in stats.grade_counts[period]
         )
         assert labeled == 10 * sum(len(s.impressions) for s in sessions)
+
+
+# Settings at their edges, each at two seeds.
+EDGE_SETTINGS = {
+    "one_user": {"n_users": 1},
+    "one_query_a_day": {"n_users": 12, "queries_per_user_per_day": 1},
+    "no_preference": {"n_users": 12, "preference_strength": 0.0},
+    "always_repeat": {"n_users": 12, "repeat_query_prob": 1.0},
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("settings", EDGE_SETTINGS.values(), ids=EDGE_SETTINGS.keys())
+class TestCounts:
+    def test_counts_are_those_of_the_log_read_line_by_line(self, settings, seed):
+        cfg = GenConfig(**settings, rng_seed=seed)
+        lines, stats = generate_lines(cfg)
+        sessions = sessionize(parse_log(lines))
+        label_sessions(sessions)
+        assert stats == corpus_stats(SessionColumns.of(sessions), cfg.train_days)
+        assert len(lines) == stats.total_records
+
+    def test_log_the_array_parser_declines_is_internal_error(self, settings, seed, tmp_path,
+                                                              monkeypatch, capsys):
+        argv = ["gen", "--out", str(tmp_path / "log.tsv"), "-O", f"synth_seed={seed}"]
+        for key, value in settings.items():
+            argv += ["-O", f"{key}={value}"]
+        monkeypatch.setattr("persorank.synth.parse_columns", lambda lines: None)
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("internal error: RuntimeError: ")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigValidation:
@@ -117,8 +142,7 @@ def _heuristic_gain(p: float, tmp_path):
         repeat_query_prob=0.5,
         rng_seed=13,
     )
-    sessions, _ = generate_sessions(cfg)
-    label_sessions(sessions)
+    sessions, _ = generated_sessions(cfg)
     columns = SessionColumns.of(sessions)
     targets, _ = select_targets(columns, train_days=cfg.train_days, seed=5)
     extracted = features.extract_targets(
