@@ -13,13 +13,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .cache import atomic_write
-from .features import FeatureTable, _id_columns, _read_grouped
+from .features import FeatureTable, _read_grouped, _write_grouped
 from .logs import DataError
 
 NDCG_CUTOFF = 10
@@ -159,19 +160,14 @@ SCORE_HEADER = [
 def write_scores(table: FeatureTable, scores: np.ndarray, path: str | Path) -> None:
     """Write a score file: the table's ids plus one score per document.
 
-    `scores` is (targets, 10). The gain column is left empty for unlabeled
-    tables.
+    `scores` is (targets, 10). Base ranks, gains and scores are written in
+    `repr` digits; the gain column is left empty for unlabeled tables.
     """
     if scores.shape != table.doc_ids.shape:
         raise ValueError(f"scores shape {scores.shape} does not match the table")
-    gains = ([list(map(repr, row)) for row in table.gains.tolist()] if table.gains is not None
-             else [[""] * scores.shape[1]] * len(scores))
-    with atomic_write(path, newline="") as fh:
-        fh.write(",".join(SCORE_HEADER) + "\r\n")
-        for ids, *columns in zip(_id_columns(table), table.doc_ids.tolist(),
-                                 table.base_ranks.tolist(), gains, scores.tolist()):
-            fh.write("".join(f"{ids}{doc},{rank!r},{gain},{score!r}\r\n"
-                             for doc, rank, gain, score in zip(*columns)))
+    gains = map(repr, table.gains.ravel().tolist()) if table.gains is not None else repeat("")
+    _write_grouped(path, SCORE_HEADER, table, table.base_ranks[..., None],
+                   (f"{gain},{score!r}\r\n" for gain, score in zip(gains, scores.ravel().tolist())))
 
 
 def read_scores(path: str | Path) -> tuple[FeatureTable, np.ndarray]:

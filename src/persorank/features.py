@@ -17,6 +17,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -245,107 +246,175 @@ def _codes(vocabulary: np.ndarray, ids) -> np.ndarray:
     return np.where(found & (at < len(vocabulary)), at, -1)
 
 
-def _per_run(ufunc: np.ufunc, groups: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """`ufunc` reduced over each run of equal sorted `groups` (>= 0); 0 for absent groups."""
-    out = np.zeros(n, dtype=values.dtype)
-    starts = np.flatnonzero(np.diff(groups, prepend=-1))
-    out[groups[starts]] = ufunc.reduceat(values, starts)
-    return out
+# How an item fared in a row, as `event_flags` judges it at its topmost slot.
+SHOWN, CLICKED, SKIPPED, MISSED = range(4)
+N_EVENTS = 4
+# The attributes of an (index row, item) occurrence, padded to 8 bytes so
+# that gathering them by slot moves one word per hit.
+OCCURRENCE = np.dtype({
+    "names": ["top", "n_slots", "gain_sum", "gain_max", "gain_min", "r_clicked", "event"],
+    "formats": [np.int8] * 7,
+    "itemsize": 8,
+})
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a flat array, by one `np.sort`.
+
+    Newer numpy's `np.unique` finds them by hashing, which takes several
+    times as long on these integer arrays.
+    """
+    ordered = np.sort(values)
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return ordered[first]
+
+
+def _occurrences(rows: IndexRows) -> np.ndarray:
+    """The attributes of each row's item occurrences, (N, 20) in the layout of `items`.
+
+    At every slot: whether it is its item's topmost slot in the row, how
+    many slots the item fills, their gain sum, max and min, the item's
+    topmost clicked rank (0 if none), and its event, judged as if the slot
+    were the item's topmost. Every value is at most 20, so int8 holds it. A
+    document fills one slot, so only rows where a domain fills several need
+    an aggregation pass.
+    """
+    rank = np.arange(1, SERP_SIZE + 1, dtype=np.int8)
+    table = np.zeros(rows.items.shape, OCCURRENCE)
+    table["top"] = rows.items >= 0
+    table["n_slots"] = 1
+    for field in "gain_sum", "gain_max", "gain_min":
+        table[field] = np.tile(rows.gains, 2)
+    table["r_clicked"] = np.tile(np.where(rows.clicked, rank, 0), 2)
+    domains = rows.items[:, SERP_SIZE:]
+    ordered = np.sort(domains, axis=1)
+    multi = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+    same = domains[multi, :, None] == domains[multi, None, :]  # slot i's domain fills slot j
+    gains = np.broadcast_to(rows.gains[multi, None, :], same.shape)
+    clicked = np.broadcast_to(np.where(rows.clicked[multi, None, :], rank, 127), same.shape)
+    top_click = clicked.min(axis=2, where=same, initial=127)
+    block = table[multi, SERP_SIZE:]
+    block["top"] = ~(same & np.tri(SERP_SIZE, k=-1, dtype=bool)).any(axis=2)
+    block["n_slots"] = same.sum(axis=2)
+    block["gain_sum"] = gains.sum(axis=2, where=same)
+    block["gain_max"] = gains.max(axis=2, where=same, initial=-128)
+    block["gain_min"] = gains.min(axis=2, where=same, initial=127)
+    block["r_clicked"] = np.where(top_click < 127, top_click, 0)
+    table[multi, SERP_SIZE:] = block
+    last_click = rows.last_click[:, None]
+    table["event"] = np.where(table["r_clicked"] > 0, CLICKED,
+                              np.where(last_click > np.tile(rank, 2), SKIPPED,
+                                       np.where(last_click > 0, MISSED, SHOWN)))
+    return table
 
 
 class _Slots(NamedTuple):
-    """Every item slot of the index rows, by (segment, item) key, then row and rank."""
+    """The topmost slot of every occurrence, by (item, segment) key, then row."""
 
-    segments: np.ndarray  # sorted distinct segment ids: users, or queries
-    keys: np.ndarray      # sorted segment code * n_items + item code
+    keys: np.ndarray      # sorted item code * len(segments) + segment code
     slots: np.ndarray     # row * 20 + column in `IndexRows.items` of each key
-    n_items: int          # item codes of the rows
+    segments: np.ndarray  # sorted distinct segment ids: users, or queries
 
     @classmethod
-    def of(cls, rows: IndexRows, segment_of_row: np.ndarray) -> "_Slots":
+    def of(cls, rows: IndexRows, top: np.ndarray, segment_of_row: np.ndarray) -> "_Slots":
         segments, seg = np.unique(segment_of_row, return_inverse=True)
-        n_items = len(rows.documents) + len(rows.domains)
-        slots = np.flatnonzero(rows.items >= 0)  # row-major: row, then slot order
-        keys = seg[slots // (2 * SERP_SIZE)] * n_items + rows.items.ravel()[slots]
-        order = np.argsort(keys, kind="stable")
-        return cls(segments, keys[order], slots[order], n_items)
+        width, n = 2 * SERP_SIZE, top.size
+        # One sort of item * n + the slot's place in (segment, row) order. With
+        # no more item codes than slots, it stays in int64 below 150 M rows.
+        by_segment = np.argsort(seg, kind="stable")
+        place = np.empty_like(by_segment)
+        place[by_segment] = np.arange(len(seg))
+        slots = np.flatnonzero(top)
+        item, at = np.divmod(np.sort(rows.items.ravel()[slots] * n
+                                     + place[slots // width] * width + slots % width), n)
+        slots = by_segment[at // width] * width + at % width
+        return cls(item * len(segments) + seg[slots // width], slots, segments)
 
     def hits(self, segment_of_target: np.ndarray, items: np.ndarray):
-        """(item, row, rank) of each slot holding a target's item in its segment.
+        """(item, slot) of each occurrence of a target's item in its segment.
 
         Item t * 20 + j is `items[t, j]`, one of the targets' (T, 20) item
-        codes. Hits come by item, then in row order and rank order.
+        codes. Hits come by item, then in row order.
         """
         seg = _codes(self.segments, segment_of_target)[:, None]
-        wanted = np.where((seg >= 0) & (items >= 0), seg * self.n_items + items, -1).ravel()
+        wanted = np.where((seg >= 0) & (items >= 0), items * len(self.segments) + seg, -1).ravel()
         lo = np.searchsorted(self.keys, wanted, "left")
         n = np.searchsorted(self.keys, wanted, "right") - lo
-        slots = self.slots[np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)]
-        return np.repeat(np.arange(len(wanted)), n), slots // (2 * SERP_SIZE), slots % SERP_SIZE
+        return (np.repeat(np.arange(len(wanted)), n),
+                self.slots[np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)])
 
 
-def _pair_blocks(rows: IndexRows, hits, keep: np.ndarray, terms) -> np.ndarray:
+def _pair_blocks(rows: IndexRows, occurrences: np.ndarray, hits, keep: np.ndarray,
+                 terms) -> np.ndarray:
     """Blocks of one context pair for a chunk of targets, (T, 10, 40).
 
     Each document position holds its document's block, then its domain's.
     `keep` marks the `hits` in the context; `terms` are the targets' query
-    terms. As hits come by item, then row, the first hit of a (row, item)
-    is its topmost slot, and `np.bincount` adds each float sum in row
-    order, as `context_features` does (`np.sum` adds pairwise).
+    terms. Each hit is one occurrence and gathers its attributes by slot.
+    Counts, similarity sums and discount sums are one `np.bincount` each,
+    by (item, event); gain sums, slot counts and the shown discount go by
+    item. `np.bincount` adds each bin in row order, as `context_features`
+    does (`np.sum` adds pairwise). Maxima and minima reduce each item's run
+    of hits.
     """
-    u, row, rank = (a[keep] for a in hits)
+    u, slot = (a[keep] for a in hits)
     n_targets, width = len(terms), 2 * SERP_SIZE
     n_u = n_targets * width
-    gain = rows.gains[row, rank]
-    # One occurrence per (item, row): its topmost slot and topmost clicked slot.
-    first = np.diff(u * len(rows.users) + row, prepend=-1) != 0
-    occurrence = np.cumsum(first) - 1
-    o_u, o_row, top = u[first], row[first], rank[first] + 1
-    hit = rows.clicked[row, rank]
-    r_clicked = _per_run(np.minimum, occurrence[hit], rank[hit] + 1, len(o_u))
-    clicked = r_clicked > 0
-    last_click = rows.last_click[o_row]
-    skipped = ~clicked & (last_click > top)
-    missed = ~clicked & ~skipped & (last_click > 0)
-    # Similarity once per distinct (target terms, row terms).
+    occ = occurrences.ravel()[slot]
+    event, r_clicked = occ["event"], occ["r_clicked"]
+    top = slot % SERP_SIZE + 1
+    # Similarity once per distinct (target terms, row terms), where an event needs it.
+    judged = event != SHOWN
     n_terms = len(rows.terms)
-    pairs, pair_of = np.unique(o_u // width * n_terms + rows.variants[o_row], return_inverse=True)
-    sim = np.array([similarity(terms[p // n_terms], rows.terms[p % n_terms])
-                    for p in pairs.tolist()])[pair_of]
+    wanted = u[judged] // width * n_terms + rows.variants[slot[judged] // width]
+    pairs = _distinct(wanted)
+    sim = np.zeros(len(u))
+    sim[judged] = np.array([similarity(terms[p // n_terms], rows.terms[p % n_terms])
+                            for p in pairs.tolist()])[np.searchsorted(pairs, wanted)]
 
-    def total(mask, values=None):
-        return np.bincount(o_u[mask], None if values is None else values[mask], n_u)
+    def by_event(weights=None):
+        return np.bincount(u * N_EVENTS + event, weights, n_u * N_EVENTS).reshape(n_u, -1).T
 
     def mean(sums, counts):
         return np.divide(sums, counts, out=np.zeros(n_u), where=counts > 0)
 
-    def top_of(ufunc, mask, values):
-        return _per_run(ufunc, o_u[mask], values[mask], n_u)
+    starts = np.flatnonzero(np.diff(u, prepend=-1))
 
-    slot_count = np.bincount(u, minlength=n_u)
-    gain_sum = np.bincount(u, gain, n_u)  # exact integers
-    inv_top, every = 1.0 / top, slice(None)
+    def per_item(ufunc, values):
+        out = np.zeros(n_u, values.dtype)
+        out[u[starts]] = ufunc.reduceat(values, starts)
+        return out
+
+    def sim_max(e):
+        return per_item(np.maximum, np.where(event == e, sim, 0.0))
+
+    counts, sims = by_event(), by_event(sim)
+    discounts = by_event(1.0 / np.where(event == CLICKED, r_clicked, top))
+    gain_sum, slot_count = np.bincount(u, occ["gain_sum"], n_u), np.bincount(u, occ["n_slots"], n_u)
+    top_click = per_item(np.minimum, np.where(event == CLICKED, r_clicked, 127))
     block = np.stack([
         # g1-g4: total, mean, max and min gain over the item's slots
         gain_sum, mean(gain_sum, slot_count),
-        _per_run(np.maximum, u, gain, n_u), _per_run(np.minimum, u, gain, n_u),
+        per_item(np.maximum, occ["gain_max"]), per_item(np.minimum, occ["gain_min"]),
         # g5-g10: mean and max similarity when clicked, skipped, missed
-        mean(total(clicked, sim), total(clicked)), top_of(np.maximum, clicked, sim),
-        mean(total(skipped, sim), total(skipped)), top_of(np.maximum, skipped, sim),
-        mean(total(missed, sim), total(missed)), top_of(np.maximum, missed, sim),
+        mean(sims[CLICKED], counts[CLICKED]), sim_max(CLICKED),
+        mean(sims[SKIPPED], counts[SKIPPED]), sim_max(SKIPPED),
+        mean(sims[MISSED], counts[MISSED]), sim_max(MISSED),
         # g11-g16: shown, clicked, skipped, missed counts; shown, clicked discounts
-        total(every), total(clicked), total(skipped), total(missed),
-        total(every, inv_top), total(clicked, 1.0 / np.where(clicked, r_clicked, 1)),
+        counts.sum(axis=0), counts[CLICKED], counts[SKIPPED], counts[MISSED],
+        np.bincount(u, 1.0 / top, n_u), discounts[CLICKED],
         # g17-g20: max and min clicked rank; skipped, missed discounts
-        top_of(np.maximum, clicked, r_clicked), top_of(np.minimum, clicked, r_clicked),
-        total(skipped, inv_top), total(missed, inv_top),
+        per_item(np.maximum, r_clicked), np.where(top_click < 127, top_click, 0),
+        discounts[SKIPPED], discounts[MISSED],
     ], axis=1, dtype=np.float64)
     return (block.reshape(n_targets, 2, SERP_SIZE, -1).swapaxes(1, 2)
             .reshape(n_targets, SERP_SIZE, -1))
 
 
-def _target_blocks(rows: IndexRows, slots: tuple[_Slots, _Slots], columns: SessionColumns,
-                   at: np.ndarray, terms: list[tuple[int, ...]], users, ranks):
+def _target_blocks(rows: IndexRows, occurrences: np.ndarray, slots: tuple[_Slots, _Slots],
+                   columns: SessionColumns, at: np.ndarray, terms: list[tuple[int, ...]],
+                   users, ranks):
     """(T, 10, 121) feature values of the target impressions at rows `at`.
 
     `terms` are their query terms, `users` and `ranks` their users and
@@ -359,18 +428,19 @@ def _target_blocks(rows: IndexRows, slots: tuple[_Slots, _Slots], columns: Sessi
                        np.where(domains >= 0, domains + len(rows.documents), -1)])
 
     def earlier(hits):
-        """Each hit's target, and whether the hit's row precedes it."""
-        t, rank = hits[0] // (2 * SERP_SIZE), rows.ranks[hits[1]]
-        return t, (rank < ranks[t]) | ((rank == ranks[t]) & (rows.times[hits[1]] < times[t]))
+        """Each hit's target and row, and whether the row precedes the target."""
+        t, row = hits[0] // (2 * SERP_SIZE), hits[1] // (2 * SERP_SIZE)
+        rank = rows.ranks[row]
+        return t, row, (rank < ranks[t]) | ((rank == ranks[t]) & (rows.times[row] < times[t]))
 
     q_hits, u_hits = slots[0].hits(queries, items), slots[1].hits(users, items)
-    (tq, q_earlier), (tu, u_earlier) = earlier(q_hits), earlier(u_hits)
-    own = rows.users[q_hits[1]] == users[tq]
-    other_query = rows.queries[u_hits[1]] != queries[tu]
+    (tq, q_row, q_earlier), (tu, u_row, u_earlier) = earlier(q_hits), earlier(u_hits)
+    own = rows.users[q_row] == users[tq]
+    other_query = rows.queries[u_row] != queries[tu]
     return np.concatenate([
-        _pair_blocks(rows, q_hits, own & q_earlier, terms),
-        _pair_blocks(rows, u_hits, other_query & u_earlier, terms),
-        _pair_blocks(rows, q_hits, ~own, terms),
+        _pair_blocks(rows, occurrences, q_hits, own & q_earlier, terms),
+        _pair_blocks(rows, occurrences, u_hits, other_query & u_earlier, terms),
+        _pair_blocks(rows, occurrences, q_hits, ~own, terms),
         np.arange(1.0, SERP_SIZE + 1)[None, :, None].repeat(len(at), axis=0),  # base rank
     ], axis=2)
 
@@ -386,13 +456,17 @@ def extract_targets(
     Within each role the targets are in (user_id, session_id, serp_id)
     order, so output is deterministic. The session order seed must match
     the one used for partitioning. The values equal `extract_impression`
-    over `assemble_contexts` bit for bit; they come from one kernel call per
+    over `assemble_contexts` bit for bit. The attributes of every (index
+    row, item) occurrence are computed once (`_occurrences`) and indexed by
+    topmost slot (`_Slots`); the values come from one kernel call per
     context pair and chunk of `CHUNK_TARGETS`. A role with any unlabeled
     target gets gains=None.
     """
     ranks = rank_sessions(columns, seed)
     rows = index_rows(columns, ranks, train_days)
-    slots = (_Slots.of(rows, rows.queries), _Slots.of(rows, rows.users))
+    occurrences = _occurrences(rows)
+    top = occurrences["top"]
+    slots = (_Slots.of(rows, top, rows.queries), _Slots.of(rows, top, rows.users))
     session = columns.impression_sessions()
     out: dict[str, FeatureTable] = {}
     for role in ROLES:
@@ -404,37 +478,61 @@ def extract_targets(
         x = np.empty((len(ids), SERP_SIZE, N_FEATURES))
         for start in range(0, len(ids), CHUNK_TARGETS):
             chunk = slice(start, start + CHUNK_TARGETS)
-            x[chunk] = _target_blocks(rows, slots, columns, at[chunk], terms[chunk],
-                                      users[chunk], target_ranks[chunk])
+            x[chunk] = _target_blocks(rows, occurrences, slots, columns, at[chunk],
+                                      terms[chunk], users[chunk], target_ranks[chunk])
         out[role] = _table(ids, columns, at, x)
     return out
+
+
+# Targets per join when writing a grouped CSV. Their row strings are made
+# block by block, and small blocks keep the heap from growing on every file.
+WRITE_TARGETS = 32
 
 
 def write_features(table: FeatureTable, path: str | Path) -> None:
     """Write a feature file: ten rows per target, values in `repr` digits, gains as integers.
 
-    Lines end in CRLF, as `csv.writer` ends them; an unlabeled table leaves every gain empty.
-    Each distinct value is formatted once; values are told apart by their bits, which keeps
-    -0.0 apart from 0.0.
+    An unlabeled table leaves every gain empty. See `_write_grouped`.
     """
-    gains = (table.gains.astype(np.int64).tolist() if table.gains is not None
-             else [[""] * table.doc_ids.shape[1]] * table.n_targets)
-    bits, codes = np.unique(table.x.view(np.int64), return_inverse=True)
-    digits = list(map(repr, bits.view(np.float64).tolist()))
-    codes = codes.reshape(table.x.shape)  # the inverse's shape differs across numpy versions
-    with atomic_write(path, newline="") as fh:
-        fh.write(",".join(HEADER) + "\r\n")
-        for ids, docs, target_codes, target_gains in zip(_id_columns(table), table.doc_ids.tolist(),
-                                                         codes, gains):
-            fh.write("".join(f"{ids}{doc},{','.join(map(digits.__getitem__, row))},{gain}\r\n"
-                             for doc, row, gain in zip(docs, target_codes.tolist(), target_gains)))
+    gains = (table.gains.astype(np.int64).ravel().tolist() if table.gains is not None
+             else repeat(""))
+    _write_grouped(path, HEADER, table, table.x, (f"{gain}\r\n" for gain in gains))
 
 
-def _id_columns(table: FeatureTable) -> list[str]:
-    """Each target's four id columns as they start its rows in a file."""
-    return ["{},{},{},{},".format(*ids) for ids in zip(
+def _write_grouped(path: str | Path, header: list[str], table: FeatureTable,
+                   values: np.ndarray, ends: Iterable[str]) -> None:
+    """Write the grouped-CSV layout that `_read_grouped` reads.
+
+    Each row is its target's four id columns and its doc id, then its
+    (T, 10, k) `values` in `repr` digits, each with its trailing comma, then
+    the row's string from `ends`: the rest of the row and its line end.
+    Lines end in CRLF, as `csv.writer` ends them. Each distinct value is
+    formatted once, found by sorting the values' bits, which keeps -0.0
+    apart from 0.0. Each block of `WRITE_TARGETS` targets is one join over
+    a (rows, k + 2) array of strings: each row's id prefix, its values, its
+    end.
+    """
+    n_targets, k = table.n_targets, values.shape[-1]
+    bits = values.view(np.int64)
+    patterns = _distinct(bits.ravel())
+    digits = np.array([f"{value!r}," for value in patterns.view(np.float64).tolist()],
+                      dtype=object)
+    heads = ["{},{},{},{},".format(*ids) for ids in zip(
         table.user_ids.tolist(), table.query_ids.tolist(),
         table.session_ids.tolist(), table.serp_ids.tolist())]
+    ends = iter(ends)
+    with atomic_write(path, newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, n_targets, WRITE_TARGETS):
+            block = slice(start, start + WRITE_TARGETS)
+            prefixes = [f"{head}{doc}," for head, docs in zip(heads[block],
+                                                              table.doc_ids[block].tolist())
+                        for doc in docs]
+            fields = np.empty((len(prefixes), k + 2), dtype=object)
+            fields[:, 0] = np.array(prefixes, dtype=object)
+            fields[:, 1:-1] = digits[np.searchsorted(patterns, bits[block].reshape(-1, k))]
+            fields[:, -1] = np.array(list(islice(ends, len(prefixes))), dtype=object)
+            fh.write("".join(fields.ravel().tolist()))
 
 
 def read_features(path: str | Path) -> FeatureTable:

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from persorank import features
 from persorank.contexts import (
@@ -416,7 +418,7 @@ class TestWriteFeatures:
                 lines.append(",".join([*map(str, ids), str(table.doc_ids[t, j]), *values, gain]))
         return "".join(line + "\r\n" for line in lines).encode()
 
-    @pytest.mark.parametrize("n_targets,labeled", [(0, True), (1, False), (7, True)])
+    @pytest.mark.parametrize("n_targets,labeled", [(0, True), (1, False), (7, True), (70, False)])
     def test_each_value_is_written_as_its_repr(self, tmp_path, n_targets, labeled):
         table = self.random_table(np.random.default_rng(n_targets), n_targets, labeled)
         path = tmp_path / "features.csv"
@@ -547,6 +549,9 @@ def serp(serp_id, docs, domains, clicks=None, terms=(1, 2), query=5, time=0):
     )
 
 
+TERM_SETS = [(1, 2), (1, 2, 3), (4,)]
+
+
 class TestColumnar:
     def test_matches_scalar_on_every_small_corpus_target(self, small_corpus):
         kwargs = dict(train_days=small_corpus.train_days, seed=small_corpus.partition_seed)
@@ -588,6 +593,67 @@ class TestColumnar:
         # Domain 3 fills slots 1, 3 and 9 of every row: three rows of others.
         assert block(values, 6)[0, [0, 10]].tolist() == [5.0, 3.0]
         assert block(values, 2)[0, [0, 10]].tolist() == [1.0, 1.0]
+
+    def test_domain_clicked_only_at_its_lower_slot(self):
+        domains = [3, 0, 1, 3, 2, 4, 5, 6, 7, 8]
+        sessions = [Session(1, 2, 1, [serp(0, range(10), domains, {4: Grade.R1, 7: Grade.R0})])]
+        target = serp(1, range(10, 20), [3, 1, 2, 4, 5, 6, 7, 8, 9, 0])
+        values = check_hand_built(sessions, 1, target)
+        # Domain 3 is shown at rank 1 and clicked at rank 4, its topmost clicked slot.
+        assert block(values, 6)[0, [10, 11, 14, 15, 16, 17]].tolist() == [
+            1.0, 1.0, 1.0, 0.25, 4.0, 4.0]
+
+    def test_domain_slots_with_different_gains(self):
+        domains = [5, 1, 5, 2, 3, 5, 4, 6, 7, 8]
+        sessions = [
+            Session(1, 2, 1, [serp(0, range(10), domains, {1: Grade.R1, 3: Grade.R2})]),
+            Session(2, 3, 2, [serp(0, range(10), domains, {6: Grade.R2, 9: Grade.R0})]),
+        ]
+        target = serp(1, range(10, 20), [5, 1, 2, 3, 4, 6, 7, 8, 9, 0])
+        values = check_hand_built(sessions, 1, target)
+        # Domain 5 fills slots 1, 3 and 6: gains 1, 2 and 0 in one row, 0, 0 and 2 in the other.
+        assert block(values, 6)[0, :4].tolist() == [5.0, 5 / 6, 2.0, 0.0]
+
+    def test_domain_at_ranks_one_and_ten(self):
+        domains = [4, 0, 1, 2, 3, 5, 6, 7, 8, 4]
+        sessions = [Session(1, 2, 1, [serp(0, range(10), domains, {5: Grade.R0, 10: Grade.R2})])]
+        target = serp(1, range(10, 20), [4, 0, 1, 2, 3, 5, 6, 7, 8, 9])
+        values = check_hand_built(sessions, 1, target)
+        # One occurrence of domain 4, led by rank 1 and clicked at rank 10.
+        assert block(values, 6)[0, [0, 1, 10, 11, 14, 15, 16]].tolist() == [
+            2.0, 1.0, 1.0, 1.0, 1.0, 0.1, 10.0]
+
+    def test_document_listed_twice_clicked_at_its_earlier_listing(self):
+        docs = [0, 1, 2, 3, 4, 0, 6, 7, 8, 9]
+        sessions = [Session(1, 2, 1, [serp(0, docs, [d % 4 for d in docs], {1: Grade.R2})])]
+        target = serp(1, [0, 9, 8, 7, 6, 5, 4, 3, 2, 1], [0, 1, 2, 3, 0, 1, 2, 3, 0, 1])
+        values = check_hand_built(sessions, 1, target)
+        # Document 0 counts at rank 6 only, below the row's one click: missed, no gain.
+        assert block(values, 5)[0, [0, 10, 11, 13, 14, 19]].tolist() == [
+            0.0, 1.0, 0.0, 1.0, 1 / 6, 1 / 6]
+
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_matches_scalar_on_tiny_corpora_with_multi_slot_domains(self, data):
+        grades = st.sampled_from([Grade.NO_CLICK, Grade.NO_CLICK, Grade.R0, Grade.R1, Grade.R2])
+        sessions = []
+        for session_id in range(1, data.draw(st.integers(1, 6)) + 1):
+            impressions = []
+            for serp_id in range(data.draw(st.integers(1, 2))):
+                pool = data.draw(st.lists(st.integers(0, 5), min_size=2, max_size=3, unique=True))
+                clicks = data.draw(st.lists(grades, min_size=10, max_size=10))
+                impressions.append(serp(
+                    serp_id, data.draw(st.lists(st.integers(0, 11), min_size=10, max_size=10)),
+                    data.draw(st.lists(st.sampled_from(pool), min_size=10, max_size=10)),
+                    dict(enumerate(clicks, start=1)), terms=data.draw(st.sampled_from(TERM_SETS)),
+                    query=data.draw(st.sampled_from([5, 6])), time=10 * serp_id))
+            sessions.append(Session(session_id, data.draw(st.integers(1, 3)),
+                                    data.draw(st.integers(1, 29)), impressions))
+        refs = sorted((s.user_id, s.session_id, imp.serp_id)
+                      for s in sessions for imp in s.impressions)
+        got = extract_targets(SessionColumns.of(sessions), TargetSet(test=np.array(refs)),
+                              train_days=27, seed=0)["test"]
+        assert_same_table(got, scalar_table(sessions, refs, 27, 0))
 
     def test_target_users_rows_interleaved_with_others(self):
         docs = list(range(10))
