@@ -59,10 +59,14 @@ class Occurrence:
 
 @dataclass
 class Context:
-    """Entries relating to one target: impressions with aligned item/grade lists."""
+    """Entries relating to one target: impressions with aligned item/grade lists.
+
+    The sums of an exact context's features are exact and rounded once.
+    """
 
     kind: ItemKind
     occurrences: list[Occurrence]
+    exact: bool = False
 
     def __len__(self) -> int:
         return len(self.occurrences)
@@ -157,8 +161,8 @@ class IndexRows:
     gains: np.ndarray       # (N, 10) int8
     clicked: np.ndarray     # (N, 10) bool
     last_click: np.ndarray  # (N,) bottom-most clicked rank, 0 without clicks
-    variants: np.ndarray    # (N,) index into `terms`
-    terms: list[tuple[int, ...]]  # distinct term tuples of the rows
+    variants: np.ndarray    # (N,) index into `terms`, one per distinct term tuple
+    terms: list[frozenset[int]]  # the term set of each variant
     documents: np.ndarray   # sorted distinct document ids
     domains: np.ndarray     # sorted distinct domain ids
 
@@ -196,8 +200,7 @@ def index_rows(columns: SessionColumns, ranks: np.ndarray, train_days: int = 27)
         earlier[earlier == doc_codes[:, gap:]] = -1
     grades = columns.grades[at]
     clicked = CODE_CLICKED[grades]
-    terms: dict[tuple[int, ...], int] = {}
-    variants = [terms.setdefault(t, len(terms)) for t in columns.term_tuples(at)]
+    variants, terms = columns.term_variants(at)
     return IndexRows(
         users=columns.user_id[s],
         queries=columns.query_id[at],
@@ -207,8 +210,8 @@ def index_rows(columns: SessionColumns, ranks: np.ndarray, train_days: int = 27)
         gains=CODE_GAINS[grades],
         clicked=clicked,
         last_click=np.where(clicked, np.arange(1, SERP_SIZE + 1), 0).max(axis=1, initial=0),
-        variants=np.array(variants, dtype=np.int64),
-        terms=list(terms),
+        variants=variants,
+        terms=[frozenset(t) for t in terms],
         documents=document_ids,
         domains=domain_ids,
     )
@@ -238,6 +241,8 @@ def assemble_contexts(
     4: same entries, domain items
     5: other users' training-period repetitions of the query, document items
     6: same entries, domain items
+
+    Contexts 5-6 are exact (see `Context`).
     """
     history = user_history.get(user_id, [])
     same_query = [
@@ -252,6 +257,6 @@ def assemble_contexts(
         Context(ItemKind.DOMAIN, same_query),
         Context(ItemKind.DOCUMENT, other_query),
         Context(ItemKind.DOMAIN, other_query),
-        Context(ItemKind.DOCUMENT, others),
-        Context(ItemKind.DOMAIN, others),
+        Context(ItemKind.DOCUMENT, others, exact=True),
+        Context(ItemKind.DOMAIN, others, exact=True),
     )

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import re
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -47,13 +49,16 @@ HEADER = ID_COLUMNS + CONTEXT_COLUMNS + ["base_rank", "gain"]
 HIST_RELEVANCE_INDEX = 0
 
 
+def overlap(a_terms: Iterable[int], b_terms: Iterable[int]) -> tuple[int, int]:
+    """Intersection and union sizes of two term sets."""
+    a, b = set(a_terms), set(b_terms)
+    return len(a & b), len(a | b)
+
+
 def similarity(a_terms: Iterable[int], b_terms: Iterable[int]) -> float:
     """Intersection-over-union of two term sets; 0 when both are empty."""
-    a, b = set(a_terms), set(b_terms)
-    union = len(a | b)
-    if union == 0:
-        return 0.0
-    return len(a & b) / union
+    inter, union = overlap(a_terms, b_terms)
+    return inter / union if union else 0.0
 
 
 class EventFlags(NamedTuple):
@@ -93,16 +98,27 @@ def event_flags(item: int, occurrence: Occurrence, kind: ItemKind) -> EventFlags
 def context_features(
     item: int, query_terms: Sequence[int], context: Context
 ) -> list[float]:
-    """The 20-value feature block for one item against one context."""
+    """The 20-value feature block for one item against one context.
+
+    Similarity and discount sums add in row order, as floats, except in an
+    exact context (5-6), where they add as fractions and each value is
+    rounded once.
+    """
+    ratio = Fraction if context.exact else operator.truediv
+
+    def sim_of(terms: Sequence[int]):
+        inter, union = overlap(query_terms, terms)
+        return ratio(inter, union or 1)  # 0 when both sets are empty
+
     gain_sum = 0.0
     slot_count = 0
     gain_max: float | None = None
     gain_min: float | None = None
 
     shown_n = clicked_n = skipped_n = missed_n = 0
-    sim_clicked_sum = sim_skipped_sum = sim_missed_sum = 0.0
-    sim_clicked_max = sim_skipped_max = sim_missed_max = 0.0
-    shown_disc = clicked_disc = skipped_disc = missed_disc = 0.0
+    sim_clicked_sum = sim_skipped_sum = sim_missed_sum = ratio(0, 1)
+    sim_clicked_max = sim_skipped_max = sim_missed_max = ratio(0, 1)
+    shown_disc = clicked_disc = skipped_disc = missed_disc = ratio(0, 1)
     clicked_rank_max = 0
     clicked_rank_min = 0
 
@@ -122,11 +138,11 @@ def context_features(
 
         flags = event_flags(item, occ, kind)
         shown_n += 1
-        shown_disc += 1.0 / flags.r_shown
+        shown_disc += ratio(1, flags.r_shown)
         if flags.clicked:
-            sim = similarity(query_terms, occ.terms)
+            sim = sim_of(occ.terms)
             clicked_n += 1
-            clicked_disc += 1.0 / flags.r_clicked
+            clicked_disc += ratio(1, flags.r_clicked)
             sim_clicked_sum += sim
             if sim > sim_clicked_max:
                 sim_clicked_max = sim
@@ -135,16 +151,16 @@ def context_features(
             if clicked_rank_min == 0 or flags.r_clicked < clicked_rank_min:
                 clicked_rank_min = flags.r_clicked
         elif flags.skipped:
-            sim = similarity(query_terms, occ.terms)
+            sim = sim_of(occ.terms)
             skipped_n += 1
-            skipped_disc += 1.0 / flags.r_skipped
+            skipped_disc += ratio(1, flags.r_skipped)
             sim_skipped_sum += sim
             if sim > sim_skipped_max:
                 sim_skipped_max = sim
         elif flags.missed:
-            sim = similarity(query_terms, occ.terms)
+            sim = sim_of(occ.terms)
             missed_n += 1
-            missed_disc += 1.0 / flags.r_missed
+            missed_disc += ratio(1, flags.r_missed)
             sim_missed_sum += sim
             if sim > sim_missed_max:
                 sim_missed_max = sim
@@ -154,22 +170,22 @@ def context_features(
         gain_sum / slot_count if slot_count else 0.0,        # g2 mean gain
         float(gain_max) if gain_max is not None else 0.0,    # g3 max gain
         float(gain_min) if gain_min is not None else 0.0,    # g4 min gain
-        sim_clicked_sum / clicked_n if clicked_n else 0.0,   # g5
-        sim_clicked_max,                                     # g6
-        sim_skipped_sum / skipped_n if skipped_n else 0.0,   # g7
-        sim_skipped_max,                                     # g8
-        sim_missed_sum / missed_n if missed_n else 0.0,      # g9
-        sim_missed_max,                                      # g10
+        float(sim_clicked_sum / clicked_n) if clicked_n else 0.0,  # g5
+        float(sim_clicked_max),                              # g6
+        float(sim_skipped_sum / skipped_n) if skipped_n else 0.0,  # g7
+        float(sim_skipped_max),                              # g8
+        float(sim_missed_sum / missed_n) if missed_n else 0.0,  # g9
+        float(sim_missed_max),                               # g10
         float(shown_n),                                      # g11
         float(clicked_n),                                    # g12
         float(skipped_n),                                    # g13
         float(missed_n),                                     # g14
-        shown_disc,                                          # g15
-        clicked_disc,                                        # g16
+        float(shown_disc),                                   # g15
+        float(clicked_disc),                                 # g16
         float(clicked_rank_max),                             # g17
         float(clicked_rank_min),                             # g18
-        skipped_disc,                                        # g19
-        missed_disc,                                         # g20
+        float(skipped_disc),                                 # g19
+        float(missed_disc),                                  # g20
     ]
 
 
@@ -314,7 +330,7 @@ class _Slots(NamedTuple):
 
     keys: np.ndarray      # sorted item code * len(segments) + segment code
     slots: np.ndarray     # row * 20 + column in `IndexRows.items` of each key
-    segments: np.ndarray  # sorted distinct segment ids: users, or queries
+    segments: np.ndarray  # sorted distinct segment ids of the rows
 
     @classmethod
     def of(cls, rows: IndexRows, top: np.ndarray, segment_of_row: np.ndarray) -> "_Slots":
@@ -345,9 +361,29 @@ class _Slots(NamedTuple):
                 self.slots[np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)])
 
 
+def _overlaps(pairs: np.ndarray, terms: list[frozenset[int]],
+              variants: list[frozenset[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Intersection and union sizes of each target * len(variants) + variant in `pairs`.
+
+    `terms` are the targets' term sets, `variants` the rows'.
+    """
+    target, variant = np.divmod(pairs, len(variants))
+    inter = np.fromiter((len(terms[t] & variants[v]) for t, v in zip(target.tolist(),
+                                                                      variant.tolist())),
+                        np.int64, len(pairs))
+    sizes = np.fromiter(map(len, terms), np.int64, len(terms))
+    return inter, sizes[target] + np.fromiter(map(len, variants), np.int64)[variant] - inter
+
+
+def _by_position(block: np.ndarray, n_targets: int) -> np.ndarray:
+    """(T * 20, k) values by item, document items first, as (T, 10, 2k) by document position."""
+    return (block.reshape(n_targets, 2, SERP_SIZE, -1).swapaxes(1, 2)
+            .reshape(n_targets, SERP_SIZE, -1))
+
+
 def _pair_blocks(rows: IndexRows, occurrences: np.ndarray, hits, keep: np.ndarray,
                  terms) -> np.ndarray:
-    """Blocks of one context pair for a chunk of targets, (T, 10, 40).
+    """Blocks of one of contexts 1-4's pairs for a chunk of targets, (T, 10, 40).
 
     Each document position holds its document's block, then its domain's.
     `keep` marks the `hits` in the context; `terms` are the targets' query
@@ -355,8 +391,8 @@ def _pair_blocks(rows: IndexRows, occurrences: np.ndarray, hits, keep: np.ndarra
     Counts, similarity sums and discount sums are one `np.bincount` each,
     by (item, event); gain sums, slot counts and the shown discount go by
     item. `np.bincount` adds each bin in row order, as `context_features`
-    does (`np.sum` adds pairwise). Maxima and minima reduce each item's run
-    of hits.
+    does for these contexts (`np.sum` adds pairwise). Maxima and minima
+    reduce each item's run of hits.
     """
     u, slot = (a[keep] for a in hits)
     n_targets, width = len(terms), 2 * SERP_SIZE
@@ -369,9 +405,10 @@ def _pair_blocks(rows: IndexRows, occurrences: np.ndarray, hits, keep: np.ndarra
     n_terms = len(rows.terms)
     wanted = u[judged] // width * n_terms + rows.variants[slot[judged] // width]
     pairs = _distinct(wanted)
+    inter, union = _overlaps(pairs, terms, rows.terms)
     sim = np.zeros(len(u))
-    sim[judged] = np.array([similarity(terms[p // n_terms], rows.terms[p % n_terms])
-                            for p in pairs.tolist()])[np.searchsorted(pairs, wanted)]
+    sim[judged] = np.divide(inter, union, out=np.zeros(len(pairs)),
+                            where=union > 0)[np.searchsorted(pairs, wanted)]
 
     def by_event(weights=None):
         return np.bincount(u * N_EVENTS + event, weights, n_u * N_EVENTS).reshape(n_u, -1).T
@@ -408,39 +445,235 @@ def _pair_blocks(rows: IndexRows, occurrences: np.ndarray, hits, keep: np.ndarra
         per_item(np.maximum, r_clicked), np.where(top_click < 127, top_click, 0),
         discounts[SKIPPED], discounts[MISSED],
     ], axis=1, dtype=np.float64)
-    return (block.reshape(n_targets, 2, SERP_SIZE, -1).swapaxes(1, 2)
-            .reshape(n_targets, SERP_SIZE, -1))
+    return _by_position(block, n_targets)
 
 
-def _target_blocks(rows: IndexRows, occurrences: np.ndarray, slots: tuple[_Slots, _Slots],
-                   columns: SessionColumns, at: np.ndarray, terms: list[tuple[int, ...]],
+# The columns of a tally (see `_tally`), integer sums over occurrences:
+# counts and discount numerators (see DISCOUNTS) by event, the clicked
+# discount numerator, the gain sum and the slot count; then counts by
+# clicked rank (0 when not clicked), by max gain and by min gain.
+N_GAINS = int(CODE_GAINS.max()) + 1
+DISCOUNT = N_EVENTS
+CLICKED_DISCOUNT = 2 * N_EVENTS
+GAIN_SUM = CLICKED_DISCOUNT + 1
+SLOT_COUNT = GAIN_SUM + 1
+BY_CLICKED_RANK = SLOT_COUNT + 1
+BY_GAIN_MAX = BY_CLICKED_RANK + SERP_SIZE + 1
+BY_GAIN_MIN = BY_GAIN_MAX + N_GAINS
+TALLY = BY_GAIN_MIN + N_GAINS
+RANKS = np.arange(1, SERP_SIZE + 1)
+# A rank r's discount 1/r is DISCOUNTS[r - 1] / RANK_LCM, so discount sums add integers.
+RANK_LCM = int(np.lcm.reduce(RANKS))
+DISCOUNTS = RANK_LCM // RANKS
+# The integers a float64 holds exactly: numerators and denominators of exact means stay below.
+EXACT = 2**53
+
+
+def _tally(group: np.ndarray, occ: np.ndarray, column: np.ndarray, n: int,
+           weights: np.ndarray | None = None) -> np.ndarray:
+    """(n, TALLY) int64 sums over the occurrences `occ`, by `group`.
+
+    `column` is each occurrence's topmost column, and `weights` how many
+    times it counts (once if None). Weighted sums add integers in float64,
+    which is exact below 2**53.
+    """
+    once = 1 if weights is None else weights
+    by_event = group * N_EVENTS + occ["event"]
+    table = np.empty((n, TALLY), dtype=np.int64)
+    table[:, :DISCOUNT] = np.bincount(by_event, weights, n * N_EVENTS).reshape(n, N_EVENTS)
+    table[:, DISCOUNT:CLICKED_DISCOUNT] = np.bincount(
+        by_event, DISCOUNTS[column] * once, n * N_EVENTS).reshape(n, N_EVENTS)
+    for at, values in ((CLICKED_DISCOUNT, np.append(0, DISCOUNTS)[occ["r_clicked"]]),
+                       (GAIN_SUM, occ["gain_sum"]), (SLOT_COUNT, occ["n_slots"])):
+        table[:, at] = np.bincount(group, values * once, n)
+    for first, width, bins in ((BY_CLICKED_RANK, SERP_SIZE + 1, occ["r_clicked"]),
+                               (BY_GAIN_MAX, N_GAINS, occ["gain_max"]),
+                               (BY_GAIN_MIN, N_GAINS, occ["gain_min"])):
+        table[:, first:first + width] = np.bincount(
+            group * width + bins, weights, n * width).reshape(n, width)
+    return table
+
+
+# The attributes of an occurrence that a tally reads, each with the bits
+# that hold its largest value. Packed below ATTRIBUTE_BITS, they follow the
+# occurrence's item and segment in one sort key.
+PACKED = tuple((name, int(largest).bit_length()) for name, largest in (
+    ("event", N_EVENTS - 1), ("column", SERP_SIZE - 1), ("r_clicked", SERP_SIZE),
+    ("gain_max", N_GAINS - 1), ("gain_min", N_GAINS - 1),
+    ("gain_sum", SERP_SIZE * (N_GAINS - 1)), ("n_slots", SERP_SIZE)))
+ATTRIBUTE_BITS = sum(bits for _, bits in PACKED)
+
+
+class _Crowd(NamedTuple):
+    """The evidence of contexts 5-6: tallies of every item's topmost slots by segment.
+
+    A segment is the rows of one query with one term variant, and an entry
+    is one item's topmost slots in one segment.
+    """
+
+    queries: np.ndarray       # sorted distinct query ids of the rows
+    first: np.ndarray         # (queries + 1,) each query code's first segment, then the count
+    variants: np.ndarray      # term variant of each segment
+    row_segments: np.ndarray  # (N,) segment of each row
+    keys: np.ndarray          # sorted item code * len(variants) + segment of each entry
+    tallies: np.ndarray       # (entries, TALLY) int64, see `_tally`
+
+    @classmethod
+    def of(cls, rows: IndexRows, occurrences: np.ndarray) -> "_Crowd":
+        """One sort of every topmost slot by (item, segment, attributes) key.
+
+        Equal keys are one occurrence repeated, so the tallies add each
+        distinct key once, weighted by its count.
+        """
+        queries, query = np.unique(rows.queries, return_inverse=True)
+        n_terms = len(rows.terms)
+        segments, segment = np.unique(query.ravel() * n_terms + rows.variants,
+                                      return_inverse=True)
+        n_items = len(rows.documents) + len(rows.domains)
+        if (n_items * len(segments)) << ATTRIBUTE_BITS >= 2**63:
+            raise OverflowError("the (item, segment, attributes) keys of contexts 5-6 exceed int64")
+        attributes = np.zeros(rows.items.shape, np.int32)
+        for name, bits in PACKED:
+            attributes <<= bits
+            attributes |= (np.tile(np.arange(SERP_SIZE, dtype=np.int32), 2) if name == "column"
+                           else occurrences[name])
+        key = rows.items * len(segments) + segment.reshape(-1, 1)
+        key <<= ATTRIBUTE_BITS
+        key |= attributes
+        key[occurrences["top"] == 0] = -1
+        key = key.ravel()
+        key.sort()
+        key = key[np.searchsorted(key, 0):]
+        new = np.ones(len(key), dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        starts = np.flatnonzero(new)
+        counts = np.diff(starts, append=len(key)).astype(np.float64)
+        key = key[starts]
+        attributes, occ = key & ((1 << ATTRIBUTE_BITS) - 1), {}
+        for name, bits in PACKED[::-1]:
+            occ[name] = (attributes & ((1 << bits) - 1)).astype(np.int8)
+            attributes >>= bits
+        key >>= ATTRIBUTE_BITS
+        new = np.diff(key, prepend=-1) != 0
+        return cls(queries, np.searchsorted(segments, np.arange(len(queries) + 1) * n_terms),
+                   segments % n_terms, segment.ravel(), key[new],
+                   _tally(np.cumsum(new) - 1, occ, occ["column"], int(new.sum()), counts))
+
+
+def _largest(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The largest of ascending `values` with a nonzero count in each row of counts, 0 if none."""
+    nonzero = counts > 0
+    return np.where(nonzero.any(axis=1), values[::-1][nonzero[:, ::-1].argmax(axis=1)], 0)
+
+
+def _smallest(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The smallest of ascending `values` with a nonzero count in each row of counts, 0 if none."""
+    nonzero = counts > 0
+    return np.where(nonzero.any(axis=1), values[nonzero.argmax(axis=1)], 0)
+
+
+def _crowd_blocks(crowd: _Crowd, rows: IndexRows, occurrences: np.ndarray, items: np.ndarray,
+                  queries: np.ndarray, own, terms: list[frozenset[int]]) -> np.ndarray:
+    """Blocks of contexts 5-6 for a chunk of targets, (T, 10, 40).
+
+    Each of the targets' (T, 20) `items` adds the tallies of its entries in
+    the target's query, less those of `own`, the (item, slot) hits of the
+    user's own rows of the query. That is integer arithmetic, and each
+    float is formed once from exact integers, so every value is the
+    correctly rounded exact one. A discount sum is sum(count *
+    DISCOUNTS[r - 1]) / RANK_LCM. A mean similarity is sum(count * inter *
+    (L / union)) / (L * count) over the entries, where L is the lcm of the
+    union sizes of the target's terms with the entries' variants.
+    """
+    n_targets, width = len(terms), 2 * SERP_SIZE
+    n_u, n_segments = n_targets * width, len(crowd.variants)
+    query = _codes(crowd.queries, queries)[:, None]
+    first, last = (np.where(query >= 0, crowd.first[query + k], 0) for k in (0, 1))
+    lo, hi = (np.searchsorted(crowd.keys, (items * n_segments + bound).ravel())
+              for bound in (first, last))
+    n = np.where(items.ravel() >= 0, hi - lo, 0)  # a query or item of no row has no entries
+    offset = np.cumsum(n) - n
+    at = np.arange(n.sum()) + np.repeat(lo - offset, n)
+    entry_u = np.repeat(np.arange(n_u), n)
+    u, slot = own
+    own_at = np.searchsorted(crowd.keys, items.ravel()[u] * n_segments
+                             + crowd.row_segments[slot // width])
+    entries = crowd.tallies[at] - _tally(own_at - lo[u] + offset[u], occurrences.ravel()[slot],
+                                         slot % SERP_SIZE, len(at))
+    some = n > 0  # each item's entries are one run of `entries`
+
+    def per_item(ufunc, values):
+        out = np.zeros((n_u,) + values.shape[1:], values.dtype)
+        out[some] = ufunc.reduceat(values, offset[some])
+        return out
+
+    tally = per_item(np.add, entries)
+    counts, discounts = tally[:, :DISCOUNT], tally[:, DISCOUNT:CLICKED_DISCOUNT]
+
+    # Intersection and union sizes once per distinct (target, variant).
+    n_terms = len(rows.terms)
+    wanted = entry_u // width * n_terms + crowd.variants[crowd.keys[at] % n_segments]
+    pairs = _distinct(wanted)
+    inter, union = _overlaps(pairs, terms, rows.terms)
+    lcm = [1] * n_targets
+    for t, size in zip((pairs // n_terms).tolist(), union.tolist()):
+        lcm[t] = math.lcm(lcm[t], size or 1)
+    # An lcm of EXACT or more leaves no room for any count.
+    lcm = np.array([min(m, EXACT) for m in lcm], dtype=np.int64).repeat(width)[:, None]
+    if (counts > (EXACT - 1) // lcm).any():
+        raise OverflowError("exact similarity sums of contexts 5-6 exceed 2**53")
+    pair = np.searchsorted(pairs, wanted)
+    inter, union = inter[pair], np.maximum(union[pair], 1)  # union 0 has inter 0
+    events = entries[:, :DISCOUNT]
+    sums = per_item(np.add, events * (inter * (lcm[entry_u, 0] // union))[:, None])
+    means = np.divide(sums, lcm * counts, out=np.zeros(sums.shape), where=counts > 0)
+    maxima = per_item(np.maximum, np.where(events > 0, (inter / union)[:, None], 0.0))
+
+    gain_sum, slot_count = tally[:, GAIN_SUM], tally[:, SLOT_COUNT]
+    gains = np.arange(N_GAINS)
+    clicked = tally[:, BY_CLICKED_RANK + 1:BY_GAIN_MAX]
+    block = np.stack([
+        # g1-g4: total, mean, max and min gain over the item's slots
+        gain_sum, np.divide(gain_sum, slot_count, out=np.zeros(n_u), where=slot_count > 0),
+        _largest(tally[:, BY_GAIN_MAX:BY_GAIN_MIN], gains),
+        _smallest(tally[:, BY_GAIN_MIN:], gains),
+        # g5-g10: mean and max similarity when clicked, skipped, missed
+        means[:, CLICKED], maxima[:, CLICKED], means[:, SKIPPED], maxima[:, SKIPPED],
+        means[:, MISSED], maxima[:, MISSED],
+        # g11-g16: shown, clicked, skipped, missed counts; shown, clicked discounts
+        counts.sum(axis=1), counts[:, CLICKED], counts[:, SKIPPED], counts[:, MISSED],
+        discounts.sum(axis=1) / RANK_LCM, tally[:, CLICKED_DISCOUNT] / RANK_LCM,
+        # g17-g20: max and min clicked rank; skipped, missed discounts
+        _largest(clicked, RANKS), _smallest(clicked, RANKS),
+        discounts[:, SKIPPED] / RANK_LCM, discounts[:, MISSED] / RANK_LCM,
+    ], axis=1, dtype=np.float64)
+    return _by_position(block, n_targets)
+
+
+def _target_blocks(rows: IndexRows, occurrences: np.ndarray, slots: _Slots, crowd: _Crowd,
+                   columns: SessionColumns, at: np.ndarray, terms: list[frozenset[int]],
                    users, ranks):
     """(T, 10, 121) feature values of the target impressions at rows `at`.
 
     `terms` are their query terms, `users` and `ranks` their users and
-    session ranks. Contexts 1-2 (the user's earlier rows of the query) and
-    5-6 (other users' rows of it) come from the query's segment, 3-4 (the
-    user's earlier rows of other queries) from the user's.
+    session ranks. Contexts 1-4 come from the user's earlier rows: of the
+    query for 1-2, of other queries for 3-4. Contexts 5-6 come from the
+    tallies of the query's rows less those of the user's own rows of it.
     """
     queries, times = columns.query_id[at], columns.time_passed[at]
     domains = _codes(rows.domains, columns.domains[at])
     items = np.hstack([_codes(rows.documents, columns.documents[at]),
                        np.where(domains >= 0, domains + len(rows.documents), -1)])
-
-    def earlier(hits):
-        """Each hit's target and row, and whether the row precedes the target."""
-        t, row = hits[0] // (2 * SERP_SIZE), hits[1] // (2 * SERP_SIZE)
-        rank = rows.ranks[row]
-        return t, row, (rank < ranks[t]) | ((rank == ranks[t]) & (rows.times[row] < times[t]))
-
-    q_hits, u_hits = slots[0].hits(queries, items), slots[1].hits(users, items)
-    (tq, q_row, q_earlier), (tu, u_row, u_earlier) = earlier(q_hits), earlier(u_hits)
-    own = rows.users[q_row] == users[tq]
-    other_query = rows.queries[u_row] != queries[tu]
+    hits = slots.hits(users, items)
+    t, row = hits[0] // (2 * SERP_SIZE), hits[1] // (2 * SERP_SIZE)
+    rank = rows.ranks[row]
+    earlier = (rank < ranks[t]) | ((rank == ranks[t]) & (rows.times[row] < times[t]))
+    same_query = rows.queries[row] == queries[t]
     return np.concatenate([
-        _pair_blocks(rows, occurrences, q_hits, own & q_earlier, terms),
-        _pair_blocks(rows, occurrences, u_hits, other_query & u_earlier, terms),
-        _pair_blocks(rows, occurrences, q_hits, ~own, terms),
+        _pair_blocks(rows, occurrences, hits, same_query & earlier, terms),
+        _pair_blocks(rows, occurrences, hits, ~same_query & earlier, terms),
+        _crowd_blocks(crowd, rows, occurrences, items, queries,
+                      (hits[0][same_query], hits[1][same_query]), terms),
         np.arange(1.0, SERP_SIZE + 1)[None, :, None].repeat(len(at), axis=0),  # base rank
     ], axis=2)
 
@@ -456,29 +689,33 @@ def extract_targets(
     Within each role the targets are in (user_id, session_id, serp_id)
     order, so output is deterministic. The session order seed must match
     the one used for partitioning. The values equal `extract_impression`
-    over `assemble_contexts` bit for bit. The attributes of every (index
-    row, item) occurrence are computed once (`_occurrences`) and indexed by
-    topmost slot (`_Slots`); the values come from one kernel call per
-    context pair and chunk of `CHUNK_TARGETS`. A role with any unlabeled
-    target gets gains=None.
+    over `assemble_contexts` bit for bit: contexts 1-4 add in row order,
+    and contexts 5-6 are exact and rounded once. The attributes of every
+    (index row, item) occurrence are computed once (`_occurrences`). Their
+    topmost slots are indexed by (item, user) for contexts 1-4 (`_Slots`),
+    and tallied by (query, item) for contexts 5-6 (`_Crowd`), so the cost
+    of a target depends on its user's rows, not on how many users logged
+    its query. Targets go through the kernel in chunks of `CHUNK_TARGETS`.
+    A role with any unlabeled target gets gains=None.
     """
     ranks = rank_sessions(columns, seed)
     rows = index_rows(columns, ranks, train_days)
     occurrences = _occurrences(rows)
-    top = occurrences["top"]
-    slots = (_Slots.of(rows, top, rows.queries), _Slots.of(rows, top, rows.users))
+    slots = _Slots.of(rows, occurrences["top"], rows.users)
+    crowd = _Crowd.of(rows, occurrences)
     session = columns.impression_sessions()
+    by_role = [targets.by_role(role) for role in ROLES]
+    by_role = [ids[np.lexsort(ids.T[::-1])] for ids in by_role]  # by user, session, serp
+    found = columns.rows_of(np.concatenate(by_role))  # one key sort for every role
     out: dict[str, FeatureTable] = {}
-    for role in ROLES:
-        ids = targets.by_role(role)
-        ids = ids[np.lexsort(ids.T[::-1])]  # by user, session, serp; duplicates kept
-        at = columns.rows_of(ids)
+    ends = np.cumsum([len(ids) for ids in by_role])[:-1]
+    for role, ids, at in zip(ROLES, by_role, np.split(found, ends)):
         users, target_ranks = columns.user_id[session[at]], ranks[session[at]]
-        terms = columns.term_tuples(at)
+        terms = [frozenset(t) for t in columns.term_tuples(at)]
         x = np.empty((len(ids), SERP_SIZE, N_FEATURES))
         for start in range(0, len(ids), CHUNK_TARGETS):
             chunk = slice(start, start + CHUNK_TARGETS)
-            x[chunk] = _target_blocks(rows, occurrences, slots, columns, at[chunk],
+            x[chunk] = _target_blocks(rows, occurrences, slots, crowd, columns, at[chunk],
                                       terms[chunk], users[chunk], target_ranks[chunk])
         out[role] = _table(ids, columns, at, x)
     return out

@@ -274,6 +274,25 @@ class SessionColumns:
         at = _ranges(np.cumsum(self.n_terms)[rows] - n, n)
         return list(map(tuple, _split(self.terms[at].tolist(), n)))
 
+    def term_variants(self, rows: np.ndarray) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+        """A code for the query terms of each impression row in `rows`, and the terms of each code.
+
+        Rows with equal term lists share a code. The rows' padded term
+        arrays are sorted once, and a tuple is built only per code.
+        """
+        n = self.n_terms[rows]
+        padded = np.zeros((len(rows), int(n.max(initial=0))), dtype=np.int64)
+        padded[np.arange(padded.shape[1]) < n[:, None]] = self.terms[
+            _ranges(np.cumsum(self.n_terms)[rows] - n, n)]
+        order = np.lexsort(np.vstack([padded.T[::-1], n]))
+        padded, n = padded[order], n[order]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (n[1:] != n[:-1]) | (padded[1:] != padded[:-1]).any(axis=1)
+        codes = np.empty(len(rows), dtype=np.int64)
+        codes[order] = np.cumsum(first) - 1
+        distinct = [tuple(terms[:k]) for terms, k in zip(padded[first].tolist(), n[first].tolist())]
+        return codes, distinct
+
 
 def _int_field(value: str, line_no: int, name: str) -> int:
     try:

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from persorank.features import (
 from persorank.logs import DataError, Grade, Impression, Session, SessionColumns
 from persorank.partition import TargetSet
 
-from oracles import OracleEntry, oracle_block, oracle_sim
+from oracles import OracleEntry, _entry_events, oracle_block, oracle_sim
 
 
 def make_occ(docs, grades, terms=(1, 2), domains=None, user=1, day=1, sid=1, t=0):
@@ -517,13 +518,14 @@ def assert_same_table(got, want):
 TARGET_SESSION = 10**6
 
 
-def check_hand_built(sessions, user_id, imp):
-    """Extract a target logged after hand-built training sessions; return its values.
+def check_hand_built(sessions, user_id, imp, day=28):
+    """Extract a target logged on `day` beside hand-built training sessions; return its values.
 
-    The target's session falls in the test period, so every training row of
-    its user is earlier. The batched values must equal the scalar reference.
+    By default the target's session falls in the test period, so every
+    training row of its user is earlier. The batched values must equal the
+    scalar reference.
     """
-    sessions = sessions + [Session(TARGET_SESSION, user_id, 28, [imp])]
+    sessions = sessions + [Session(TARGET_SESSION, user_id, day, [imp])]
     refs = [(user_id, TARGET_SESSION, imp.serp_id)]
     got = extract_targets(SessionColumns.of(sessions), TargetSet(test=np.array(refs)),
                           train_days=27, seed=0)["test"]
@@ -550,6 +552,47 @@ def serp(serp_id, docs, domains, clicks=None, terms=(1, 2), query=5, time=0):
 
 
 TERM_SETS = [(1, 2), (1, 2, 3), (4,)]
+
+
+def exact_block(item, terms, entries):
+    """`oracle_block` with its similarity and discount sums taken exactly, then rounded once."""
+    values = oracle_block(item, terms, entries)
+    sims = {1: [], 2: [], 3: []}  # clicked, skipped, missed
+    discounts = [Fraction(0)] * 4  # shown, clicked, skipped, missed
+    for entry in entries:
+        events = _entry_events(entry, item)
+        if events is None:
+            continue
+        _, clicked, skipped, missed, top, r_clicked = events
+        a, b = set(terms), set(entry.terms)
+        sim = Fraction(len(a & b), len(a | b) or 1)
+        discounts[0] += Fraction(1, top)
+        for k, flag, rank in ((1, clicked, r_clicked), (2, skipped, top), (3, missed, top)):
+            if flag:
+                sims[k].append(sim)
+                discounts[k] += Fraction(1, rank)
+    for k, column in zip((1, 2, 3), (4, 6, 8)):
+        values[column] = float(sum(sims[k]) / len(sims[k])) if sims[k] else 0.0
+    for k, column in zip(range(4), (14, 15, 18, 19)):
+        values[column] = float(discounts[k])
+    return values
+
+
+def exact_crowd_values(sessions, user_id, imp, train_days=27):
+    """Contexts 5-6 of a target, (10, 40), from other users' training rows of its query."""
+    others = [(s, other) for s in sessions for other in s.impressions
+              if s.user_id != user_id and s.day <= train_days and other.query_id == imp.query_id]
+
+    def entries(items):
+        return [OracleEntry(other.terms, items(other), other.labels, s.day, s.session_id,
+                            other.time_passed) for s, other in others]
+
+    # A document listed twice counts at its last slot only.
+    documents = entries(lambda other: [None if d in other.documents[i + 1:] else d
+                                       for i, d in enumerate(other.documents)])
+    domains = entries(lambda other: other.domains)
+    return [exact_block(doc, imp.terms, documents) + exact_block(domain, imp.terms, domains)
+            for doc, domain in zip(imp.documents, imp.domains)]
 
 
 class TestColumnar:
@@ -654,6 +697,11 @@ class TestColumnar:
         got = extract_targets(SessionColumns.of(sessions), TargetSet(test=np.array(refs)),
                               train_days=27, seed=0)["test"]
         assert_same_table(got, scalar_table(sessions, refs, 27, 0))
+        lookup = {(s.user_id, s.session_id, imp.serp_id): imp
+                  for s in sessions for imp in s.impressions}
+        for ref, values in zip(refs, got.x):
+            want = exact_crowd_values(sessions, ref[0], lookup[ref])
+            assert values[:, 80:120].tolist() == want
 
     def test_target_users_rows_interleaved_with_others(self):
         docs = list(range(10))
@@ -708,13 +756,19 @@ class TestColumnar:
         assert block(values, 5)[0, [0, 14]].tolist() == [1.0, 0.5]
 
     def test_session_listing_impressions_out_of_time_order(self):
-        # Rows add up in index order, by time within a session, not in list order.
+        # Context 1's rows add up in index order, by time within a session, not in
+        # list order. Context 5's sum is exact, so it shows no order.
         docs = list(range(10))
-        latest_first = [serp(k, docs, docs, {1: Grade.R1}, terms=range(1, 4 - k), time=80 - 40 * k)
-                        for k in range(3)]
-        values = check_hand_built([Session(1, 2, 1, latest_first)], 1,
+
+        def latest_first():
+            return [serp(k, docs, docs, {1: Grade.R1}, terms=range(1, 4 - k), time=80 - 40 * k)
+                    for k in range(3)]
+
+        values = check_hand_built([Session(1, 1, 1, latest_first()),
+                                   Session(2, 2, 1, latest_first())], 1,
                                   serp(9, docs, docs, terms=range(1, 11)))
-        assert block(values, 5)[0, 4] == (0.1 + 0.2 + 0.3) / 3 != (0.3 + 0.2 + 0.1) / 3
+        assert block(values, 1)[0, 4] == (0.1 + 0.2 + 0.3) / 3 != (0.3 + 0.2 + 0.1) / 3
+        assert block(values, 5)[0, 4] == 0.2 != (0.1 + 0.2 + 0.3) / 3
 
     def test_query_with_more_codes_than_int16_holds(self):
         n = 1700  # 1700 rows x 20 distinct documents and domains > 32767 items
@@ -730,3 +784,80 @@ class TestColumnar:
         values = check_hand_built(sessions, 1, target)
         assert block(values, 5)[:9, 10].tolist() == [1.0] * 9
         assert not block(values, 5)[9].any()
+
+    def test_other_users_with_two_term_sets_share_one_exact_mean(self):
+        docs = list(range(10))
+        doms = [d % 5 for d in docs]
+        sessions = [
+            Session(1, 2, 1, [serp(0, docs, doms, {1: Grade.R1}, terms=(1,))]),
+            Session(2, 3, 2, [serp(0, docs, doms, {1: Grade.R2}, terms=(1, 3))]),
+        ]
+        values = check_hand_built(sessions, 1, serp(1, docs, doms, terms=(1, 2)))
+        # Document 0 is clicked under similarities 1/2 and 1/3: the lcm of the
+        # union sizes is 6, and the mean is 5/12, rounded once.
+        assert block(values, 5)[0, [4, 5, 11]].tolist() == [float(Fraction(5, 12)), 0.5, 2.0]
+        assert block(values, 5)[0, 4] != (1 / 2 + 1 / 3) / 2
+
+    def test_own_rows_before_and_after_the_target_are_all_subtracted(self):
+        docs = list(range(10))
+        doms = [d % 4 for d in docs]
+        sessions = [
+            Session(1, 1, 1, [serp(0, docs, doms, {1: Grade.R2})]),
+            Session(2, 2, 2, [serp(0, docs, doms, {2: Grade.R1})]),
+            Session(3, 1, 9, [serp(0, docs, doms, {3: Grade.R1}), serp(1, docs, doms)]),
+            Session(4, 3, 12, [serp(0, docs, doms, {2: Grade.R2})]),
+        ]
+        # The target falls on day 5, between the user's rows of days 1 and 9, and
+        # is a training row itself.
+        values = check_hand_built(sessions, 1, serp(7, docs, doms, {4: Grade.R1}), day=5)
+        assert (block(values, 5)[:, 10] == 2.0).all()  # users 2 and 3 only
+        assert block(values, 5)[1, [0, 2, 11]].tolist() == [3.0, 2.0, 2.0]
+        assert not block(values, 5)[[0, 2, 3], 11].any()
+        assert (block(values, 1)[:, 10] == 1.0).all()  # the day-1 row only
+
+    def test_other_users_discounts_are_exact_not_row_order_sums(self):
+        sessions = [
+            Session(k + 1, user, k + 1, [serp(0, docs, [d % 4 for d in docs])])
+            for k, (user, docs) in enumerate([
+                (2, list(range(10))), (3, [5, 6, 0, 7, 8, 9, 1, 2, 3, 4]), (4, list(range(10)))])
+        ]
+        values = check_hand_built(sessions, 1, serp(1, range(10), [d % 4 for d in range(10)]))
+        # Document 0 is shown at ranks 1, 3 and 1, in row order.
+        assert block(values, 5)[0, 14] == float(Fraction(7, 3)) != 1.0 + 1 / 3 + 1.0
+
+    def test_gain_max_held_only_by_the_user_drops(self):
+        docs = list(range(10))
+        doms = [d % 4 for d in docs]
+        sessions = [
+            Session(1, 1, 1, [serp(0, docs, doms, {1: Grade.R2})]),
+            Session(2, 2, 2, [serp(0, docs, doms, {1: Grade.R1})]),
+            Session(3, 3, 3, [serp(0, docs, doms, {1: Grade.R0})]),
+        ]
+        values = check_hand_built(sessions, 1, serp(1, docs, doms))
+        assert block(values, 1)[0, [2, 3]].tolist() == [2.0, 2.0]
+        assert block(values, 5)[0, [0, 2, 3]].tolist() == [1.0, 1.0, 0.0]
+
+    def test_query_logged_only_by_the_user_around_the_target(self):
+        docs = list(range(10))
+        sessions = [
+            Session(1, 1, 1, [serp(0, docs, [0] * 10, {1: Grade.R2})]),
+            Session(2, 1, 9, [serp(0, docs, [0] * 10, {4: Grade.R1})]),
+            Session(3, 2, 2, [serp(0, docs, [0] * 10, {1: Grade.R1}, query=6)]),
+        ]
+        values = check_hand_built(sessions, 1, serp(1, docs, [0] * 10, {2: Grade.R1}), day=5)
+        assert not values[:, 80:120].any()
+        assert block(values, 1)[:, 10].tolist() == [1.0] * 10
+
+    def test_similarity_sums_beyond_float64_integers_are_an_error(self):
+        # Union sizes 1 to 45 have an lcm above 2**53, so exact means would not fit.
+        docs = list(range(10))
+        sessions = [Session(k, 1 + k, k % 27 + 1, [serp(0, docs, docs, {1: Grade.R1},
+                                                         terms=range(1, k + 1))])
+                    for k in range(1, 46)]
+        with pytest.raises(OverflowError, match="2\\*\\*53"):
+            check_hand_built(sessions, 1, serp(1, docs, docs, terms=(1,)))
+
+    def test_log_without_training_rows(self):
+        values = check_hand_built([Session(1, 2, 29, [serp(0, range(10), range(10))])], 1,
+                                  serp(1, range(10), range(10)))
+        assert not values[:, :120].any()

@@ -36,9 +36,9 @@ GOLDENS = {
     "stats.csv": "12263c63cda8ff61bab357558b88a8b9743edf27751a8171794c34a8e6e8204b",
     "index.txt": "14852305b647fbc56da2558fed566115a58aa38d70d529a2ba1db952d0751ed9",
     "targets.csv": "16b48fe0ad622f576b322ae4b290da9e657695682fe530a1b61d98c3a18884e1",
-    "features_train.csv": "ecb606a715959c4ed44a39ff9b1bbe9061caf95101a05ce523a3786edf2bae67",
-    "features_validation.csv": "82bb38da157373a0fb73abd061fa166170cc79802f1a277a94a42c6324b9103a",
-    "features_test.csv": "238ed9ce32877eb3409d84a6a01e2811f38eaa4f5b3154f4ece5ad26a5fd5e94",
+    "features_train.csv": "c0c9d4c3ad43651b2f5c1ea82ff6e32e5cea574d9b60fc7492d68baa65ece0cb",
+    "features_validation.csv": "f817f2904fa175931b6b70bd1560bd2c9323dab084c7a07ebb7005d36c34de3e",
+    "features_test.csv": "246da8e2d160d1828e5ba18986091f703f4ed1258120461a57312739566b8ae0",
     "scores_heuristic_validation.csv": "1acf493612f778b37e9479de3f597dc01d7152a8f4badc6d8e0a622a3dee4918",
     "scores_heuristic_test.csv": "712cd3915cfd3c68b24bf4f3cf1e533314a202f8e937bb16a95297e4ef8aca46",
     "report.csv": "ec6b0b47aebd7dd1e25a8d9c42429ddb4474a33d42cd46383993671f46682db3",
