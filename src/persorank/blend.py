@@ -113,8 +113,6 @@ def blend_learned(
     base_ranks: np.ndarray,
     split_seed: int = 0,
     names: Sequence[str] | None = None,
-    learning_rate: float = LEARNED_BLEND_LR,
-    epochs: int = LEARNED_BLEND_EPOCHS,
     cutoff: int = 10,
 ) -> tuple[np.ndarray, BlendModel]:
     """Fit linear pairwise-loss weights on half the queries, report the rest.
@@ -147,10 +145,10 @@ def blend_learned(
     z_fit = z[fit_idx].reshape(-1, n_members)
     gains_fit = gains[fit_idx]
     weights = np.zeros(n_members)
-    for _ in range(epochs):
+    for _ in range(LEARNED_BLEND_EPOCHS):
         scores = z_fit @ weights
         _, dscores = loss_and_score_grad(ModelKind.RANKNET, scores, gains_fit)
-        weights -= learning_rate * (z_fit.T @ dscores)
+        weights -= LEARNED_BLEND_LR * (z_fit.T @ dscores)
 
     holdout_scores = (z[holdout_idx].reshape(-1, n_members) @ weights).reshape(
         holdout_idx.size, gains.shape[1]
@@ -169,8 +167,8 @@ def blend_learned(
             "fit_queries": int(fit_idx.size),
             "holdout_queries": int(holdout_idx.size),
             "holdout_mean_ndcg": holdout_ndcg,
-            "learning_rate": learning_rate,
-            "epochs": epochs,
+            "learning_rate": LEARNED_BLEND_LR,
+            "epochs": LEARNED_BLEND_EPOCHS,
         },
     )
     return model.apply(member_scores), model

@@ -59,14 +59,10 @@ class Occurrence:
 
 @dataclass
 class Context:
-    """Entries relating to one target: impressions with aligned item/grade lists.
-
-    The sums of an exact context's features are exact and rounded once.
-    """
+    """Entries relating to one target: impressions with aligned item/grade lists."""
 
     kind: ItemKind
     occurrences: list[Occurrence]
-    exact: bool = False
 
     def __len__(self) -> int:
         return len(self.occurrences)
@@ -269,8 +265,6 @@ def assemble_contexts(
     4: same entries, domain items
     5: other users' training-period repetitions of the query, document items
     6: same entries, domain items
-
-    Contexts 5-6 are exact (see `Context`).
     """
     history = user_history.get(user_id, [])
     same_query = [
@@ -285,6 +279,6 @@ def assemble_contexts(
         Context(ItemKind.DOMAIN, same_query),
         Context(ItemKind.DOCUMENT, other_query),
         Context(ItemKind.DOMAIN, other_query),
-        Context(ItemKind.DOCUMENT, others, exact=True),
-        Context(ItemKind.DOMAIN, others, exact=True),
+        Context(ItemKind.DOCUMENT, others),
+        Context(ItemKind.DOMAIN, others),
     )

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
 import re
 import warnings
 from dataclasses import dataclass, replace
@@ -100,15 +99,13 @@ def context_features(
 ) -> list[float]:
     """The 20-value feature block for one item against one context.
 
-    Similarity and discount sums add in row order, as floats, except in an
-    exact context (5-6), where they add as fractions and each value is
-    rounded once.
+    Similarity and discount sums add as fractions, so each value is exact
+    and rounded once.
     """
-    ratio = Fraction if context.exact else operator.truediv
 
-    def sim_of(terms: Sequence[int]):
+    def sim_of(terms: Sequence[int]) -> Fraction:
         inter, union = overlap(query_terms, terms)
-        return ratio(inter, union or 1)  # 0 when both sets are empty
+        return Fraction(inter, union or 1)  # 0 when both sets are empty
 
     gain_sum = 0.0
     slot_count = 0
@@ -116,9 +113,9 @@ def context_features(
     gain_min: float | None = None
 
     shown_n = clicked_n = skipped_n = missed_n = 0
-    sim_clicked_sum = sim_skipped_sum = sim_missed_sum = ratio(0, 1)
-    sim_clicked_max = sim_skipped_max = sim_missed_max = ratio(0, 1)
-    shown_disc = clicked_disc = skipped_disc = missed_disc = ratio(0, 1)
+    sim_clicked_sum = sim_skipped_sum = sim_missed_sum = Fraction(0)
+    sim_clicked_max = sim_skipped_max = sim_missed_max = Fraction(0)
+    shown_disc = clicked_disc = skipped_disc = missed_disc = Fraction(0)
     clicked_rank_max = 0
     clicked_rank_min = 0
 
@@ -138,11 +135,11 @@ def context_features(
 
         flags = event_flags(item, occ, kind)
         shown_n += 1
-        shown_disc += ratio(1, flags.r_shown)
+        shown_disc += Fraction(1, flags.r_shown)
         if flags.clicked:
             sim = sim_of(occ.terms)
             clicked_n += 1
-            clicked_disc += ratio(1, flags.r_clicked)
+            clicked_disc += Fraction(1, flags.r_clicked)
             sim_clicked_sum += sim
             if sim > sim_clicked_max:
                 sim_clicked_max = sim
@@ -153,14 +150,14 @@ def context_features(
         elif flags.skipped:
             sim = sim_of(occ.terms)
             skipped_n += 1
-            skipped_disc += ratio(1, flags.r_skipped)
+            skipped_disc += Fraction(1, flags.r_skipped)
             sim_skipped_sum += sim
             if sim > sim_skipped_max:
                 sim_skipped_max = sim
         elif flags.missed:
             sim = sim_of(occ.terms)
             missed_n += 1
-            missed_disc += ratio(1, flags.r_missed)
+            missed_disc += Fraction(1, flags.r_missed)
             sim_missed_sum += sim
             if sim > sim_missed_max:
                 sim_missed_max = sim
@@ -400,79 +397,6 @@ def _overlaps(pairs: np.ndarray, terms: list[frozenset[int]],
     return inter, sizes[target] + np.fromiter(map(len, variants), np.int64)[variant] - inter
 
 
-def _by_position(block: np.ndarray, n_targets: int) -> np.ndarray:
-    """(T * 20, k) values by item, document items first, as (T, 10, 2k) by document position."""
-    return (block.reshape(n_targets, 2, SERP_SIZE, -1).swapaxes(1, 2)
-            .reshape(n_targets, SERP_SIZE, -1))
-
-
-def _pair_blocks(rows: IndexRows, occurrences: np.ndarray, hits, keep: np.ndarray,
-                 terms) -> np.ndarray:
-    """Blocks of one of contexts 1-4's pairs for a chunk of targets, (T, 10, 40).
-
-    Each document position holds its document's block, then its domain's.
-    `keep` marks the `hits` in the context; `terms` are the targets' query
-    terms. Each hit is one occurrence and gathers its attributes by slot.
-    Counts, similarity sums and discount sums are one `np.bincount` each,
-    by (item, event); gain sums, slot counts and the shown discount go by
-    item. `np.bincount` adds each bin in row order, as `context_features`
-    does for these contexts (`np.sum` adds pairwise). Maxima and minima
-    reduce each item's run of hits.
-    """
-    u, slot = (a[keep] for a in hits)
-    n_targets, width = len(terms), 2 * SERP_SIZE
-    n_u = n_targets * width
-    occ = occurrences.ravel()[slot]
-    event, r_clicked = occ["event"], occ["r_clicked"]
-    top = slot % SERP_SIZE + 1
-    # Similarity once per distinct (target terms, row terms), where an event needs it.
-    judged = event != SHOWN
-    n_terms = len(rows.terms)
-    wanted = u[judged] // width * n_terms + rows.variants[slot[judged] // width]
-    pairs = _distinct(wanted)
-    inter, union = _overlaps(pairs, terms, rows.terms)
-    sim = np.zeros(len(u))
-    sim[judged] = np.divide(inter, union, out=np.zeros(len(pairs)),
-                            where=union > 0)[np.searchsorted(pairs, wanted)]
-
-    def by_event(weights=None):
-        return np.bincount(u * N_EVENTS + event, weights, n_u * N_EVENTS).reshape(n_u, -1).T
-
-    def mean(sums, counts):
-        return np.divide(sums, counts, out=np.zeros(n_u), where=counts > 0)
-
-    starts = np.flatnonzero(np.diff(u, prepend=-1))
-
-    def per_item(ufunc, values):
-        out = np.zeros(n_u, values.dtype)
-        out[u[starts]] = ufunc.reduceat(values, starts)
-        return out
-
-    def sim_max(e):
-        return per_item(np.maximum, np.where(event == e, sim, 0.0))
-
-    counts, sims = by_event(), by_event(sim)
-    discounts = by_event(1.0 / np.where(event == CLICKED, r_clicked, top))
-    gain_sum, slot_count = np.bincount(u, occ["gain_sum"], n_u), np.bincount(u, occ["n_slots"], n_u)
-    top_click = per_item(np.minimum, np.where(event == CLICKED, r_clicked, 127))
-    block = np.stack([
-        # g1-g4: total, mean, max and min gain over the item's slots
-        gain_sum, mean(gain_sum, slot_count),
-        per_item(np.maximum, occ["gain_max"]), per_item(np.minimum, occ["gain_min"]),
-        # g5-g10: mean and max similarity when clicked, skipped, missed
-        mean(sims[CLICKED], counts[CLICKED]), sim_max(CLICKED),
-        mean(sims[SKIPPED], counts[SKIPPED]), sim_max(SKIPPED),
-        mean(sims[MISSED], counts[MISSED]), sim_max(MISSED),
-        # g11-g16: shown, clicked, skipped, missed counts; shown, clicked discounts
-        counts.sum(axis=0), counts[CLICKED], counts[SKIPPED], counts[MISSED],
-        np.bincount(u, 1.0 / top, n_u), discounts[CLICKED],
-        # g17-g20: max and min clicked rank; skipped, missed discounts
-        per_item(np.maximum, r_clicked), np.where(top_click < 127, top_click, 0),
-        discounts[SKIPPED], discounts[MISSED],
-    ], axis=1, dtype=np.float64)
-    return _by_position(block, n_targets)
-
-
 # The columns of a tally (see `_tally`), integer sums over occurrences:
 # counts and discount numerators (see DISCOUNTS) by event, the clicked
 # discount numerator, the gain sum and the slot count; then counts by
@@ -587,32 +511,40 @@ class _Crowd(NamedTuple):
 
 
 def _largest(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The largest of ascending `values` with a nonzero count in each row of counts, 0 if none."""
-    nonzero = counts > 0
-    return np.where(nonzero.any(axis=1), values[::-1][nonzero[:, ::-1].argmax(axis=1)], 0)
+    """Per column of (k, m) counts, the largest of values >= 0 with a nonzero count, 0 if none."""
+    return ((counts > 0) * values[:, None]).max(axis=0)
 
 
 def _smallest(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The smallest of ascending `values` with a nonzero count in each row of counts, 0 if none."""
-    nonzero = counts > 0
-    return np.where(nonzero.any(axis=1), values[nonzero.argmax(axis=1)], 0)
+    """Per column of (k, m) counts, the smallest of values >= 0 with a nonzero count, 0 if none."""
+    absent = values.max() + 1
+    least = np.where(counts > 0, values[:, None], absent).min(axis=0)
+    return np.where(least < absent, least, 0)
 
 
-def _crowd_blocks(crowd: _Crowd, rows: IndexRows, occurrences: np.ndarray, items: np.ndarray,
-                  queries: np.ndarray, own, terms: list[frozenset[int]]) -> np.ndarray:
-    """Blocks of contexts 5-6 for a chunk of targets, (T, 10, 40).
+def _pair_evidence(rows: IndexRows, occurrences: np.ndarray, hits, keep: np.ndarray):
+    """The evidence of one of contexts 1-4's pairs (see `_blocks`): the kept `hits`.
 
-    Each of the targets' (T, 20) `items` adds the tallies of its entries in
-    the target's query, less those of `own`, the (item, slot) hits of the
-    user's own rows of the query. That is integer arithmetic, and each
-    float is formed once from exact integers, so every value is the
-    correctly rounded exact one. A discount sum is sum(count *
-    DISCOUNTS[r - 1]) / RANK_LCM. A mean similarity is sum(count * inter *
-    (L / union)) / (L * count) over the entries, where L is the lcm of the
-    union sizes of the target's terms with the entries' variants.
+    Each hit is one occurrence, so it counts once.
     """
-    n_targets, width = len(terms), 2 * SERP_SIZE
-    n_u, n_segments = n_targets * width, len(crowd.variants)
+    u, slot = (a[keep] for a in hits)
+    occ = occurrences.ravel()[slot]
+    first = _firsts(u)
+    present, row = u[first], np.cumsum(first) - 1
+    judged = occ["event"] != SHOWN
+    return present, _tally(row, occ, slot % SERP_SIZE, len(present)).T.copy(), (
+        row[judged], rows.variants[slot[judged] // (2 * SERP_SIZE)], occ["event"][judged], 1)
+
+
+def _crowd_evidence(crowd: _Crowd, occurrences: np.ndarray, items: np.ndarray,
+                    queries: np.ndarray, own):
+    """The evidence of contexts 5-6 (see `_blocks`) for the targets' (T, 20) `items`.
+
+    Each item adds the tallies of its entries in the target's query, less
+    those of `own`, the (item, slot) hits of the user's own rows of the
+    query. An entry's occurrences share one term variant.
+    """
+    width, n_segments = 2 * SERP_SIZE, len(crowd.variants)
     query = _codes(crowd.queries, queries)[:, None]
     first, last = (np.where(query >= 0, crowd.first[query + k], 0) for k in (0, 1))
     lo, hi = (np.searchsorted(crowd.keys, (items * n_segments + bound).ravel())
@@ -620,61 +552,88 @@ def _crowd_blocks(crowd: _Crowd, rows: IndexRows, occurrences: np.ndarray, items
     n = np.where(items.ravel() >= 0, hi - lo, 0)  # a query or item of no row has no entries
     offset = np.cumsum(n) - n
     at = np.arange(n.sum()) + np.repeat(lo - offset, n)
-    entry_u = np.repeat(np.arange(n_u), n)
     u, slot = own
     own_at = np.searchsorted(crowd.keys, items.ravel()[u] * n_segments
                              + crowd.row_segments[slot // width])
     entries = crowd.tallies[at]
     entries -= _tally(own_at - lo[u] + offset[u], occurrences.ravel()[slot], slot % SERP_SIZE,
                       len(at))
-    some = n > 0  # each item's entries are one run of `entries`
+    present = np.flatnonzero(n)  # each such item's entries are one run of `entries`
+    entry, event = np.nonzero(entries[:, CLICKED:DISCOUNT])
+    event += CLICKED
+    judged = (np.repeat(np.arange(len(present)), n[present])[entry],
+              crowd.variants[crowd.keys[at[entry]] % n_segments], event, entries[entry, event])
+    tally = np.add.reduceat(entries, offset[present])
+    del entries  # before the transposed copy, so that the two are never held together
+    return present, tally.T.copy(), judged
 
-    def per_item(ufunc, values):
-        out = np.zeros((n_u,) + values.shape[1:], values.dtype)
-        out[some] = ufunc.reduceat(values, offset[some])
-        return out
 
-    tally = per_item(np.add, entries)
-    counts, discounts = tally[:, :DISCOUNT], tally[:, DISCOUNT:CLICKED_DISCOUNT]
+def _blocks(present: np.ndarray, tally: np.ndarray, judged, terms: list[frozenset[int]],
+            variants: list[frozenset[int]]) -> np.ndarray:
+    """Blocks of one context pair for a chunk of targets, (T, 10, 40), from integer evidence.
+
+    Each document position holds its document's block, then its domain's.
+    Target item t * 20 + j is the targets' j-th document (j < 10) or
+    domain. `present` are the items with evidence, ascending, and `tally`
+    their tallies (see `_tally`), transposed to (TALLY, len(present)) so
+    that bins reduce element-wise; every other item's block is 0. `judged`
+    = (row, variant, event, count), in ascending row: `count` clicked,
+    skipped or missed occurrences of item `present[row]` under the term
+    variant `variant` (an index into `variants`). `terms` are the targets'
+    query terms. Every sum is of integers, and each float is formed once
+    from exact integers, so every value is the correctly rounded exact one.
+    A discount sum is sum(count * DISCOUNTS[r - 1]) / RANK_LCM. A mean
+    similarity is sum(count * inter * (L / union)) / (L * count), where L
+    is the lcm of the union sizes of the target's terms with the judged
+    variants.
+    """
+    row, variant, event, count = judged
+    n_targets, width, m = len(terms), 2 * SERP_SIZE, len(present)
+    counts, discounts = tally[:DISCOUNT], tally[DISCOUNT:CLICKED_DISCOUNT]
 
     # Intersection and union sizes once per distinct (target, variant).
-    n_terms = len(rows.terms)
-    wanted = entry_u // width * n_terms + crowd.variants[crowd.keys[at] % n_segments]
+    n_terms = len(variants)
+    wanted = present[row] // width * n_terms + variant
     pairs = _distinct(wanted)
-    inter, union = _overlaps(pairs, terms, rows.terms)
+    inter, union = _overlaps(pairs, terms, variants)
     lcm = [1] * n_targets
     for t, size in zip((pairs // n_terms).tolist(), union.tolist()):
         lcm[t] = math.lcm(lcm[t], size or 1)
     # An lcm of EXACT or more leaves no room for any count.
-    lcm = np.array([min(m, EXACT) for m in lcm], dtype=np.int64).repeat(width)[:, None]
-    if (counts > (EXACT - 1) // lcm).any():
-        raise OverflowError("exact similarity sums of contexts 5-6 exceed 2**53")
+    lcm = np.array([min(value, EXACT) for value in lcm], dtype=np.int64)[present // width]
+    if (counts[CLICKED:] > (EXACT - 1) // lcm).any():
+        raise OverflowError("exact similarity sums exceed 2**53")
     pair = np.searchsorted(pairs, wanted)
     inter, union = inter[pair], np.maximum(union[pair], 1)  # union 0 has inter 0
-    events = entries[:, :DISCOUNT]
-    sums = per_item(np.add, events * (inter * (lcm[entry_u, 0] // union))[:, None])
-    means = np.divide(sums, lcm * counts, out=np.zeros(sums.shape), where=counts > 0)
-    maxima = per_item(np.maximum, np.where(events > 0, (inter / union)[:, None], 0.0))
+    sums = np.bincount(row * N_EVENTS + event, count * inter * (lcm[row] // union),
+                       m * N_EVENTS).reshape(m, N_EVENTS).T
+    means = np.divide(sums, lcm * counts, out=np.zeros(counts.shape), where=counts > 0)
+    sim, starts = inter / union, np.flatnonzero(_firsts(row))
+    maxima = np.zeros((N_EVENTS, m))
+    for e in CLICKED, SKIPPED, MISSED:
+        maxima[e, row[starts]] = np.maximum.reduceat(np.where(event == e, sim, 0.0), starts)
 
-    gain_sum, slot_count = tally[:, GAIN_SUM], tally[:, SLOT_COUNT]
+    gain_sum, slot_count = tally[GAIN_SUM], tally[SLOT_COUNT]
     gains = np.arange(N_GAINS)
-    clicked = tally[:, BY_CLICKED_RANK + 1:BY_GAIN_MAX]
-    block = np.stack([
+    clicked = tally[BY_CLICKED_RANK + 1:BY_GAIN_MAX]
+    block = np.zeros((n_targets * width, N_CONTEXT_FEATURES))
+    block[present] = np.stack([
         # g1-g4: total, mean, max and min gain over the item's slots
-        gain_sum, np.divide(gain_sum, slot_count, out=np.zeros(n_u), where=slot_count > 0),
-        _largest(tally[:, BY_GAIN_MAX:BY_GAIN_MIN], gains),
-        _smallest(tally[:, BY_GAIN_MIN:], gains),
+        gain_sum, np.divide(gain_sum, slot_count, out=np.zeros(m), where=slot_count > 0),
+        _largest(tally[BY_GAIN_MAX:BY_GAIN_MIN], gains), _smallest(tally[BY_GAIN_MIN:], gains),
         # g5-g10: mean and max similarity when clicked, skipped, missed
-        means[:, CLICKED], maxima[:, CLICKED], means[:, SKIPPED], maxima[:, SKIPPED],
-        means[:, MISSED], maxima[:, MISSED],
+        means[CLICKED], maxima[CLICKED], means[SKIPPED], maxima[SKIPPED],
+        means[MISSED], maxima[MISSED],
         # g11-g16: shown, clicked, skipped, missed counts; shown, clicked discounts
-        counts.sum(axis=1), counts[:, CLICKED], counts[:, SKIPPED], counts[:, MISSED],
-        discounts.sum(axis=1) / RANK_LCM, tally[:, CLICKED_DISCOUNT] / RANK_LCM,
+        counts.sum(axis=0), counts[CLICKED], counts[SKIPPED], counts[MISSED],
+        discounts.sum(axis=0) / RANK_LCM, tally[CLICKED_DISCOUNT] / RANK_LCM,
         # g17-g20: max and min clicked rank; skipped, missed discounts
         _largest(clicked, RANKS), _smallest(clicked, RANKS),
-        discounts[:, SKIPPED] / RANK_LCM, discounts[:, MISSED] / RANK_LCM,
+        discounts[SKIPPED] / RANK_LCM, discounts[MISSED] / RANK_LCM,
     ], axis=1, dtype=np.float64)
-    return _by_position(block, n_targets)
+    # By item, document items first, to (T, 10, 40) by document position.
+    return (block.reshape(n_targets, 2, SERP_SIZE, -1).swapaxes(1, 2)
+            .reshape(n_targets, SERP_SIZE, -1))
 
 
 def _target_blocks(rows: IndexRows, occurrences: np.ndarray, slots: _Slots, crowd: _Crowd,
@@ -686,6 +645,7 @@ def _target_blocks(rows: IndexRows, occurrences: np.ndarray, slots: _Slots, crow
     session ranks. Contexts 1-4 come from the user's earlier rows: of the
     query for 1-2, of other queries for 3-4. Contexts 5-6 come from the
     tallies of the query's rows less those of the user's own rows of it.
+    One pair's evidence is held at a time.
     """
     queries, times = columns.query_id[at], columns.time_passed[at]
     domains = _codes(rows.domains, columns.domains[at])
@@ -696,10 +656,12 @@ def _target_blocks(rows: IndexRows, occurrences: np.ndarray, slots: _Slots, crow
     rank = rows.ranks[row]
     earlier = (rank < ranks[t]) | ((rank == ranks[t]) & (rows.times[row] < times[t]))
     same_query = rows.queries[row] == queries[t]
-    out[..., :40] = _pair_blocks(rows, occurrences, hits, same_query & earlier, terms)
-    out[..., 40:80] = _pair_blocks(rows, occurrences, hits, ~same_query & earlier, terms)
-    out[..., 80:120] = _crowd_blocks(crowd, rows, occurrences, items, queries,
-                                     (hits[0][same_query], hits[1][same_query]), terms)
+    for k, keep in enumerate((same_query & earlier, ~same_query & earlier)):
+        out[..., 40 * k:40 * (k + 1)] = _blocks(
+            *_pair_evidence(rows, occurrences, hits, keep), terms, rows.terms)
+    out[..., 80:120] = _blocks(
+        *_crowd_evidence(crowd, occurrences, items, queries,
+                         (hits[0][same_query], hits[1][same_query])), terms, rows.terms)
     out[..., 120] = np.arange(1.0, SERP_SIZE + 1)  # base rank
 
 
@@ -714,14 +676,15 @@ def extract_targets(
     Within each role the targets are in (user_id, session_id, serp_id)
     order, so output is deterministic. The session order seed must match
     the one used for partitioning. The values equal `extract_impression`
-    over `assemble_contexts` bit for bit: contexts 1-4 add in row order,
-    and contexts 5-6 are exact and rounded once. The attributes of every
-    (index row, item) occurrence are computed once (`_occurrences`). Their
-    topmost slots are indexed by (item, user) for contexts 1-4 (`_Slots`),
-    and tallied by (query, item) for contexts 5-6 (`_Crowd`), so the cost
-    of a target depends on its user's rows, not on how many users logged
-    its query. Targets go through the kernel in chunks of `CHUNK_TARGETS`.
-    A role with any unlabeled target gets gains=None.
+    over `assemble_contexts` bit for bit: every value is exact and rounded
+    once. The attributes of every (index row, item) occurrence are computed
+    once (`_occurrences`). Their topmost slots are indexed by (item, user)
+    for contexts 1-4 (`_Slots`), and tallied by (query, item) for contexts
+    5-6 (`_Crowd`), so the cost of a target depends on its user's rows, not
+    on how many users logged its query. Each context pair's occurrences of
+    a target item become one integer tally, and one function (`_blocks`)
+    turns tallies into values. Targets go through the kernel in chunks of
+    `CHUNK_TARGETS`. A role with any unlabeled target gets gains=None.
     """
     ranks = rank_sessions(columns, seed)
     rows = index_rows(columns, ranks, train_days)
@@ -828,8 +791,9 @@ def _read_grouped(
     content raises DataError naming the first bad line: an unexpected
     header, a row count that is not a multiple of 10, a blank line, a row
     with the wrong number of fields, an id that is not an int64, a value
-    that is not a number, target ids that change within a group, and
-    non-finite values.
+    that is not a number, target ids that change within a group,
+    non-finite values, and a written gain that is not one `parse` assigns
+    (0, 1 or 2).
     """
     n_ids, gain = len(ID_COLUMNS), header.index("gain")
     row = np.dtype([("ids", np.int64, n_ids), ("numbers", np.float64, len(header) - n_ids)])
@@ -870,7 +834,9 @@ def _read_grouped(
     finite[..., gain - n_ids] = True  # an empty gain reads as NaN; `_gain` checked the others
     for bad, what in (((ids[:, :, :4] != ids[:, :1, :4]).any(axis=2),
                        "changes target within a group of 10"),
-                      (~finite.all(axis=2), "holds a non-finite value")):
+                      (~finite.all(axis=2), "holds a non-finite value"),
+                      (~(np.isin(gains, CODE_GAINS) | np.isnan(gains)),
+                       f"holds a gain not in {sorted(set(CODE_GAINS.tolist()))}")):
         if bad.any():
             raise DataError(f"{path}: line {np.argmax(bad) + 2} {what}")
     table = FeatureTable(

@@ -128,8 +128,12 @@ class OracleScan:
                     self.flat.append((uid, session.day, session.session_id, rank, imp))
 
 
-def oracle_extract(scan: OracleScan, train_days, user_id, session_id, serp_id):
-    """Index-free feature vectors for one target: scan everything, every time."""
+def oracle_extract(scan: OracleScan, train_days, user_id, session_id, serp_id,
+                   block=oracle_block):
+    """Index-free feature vectors for one target: scan everything, every time.
+
+    `block(item, query_terms, entries)` gives one context's 20 values.
+    """
     ranks = scan.ranks
 
     target_imp = None
@@ -174,12 +178,9 @@ def oracle_extract(scan: OracleScan, train_days, user_id, session_id, serp_id):
     vectors = []
     for pos, (doc, domain) in enumerate(zip(target_imp.documents, target_imp.domains)):
         values = []
-        values.extend(oracle_block(doc, target_imp.terms, c1))
-        values.extend(oracle_block(domain, target_imp.terms, c2))
-        values.extend(oracle_block(doc, target_imp.terms, c3))
-        values.extend(oracle_block(domain, target_imp.terms, c4))
-        values.extend(oracle_block(doc, target_imp.terms, c5))
-        values.extend(oracle_block(domain, target_imp.terms, c6))
+        for item, entries in ((doc, c1), (domain, c2), (doc, c3), (domain, c4), (doc, c5),
+                              (domain, c6)):
+            values.extend(block(item, target_imp.terms, entries))
         values.append(float(pos + 1))
         vectors.append(values)
     return vectors

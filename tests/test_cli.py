@@ -886,6 +886,20 @@ class TestMalformedInputs:
         bad = corrupt_field(scored_run / "scores.csv", tmp_path / "s.csv", "score", None)
         assert run("eval", "--scores", str(bad), "--out-dir", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("gain", ["1024", "3.5", "-1"])
+    def test_gain_that_parse_never_assigns_is_data_error(self, scored_run, tmp_path, capsys,
+                                                          gain):
+        scores = corrupt_field(scored_run / "scores.csv", tmp_path / "s.csv", "gain", gain)
+        val = corrupt_field(scored_run / "features_validation.csv", tmp_path / "f.csv", "gain",
+                            gain)
+        capsys.readouterr()
+        assert run("eval", "--scores", str(scores), "--out-dir", str(tmp_path)) == 2
+        assert f"{scores}: line 2 holds a gain not in [0, 1, 2]" in capsys.readouterr().err
+        assert run("train", "--kind", "ranknet", "-O", "epochs=1",
+                   "--train-features", str(scored_run / "features_train.csv"),
+                   "--val-features", str(val), "--out", str(tmp_path / "m.json")) == 2
+        assert f"{val}: line 2 holds a gain not in [0, 1, 2]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("edit,where", [
         (first_row_set("user_id", "9" * 20), "line 2"),
         (first_row_set("doc_id", "-" + "9" * 20), "line 2"),

@@ -261,11 +261,12 @@ class TestHistogram:
 
 @st.composite
 def score_tables(draw):
-    """A score-file table with any ids, finite numbers, labeled or not, and scores."""
+    """A score-file table with any ids, finite base ranks and scores, and gains 0-2 or none."""
     n = draw(st.integers(min_value=1, max_value=4))
     ids = arrays(np.int64, n)
     numbers = arrays(np.float64, (n, 10),
                      elements=st.floats(allow_nan=False, allow_infinity=False))
+    gains = arrays(np.float64, (n, 10), elements=st.sampled_from([0.0, 1.0, 2.0]))
     table = FeatureTable(
         user_ids=draw(ids),
         query_ids=draw(ids),
@@ -274,7 +275,7 @@ def score_tables(draw):
         doc_ids=draw(arrays(np.int64, (n, 10))),
         x=np.zeros((n, 10, 0)),
         base_ranks=draw(numbers),
-        gains=draw(st.none() | numbers),
+        gains=draw(st.none() | gains),
     )
     return table, draw(numbers)
 

@@ -587,21 +587,31 @@ def exact_block(item, terms, entries):
     return values
 
 
-def exact_crowd_values(sessions, user_id, imp, train_days=27):
-    """Contexts 5-6 of a target, (10, 40), from other users' training rows of its query."""
-    others = [(s, other) for s in sessions for other in s.impressions
-              if s.user_id != user_id and s.day <= train_days and other.query_id == imp.query_id]
+TARGET_0_TO_9 = serp(1, range(10), [d % 4 for d in range(10)])
 
-    def entries(items):
-        return [OracleEntry(other.terms, items(other), other.labels, s.day, s.session_id,
-                            other.time_passed) for s, other in others]
 
-    # A document listed twice counts at its last slot only.
-    documents = entries(lambda other: [None if d in other.documents[i + 1:] else d
-                                       for i, d in enumerate(other.documents)])
-    domains = entries(lambda other: other.domains)
-    return [exact_block(doc, imp.terms, documents) + exact_block(domain, imp.terms, domains)
-            for doc, domain in zip(imp.documents, imp.domains)]
+def shown_at_ranks_1_3_1(users, query):
+    """Three rows of `users` and `query` that show document 0 at ranks 1, 3 and 1, in row order."""
+    return [Session(k + 1, user, k + 1, [serp(0, docs, [d % 4 for d in docs], query=query)])
+            for k, (user, docs) in enumerate(zip(users, [
+                list(range(10)), [5, 6, 0, 7, 8, 9, 1, 2, 3, 4], list(range(10))]))]
+
+
+TARGET_TERMS_1 = serp(1, range(10), range(10), terms=(1,))
+OVERFLOW_TEXT = "^exact similarity sums exceed 2\\*\\*53$"  # it names no context pair
+
+
+def union_sizes_1_to_45(own):
+    """Rows whose union sizes with `TARGET_TERMS_1` are 1 to 45, each clicking document 0.
+
+    The lcm of 1 to 45 is above 2**53, so exact means would not fit. The rows
+    are the target user's rows of another query (context 3) if `own`, else
+    other users' rows of the target's query (context 5).
+    """
+    docs = list(range(10))
+    return [Session(k, 1 if own else 1 + k, k % 27 + 1, [
+        serp(0, docs, docs, {1: Grade.R1}, terms=range(1, k + 1), query=6 if own else 5)])
+        for k in range(1, 46)]
 
 
 class TestColumnar:
@@ -706,11 +716,11 @@ class TestColumnar:
         got = extract_targets(SessionColumns.of(sessions), TargetSet(test=np.array(refs)),
                               train_days=27, seed=0)["test"]
         assert_same_table(got, scalar_table(sessions, refs, 27, 0))
-        lookup = {(s.user_id, s.session_id, imp.serp_id): imp
-                  for s in sessions for imp in s.impressions}
+        # The kernel and the reference share their summation rule; the index-free
+        # exact oracle checks both, for every context.
+        scan = OracleScan(sessions, seed=0)
         for ref, values in zip(refs, got.x):
-            want = exact_crowd_values(sessions, ref[0], lookup[ref])
-            assert values[:, 80:120].tolist() == want
+            assert values.tolist() == oracle_extract(scan, 27, *ref, block=exact_block)
 
     def test_target_users_rows_interleaved_with_others(self):
         docs = list(range(10))
@@ -775,8 +785,8 @@ class TestColumnar:
         assert oracle_extract(scan, 27, 1, TARGET_SESSION, 1) == values.tolist()
 
     def test_session_listing_impressions_out_of_time_order(self):
-        # Context 1's rows add up in index order, by time within a session, not in
-        # list order. Context 5's sum is exact, so it shows no order.
+        # The rows are indexed by time within a session, not in list order. Every
+        # sum is exact, so neither context's mean depends on the order of its rows.
         docs = list(range(10))
 
         def latest_first():
@@ -786,7 +796,7 @@ class TestColumnar:
         values = check_hand_built([Session(1, 1, 1, latest_first()),
                                    Session(2, 2, 1, latest_first())], 1,
                                   serp(9, docs, docs, terms=range(1, 11)))
-        assert block(values, 1)[0, 4] == (0.1 + 0.2 + 0.3) / 3 != (0.3 + 0.2 + 0.1) / 3
+        assert block(values, 1)[0, 4] == 0.2 != (0.1 + 0.2 + 0.3) / 3
         assert block(values, 5)[0, 4] == 0.2 != (0.1 + 0.2 + 0.3) / 3
 
     def test_query_with_more_codes_than_int16_holds(self):
@@ -835,14 +845,13 @@ class TestColumnar:
         assert (block(values, 1)[:, 10] == 1.0).all()  # the day-1 row only
 
     def test_other_users_discounts_are_exact_not_row_order_sums(self):
-        sessions = [
-            Session(k + 1, user, k + 1, [serp(0, docs, [d % 4 for d in docs])])
-            for k, (user, docs) in enumerate([
-                (2, list(range(10))), (3, [5, 6, 0, 7, 8, 9, 1, 2, 3, 4]), (4, list(range(10)))])
-        ]
-        values = check_hand_built(sessions, 1, serp(1, range(10), [d % 4 for d in range(10)]))
-        # Document 0 is shown at ranks 1, 3 and 1, in row order.
+        values = check_hand_built(shown_at_ranks_1_3_1((2, 3, 4), query=5), 1, TARGET_0_TO_9)
         assert block(values, 5)[0, 14] == float(Fraction(7, 3)) != 1.0 + 1 / 3 + 1.0
+
+    @pytest.mark.parametrize("context,query", [(1, 5), (3, 6)], ids=["c1", "c3"])
+    def test_own_discounts_are_exact_not_row_order_sums(self, context, query):
+        values = check_hand_built(shown_at_ranks_1_3_1((1, 1, 1), query), 1, TARGET_0_TO_9)
+        assert block(values, context)[0, 14] == float(Fraction(7, 3)) != 1.0 + 1 / 3 + 1.0
 
     def test_gain_max_held_only_by_the_user_drops(self):
         docs = list(range(10))
@@ -868,13 +877,12 @@ class TestColumnar:
         assert block(values, 1)[:, 10].tolist() == [1.0] * 10
 
     def test_similarity_sums_beyond_float64_integers_are_an_error(self):
-        # Union sizes 1 to 45 have an lcm above 2**53, so exact means would not fit.
-        docs = list(range(10))
-        sessions = [Session(k, 1 + k, k % 27 + 1, [serp(0, docs, docs, {1: Grade.R1},
-                                                         terms=range(1, k + 1))])
-                    for k in range(1, 46)]
-        with pytest.raises(OverflowError, match="2\\*\\*53"):
-            check_hand_built(sessions, 1, serp(1, docs, docs, terms=(1,)))
+        with pytest.raises(OverflowError, match=OVERFLOW_TEXT):
+            check_hand_built(union_sizes_1_to_45(own=False), 1, TARGET_TERMS_1)
+
+    def test_own_similarity_sums_beyond_float64_integers_are_an_error(self):
+        with pytest.raises(OverflowError, match=OVERFLOW_TEXT):
+            check_hand_built(union_sizes_1_to_45(own=True), 1, TARGET_TERMS_1)
 
     def test_log_without_training_rows(self):
         values = check_hand_built([Session(1, 2, 29, [serp(0, range(10), range(10))])], 1,

@@ -36,9 +36,9 @@ GOLDENS = {
     "stats.csv": "12263c63cda8ff61bab357558b88a8b9743edf27751a8171794c34a8e6e8204b",
     "index.txt": "14852305b647fbc56da2558fed566115a58aa38d70d529a2ba1db952d0751ed9",
     "targets.csv": "16b48fe0ad622f576b322ae4b290da9e657695682fe530a1b61d98c3a18884e1",
-    "features_train.csv": "c0c9d4c3ad43651b2f5c1ea82ff6e32e5cea574d9b60fc7492d68baa65ece0cb",
-    "features_validation.csv": "f817f2904fa175931b6b70bd1560bd2c9323dab084c7a07ebb7005d36c34de3e",
-    "features_test.csv": "246da8e2d160d1828e5ba18986091f703f4ed1258120461a57312739566b8ae0",
+    "features_train.csv": "023ae38a2b3d2c4c28e6006e778d3946ff8505e1bb60f746280006ba52930230",
+    "features_validation.csv": "6198ba7c61c901a74ffe99d87ce9f843e346909d8a7026034c6425139c2fd222",
+    "features_test.csv": "9e66a8b1c37720ffe5150bcf3b193be11e4cf1b2b57082fa0ce846c104d9c374",
     "scores_heuristic_validation.csv": "1acf493612f778b37e9479de3f597dc01d7152a8f4badc6d8e0a622a3dee4918",
     "scores_heuristic_test.csv": "712cd3915cfd3c68b24bf4f3cf1e533314a202f8e937bb16a95297e4ef8aca46",
     "report.csv": "ec6b0b47aebd7dd1e25a8d9c42429ddb4474a33d42cd46383993671f46682db3",
