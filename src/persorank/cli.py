@@ -90,6 +90,9 @@ def _outputs(*paths: str | Path) -> list[Path]:
     return paths
 
 
+# Log lines per write of `gen`.
+GEN_WRITE_LINES = 1 << 14
+
 # Each handler writes its files, then returns (params, inputs, outputs, the
 # line to print) for `main` to record in a manifest beside outputs[0]; a
 # handler that writes no file returns None.
@@ -99,18 +102,21 @@ def _cmd_gen(args, cfg: PipelineConfig):
     out = Path(cfg.log_path)
     outputs = [] if cfg.log_path == "-" else _outputs(out, f"{out}.counts.json")
     lines, stats = generate_lines(cfg.generator)
-    text = "\n".join(lines) + "\n"
+    # The log's text, a block of lines at a time, so that it is never held whole.
+    blocks = ("\n".join(lines[start:start + GEN_WRITE_LINES]) + "\n"
+              for start in range(0, len(lines), GEN_WRITE_LINES))
     if not outputs:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
         return None
     if str(out).endswith(".gz"):
         with cache.atomic_write(out, "wb") as fh:
             # No file name in the header: the temp file's is random.
             with gzip.GzipFile(filename="", fileobj=fh, mode="wb", mtime=0) as gz:
-                gz.write(text.encode())
+                for block in blocks:
+                    gz.write(block.encode())
     else:
         with cache.atomic_write(out) as fh:
-            fh.write(text)
+            fh.writelines(blocks)
     with cache.atomic_write(outputs[1]) as fh:
         json.dump(stats.as_dict(), fh, indent=1, sort_keys=True)
     return ({"generator": cfg.generator.__dict__}, [], outputs,

@@ -569,7 +569,7 @@ def _crowd_evidence(crowd: _Crowd, occurrences: np.ndarray, items: np.ndarray,
 
 
 def _blocks(present: np.ndarray, tally: np.ndarray, judged, terms: list[frozenset[int]],
-            variants: list[frozenset[int]]) -> np.ndarray:
+            variants: list[frozenset[int]], ids: np.ndarray) -> np.ndarray:
     """Blocks of one context pair for a chunk of targets, (T, 10, 40), from integer evidence.
 
     Each document position holds its document's block, then its domain's.
@@ -585,7 +585,9 @@ def _blocks(present: np.ndarray, tally: np.ndarray, judged, terms: list[frozense
     A discount sum is sum(count * DISCOUNTS[r - 1]) / RANK_LCM. A mean
     similarity is sum(count * inter * (L / union)) / (L * count), where L
     is the lcm of the union sizes of the target's terms with the judged
-    variants.
+    variants. A target for which such a sum would reach 2**53 raises
+    DataError naming it by its row of `ids`, the targets' (user, session,
+    serp) ids.
     """
     row, variant, event, count = judged
     n_targets, width, m = len(terms), 2 * SERP_SIZE, len(present)
@@ -601,8 +603,11 @@ def _blocks(present: np.ndarray, tally: np.ndarray, judged, terms: list[frozense
         lcm[t] = math.lcm(lcm[t], size or 1)
     # An lcm of EXACT or more leaves no room for any count.
     lcm = np.array([min(value, EXACT) for value in lcm], dtype=np.int64)[present // width]
-    if (counts[CLICKED:] > (EXACT - 1) // lcm).any():
-        raise OverflowError("exact similarity sums exceed 2**53")
+    inexact = (counts[CLICKED:] > (EXACT - 1) // lcm).any(axis=0)
+    if inexact.any():
+        user, session, serp = ids[present[np.argmax(inexact)] // width].tolist()
+        raise DataError(f"target (user {user}, session {session}, serp {serp}): "
+                        "exact similarity sums exceed 2**53")
     pair = np.searchsorted(pairs, wanted)
     inter, union = inter[pair], np.maximum(union[pair], 1)  # union 0 has inter 0
     sums = np.bincount(row * N_EVENTS + event, count * inter * (lcm[row] // union),
@@ -638,30 +643,30 @@ def _blocks(present: np.ndarray, tally: np.ndarray, judged, terms: list[frozense
 
 def _target_blocks(rows: IndexRows, occurrences: np.ndarray, slots: _Slots, crowd: _Crowd,
                    columns: SessionColumns, at: np.ndarray, terms: list[frozenset[int]],
-                   users, ranks, out: np.ndarray) -> None:
+                   ids: np.ndarray, ranks, out: np.ndarray) -> None:
     """Write the (T, 10, 121) feature values of the target impressions at rows `at` to `out`.
 
-    `terms` are their query terms, `users` and `ranks` their users and
-    session ranks. Contexts 1-4 come from the user's earlier rows: of the
-    query for 1-2, of other queries for 3-4. Contexts 5-6 come from the
-    tallies of the query's rows less those of the user's own rows of it.
-    One pair's evidence is held at a time.
+    `terms` are their query terms, `ids` their (user, session, serp) ids
+    and `ranks` their session ranks. Contexts 1-4 come from the user's
+    earlier rows: of the query for 1-2, of other queries for 3-4. Contexts
+    5-6 come from the tallies of the query's rows less those of the user's
+    own rows of it. One pair's evidence is held at a time.
     """
     queries, times = columns.query_id[at], columns.time_passed[at]
     domains = _codes(rows.domains, columns.domains[at])
     items = np.hstack([_codes(rows.documents, columns.documents[at]),
                        np.where(domains >= 0, domains + len(rows.documents), -1)])
-    hits = slots.hits(users, items)
+    hits = slots.hits(ids[:, 0], items)
     t, row = hits[0] // (2 * SERP_SIZE), hits[1] // (2 * SERP_SIZE)
     rank = rows.ranks[row]
     earlier = (rank < ranks[t]) | ((rank == ranks[t]) & (rows.times[row] < times[t]))
     same_query = rows.queries[row] == queries[t]
     for k, keep in enumerate((same_query & earlier, ~same_query & earlier)):
         out[..., 40 * k:40 * (k + 1)] = _blocks(
-            *_pair_evidence(rows, occurrences, hits, keep), terms, rows.terms)
+            *_pair_evidence(rows, occurrences, hits, keep), terms, rows.terms, ids)
     out[..., 80:120] = _blocks(
         *_crowd_evidence(crowd, occurrences, items, queries,
-                         (hits[0][same_query], hits[1][same_query])), terms, rows.terms)
+                         (hits[0][same_query], hits[1][same_query])), terms, rows.terms, ids)
     out[..., 120] = np.arange(1.0, SERP_SIZE + 1)  # base rank
 
 
@@ -700,13 +705,13 @@ def extract_targets(
     out: dict[str, FeatureTable] = {}
     ends = np.cumsum([len(ids) for ids in by_role])[:-1]
     for role, ids, at in zip(ROLES, by_role, np.split(found, ends)):
-        users, target_ranks = columns.user_id[session[at]], ranks[session[at]]
+        target_ranks = ranks[session[at]]
         terms = [frozenset(t) for t in columns.term_tuples(at)]
         x = np.empty((len(ids), SERP_SIZE, N_FEATURES))
         for start in range(0, len(ids), CHUNK_TARGETS):
             chunk = slice(start, start + CHUNK_TARGETS)
             _target_blocks(rows, occurrences, slots, crowd, columns, at[chunk], terms[chunk],
-                           users[chunk], target_ranks[chunk], x[chunk])
+                           ids[chunk], target_ranks[chunk], x[chunk])
         out[role] = _table(ids, columns, at, x)
     return out
 
@@ -792,8 +797,10 @@ def _read_grouped(
     header, a row count that is not a multiple of 10, a blank line, a row
     with the wrong number of fields, an id that is not an int64, a value
     that is not a number, target ids that change within a group,
-    non-finite values, and a written gain that is not one `parse` assigns
-    (0, 1 or 2).
+    non-finite values, a written gain that is not one `parse` assigns
+    (0, 1 or 2), and base ranks of a target that are not 1..10 in some
+    order (the line named is the first whose rank is not 1..10 or repeats
+    an earlier row's).
     """
     n_ids, gain = len(ID_COLUMNS), header.index("gain")
     row = np.dtype([("ids", np.int64, n_ids), ("numbers", np.float64, len(header) - n_ids)])
@@ -830,20 +837,25 @@ def _read_grouped(
     ids = rows["ids"].reshape(-1, 10, n_ids)
     numbers = rows["numbers"].reshape(-1, 10, len(header) - n_ids)
     gains = numbers[..., gain - n_ids]
+    base_ranks = numbers[..., header.index("base_rank") - n_ids]
     finite = np.isfinite(numbers)
     finite[..., gain - n_ids] = True  # an empty gain reads as NaN; `_gain` checked the others
+    earlier = np.tri(SERP_SIZE, k=-1, dtype=bool)  # [j, k]: row k comes before row j
+    repeats = ((base_ranks[:, :, None] == base_ranks[:, None, :]) & earlier).any(axis=2)
     for bad, what in (((ids[:, :, :4] != ids[:, :1, :4]).any(axis=2),
                        "changes target within a group of 10"),
                       (~finite.all(axis=2), "holds a non-finite value"),
                       (~(np.isin(gains, CODE_GAINS) | np.isnan(gains)),
-                       f"holds a gain not in {sorted(set(CODE_GAINS.tolist()))}")):
+                       f"holds a gain not in {sorted(set(CODE_GAINS.tolist()))}"),
+                      (~np.isin(base_ranks, RANKS) | repeats,
+                       f"holds a base_rank that is not 1..{SERP_SIZE} once per target")):
         if bad.any():
             raise DataError(f"{path}: line {np.argmax(bad) + 2} {what}")
     table = FeatureTable(
         *ids[:, 0, :4].T.copy(),
         doc_ids=ids[:, :, 4].copy(),
         x=numbers[:, :, :n_features],
-        base_ranks=numbers[..., header.index("base_rank") - n_ids].copy(),
+        base_ranks=base_ranks.copy(),
         gains=None if np.isnan(gains).any() else gains.copy(),
     )
     return table, numbers

@@ -8,11 +8,12 @@ correlated with those preferences, so re-ranking from history has headroom
 to improve NDCG. With preference_strength 0 the clicks carry no planted
 signal at all.
 
-Each user's sessions are planned first, then written straight to log
-records, with action times chosen so that the gap after each click is its
-planned dwell. The counts returned with the lines are taken from the lines
-themselves by the array parser, `logs.parse_columns`, so they are what
-`parse` reads from the log.
+Each session is written as text as soon as it is planned, with action
+times chosen so that the gap after each click is its planned dwell; only
+the session ids wait until every session is known. The counts returned
+with the lines are taken from the lines themselves by the array parser,
+`logs.parse_columns`, one day at a time, so they are what `parse` reads
+from the log.
 
 The same seed always produces byte-identical output. Per-user randomness
 comes from independent streams keyed on (seed, user id), so generation
@@ -22,21 +23,13 @@ order cannot change the data.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .config import GenConfig
-from .logs import (
-    DWELL_LONG,
-    SERP_SIZE,
-    ClickAction,
-    CorpusStats,
-    LogRecord,
-    QueryAction,
-    SessionMeta,
-    corpus_stats,
-    format_record,
-    parse_columns,
-)
+from .logs import DWELL_LONG, SERP_SIZE, CorpusStats, corpus_stats, parse_columns
 
 POOL_SIZE = 20
 
@@ -156,91 +149,114 @@ def _simulate_clicks(state: _UserState, docs: list[int], preferred: int,
     return clicks
 
 
-@dataclass
-class _PlannedSession:
-    user_id: int
-    day: int
-    user_seq: int
-    impressions: list[tuple[int, list[int], list[tuple[int, int]], bool]]
-    # (query_id, documents, clicks as (doc, dwell), is_test)
+def _user_sessions(cfg: GenConfig, user_id: int, vocab: list[QueryInfo], doc_domains: list[int],
+                   query_text: list[str], pair_text: list[str]) -> Iterator[tuple[int, str]]:
+    """Day and log text of each of user `user_id`'s sessions, in session order.
 
-
-def _plan_user(cfg: GenConfig, user_id: int, vocab: list[QueryInfo],
-               doc_domains: list[int]) -> list[_PlannedSession]:
+    A session's text is its log lines joined by newlines, each line without
+    its leading session id, which depends on every user's sessions. Clicks
+    and dwells come from the user's stream, action times from a stream of
+    the session's own, so formatting a session as soon as it is planned
+    draws what planning all sessions first would.
+    """
     rng = random.Random(f"{cfg.rng_seed}:user:{user_id}")
     state = _UserState(
         rng=rng,
         preferred_domains=rng.sample(range(cfg.n_domains), min(2, cfg.n_domains)),
     )
     p = cfg.preference_strength
-    sessions: list[_PlannedSession] = []
     seq = 0
 
-    def plan_impressions(count: int, mark_last_test: bool):
-        imps = []
-        for i in range(count):
+    def session(day: int, count: int, mark_last_test: bool) -> str:
+        """One session's text; each click's dwell is realized by the next action."""
+        nonlocal seq
+        times = random.Random(f"{cfg.rng_seed}:times:{user_id}:{seq}")
+        seq += 1
+        out = [f"\tM\t{day}\t{user_id}"]
+        t = 0
+        for serp_id in range(count):
             qid = _pick_query(state, cfg)
             docs, preferred = _make_serp(state, qid, vocab, doc_domains)
             clicks = _simulate_clicks(state, docs, preferred, p)
-            is_test = mark_last_test and i == count - 1
-            imps.append((qid, docs, clicks, is_test))
-        return imps
+            kind = "T" if mark_last_test and serp_id == count - 1 else "Q"
+            pairs = "\t".join([pair_text[doc] for doc in docs])
+            out.append(f"\t{t}\t{kind}\t{serp_id}\t{query_text[qid]}\t{pairs}")
+            if not clicks:
+                t += times.randint(30, 120)
+                continue
+            t += times.randint(3, 30)
+            for doc, dwell in clicks:
+                out.append(f"\t{t}\tC\t{serp_id}\t{doc}")
+                t += dwell
+        return "\n".join(out)
 
+    count = cfg.queries_per_user_per_day
     for day in range(1, cfg.train_days + 1):
-        count = cfg.queries_per_user_per_day
         if count >= 2 and rng.random() < SPLIT_DAY_PROB:
             first = rng.randint(1, count - 1)
             chunks = [first, count - first]
         else:
             chunks = [count]
         for chunk in chunks:
-            sessions.append(
-                _PlannedSession(user_id, day, seq, plan_impressions(chunk, False))
-            )
-            seq += 1
-
+            yield day, session(day, chunk, False)
     test_day = rng.randint(cfg.train_days + 1, cfg.n_days)
-    sessions.append(
-        _PlannedSession(
-            user_id, test_day, seq,
-            plan_impressions(cfg.queries_per_user_per_day, True),
-        )
+    yield test_day, session(test_day, count, True)
+
+
+def _total(days: list[CorpusStats], distinct: list[np.ndarray]) -> CorpusStats:
+    """The counts of a log from those of its days and its distinct queries, documents and users."""
+    def total(name: str) -> int:
+        return sum(getattr(day, name) for day in days)
+
+    queries, documents, users = distinct
+    return CorpusStats(
+        unique_queries=len(queries),
+        unique_documents=len(documents),
+        unique_users=len(users),
+        training_sessions=total("training_sessions"),
+        test_sessions=total("test_sessions"),
+        training_clicks=total("training_clicks"),
+        total_records=total("total_records"),
+        grade_counts={period: {grade: sum(day.grade_counts[period][grade] for day in days)
+                               for grade in grades}
+                      for period, grades in days[0].grade_counts.items()},
     )
-    return sessions
-
-
-def _session_records(plan: _PlannedSession, session_id: int, rng: random.Random,
-                     vocab: list[QueryInfo], doc_domains: list[int]) -> list[LogRecord]:
-    """The log records of one planned session, each click's dwell realized by the next action."""
-    records: list[LogRecord] = [SessionMeta(session_id, plan.day, plan.user_id)]
-    t = 0
-    for serp_id, (qid, docs, clicks, is_test) in enumerate(plan.impressions):
-        records.append(QueryAction(session_id, t, serp_id, is_test, qid, vocab[qid].terms,
-                                   tuple((doc, doc_domains[doc]) for doc in docs)))
-        if not clicks:
-            t += rng.randint(30, 120)
-            continue
-        t += rng.randint(3, 30)
-        for doc, dwell in clicks:
-            records.append(ClickAction(session_id, t, serp_id, doc))
-            t += dwell
-    return records
 
 
 def generate_lines(cfg: GenConfig) -> tuple[list[str], CorpusStats]:
-    """The full log as serialized lines, and the counts of that log as `parse` reads it."""
+    """The full log as serialized lines, and the counts of that log as `parse` reads it.
+
+    Sessions are numbered in (day, user, session) order. A day's lines are
+    counted by `parse_columns` as soon as they are made: sessions never
+    span days, so the counts of the days add up to those of the log.
+    """
     cfg.validate()
     vocab, doc_domains = _build_vocab(cfg)
-    plans = [plan for user_id in range(1, cfg.n_users + 1)
-             for plan in _plan_user(cfg, user_id, vocab, doc_domains)]
-    plans.sort(key=lambda pl: (pl.day, pl.user_id, pl.user_seq))
+    query_text = [f"{qid}\t{','.join(map(str, info.terms))}" for qid, info in enumerate(vocab)]
+    pair_text = [f"{doc},{domain}" for doc, domain in enumerate(doc_domains)]
+    by_day: list[list[str]] = [[] for _ in range(cfg.n_days + 1)]
+    for user_id in range(1, cfg.n_users + 1):  # so each day lists its sessions by user
+        for day, text in _user_sessions(cfg, user_id, vocab, doc_domains, query_text,
+                                        pair_text):
+            by_day[day].append(text)
 
-    lines = []
-    for session_id, plan in enumerate(plans, 1):
-        timing_rng = random.Random(f"{cfg.rng_seed}:times:{plan.user_id}:{plan.user_seq}")
-        lines.extend(map(format_record, _session_records(
-            plan, session_id, timing_rng, vocab, doc_domains)))
-    columns = parse_columns(line + "\n" for line in lines)
-    if columns is None:
-        raise RuntimeError("the array parser declined a generated log")
-    return lines, corpus_stats(columns, cfg.train_days)
+    lines: list[str] = []
+    days: list[CorpusStats] = []
+    distinct = [np.empty(0, np.int64)] * 3
+    session_id = 0
+    for day, texts in enumerate(by_day):
+        if not texts:
+            continue
+        start = len(lines)
+        for text in texts:
+            session_id += 1
+            sid = str(session_id)
+            lines.extend((sid + text.replace("\n", "\n" + sid)).split("\n"))
+        by_day[day] = []  # the day's texts are its lines now
+        columns = parse_columns(line + "\n" for line in lines[start:])
+        if columns is None:
+            raise RuntimeError(f"the array parser declined day {day} of a generated log")
+        days.append(corpus_stats(columns, cfg.train_days))
+        distinct = [np.union1d(seen, ids) for seen, ids in zip(
+            distinct, (columns.query_id, columns.documents, columns.user_id))]
+    return lines, _total(days, distinct)

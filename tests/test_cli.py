@@ -1,6 +1,7 @@
 import argparse
 import csv
 import gzip
+import io
 import json
 import os
 import pickle
@@ -86,6 +87,22 @@ class TestPipeline:
             written.append(log.read_bytes())
         assert written[0] == written[1]
         assert not written[0][3] & gzip.FNAME  # the header names no (temp) file
+
+    def test_log_written_in_blocks_is_the_whole_text(self, tmp_path, monkeypatch, capsys):
+        # At this size the default block is the whole log; 100 lines makes 46 blocks.
+        assert run("gen", "--out", str(tmp_path / "log.tsv"), *GEN_OVERRIDES) == 0
+        text = (tmp_path / "log.tsv").read_bytes()
+        monkeypatch.setattr("persorank.cli.GEN_WRITE_LINES", 100)
+        for name in "blocks.tsv", "blocks.tsv.gz":
+            assert run("gen", "--out", str(tmp_path / name), *GEN_OVERRIDES) == 0
+        capsys.readouterr()
+        assert run("gen", "--out", "-", *GEN_OVERRIDES) == 0
+        assert capsys.readouterr().out.encode() == text
+        assert (tmp_path / "blocks.tsv").read_bytes() == text
+        whole = io.BytesIO()  # the whole text in one write, as the log was once written
+        with gzip.GzipFile(filename="", fileobj=whole, mode="wb", mtime=0) as gz:
+            gz.write(text)
+        assert (tmp_path / "blocks.tsv.gz").read_bytes() == whole.getvalue()
 
     def test_pipeline_deterministic_across_runs(self, tmp_path):
         a = run_pipeline(tmp_path / "a")
@@ -899,6 +916,22 @@ class TestMalformedInputs:
                    "--train-features", str(scored_run / "features_train.csv"),
                    "--val-features", str(val), "--out", str(tmp_path / "m.json")) == 2
         assert f"{val}: line 2 holds a gain not in [0, 1, 2]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rank,line", [("2", 3), ("11", 2), ("0.5", 2)],
+                             ids=["repeated", "11", "0.5"])
+    def test_base_ranks_not_1_to_10_are_data_error(self, scored_run, tmp_path, capsys, rank,
+                                                    line):
+        scores = corrupt_field(scored_run / "scores.csv", tmp_path / "s.csv", "base_rank", rank)
+        val = corrupt_field(scored_run / "features_validation.csv", tmp_path / "f.csv",
+                            "base_rank", rank)
+        what = "holds a base_rank that is not 1..10 once per target"
+        capsys.readouterr()
+        assert run("eval", "--scores", str(scores), "--out-dir", str(tmp_path)) == 2
+        assert f"{scores}: line {line} {what}" in capsys.readouterr().err
+        assert run("train", "--kind", "ranknet", "-O", "epochs=1",
+                   "--train-features", str(scored_run / "features_train.csv"),
+                   "--val-features", str(val), "--out", str(tmp_path / "m.json")) == 2
+        assert f"{val}: line {line} {what}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit,where", [
         (first_row_set("user_id", "9" * 20), "line 2"),

@@ -261,7 +261,8 @@ class TestHistogram:
 
 @st.composite
 def score_tables(draw):
-    """A score-file table with any ids, finite base ranks and scores, and gains 0-2 or none."""
+    """A score-file table with any ids, base ranks 1..10 in any order, finite scores, and
+    gains 0-2 or none."""
     n = draw(st.integers(min_value=1, max_value=4))
     ids = arrays(np.int64, n)
     numbers = arrays(np.float64, (n, 10),
@@ -274,7 +275,8 @@ def score_tables(draw):
         serp_ids=draw(ids),
         doc_ids=draw(arrays(np.int64, (n, 10))),
         x=np.zeros((n, 10, 0)),
-        base_ranks=draw(numbers),
+        base_ranks=np.array(draw(st.lists(st.permutations(range(1, 11)), min_size=n,
+                                          max_size=n)), dtype=np.float64),
         gains=draw(st.none() | gains),
     )
     return table, draw(numbers)

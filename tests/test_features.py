@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persorank import contexts, features
+from persorank.cache import save_sessions
+from persorank.cli import main
 from persorank.contexts import (
     Context,
     ItemKind,
@@ -29,7 +31,7 @@ from persorank.features import (
     write_features,
 )
 from persorank.logs import DataError, Grade, Impression, Session, SessionColumns, parse_columns
-from persorank.partition import TargetSet, rank_sessions, select_targets
+from persorank.partition import TargetSet, rank_sessions, select_targets, write_targets
 from persorank.synth import GenConfig, generate_lines
 
 from oracles import (
@@ -411,6 +413,8 @@ class TestWriteFeatures:
                      rng.choice(self.SPECIAL, (n_targets, 10, N_FEATURES)),
                      rng.normal(size=(n_targets, 10, N_FEATURES))
                      * 10.0 ** rng.integers(-320, 300, (n_targets, 10, N_FEATURES)))
+        # The base_rank column is 1..10 in some order, as `read_features` requires.
+        x[..., -1] = rng.permuted(np.tile(np.arange(1.0, 11.0), (n_targets, 1)), axis=1)
         ids = rng.integers(-2**62, 2**62, (4, n_targets))
         return FeatureTable(*ids, doc_ids=rng.integers(-2**62, 2**62, (n_targets, 10)), x=x,
                             base_ranks=x[..., -1].copy(),
@@ -598,7 +602,9 @@ def shown_at_ranks_1_3_1(users, query):
 
 
 TARGET_TERMS_1 = serp(1, range(10), range(10), terms=(1,))
-OVERFLOW_TEXT = "^exact similarity sums exceed 2\\*\\*53$"  # it names no context pair
+# It names the target, not the context pair.
+OVERFLOW_TEXT = (rf"^target \(user 1, session {TARGET_SESSION}, serp 1\): "
+                 r"exact similarity sums exceed 2\*\*53$")
 
 
 def union_sizes_1_to_45(own):
@@ -877,12 +883,24 @@ class TestColumnar:
         assert block(values, 1)[:, 10].tolist() == [1.0] * 10
 
     def test_similarity_sums_beyond_float64_integers_are_an_error(self):
-        with pytest.raises(OverflowError, match=OVERFLOW_TEXT):
+        with pytest.raises(DataError, match=OVERFLOW_TEXT):
             check_hand_built(union_sizes_1_to_45(own=False), 1, TARGET_TERMS_1)
 
     def test_own_similarity_sums_beyond_float64_integers_are_an_error(self):
-        with pytest.raises(OverflowError, match=OVERFLOW_TEXT):
+        with pytest.raises(DataError, match=OVERFLOW_TEXT):
             check_hand_built(union_sizes_1_to_45(own=True), 1, TARGET_TERMS_1)
+
+    def test_similarity_sums_beyond_float64_integers_exit_extract_with_data_error(
+            self, tmp_path, capsys):
+        sessions = union_sizes_1_to_45(own=False) + [
+            Session(TARGET_SESSION, 1, 28, [TARGET_TERMS_1])]
+        save_sessions(SessionColumns.of(sessions), tmp_path / "s.cache")
+        write_targets(TargetSet(test=np.array([(1, TARGET_SESSION, 1)])), tmp_path / "t.csv")
+        assert main(["extract", "--cache", str(tmp_path / "s.cache"),
+                     "--targets", str(tmp_path / "t.csv"), "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: target (user 1, session {TARGET_SESSION}, serp 1): "
+            "exact similarity sums exceed 2**53\n")
 
     def test_log_without_training_rows(self):
         values = check_hand_built([Session(1, 2, 29, [serp(0, range(10), range(10))])], 1,

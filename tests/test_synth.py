@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from persorank.cli import main
@@ -8,6 +10,7 @@ from persorank.logs import (
     SessionColumns,
     corpus_stats,
     label_sessions,
+    parse_columns,
     parse_log,
     sessionize,
 )
@@ -106,6 +109,58 @@ class TestCounts:
         assert main(argv) == 3
         assert capsys.readouterr().err.startswith("internal error: RuntimeError: ")
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("settings", [
+    {"n_users": 1, "rng_seed": 3},
+    {"n_users": 30, "rng_seed": 4, "n_days": 4},
+    {"n_users": 30, "rng_seed": 5, "queries_per_user_per_day": 1, "n_documents": 10},
+    {"n_users": 150, "rng_seed": 6},
+    {"n_users": 150, "rng_seed": 7, "n_days": 60, "repeat_query_prob": 1.0},
+], ids=["1_user", "4_days", "10_documents", "150_users", "60_days"])
+def test_counts_by_day_are_those_of_the_whole_log(settings):
+    cfg = GenConfig(**settings)
+    lines, stats = generate_lines(cfg)
+    assert stats == corpus_stats(parse_columns(line + "\n" for line in lines), cfg.train_days)
+
+
+def test_one_declined_day_is_internal_error(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def decline_third_day(lines):
+        calls.append(None)
+        return None if len(calls) == 3 else parse_columns(lines)
+
+    monkeypatch.setattr("persorank.synth.parse_columns", decline_third_day)
+    assert main(["gen", "--out", str(tmp_path / "log.tsv"), "-O", "n_users=5"]) == 3
+    assert capsys.readouterr().err == (
+        "internal error: RuntimeError: the array parser declined day 3 of a generated log\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+# The traced peak of `generate_lines` above its start, per log record, on
+# the 100-user log below. The returned lines hold about 115 bytes per
+# record; with the session texts and one day's parse it was 184 bytes per
+# record with Python 3.11. Holding every session's plan and parsing the
+# whole log at once took 740.
+PEAK_BYTES_PER_RECORD = 250
+
+
+def test_traced_peak_per_record():
+    cfg = GenConfig(n_users=100, rng_seed=5)
+    generate_lines(GenConfig(n_users=1))  # one-time allocations, such as the regex cache
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        lines, _ = generate_lines(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak / len(lines) < PEAK_BYTES_PER_RECORD, f"{peak / len(lines):.1f} bytes per record"
 
 
 class TestConfigValidation:
