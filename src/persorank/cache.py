@@ -23,14 +23,16 @@ def _umask() -> int:
 
 
 @contextmanager
-def atomic_write(path: str | Path, mode: str = "w", newline: str | None = None):
+def atomic_write(path: str | Path, mode: str | None = "w", newline: str | None = None):
     """Open a temp file beside `path` for writing; rename it into place on success.
 
     The temp name is unique (mkstemp), so concurrent writers into one
     directory never share a temp file. The renamed file gets the usual
     umask-default permissions rather than mkstemp's 0600. `newline` is
-    `open`'s: CSV writers pass "" to keep their CRLF line ends. A temp file
-    that cannot be created raises DataError naming `path`.
+    `open`'s: CSV writers pass "" to keep their CRLF line ends. With `mode`
+    None the temp file's path is yielded instead, for a writer that writes
+    it by name; nesting such writes puts several files in place together.
+    A temp file that cannot be created raises DataError naming `path`.
     """
     path = Path(path)
     try:
@@ -39,8 +41,11 @@ def atomic_write(path: str | Path, mode: str = "w", newline: str | None = None):
         raise DataError(f"cannot create {path}: {exc.strerror}") from None
     os.close(fd)
     try:
-        with open(tmp_name, mode, newline=newline) as fh:
-            yield fh
+        if mode is None:
+            yield Path(tmp_name)
+        else:
+            with open(tmp_name, mode, newline=newline) as fh:
+                yield fh
         os.chmod(tmp_name, 0o666 & ~_umask())
         os.replace(tmp_name, path)
     except BaseException:

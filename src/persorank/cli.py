@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import ctypes
 import errno
@@ -72,6 +73,19 @@ def _require(path: str | Path) -> Path:
     if path.is_dir():
         raise DataError(f"cannot read {path}: {os.strerror(errno.EISDIR)}")
     return path
+
+
+@contextlib.contextmanager
+def _naming(*paths: Path):
+    """Name the input `paths` in a DataError raised within.
+
+    Such an error names only a record, a session or a target, which may be
+    at fault in any of the inputs that must agree.
+    """
+    try:
+        yield
+    except DataError as exc:
+        raise DataError(f"{', '.join(map(str, paths))}: {exc}") from None
 
 
 def _outputs(*paths: str | Path) -> list[Path]:
@@ -134,7 +148,8 @@ def _cmd_parse(args, cfg: PipelineConfig):
     if columns is None:  # not a canonical log: the result or the error is the reference's
         with decoding(log_path), _open_log(log_path) as fh:
             records = parse_log(fh)
-        sessions = sessionize(records)
+        with _naming(log_path):
+            sessions = sessionize(records)
         del records  # before labeling and the columns raise the peak
         label_sessions(sessions)
         columns = SessionColumns.of(sessions)
@@ -158,10 +173,11 @@ def _cmd_stats(args, cfg: PipelineConfig):
         targets = read_targets(inputs[1])
         for role in ("train", "validation"):
             ids = targets.by_role(role)
-            grades = columns.grades[columns.rows_of(ids)]
-            if (grades < 0).any():
-                raise DataError("target user={} session={} serp={} is unlabeled".format(
-                    *ids[np.argmax(grades[:, 0] < 0)].tolist()))
+            with _naming(*inputs):
+                grades = columns.grades[columns.rows_of(ids)]
+                if (grades < 0).any():
+                    raise DataError("target user={} session={} serp={} is unlabeled".format(
+                        *ids[np.argmax(grades[:, 0] < 0)].tolist()))
             rows += [(f"relevance_{role}_targets", grade, count)
                      for grade, count in count_grades(grades).items()]
 
@@ -211,16 +227,25 @@ def _cmd_extract(args, cfg: PipelineConfig):
     outputs = _outputs(*(Path(cfg.features_dir) / f"features_{role}.csv" for role in ROLES))
     columns = cache.load_columns(cache_path)
     targets = read_targets(targets_path)
-    extracted = features.extract_targets(
-        columns, targets, train_days=cfg.train_days, seed=cfg.partition_seed
-    )
-    for role, path in zip(ROLES, outputs):
-        features.write_features(extracted[role], path)
+    with _naming(cache_path, targets_path):
+        extraction = features.Extraction.read(columns, targets, train_days=cfg.train_days,
+                                              seed=cfg.partition_seed)
+    del columns  # before the index is built, so that the two are never held together
+    extraction.index()
+    # One role's table at a time, each written to a temp file; all three go
+    # into place together once the last is written, or none does.
+    n_targets = []
+    with contextlib.ExitStack() as stack:
+        for role, path in zip(ROLES, outputs):
+            temp = stack.enter_context(cache.atomic_write(path, mode=None))
+            table = features.extract_targets(extraction, role)
+            features.write_features(table, temp)
+            n_targets.append(table.n_targets)
+            del table
     return (
         {"seed": cfg.partition_seed, "train_days": cfg.train_days},
         [cache_path, targets_path], outputs,
-        "wrote " + ", ".join(f"{p} ({extracted[r].n_targets} targets)"
-                             for p, r in zip(outputs, ROLES)),
+        "wrote " + ", ".join(f"{p} ({n} targets)" for p, n in zip(outputs, n_targets)),
     )
 
 

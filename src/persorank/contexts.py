@@ -147,7 +147,7 @@ class IndexRows:
     `items` are codes into `documents`, columns 10-19 codes into `domains`
     plus len(documents), in `index_dtype` of the slot count. Code -1 marks
     the earlier slot of a document listed twice, which counts only at its
-    last slot, as in `doc_ranks`. `features.extract_targets` drops the
+    last slot, as in `doc_ranks`. `features.Extraction.index` drops the
     slot-sized columns (`items` to `last_click`) once its indexes are built.
     """
 

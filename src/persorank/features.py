@@ -232,16 +232,41 @@ def extract_impression(
                    for pos in range(len(imp.documents))]])
     one = SessionColumns.of([Session(session_id, user_id, 0, [imp])])
     target = np.array([[user_id, session_id, imp.serp_id]], dtype=np.int64)
-    return _table(target, one, np.zeros(1, dtype=np.int64), x)
+    zero = np.zeros(1, dtype=np.int64)  # the impression's row and its session's rank
+    return _table(_Targets.of(one, target, zero, zero), x)
 
 
-def _table(targets: np.ndarray, columns: SessionColumns, at: np.ndarray,
-           x: np.ndarray) -> FeatureTable:
-    """(T, 3) `targets` (user, session, serp ids), impression rows `at`, with values `x`."""
-    user_ids, session_ids, serp_ids = targets.T.copy()
-    grades = columns.grades[at]
+class _Targets(NamedTuple):
+    """One role's targets with the fields of their impressions that extraction reads.
+
+    Every field is its own array, so that it holds no reference to the
+    session columns it was read from.
+    """
+
+    ids: np.ndarray        # (T, 3) user, session and serp ids
+    query_ids: np.ndarray  # (T,)
+    times: np.ndarray      # (T,) time_passed
+    documents: np.ndarray  # (T, 10)
+    domains: np.ndarray    # (T, 10)
+    grades: np.ndarray     # (T, 10) grade codes, -1 across an unlabeled impression
+    terms: list[frozenset[int]]  # query terms
+    ranks: np.ndarray      # (T,) session rank
+
+    @classmethod
+    def of(cls, columns: SessionColumns, ids: np.ndarray, at: np.ndarray,
+           ranks: np.ndarray) -> "_Targets":
+        """Targets `ids` at impression rows `at`, whose sessions have ranks `ranks`."""
+        return cls(ids, columns.query_id[at], columns.time_passed[at], columns.documents[at],
+                   columns.domains[at], columns.grades[at],
+                   [frozenset(t) for t in columns.term_tuples(at)], ranks)
+
+
+def _table(targets: _Targets, x: np.ndarray) -> FeatureTable:
+    """The table of `targets` with values `x`."""
+    user_ids, session_ids, serp_ids = targets.ids.T.copy()
+    grades = targets.grades
     return FeatureTable(
-        user_ids, columns.query_id[at], session_ids, serp_ids, columns.documents[at],
+        user_ids, targets.query_ids, session_ids, serp_ids, targets.documents,
         x, x[..., -1].copy(),
         CODE_GAINS[grades].astype(np.float64) if (grades >= 0).all() else None,
     )
@@ -451,6 +476,9 @@ PACKED = tuple((name, int(largest).bit_length()) for name, largest in (
     ("gain_max", N_GAINS - 1), ("gain_min", N_GAINS - 1),
     ("gain_sum", SERP_SIZE * (N_GAINS - 1)), ("n_slots", SERP_SIZE)))
 ATTRIBUTE_BITS = sum(bits for _, bits in PACKED)
+# Sorted slot keys per decoding and tally pass of `_Crowd.of`. It bounds the
+# pass's temporaries, about 60 bytes per key.
+CROWD_SLOTS = 1 << 16
 
 
 class _Crowd(NamedTuple):
@@ -471,10 +499,12 @@ class _Crowd(NamedTuple):
     def of(cls, rows: IndexRows, occurrences: np.ndarray) -> "_Crowd":
         """One sort of every topmost slot by (item, segment, attributes) key.
 
-        Equal keys are one occurrence repeated, so the tallies add each
-        distinct key once, weighted by its count. The keys are packed and
-        sorted in one int64 array, the only slot-sized temporary, which is
-        freed before the distinct keys are decoded and tallied.
+        The keys are packed and sorted in one int64 array, the only
+        slot-sized temporary. It is tallied a block of `CROWD_SLOTS` keys at
+        a time, so that no other temporary grows with the slots. Equal keys
+        are one occurrence repeated, so a block's tallies add each distinct
+        key once, weighted by its count. An entry that spans two blocks adds
+        the later block's tally to the earlier one's.
         """
         queries, query = np.unique(rows.queries, return_inverse=True)
         n_terms = len(rows.terms)
@@ -494,20 +524,30 @@ class _Crowd(NamedTuple):
         key = key.ravel()
         key.sort()
         key = key[np.searchsorted(key, 0):]
-        starts = np.flatnonzero(_firsts(key))
-        n_slots = len(key)
-        key = key[starts]  # frees the slot-sized keys
-        counts = np.diff(starts, append=n_slots).astype(np.float64)
-        del starts
-        occ = {}
-        for name, bits in PACKED[::-1]:
-            occ[name] = np.bitwise_and(key, (1 << bits) - 1, out=np.empty(len(key), np.int8))
-            key >>= bits
-        new = _firsts(key)
-        key = key[new]
+        keys, tallies, last = [np.empty(0, np.int64)], [np.empty((0, TALLY), np.int64)], -1
+        for start in range(0, len(key), CROWD_SLOTS):
+            block = key[start:start + CROWD_SLOTS]
+            starts = np.flatnonzero(_firsts(block))
+            counts = np.diff(starts, append=len(block))
+            block = block[starts]
+            occ = {}
+            for name, bits in PACKED[::-1]:
+                occ[name] = np.bitwise_and(block, (1 << bits) - 1, out=np.empty(len(block), np.int8))
+                block >>= bits
+            first = _firsts(block)
+            tally = _tally(np.cumsum(first) - 1, occ, occ["column"], np.count_nonzero(first),
+                           counts)
+            if block[0] == last:  # the entry that ends the previous block goes on
+                tallies[-1][-1] += tally[0]
+                first[0], tally = False, tally[1:]
+            if len(tally):
+                keys.append(block[first])
+                tallies.append(tally)
+            last = block[-1]
+        del key  # before the entries are joined
         return cls(queries, np.searchsorted(segments, np.arange(len(queries) + 1) * n_terms),
-                   segments % n_terms, segment.ravel(), key,
-                   _tally(np.cumsum(new) - 1, occ, occ["column"], len(key), counts))
+                   segments % n_terms, segment.ravel(), np.concatenate(keys),
+                   np.concatenate(tallies))
 
 
 def _largest(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -641,79 +681,98 @@ def _blocks(present: np.ndarray, tally: np.ndarray, judged, terms: list[frozense
             .reshape(n_targets, SERP_SIZE, -1))
 
 
-def _target_blocks(rows: IndexRows, occurrences: np.ndarray, slots: _Slots, crowd: _Crowd,
-                   columns: SessionColumns, at: np.ndarray, terms: list[frozenset[int]],
-                   ids: np.ndarray, ranks, out: np.ndarray) -> None:
-    """Write the (T, 10, 121) feature values of the target impressions at rows `at` to `out`.
+def _target_blocks(e: "Extraction", targets: _Targets, chunk: slice, out: np.ndarray) -> None:
+    """Write the (T, 10, 121) feature values of the `chunk` of `targets` to `out`.
 
-    `terms` are their query terms, `ids` their (user, session, serp) ids
-    and `ranks` their session ranks. Contexts 1-4 come from the user's
-    earlier rows: of the query for 1-2, of other queries for 3-4. Contexts
-    5-6 come from the tallies of the query's rows less those of the user's
-    own rows of it. One pair's evidence is held at a time.
+    Contexts 1-4 come from the user's earlier rows: of the query for 1-2,
+    of other queries for 3-4. Contexts 5-6 come from the tallies of the
+    query's rows less those of the user's own rows of it. One pair's
+    evidence is held at a time.
     """
-    queries, times = columns.query_id[at], columns.time_passed[at]
-    domains = _codes(rows.domains, columns.domains[at])
-    items = np.hstack([_codes(rows.documents, columns.documents[at]),
+    rows, terms, ids = e.rows, targets.terms[chunk], targets.ids[chunk]
+    queries, times, ranks = (a[chunk] for a in (targets.query_ids, targets.times, targets.ranks))
+    domains = _codes(rows.domains, targets.domains[chunk])
+    items = np.hstack([_codes(rows.documents, targets.documents[chunk]),
                        np.where(domains >= 0, domains + len(rows.documents), -1)])
-    hits = slots.hits(ids[:, 0], items)
+    hits = e.slots.hits(ids[:, 0], items)
     t, row = hits[0] // (2 * SERP_SIZE), hits[1] // (2 * SERP_SIZE)
     rank = rows.ranks[row]
     earlier = (rank < ranks[t]) | ((rank == ranks[t]) & (rows.times[row] < times[t]))
     same_query = rows.queries[row] == queries[t]
     for k, keep in enumerate((same_query & earlier, ~same_query & earlier)):
         out[..., 40 * k:40 * (k + 1)] = _blocks(
-            *_pair_evidence(rows, occurrences, hits, keep), terms, rows.terms, ids)
+            *_pair_evidence(rows, e.occurrences, hits, keep), terms, rows.terms, ids)
     out[..., 80:120] = _blocks(
-        *_crowd_evidence(crowd, occurrences, items, queries,
+        *_crowd_evidence(e.crowd, e.occurrences, items, queries,
                          (hits[0][same_query], hits[1][same_query])), terms, rows.terms, ids)
     out[..., 120] = np.arange(1.0, SERP_SIZE + 1)  # base rank
 
 
-def extract_targets(
-    columns: SessionColumns,
-    targets: TargetSet,
-    train_days: int = 27,
-    seed: int = 0,
-) -> dict[str, FeatureTable]:
-    """The feature table of each role's targets.
+@dataclass(eq=False)
+class Extraction:
+    """What extraction reads: the index rows, each role's targets, and the index on the rows.
 
-    Within each role the targets are in (user_id, session_id, serp_id)
-    order, so output is deterministic. The session order seed must match
-    the one used for partitioning. The values equal `extract_impression`
-    over `assemble_contexts` bit for bit: every value is exact and rounded
-    once. The attributes of every (index row, item) occurrence are computed
-    once (`_occurrences`). Their topmost slots are indexed by (item, user)
-    for contexts 1-4 (`_Slots`), and tallied by (query, item) for contexts
-    5-6 (`_Crowd`), so the cost of a target depends on its user's rows, not
-    on how many users logged its query. Each context pair's occurrences of
-    a target item become one integer tally, and one function (`_blocks`)
-    turns tallies into values. Targets go through the kernel in chunks of
+    `read` fills `rows` and `targets` from the session columns and keeps no
+    reference to them, so that a caller can drop the columns before `index`
+    builds the rest. The attributes of every (index row, item) occurrence
+    are computed once (`_occurrences`). Their topmost slots are tallied by
+    (query, item) for contexts 5-6 (`_Crowd`) and indexed by (item, user)
+    for contexts 1-4 (`_Slots`). The rows' slot-sized columns then go:
+    `extract_targets` reads only the rest.
+    """
+
+    rows: IndexRows
+    targets: dict[str, _Targets]  # by role, in (user, session, serp) order
+    occurrences: np.ndarray | None = None
+    crowd: _Crowd | None = None
+    slots: _Slots | None = None
+
+    @classmethod
+    def read(cls, columns: SessionColumns, targets: TargetSet, train_days: int = 27,
+             seed: int = 0) -> "Extraction":
+        """The index rows and each role's targets, in the session order of `seed`.
+
+        The seed must match the one used for partitioning. A target that
+        names no impression raises DataError.
+        """
+        ranks = rank_sessions(columns, seed)
+        rows = index_rows(columns, ranks, train_days)
+        session = columns.impression_sessions()
+        by_role = [targets.by_role(role) for role in ROLES]
+        by_role = [ids[np.lexsort(ids.T[::-1])] for ids in by_role]  # by user, session, serp
+        found = columns.rows_of(np.concatenate(by_role))  # one key sort for every role
+        ends = np.cumsum([len(ids) for ids in by_role])[:-1]
+        return cls(rows, {role: _Targets.of(columns, ids, at, ranks[session[at]])
+                          for role, ids, at in zip(ROLES, by_role, np.split(found, ends))})
+
+    def index(self) -> None:
+        """Build the occurrence table, the crowd tally and the slot index from the rows."""
+        rows = self.rows
+        self.occurrences = _occurrences(rows)
+        self.crowd = _Crowd.of(rows, self.occurrences)  # before `slots`: its sort never meets theirs
+        self.slots = _Slots.of(rows, self.occurrences["top"], rows.users)
+        # The targets read only the rows' per-row columns: their slot-sized ones go now.
+        self.rows = replace(rows, items=None, gains=None, clicked=None, last_click=None)
+
+
+def extract_targets(extraction: Extraction, role: str) -> FeatureTable:
+    """The feature table of one role's targets, from an indexed `extraction`.
+
+    The targets are in (user_id, session_id, serp_id) order, so output is
+    deterministic. The values equal `extract_impression` over
+    `assemble_contexts` bit for bit: every value is exact and rounded once.
+    Each context pair's occurrences of a target item become one integer
+    tally, and one function (`_blocks`) turns tallies into values, so the
+    cost of a target depends on its user's rows, not on how many users
+    logged its query. Targets go through the kernel in chunks of
     `CHUNK_TARGETS`. A role with any unlabeled target gets gains=None.
     """
-    ranks = rank_sessions(columns, seed)
-    rows = index_rows(columns, ranks, train_days)
-    occurrences = _occurrences(rows)
-    crowd = _Crowd.of(rows, occurrences)  # before `slots`, so its sort never meets their keys
-    slots = _Slots.of(rows, occurrences["top"], rows.users)
-    # The targets read only the rows' per-row columns: their slot-sized ones go now.
-    rows = replace(rows, items=None, gains=None, clicked=None, last_click=None)
-    session = columns.impression_sessions()
-    by_role = [targets.by_role(role) for role in ROLES]
-    by_role = [ids[np.lexsort(ids.T[::-1])] for ids in by_role]  # by user, session, serp
-    found = columns.rows_of(np.concatenate(by_role))  # one key sort for every role
-    out: dict[str, FeatureTable] = {}
-    ends = np.cumsum([len(ids) for ids in by_role])[:-1]
-    for role, ids, at in zip(ROLES, by_role, np.split(found, ends)):
-        target_ranks = ranks[session[at]]
-        terms = [frozenset(t) for t in columns.term_tuples(at)]
-        x = np.empty((len(ids), SERP_SIZE, N_FEATURES))
-        for start in range(0, len(ids), CHUNK_TARGETS):
-            chunk = slice(start, start + CHUNK_TARGETS)
-            _target_blocks(rows, occurrences, slots, crowd, columns, at[chunk], terms[chunk],
-                           ids[chunk], target_ranks[chunk], x[chunk])
-        out[role] = _table(ids, columns, at, x)
-    return out
+    targets = extraction.targets[role]
+    x = np.empty((len(targets.ids), SERP_SIZE, N_FEATURES))
+    for start in range(0, len(targets.ids), CHUNK_TARGETS):
+        chunk = slice(start, start + CHUNK_TARGETS)
+        _target_blocks(extraction, targets, chunk, x[chunk])
+    return _table(targets, x)
 
 
 # Targets per join when writing a grouped CSV. Their row strings are made

@@ -191,10 +191,12 @@ def write_targets(targets: TargetSet, path: str | Path) -> None:
 def read_targets(path: str | Path) -> TargetSet:
     """Load a targets CSV.
 
-    A row that does not parse, names an unknown role, or holds an id outside
-    int64 raises DataError naming its line.
+    A row that does not parse, names an unknown role, holds an id outside
+    int64, or lists a (user, session, serp) target that an earlier row
+    lists, in any role, raises DataError naming its line.
     """
     rows: dict[str, list[list[int]]] = {role: [] for role in ROLES}
+    lines: dict[tuple[int, ...], int] = {}  # the line of each target
     with decoding(path), open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
@@ -204,6 +206,10 @@ def read_targets(path: str | Path) -> TargetSet:
                     raise ValueError(f"ids {ids} do not all fit in int64")
                 if row["role"] not in rows:
                     raise ValueError(f"unknown role: {row['role']}")
+                first = lines.setdefault(tuple(ids), reader.line_num)
+                if first != reader.line_num:
+                    raise ValueError("target (user {}, session {}, serp {}) is listed twice, "
+                                     "first at line {}".format(*ids, first))
                 rows[row["role"]].append(ids)
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}: line {reader.line_num}: {exc}") from None

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import settings
 
+from persorank import features
 from persorank.logs import SessionColumns, label_sessions, parse_log, sessionize
-from persorank.partition import select_targets
+from persorank.partition import ROLES, select_targets
 from persorank.synth import GenConfig, generate_lines
 
 # Property tests draw the same examples on every run; each keeps its own max_examples.
@@ -33,6 +34,14 @@ def generated_sessions(gen_cfg: GenConfig):
     sessions = sessionize(parse_log(lines))
     label_sessions(sessions)
     return sessions, stats
+
+
+def extract_all(columns: SessionColumns, targets, train_days: int = 27,
+                seed: int = 0) -> dict[str, features.FeatureTable]:
+    """Every role's feature table, extracted as `persorank extract` extracts them."""
+    extraction = features.Extraction.read(columns, targets, train_days, seed)
+    extraction.index()
+    return {role: features.extract_targets(extraction, role) for role in ROLES}
 
 
 def make_corpus(gen_cfg: GenConfig, partition_seed: int = 5) -> Corpus:

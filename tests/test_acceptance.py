@@ -36,7 +36,7 @@ from persorank.ranker import (
 )
 from persorank.synth import GenConfig
 
-from conftest import generated_sessions
+from conftest import extract_all, generated_sessions
 from oracles import OracleScan, finite_difference_grads, oracle_extract, oracle_ndcg
 from test_features import random_context
 from test_logs import make_session
@@ -92,7 +92,7 @@ def desk(tmp_path_factory):
     targets, _ = select_targets(
         columns, train_days=DESK_GEN.train_days, seed=DESK_PARTITION_SEED
     )
-    extracted = features.extract_targets(
+    extracted = extract_all(
         columns, targets, train_days=DESK_GEN.train_days, seed=DESK_PARTITION_SEED
     )
     tables = {}
@@ -147,7 +147,7 @@ def test_criterion_2_feature_oracle_equivalence():
         targets, _ = select_targets(columns, train_days=cfg.train_days, seed=5)
 
         start = time.perf_counter()
-        extracted = features.extract_targets(
+        extracted = extract_all(
             columns, targets, train_days=cfg.train_days, seed=5
         )
         elapsed = time.perf_counter() - start

@@ -6,6 +6,7 @@ import json
 import os
 import pickle
 import platform
+import random
 import re
 import stat
 import subprocess
@@ -1010,6 +1011,38 @@ class TestMalformedInputs:
             err = capsys.readouterr().err
             assert err.startswith("data error: ") and f"{targets}: line 2" in err, argv
 
+    @pytest.mark.parametrize("role", ["train", "test"], ids=["same_role", "other_role"])
+    def test_repeated_target_is_data_error(self, scored_run, tmp_path, capsys, role):
+        lines = (scored_run / "t.csv").read_text().splitlines()
+        first = next(n for n, line in enumerate(lines, start=1) if line.startswith("train,"))
+        ids = lines[first - 1].split(",", 1)[1]
+        targets = tmp_path / "t.csv"
+        targets.write_text("\n".join(lines + [f"{role},{ids}"]) + "\n")
+        cache_file = str(scored_run / "s.cache")
+        for argv in (["extract", "--cache", cache_file, "--targets", str(targets),
+                      "--out-dir", str(tmp_path)],
+                     ["stats", "--cache", cache_file, "--targets", str(targets),
+                      "--out", str(tmp_path / "stats.csv")]):
+            capsys.readouterr()
+            assert run(*argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"data error: {targets}: line {len(lines) + 1}: target "), argv
+            assert err.endswith(f"is listed twice, first at line {first}\n"), argv
+
+    def test_target_missing_from_cache_names_both_files(self, scored_run, tmp_path, capsys):
+        targets = tmp_path / "t.csv"
+        targets.write_text("role,user_id,session_id,serp_id\ntrain,1,999999999,0\n")
+        cache_file = str(scored_run / "s.cache")
+        for argv in (["extract", "--cache", cache_file, "--targets", str(targets),
+                      "--out-dir", str(tmp_path)],
+                     ["stats", "--cache", cache_file, "--targets", str(targets),
+                      "--out", str(tmp_path / "stats.csv")]):
+            capsys.readouterr()
+            assert run(*argv) == 2, argv
+            assert capsys.readouterr().err == (
+                f"data error: {cache_file}, {targets}: target user=1 session=999999999 "
+                "serp=0 not found in the parsed sessions\n"), argv
+
     def blend(self, tmp_path, *members, method="average"):
         return run("blend", "--scores", *map(str, members), "--method", method,
                    "--out", str(tmp_path / "b.csv"), "--model-out", str(tmp_path / "b.json"))
@@ -1137,3 +1170,90 @@ class TestMalformedInputs:
                    "--train-features", str(scored_run / "features_train.csv"),
                    "--val-features", str(empty), "--out", str(tmp_path / "m.json"),
                    "--epochs", "2", "--hidden", "16") == 2
+
+
+# Each input kind of `scored_run`, with the commands that read it: each
+# builds the argv for a mutated copy `bad`, the other inputs in `w` and the
+# outputs in `out`.
+FUZZ_CONSUMERS = {
+    "log.tsv": [lambda bad, w, out: ["parse", "--log", bad, "--out", f"{out}/s.cache"]],
+    "s.cache": [
+        lambda bad, w, out: ["partition", "--cache", bad, "--out", f"{out}/t.csv"],
+        lambda bad, w, out: ["extract", "--cache", bad, "--targets", f"{w}/t.csv",
+                             "--out-dir", out],
+    ],
+    "t.csv": [
+        lambda bad, w, out: ["extract", "--cache", f"{w}/s.cache", "--targets", bad,
+                             "--out-dir", out],
+        lambda bad, w, out: ["stats", "--cache", f"{w}/s.cache", "--targets", bad,
+                             "--out", f"{out}/stats.csv"],
+    ],
+    "features_validation.csv": [
+        lambda bad, w, out: ["score", "--model", f"{w}/model.json", "--features", bad,
+                             "--out", f"{out}/scores.csv"],
+        lambda bad, w, out: ["train", "--kind", "heuristic",
+                             "--train-features", f"{w}/features_train.csv",
+                             "--val-features", bad, "--out", f"{out}/model.json"],
+    ],
+    "model.json": [lambda bad, w, out: ["score", "--model", bad, "--features",
+                                        f"{w}/features_validation.csv",
+                                        "--out", f"{out}/scores.csv"]],
+    "scores.csv": [
+        lambda bad, w, out: ["eval", "--scores", bad, "--out-dir", out],
+        lambda bad, w, out: ["blend", "--scores", bad, f"{w}/scores.csv",
+                             "--out", f"{out}/b.csv", "--model-out", f"{out}/b.json"],
+    ],
+    "blend.json": [lambda bad, w, out: ["blend", "--scores", f"{w}/scores.csv",
+                                        f"{w}/scores.csv", "--apply", bad,
+                                        "--out", f"{out}/b.csv"]],
+    "report.csv": [lambda bad, w, out: ["analyze", "--report", bad, "--out-dir", out]],
+}
+FUZZ_DRAWS = 3  # seeded draws of each mutation
+
+
+def mutations(data: bytes, rng: random.Random):
+    """(name, mutated bytes): a truncation, changed bytes, a duplicated line, a deleted line."""
+    lines = data.splitlines(keepends=True)
+    yield "truncated", data[:rng.randrange(len(data))]
+    changed = bytearray(data)
+    for _ in range(rng.randint(1, 4)):
+        changed[rng.randrange(len(data))] = rng.randrange(256)
+    yield "changed bytes", bytes(changed)
+    at = rng.randrange(len(lines))
+    yield "duplicated line", b"".join(lines[:at + 1] + lines[at:])
+    at = rng.randrange(len(lines))
+    yield "deleted line", b"".join(lines[:at] + lines[at + 1:])
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(scored_run, tmp_path_factory):
+    """`scored_run`'s files plus an average blend model of its scores."""
+    w = tmp_path_factory.mktemp("fuzz_inputs")
+    for name in FUZZ_CONSUMERS:
+        if name != "blend.json":
+            (w / name).write_bytes((scored_run / name).read_bytes())
+    (w / "features_train.csv").write_bytes((scored_run / "features_train.csv").read_bytes())
+    assert run("blend", "--scores", str(w / "scores.csv"), str(w / "scores.csv"),
+               "--out", str(w / "b.csv"), "--model-out", str(w / "blend.json")) == 0
+    return w
+
+
+class TestMutatedInputs:
+    @pytest.mark.parametrize("name", sorted(FUZZ_CONSUMERS))
+    def test_mutated_input_is_read_or_data_error(self, fuzz_inputs, tmp_path, capsys, name):
+        data = (fuzz_inputs / name).read_bytes()
+        out = tmp_path / "out"
+        out.mkdir()
+        for draw in range(FUZZ_DRAWS):
+            rng = random.Random(f"{name}:{draw}")
+            for mutation, mutated in mutations(data, rng):
+                bad = tmp_path / f"bad_{name}"
+                bad.write_bytes(mutated)
+                for consumer in FUZZ_CONSUMERS[name]:
+                    argv = consumer(str(bad), str(fuzz_inputs), str(out))
+                    capsys.readouterr()
+                    code = run(*argv)
+                    err = capsys.readouterr().err
+                    case = f"{mutation} (draw {draw}): {' '.join(argv)}: {err}"
+                    assert code in (0, 2), case
+                    assert code == 0 or str(bad) in err or "line" in err, case

@@ -24,6 +24,7 @@ from persorank.evaluate import (
 from persorank.features import FeatureTable
 from persorank.logs import DataError
 
+from conftest import extract_all
 from oracles import oracle_ndcg
 
 
@@ -186,7 +187,7 @@ class TestReRankShape:
         from persorank import features
         from persorank.ranker import ModelKind, RankModel, score_table
 
-        extracted = features.extract_targets(
+        extracted = extract_all(
             small_corpus.columns,
             small_corpus.targets,
             train_days=small_corpus.train_days,
@@ -209,7 +210,7 @@ class TestScoreFiles:
         from persorank import features
         from persorank.ranker import ModelKind, RankModel, score_table
 
-        extracted = features.extract_targets(
+        extracted = extract_all(
             small_corpus.columns,
             small_corpus.targets,
             train_days=small_corpus.train_days,

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -25,15 +26,15 @@ from persorank.features import (
     context_features,
     event_flags,
     extract_impression,
-    extract_targets,
     read_features,
     similarity,
     write_features,
 )
 from persorank.logs import DataError, Grade, Impression, Session, SessionColumns, parse_columns
-from persorank.partition import TargetSet, rank_sessions, select_targets, write_targets
+from persorank.partition import ROLES, TargetSet, rank_sessions, select_targets, write_targets
 from persorank.synth import GenConfig, generate_lines
 
+from conftest import extract_all
 from oracles import (
     OracleEntry,
     OracleScan,
@@ -287,7 +288,7 @@ class TestExtract:
         assert (table.user_ids.tolist(), table.session_ids.tolist()) == ([9], [4])
 
     def test_vector_length_everywhere(self, small_corpus):
-        extracted = extract_targets(
+        extracted = extract_all(
             small_corpus.columns,
             small_corpus.targets,
             train_days=small_corpus.train_days,
@@ -299,7 +300,7 @@ class TestExtract:
             assert np.isfinite(table.x).all()
 
     def test_csv_round_trip(self, small_corpus, tmp_path):
-        extracted = extract_targets(
+        extracted = extract_all(
             small_corpus.columns,
             small_corpus.targets,
             train_days=small_corpus.train_days,
@@ -317,7 +318,7 @@ class TestExtract:
         assert table.base_ranks.tolist() == [[float(r) for r in range(1, 11)]] * table.n_targets
 
     def test_written_table_reads_back_field_by_field(self, small_corpus, tmp_path):
-        extracted = extract_targets(
+        extracted = extract_all(
             small_corpus.columns,
             small_corpus.targets,
             train_days=small_corpus.train_days,
@@ -340,8 +341,8 @@ class TestExtract:
             for s in small_corpus.sessions
         ]
         kwargs = dict(train_days=small_corpus.train_days, seed=small_corpus.partition_seed)
-        labeled = extract_targets(small_corpus.columns, small_corpus.targets, **kwargs)["test"]
-        table = extract_targets(SessionColumns.of(sessions), small_corpus.targets, **kwargs)["test"]
+        labeled = extract_all(small_corpus.columns, small_corpus.targets, **kwargs)["test"]
+        table = extract_all(SessionColumns.of(sessions), small_corpus.targets, **kwargs)["test"]
         assert table.gains is None and table.n_targets > 1
         assert_same_table(table, dataclasses.replace(labeled, gains=None))
         path = tmp_path / "features.csv"
@@ -355,8 +356,8 @@ class TestExtract:
         kwargs = dict(
             train_days=small_corpus.train_days, seed=small_corpus.partition_seed
         )
-        a = extract_targets(small_corpus.columns, small_corpus.targets, **kwargs)
-        b = extract_targets(small_corpus.columns, small_corpus.targets, **kwargs)
+        a = extract_all(small_corpus.columns, small_corpus.targets, **kwargs)
+        b = extract_all(small_corpus.columns, small_corpus.targets, **kwargs)
         pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
         write_features(a["validation"], pa)
         write_features(b["validation"], pb)
@@ -383,8 +384,8 @@ class TestExtract:
             for s in small_corpus.sessions
         ]
         kwargs = dict(train_days=small_corpus.train_days, seed=small_corpus.partition_seed)
-        before = extract_targets(small_corpus.columns, small_corpus.targets, **kwargs)
-        after = extract_targets(SessionColumns.of(sessions), small_corpus.targets, **kwargs)
+        before = extract_all(small_corpus.columns, small_corpus.targets, **kwargs)
+        after = extract_all(SessionColumns.of(sessions), small_corpus.targets, **kwargs)
         for role, b in before.items():
             a = after[role]
             assert a.n_targets == b.n_targets > 0
@@ -540,8 +541,8 @@ def check_hand_built(sessions, user_id, imp, day=28):
     """
     sessions = sessions + [Session(TARGET_SESSION, user_id, day, [imp])]
     refs = [(user_id, TARGET_SESSION, imp.serp_id)]
-    got = extract_targets(SessionColumns.of(sessions), TargetSet(test=np.array(refs)),
-                          train_days=27, seed=0)["test"]
+    got = extract_all(SessionColumns.of(sessions), TargetSet(test=np.array(refs)),
+                      train_days=27, seed=0)["test"]
     assert_same_table(got, scalar_table(sessions, refs, 27, 0))
     return got.x[0]
 
@@ -623,7 +624,7 @@ def union_sizes_1_to_45(own):
 class TestColumnar:
     def test_matches_scalar_on_every_small_corpus_target(self, small_corpus):
         kwargs = dict(train_days=small_corpus.train_days, seed=small_corpus.partition_seed)
-        extracted = extract_targets(small_corpus.columns, small_corpus.targets, **kwargs)
+        extracted = extract_all(small_corpus.columns, small_corpus.targets, **kwargs)
         checked = 0
         for role in ("train", "validation", "test"):
             refs = sorted(map(tuple, small_corpus.targets.by_role(role).tolist()))
@@ -634,7 +635,7 @@ class TestColumnar:
 
     def test_chunk_size_does_not_change_features(self, small_corpus, monkeypatch):
         def extract():
-            return extract_targets(
+            return extract_all(
                 small_corpus.columns,
                 small_corpus.targets,
                 train_days=small_corpus.train_days,
@@ -719,8 +720,8 @@ class TestColumnar:
                                     data.draw(st.integers(1, 29)), impressions))
         refs = sorted((s.user_id, s.session_id, imp.serp_id)
                       for s in sessions for imp in s.impressions)
-        got = extract_targets(SessionColumns.of(sessions), TargetSet(test=np.array(refs)),
-                              train_days=27, seed=0)["test"]
+        got = extract_all(SessionColumns.of(sessions), TargetSet(test=np.array(refs)),
+                          train_days=27, seed=0)["test"]
         assert_same_table(got, scalar_table(sessions, refs, 27, 0))
         # The kernel and the reference share their summation rule; the index-free
         # exact oracle checks both, for every context.
@@ -902,17 +903,58 @@ class TestColumnar:
             f"data error: target (user 1, session {TARGET_SESSION}, serp 1): "
             "exact similarity sums exceed 2**53\n")
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["no_files", "old_files"])
+    def test_data_error_in_the_last_role_writes_no_role(self, tmp_path, capsys, existing):
+        # User 100 logs another query, so that its train and validation targets have values.
+        docs = list(range(10))
+        sessions = union_sizes_1_to_45(own=False) + [
+            Session(TARGET_SESSION, 1, 28, [TARGET_TERMS_1]),
+            Session(TARGET_SESSION + 1, 100, 3, [serp(0, docs, docs, {1: Grade.R1}, query=7)]),
+            Session(TARGET_SESSION + 2, 100, 28, [serp(0, docs, docs, {1: Grade.R1}, query=7)])]
+        save_sessions(SessionColumns.of(sessions), tmp_path / "s.cache")
+        train = np.array([(100, TARGET_SESSION + 1, 0)])
+        validation = np.array([(100, TARGET_SESSION + 2, 0)])
+        test = np.array([(1, TARGET_SESSION, 1)])
+        out = tmp_path / "features"
+        out.mkdir()
+
+        def extract(targets: TargetSet) -> int:
+            write_targets(targets, tmp_path / "t.csv")
+            return main(["extract", "--cache", str(tmp_path / "s.cache"),
+                         "--targets", str(tmp_path / "t.csv"), "--out-dir", str(out)])
+
+        assert extract(TargetSet(train=train, validation=validation)) == 0
+        for path in out.iterdir():
+            path.unlink()
+        if existing:
+            for role in ROLES:
+                (out / f"features_{role}.csv").write_bytes(f"old {role}\n".encode())
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        assert extract(TargetSet(train=train, validation=validation, test=test)) == 2
+        assert capsys.readouterr().err == (
+            f"data error: target (user 1, session {TARGET_SESSION}, serp 1): "
+            "exact similarity sums exceed 2**53\n")
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     def test_log_without_training_rows(self):
         values = check_hand_built([Session(1, 2, 29, [serp(0, range(10), range(10))])], 1,
                                   serp(1, range(10), range(10)))
         assert not values[:, :120].any()
 
 
-# The traced peak of `extract_targets` above its start, per index slot (an
-# index row's 20 document and domain slots), on the 300-user generated log
-# below. Measured with numpy 2.4, it is 58 bytes per slot; the bound leaves
-# room for other numpy versions' temporaries.
-PEAK_BYTES_PER_SLOT = 75
+# The traced peak of extraction above its start, per index slot (an index
+# row's 20 document and domain slots), on the 300-user generated log below:
+# reading the rows and targets, building the index, and each role's table in
+# turn, one held at a time, as `persorank extract` does. The session columns
+# are held by the fixture, so they are not counted. Measured with numpy 2.4,
+# it is 47 bytes per slot; the bound leaves room for other numpy versions'
+# temporaries.
+PEAK_BYTES_PER_SLOT = 61
+# The same for the whole `persorank extract` command, with the session columns
+# it loads and its writes counted. Measured with numpy 2.4, it is 47 bytes per
+# slot: the command drops the columns before it builds the index.
+COMMAND_PEAK_BYTES_PER_SLOT = 62
 
 
 @pytest.fixture(scope="module")
@@ -927,22 +969,54 @@ def generated_log():
     return columns, targets
 
 
+def traced_peak_per_slot(run, columns: SessionColumns) -> float:
+    """The traced peak of `run()` above its start, per index slot of `columns`."""
+    n_slots = len(contexts.training_rows(columns)[0]) * 20
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        return (tracemalloc.get_traced_memory()[1] - start) / n_slots
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 class TestExtractionMemory:
     def test_traced_peak_per_index_slot(self, generated_log):
         columns, targets = generated_log
-        n_slots = len(contexts.training_rows(columns)[0]) * 20
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            start = tracemalloc.get_traced_memory()[0]
-            extract_targets(columns, targets, seed=1)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        assert peak / n_slots < PEAK_BYTES_PER_SLOT, f"{peak / n_slots:.1f} bytes per slot"
+
+        def extract_each_role():
+            extraction = features.Extraction.read(columns, targets, seed=1)
+            extraction.index()
+            for role in ROLES:
+                features.extract_targets(extraction, role)
+
+        peak = traced_peak_per_slot(extract_each_role, columns)
+        assert peak < PEAK_BYTES_PER_SLOT, f"{peak:.1f} bytes per slot"
+
+    def test_command_peak_per_index_slot(self, generated_log, tmp_path, capsys):
+        columns, targets = generated_log
+        save_sessions(columns, tmp_path / "s.cache")
+        write_targets(targets, tmp_path / "t.csv")
+        argv = ["extract", "--cache", str(tmp_path / "s.cache"), "--targets",
+                str(tmp_path / "t.csv"), "--out-dir", str(tmp_path), "--seed", "1"]
+        codes = []
+        peak = traced_peak_per_slot(lambda: codes.append(main(argv)), columns)
+        assert codes == [0] and capsys.readouterr().out.startswith("wrote ")
+        assert peak < COMMAND_PEAK_BYTES_PER_SLOT, f"{peak:.1f} bytes per slot"
+
+    def test_read_holds_no_reference_to_the_columns(self, small_corpus):
+        columns = SessionColumns(**{name: array.copy()
+                                    for name, array in small_corpus.columns.arrays().items()})
+        alive = [weakref.ref(array) for array in columns.arrays().values()]
+        extraction = features.Extraction.read(columns, small_corpus.targets, seed=1)
+        del columns
+        assert not [ref for ref in alive if ref() is not None]
+        assert extraction.rows.items is not None and len(extraction.targets["train"].ids) > 0
 
     def test_int64_codes_give_the_same_features(self, generated_log, monkeypatch):
         columns, targets = generated_log
@@ -950,7 +1024,7 @@ class TestExtractionMemory:
         # int32 codes, with products of codes and slot counts that pass int32.
         assert rows.items.dtype == np.int32
         assert (len(rows.documents) + len(rows.domains)) * rows.items.size >= 2**31
-        narrow = extract_targets(columns, targets, seed=1)
+        narrow = extract_all(columns, targets, seed=1)
         monkeypatch.setattr(contexts, "index_dtype", lambda size: np.dtype(np.int64))
-        for role, table in extract_targets(columns, targets, seed=1).items():
+        for role, table in extract_all(columns, targets, seed=1).items():
             assert_same_table(table, narrow[role])

@@ -24,6 +24,7 @@ from persorank.ranker import (
     training_loss,
 )
 
+from conftest import extract_all
 from oracles import finite_difference_grads
 
 
@@ -224,7 +225,7 @@ def tables(tmp_path_factory):
             rng_seed=23,
         )
     )
-    extracted = features.extract_targets(
+    extracted = extract_all(
         corpus.columns, corpus.targets,
         train_days=corpus.train_days, seed=corpus.partition_seed,
     )

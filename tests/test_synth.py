@@ -19,7 +19,7 @@ from persorank.ranker import ModelKind, RankModel, score_table
 from persorank.synth import GenConfig, generate_lines
 from persorank import features
 
-from conftest import generated_sessions
+from conftest import extract_all, generated_sessions
 
 
 class TestDeterminism:
@@ -200,7 +200,7 @@ def _heuristic_gain(p: float, tmp_path):
     sessions, _ = generated_sessions(cfg)
     columns = SessionColumns.of(sessions)
     targets, _ = select_targets(columns, train_days=cfg.train_days, seed=5)
-    extracted = features.extract_targets(
+    extracted = extract_all(
         columns, targets, train_days=cfg.train_days, seed=5
     )
     path = tmp_path / "val.csv"
