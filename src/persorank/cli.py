@@ -6,8 +6,8 @@ extract, train, score, blend, eval, analyze. Settings resolve as defaults
 config key is parsed into that key, so handlers read settings only from the
 config, and every setting is range-checked before a handler runs. Every
 artifact is written atomically. ``main`` records each command that writes
-files in one JSON run manifest: its parameters, inputs, outputs, start time
-and wall time.
+files in one JSON run manifest: the effective config, the parameters that
+are no config key, inputs, outputs, start time and wall time.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 3 internal error.
@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import csv
 import ctypes
+import dataclasses
 import errno
 import gzip
 import json
@@ -31,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, blend as blend_mod, cache, contexts, evaluate, features
-from .config import KEY_TYPES, ConfigError, PipelineConfig, finite_float, load_config, seed
+from .config import KEY_TYPES, Config, ConfigError, load_config, seed
 from .logs import (
     CODE_GAINS,
     DataError,
@@ -112,10 +113,10 @@ GEN_WRITE_LINES = 1 << 14
 # handler that writes no file returns None.
 
 
-def _cmd_gen(args, cfg: PipelineConfig):
+def _cmd_gen(args, cfg: Config):
     out = Path(cfg.log_path)
     outputs = [] if cfg.log_path == "-" else _outputs(out, f"{out}.counts.json")
-    lines, stats = generate_lines(cfg.generator)
+    lines, stats = generate_lines(cfg)
     # The log's text, a block of lines at a time, so that it is never held whole.
     blocks = ("\n".join(lines[start:start + GEN_WRITE_LINES]) + "\n"
               for start in range(0, len(lines), GEN_WRITE_LINES))
@@ -133,11 +134,11 @@ def _cmd_gen(args, cfg: PipelineConfig):
             fh.writelines(blocks)
     with cache.atomic_write(outputs[1]) as fh:
         json.dump(stats.as_dict(), fh, indent=1, sort_keys=True)
-    return ({"generator": cfg.generator.__dict__}, [], outputs,
+    return ({}, [], outputs,
             f"wrote {out} ({stats.total_records} records) and {outputs[1]}")
 
 
-def _cmd_parse(args, cfg: PipelineConfig):
+def _cmd_parse(args, cfg: Config):
     log_path = _require(cfg.log_path)
     [out] = _outputs(cfg.cache_path)
     try:
@@ -158,7 +159,7 @@ def _cmd_parse(args, cfg: PipelineConfig):
                                    f"{len(columns.serp_id)} impressions")
 
 
-def _cmd_stats(args, cfg: PipelineConfig):
+def _cmd_stats(args, cfg: Config):
     inputs = [_require(cfg.cache_path)] + ([_require(args.targets)] if args.targets else [])
     [out] = _outputs(args.out or Path(cfg.reports_dir) / "stats.csv")
     columns = cache.load_columns(inputs[0])
@@ -185,10 +186,10 @@ def _cmd_stats(args, cfg: PipelineConfig):
         fh.write("section,metric,value\n")
         for section, metric, value in rows:
             fh.write(f"{section},{metric},{value}\n")
-    return {"train_days": cfg.train_days}, inputs, [out], f"wrote {out}"
+    return {}, inputs, [out], f"wrote {out}"
 
 
-def _cmd_partition(args, cfg: PipelineConfig):
+def _cmd_partition(args, cfg: Config):
     cache_path = _require(cfg.cache_path)
     [out] = _outputs(cfg.targets_path)
     columns = cache.load_columns(cache_path)
@@ -196,9 +197,7 @@ def _cmd_partition(args, cfg: PipelineConfig):
         columns, train_days=cfg.train_days, seed=cfg.partition_seed
     )
     write_targets(targets, out)
-    params = {"seed": cfg.partition_seed, "train_days": cfg.train_days,
-              "report": report.__dict__}
-    return params, [cache_path], [out], (
+    return {"report": report.__dict__}, [cache_path], [out], (
         f"wrote {out}: train={len(targets.train)} "
         f"validation={len(targets.validation)} test={len(targets.test)} "
         f"(users={report.n_users}, no-train={report.users_without_train}, "
@@ -207,7 +206,7 @@ def _cmd_partition(args, cfg: PipelineConfig):
     )
 
 
-def _cmd_index(args, cfg: PipelineConfig):
+def _cmd_index(args, cfg: Config):
     columns = cache.load_columns(_require(cfg.cache_path))
     at, session = contexts.training_rows(columns, cfg.train_days)
     hit = columns.query_id[at] == args.lookup
@@ -221,7 +220,7 @@ def _cmd_index(args, cfg: PipelineConfig):
         print(f"  user={user} day={day} session={session_id} t={t} docs={docs} gains={gains}")
 
 
-def _cmd_extract(args, cfg: PipelineConfig):
+def _cmd_extract(args, cfg: Config):
     cache_path = _require(cfg.cache_path)
     targets_path = _require(cfg.targets_path)
     outputs = _outputs(*(Path(cfg.features_dir) / f"features_{role}.csv" for role in ROLES))
@@ -243,13 +242,12 @@ def _cmd_extract(args, cfg: PipelineConfig):
             n_targets.append(table.n_targets)
             del table
     return (
-        {"seed": cfg.partition_seed, "train_days": cfg.train_days},
-        [cache_path, targets_path], outputs,
+        {}, [cache_path, targets_path], outputs,
         "wrote " + ", ".join(f"{p} ({n} targets)" for p, n in zip(outputs, n_targets)),
     )
 
 
-def _cmd_train(args, cfg: PipelineConfig):
+def _cmd_train(args, cfg: Config):
     train_path = _require(args.train_features
                           or Path(cfg.features_dir) / "features_train.csv")
     val_path = _require(args.val_features
@@ -258,17 +256,17 @@ def _cmd_train(args, cfg: PipelineConfig):
     [out] = _outputs(args.out or Path(cfg.models_dir) / f"model_{kind.value}.json")
     train_table = features.read_features(train_path)
     val_table = features.read_features(val_path)
-    model = train(kind, train_table, val_table, cfg.training, seed=cfg.train_seed)
+    with _naming(train_path, val_path):
+        model = train(kind, train_table, val_table, cfg)
     model.save(out)
     best = model.metadata.get("best_validation_ndcg")
     return (
-        {"kind": kind.value, "seed": cfg.train_seed, "settings": cfg.training.__dict__},
-        [train_path, val_path], [out],
+        {"kind": kind.value}, [train_path, val_path], [out],
         f"wrote {out}" + (f" (validation NDCG@10 {best:.5f})" if best else ""),
     )
 
 
-def _cmd_score(args, cfg: PipelineConfig):
+def _cmd_score(args, cfg: Config):
     model_path = _require(args.model)
     features_path = _require(args.features)
     [out] = _outputs(args.out or Path(cfg.reports_dir) / "scores.csv")
@@ -280,7 +278,7 @@ def _cmd_score(args, cfg: PipelineConfig):
             f"wrote {out} ({table.n_targets} targets)")
 
 
-def _cmd_blend(args, cfg: PipelineConfig):
+def _cmd_blend(args, cfg: Config):
     if args.method == "learned" and not args.apply and len(args.scores) < 2:
         raise ConfigError("learned blending needs at least 2 score files")
     score_paths = [_require(p) for p in args.scores]
@@ -307,12 +305,14 @@ def _cmd_blend(args, cfg: PipelineConfig):
         model = blend_mod.BlendModel.load(apply_path)
         blended = model.apply(member_scores)
     elif args.method == "average":
-        blended, model = blend_mod.blend_average(member_scores, names)
+        with _naming(*score_paths):
+            blended, model = blend_mod.blend_average(member_scores, names)
     else:
-        blended, model = blend_mod.blend_learned(
-            member_scores, table.gains, table.base_ranks,
-            split_seed=cfg.blend_split_seed, names=names, cutoff=cfg.training.cutoff,
-        )
+        with _naming(*score_paths):
+            blended, model = blend_mod.blend_learned(
+                member_scores, table.gains, table.base_ranks,
+                split_seed=cfg.blend_split_seed, names=names, cutoff=cfg.ndcg_cutoff,
+            )
 
     evaluate.write_scores(table, blended.reshape(table.doc_ids.shape), outputs[0])
     if not args.apply:
@@ -325,24 +325,24 @@ def _cmd_blend(args, cfg: PipelineConfig):
     return params, score_paths, outputs, f"wrote {', '.join(str(p) for p in outputs)}{extra}"
 
 
-def _cmd_eval(args, cfg: PipelineConfig):
+def _cmd_eval(args, cfg: Config):
     scores_path = _require(args.scores)
     out_dir = Path(cfg.reports_dir)
     report_path, summary_path = _outputs(out_dir / "report.csv", out_dir / "summary.csv")
     table, scores = evaluate.read_scores(scores_path)
     report = evaluate.evaluate_run(
-        table, scores, cutoff=cfg.training.cutoff, split_seed=args.split_seed
+        table, scores, cutoff=cfg.ndcg_cutoff, split_seed=args.split_seed
     )
     evaluate.write_report(report, report_path)
     evaluate.write_summary(report, summary_path)
     return {"split_seed": args.split_seed}, [scores_path], [report_path, summary_path], (
-        f"wrote {report_path}, {summary_path}: mean NDCG@{cfg.training.cutoff} "
+        f"wrote {report_path}, {summary_path}: mean NDCG@{cfg.ndcg_cutoff} "
         f"{report.mean_ndcg:.5f} (base {report.mean_base_ndcg:.5f}, "
         f"mean tau {report.mean_tau:.5f})"
     )
 
 
-def _cmd_analyze(args, cfg: PipelineConfig):
+def _cmd_analyze(args, cfg: Config):
     report_path = _require(args.report)
     out_dir = Path(cfg.reports_dir)
     tau_path, delta_path = _outputs(out_dir / "tau_hist.csv", out_dir / "delta_ndcg_hist.csv")
@@ -353,8 +353,11 @@ def _cmd_analyze(args, cfg: PipelineConfig):
             raise DataError(f"{report_path}: line 1: needs tau and delta_ndcg columns")
         try:
             for row in rows:
-                taus.append(finite_float(row["tau"]))
-                deltas.append(finite_float(row["delta_ndcg"]))
+                tau, delta = float(row["tau"]), float(row["delta_ndcg"])
+                if not (-1.0 <= tau <= 1.0 and -1.0 <= delta <= 1.0):
+                    raise ValueError("tau and delta_ndcg must lie in [-1, 1]")
+                taus.append(tau)
+                deltas.append(delta)
         except (TypeError, ValueError) as exc:  # TypeError: a short row
             raise DataError(f"{report_path}: line {rows.line_num}: {exc}") from None
     evaluate.write_histogram(evaluate.histogram(taus, -1.0, 1.0, 20), tau_path)
@@ -474,6 +477,7 @@ def main(argv: list[str] | None = None) -> int:
                 "command": args.command,
                 "version": __version__,
                 "params": params,
+                "config": dataclasses.asdict(cfg),
                 "inputs": [str(p) for p in inputs],
                 "outputs": [str(p) for p in outputs],
                 "started_utc": started_utc.isoformat(),

@@ -1,89 +1,38 @@
 """Pipeline configuration: defaults < key = value file < ``-O`` overrides < flags.
 
-Each config key is stored in one field: of ``PipelineConfig`` or of its
-``GenConfig`` and ``TrainSettings`` sections.
+Every config key is one field of ``Config``, under the same name.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .logs import SERP_SIZE
-
-TEST_WINDOW_DAYS = 3
 
 
 class ConfigError(ValueError):
     """Invalid configuration value or unknown key."""
 
 
-@dataclass(frozen=True)
-class GenConfig:
-    """Synthetic generator settings."""
-
-    n_users: int = 100
-    n_days: int = 30
-    queries_per_user_per_day: int = 3
-    n_queries: int = 500
-    n_terms: int = 400
-    n_documents: int = 3000
-    n_domains: int = 300
-    preference_strength: float = 0.9
-    repeat_query_prob: float = 0.5
-    rng_seed: int = 7
-
-    def validate(self) -> None:
-        counts = {
-            "n_users": self.n_users,
-            "n_days": self.n_days,
-            "queries_per_user_per_day": self.queries_per_user_per_day,
-            "n_queries": self.n_queries,
-            "n_terms": self.n_terms,
-            "n_documents": self.n_documents,
-            "n_domains": self.n_domains,
-        }
-        for name, value in counts.items():
-            if value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
-        if not 0.0 <= self.preference_strength <= 1.0:
-            raise ConfigError("preference_strength must be in [0, 1]")
-        if not 0.0 <= self.repeat_query_prob <= 1.0:
-            raise ConfigError("repeat_query_prob must be in [0, 1]")
-        if self.n_days < 4:
-            raise ConfigError("n_days must be >= 4")
-        if self.n_documents < SERP_SIZE:
-            raise ConfigError(f"n_documents must be >= {SERP_SIZE}")
-
-    @property
-    def train_days(self) -> int:
-        """Days 1..train_days are the training period; the rest is test."""
-        return self.n_days - TEST_WINDOW_DAYS
+# The range of each numeric key but learning_rate, both ends included.
+_RANGES = {
+    **dict.fromkeys(["n_users", "n_days", "queries_per_user_per_day", "n_queries", "n_terms",
+                     "n_domains", "train_days", "epochs", "batch_queries", "patience",
+                     "ndcg_cutoff"], (1, math.inf)),
+    **dict.fromkeys(["synth_seed", "partition_seed", "train_seed", "blend_split_seed"],
+                    (0, math.inf)),
+    "n_documents": (SERP_SIZE, math.inf),
+    "preference_strength": (0.0, 1.0),
+    "repeat_query_prob": (0.0, 1.0),
+    "hidden_units": (10, 200),
+}
 
 
-@dataclass
-class TrainSettings:
-    """Network and optimiser settings; ``cutoff`` is the NDCG cutoff."""
-
-    hidden: int = 64
-    learning_rate: float = 1e-3
-    epochs: int = 200
-    batch_queries: int = 100
-    patience: int = 10
-    cutoff: int = 10
-
-    def validate(self) -> None:
-        if not 10 <= self.hidden <= 200:
-            raise ConfigError("hidden must be within [10, 200]")
-        if min(self.epochs, self.batch_queries, self.patience) < 1 or self.learning_rate <= 0:
-            raise ConfigError("invalid training settings")
-
-
-@dataclass
-class PipelineConfig:
-    """Effective settings for every pipeline stage.
+@dataclasses.dataclass(frozen=True)
+class Config:
+    """Effective settings for every pipeline stage, each range-checked when made.
 
     All seeds are explicit so any artifact can be regenerated bit-exactly.
     """
@@ -96,24 +45,46 @@ class PipelineConfig:
     models_dir: str = "."
     reports_dir: str = "."
 
+    # synthetic generator
+    n_users: int = 100
+    n_days: int = 30
+    queries_per_user_per_day: int = 3
+    n_queries: int = 500
+    n_terms: int = 400
+    n_documents: int = 3000
+    n_domains: int = 300
+    preference_strength: float = 0.9
+    repeat_query_prob: float = 0.5
+
+    # days 1..train_days are the training period, the later days the test period
     train_days: int = 27
 
     # seeds
+    synth_seed: int = 7
     partition_seed: int = 1
     train_seed: int = 2
     blend_split_seed: int = 3
 
-    generator: GenConfig = field(default_factory=GenConfig)
-    # model hyperparameters; training.cutoff also drives the blend and eval
-    training: TrainSettings = field(default_factory=TrainSettings)
+    # network and optimiser; ndcg_cutoff also drives the blend and eval
+    hidden_units: int = 64
+    learning_rate: float = 1e-3
+    epochs: int = 200
+    batch_queries: int = 100
+    patience: int = 10
+    ndcg_cutoff: int = 10
 
-    def validate(self) -> None:
-        if self.train_days < 1:
-            raise ConfigError("train_days must be >= 1")
-        if self.training.cutoff < 1:
-            raise ConfigError("ndcg_cutoff must be >= 1")
-        self.generator.validate()
-        self.training.validate()
+    def __post_init__(self) -> None:
+        for key, (low, high) in _RANGES.items():
+            value = getattr(self, key)
+            if not low <= value <= high:
+                bound = f">= {low}" if high == math.inf else f"within [{low}, {high}]"
+                raise ConfigError(f"{key} must be {bound}, got {value!r}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and above 0, "
+                              f"got {self.learning_rate!r}")
+        if self.train_days >= self.n_days:
+            raise ConfigError(f"train_days must be below n_days ({self.n_days}), "
+                              f"got {self.train_days}")
 
 
 def seed(raw: str) -> int:
@@ -124,31 +95,11 @@ def seed(raw: str) -> int:
     return value
 
 
-def finite_float(raw: str) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError("not a finite number")
-    return value
-
-
-# The sections of PipelineConfig, and the config key of each section field
-# whose name differs from its key.
-_SECTIONS = {"generator": GenConfig, "training": TrainSettings}
-_KEY_OF_FIELD = {"rng_seed": "synth_seed", "hidden": "hidden_units", "cutoff": "ndcg_cutoff"}
-
-# Config key -> (section, or None for PipelineConfig's own fields; field).
-_KEY_FIELDS = {
-    _KEY_OF_FIELD.get(f.name, f.name): (section, f)
-    for section, cls in [(None, PipelineConfig), *_SECTIONS.items()]
-    for f in dataclasses.fields(cls)
-    if f.name not in _SECTIONS
-}
-
-# Each config key's value parser, read from the field annotations; every
-# key named *_seed is a seed.
+# Each config key's value parser, read from the field annotations. Config
+# rejects the floats that parse but are not finite.
 KEY_TYPES = {
-    key: seed if key.endswith("_seed") else {"int": int, "float": finite_float}.get(f.type, str)
-    for key, (_, f) in _KEY_FIELDS.items()
+    f.name: {"int": int, "float": float}.get(f.type, str)
+    for f in dataclasses.fields(Config)
 }
 
 
@@ -156,8 +107,8 @@ def load_config(
     path: str | Path | None,
     overrides: list[str] | None = None,
     flags: dict | None = None,
-) -> PipelineConfig:
-    """Build and validate the effective config from a file, overrides and flags.
+) -> Config:
+    """Build the effective config from a file, overrides and flags.
 
     The file holds one ``key = value`` per line; blank lines and lines
     starting with ``#`` are ignored. ``-O`` overrides win over file values,
@@ -179,17 +130,12 @@ def load_config(
         if not sep:
             raise ConfigError(f"expected key=value, got {pair!r}")
         assigned.append((key.strip(), value.strip()))
-    fields: dict = {section: {} for section in (None, *_SECTIONS)}
+    values = {}
     for key, raw in assigned + list((flags or {}).items()):
-        if key not in _KEY_FIELDS:
+        if key not in KEY_TYPES:
             raise ConfigError(f"unknown config key: {key}")
-        section, f = _KEY_FIELDS[key]
         try:
-            fields[section][f.name] = KEY_TYPES[key](raw)
+            values[key] = KEY_TYPES[key](raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from None
-    cfg = PipelineConfig(
-        **fields[None], **{name: cls(**fields[name]) for name, cls in _SECTIONS.items()}
-    )
-    cfg.validate()
-    return cfg
+    return Config(**values)

@@ -27,7 +27,7 @@ import numpy as np
 from .cache import atomic_write
 from .contexts import Context, IndexRows, ItemKind, Occurrence, index_rows
 from .contexts import assemble_contexts, build  # noqa: F401  (perfbench/spans.py wraps them here)
-from .logs import CODE_GAINS, SERP_SIZE, DataError, Impression, Session, SessionColumns, decoding
+from .logs import CODE_GAINS, SERP_SIZE, DataError, Impression, SessionColumns, decoding
 from .partition import ROLES, TargetSet, rank_sessions
 from .partition import order_sessions  # noqa: F401  (perfbench/spans.py wraps it here)
 
@@ -220,7 +220,8 @@ def extract_impression(
     """The one-target table of the impression's documents.
 
     Document contexts (1, 3, 5) are probed with the document id; domain
-    contexts (2, 4, 6) with the document's domain id.
+    contexts (2, 4, 6) with the document's domain id. Ids, base ranks and
+    gains are read from `imp` itself, not through the kernel's table builder.
     """
     if len(six_contexts) != N_CONTEXTS:
         raise ValueError(f"expected {N_CONTEXTS} contexts, got {len(six_contexts)}")
@@ -230,10 +231,11 @@ def extract_impression(
         blocks.append([context_features(item, imp.terms, context) for item in items])
     x = np.array([[[v for block in blocks for v in block[pos]] + [float(pos + 1)]  # engine rank
                    for pos in range(len(imp.documents))]])
-    one = SessionColumns.of([Session(session_id, user_id, 0, [imp])])
-    target = np.array([[user_id, session_id, imp.serp_id]], dtype=np.int64)
-    zero = np.zeros(1, dtype=np.int64)  # the impression's row and its session's rank
-    return _table(_Targets.of(one, target, zero, zero), x)
+    ids = [np.array([i], dtype=np.int64) for i in (user_id, imp.query_id, session_id, imp.serp_id)]
+    gains = (None if imp.labels is None
+             else np.array([[grade.gain for grade in imp.labels]], dtype=np.float64))
+    return FeatureTable(*ids, np.array([imp.documents], dtype=np.int64), x, x[..., -1].copy(),
+                        gains)
 
 
 class _Targets(NamedTuple):

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .cache import load_json, save_json
-from .config import TrainSettings
+from .config import Config, ConfigError
 from .evaluate import mean_ndcg
 from .features import HIST_RELEVANCE_INDEX, N_FEATURES, FeatureTable
 from .logs import DataError
@@ -41,8 +41,14 @@ class Standardizer:
 
     @classmethod
     def fit(cls, x: np.ndarray) -> "Standardizer":
-        mean = x.mean(axis=0)
-        scale = x.std(axis=0)
+        """Column statistics of `x`; a column whose spread overflows raises DataError."""
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below, not warned
+            mean = x.mean(axis=0)
+            scale = x.std(axis=0)
+        finite = np.isfinite(mean) & np.isfinite(scale)
+        if not finite.all():
+            raise DataError(f"the spread of column {np.argmin(finite) + 1} overflows float64, "
+                            "so it cannot be standardized")
         scale = np.where(scale > 0.0, scale, 1.0)
         return cls(mean=mean, scale=scale)
 
@@ -268,14 +274,16 @@ def train(
     kind: ModelKind,
     train_table: FeatureTable,
     val_table: FeatureTable,
-    settings: TrainSettings | None = None,
-    seed: int = 0,
+    cfg: Config | None = None,
 ) -> RankModel:
-    """Fit a scoring network; keeps the weights of the best validation epoch."""
+    """Fit a scoring network; keeps the weights of the best validation epoch.
+
+    A learning rate under which the loss stops being finite raises
+    ConfigError naming the epoch.
+    """
     if kind is ModelKind.HEURISTIC:
         return RankModel(kind=kind, metadata={"note": "no training required"})
-    settings = settings or TrainSettings()
-    settings.validate()
+    cfg = cfg or Config()
     if train_table.n_targets == 0:
         raise DataError("empty training set")
     if val_table.n_targets == 0:
@@ -290,8 +298,8 @@ def train(
     x_val = standardizer.apply(val_table.x)
     gains = train_table.gains.astype(np.float64)
 
-    rng = np.random.default_rng(seed)
-    params = init_params(train_table.x.shape[-1], settings.hidden, rng)
+    rng = np.random.default_rng(cfg.train_seed)
+    params = init_params(train_table.x.shape[-1], cfg.hidden_units, rng)
 
     best = params.copy()
     best_ndcg = -1.0
@@ -301,28 +309,28 @@ def train(
     history = []
 
     n_targets = train_table.n_targets
-    for epoch in range(1, settings.epochs + 1):
+    for epoch in range(1, cfg.epochs + 1):
         epochs_run = epoch
         order = rng.permutation(n_targets)
-        for start in range(0, n_targets, settings.batch_queries):
-            batch = order[start : start + settings.batch_queries]
+        for start in range(0, n_targets, cfg.batch_queries):
+            batch = order[start : start + cfg.batch_queries]
             xb = x_train[batch].reshape(-1, x_train.shape[-1])
             gb = gains[batch]
             scores, hidden = forward(params, xb)
             loss, dscores = loss_and_score_grad(kind, scores, gb)
             if not np.isfinite(loss):
-                raise RuntimeError(
-                    f"non-finite loss at epoch {epoch} (kind={kind.value}, "
-                    f"lr={settings.learning_rate}): {loss}"
+                raise ConfigError(
+                    f"learning_rate {cfg.learning_rate} diverges: non-finite loss "
+                    f"at epoch {epoch} (kind={kind.value}): {loss}"
                 )
             grads = backward(params, xb, hidden, dscores)
-            lr = settings.learning_rate
+            lr = cfg.learning_rate
             params.w1 -= lr * grads.w1
             params.b1 -= lr * grads.b1
             params.w2 -= lr * grads.w2
             params.b2 -= lr * grads.b2
         val_ndcg = _validation_ndcg(
-            params, x_val, val_table.gains, val_table.base_ranks, settings.cutoff
+            params, x_val, val_table.gains, val_table.base_ranks, cfg.ndcg_cutoff
         )
         history.append(val_ndcg)
         if val_ndcg > best_ndcg:
@@ -332,7 +340,7 @@ def train(
             stall = 0
         else:
             stall += 1
-            if stall >= settings.patience:
+            if stall >= cfg.patience:
                 break
 
     return RankModel(
@@ -340,13 +348,13 @@ def train(
         standardizer=standardizer,
         params=best,
         metadata={
-            "seed": seed,
-            "hidden": settings.hidden,
-            "learning_rate": settings.learning_rate,
-            "epochs_limit": settings.epochs,
+            "seed": cfg.train_seed,
+            "hidden": cfg.hidden_units,
+            "learning_rate": cfg.learning_rate,
+            "epochs_limit": cfg.epochs,
             "epochs_run": epochs_run,
-            "batch_queries": settings.batch_queries,
-            "patience": settings.patience,
+            "batch_queries": cfg.batch_queries,
+            "patience": cfg.patience,
             "best_epoch": best_epoch,
             "best_validation_ndcg": best_ndcg,
             "validation_history": [round(v, 8) for v in history],

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import GenConfig
+from .config import Config
 from .logs import DWELL_LONG, SERP_SIZE, CorpusStats, corpus_stats, parse_columns
 
 POOL_SIZE = 20
@@ -50,8 +50,8 @@ class QueryInfo:
     popular_doc: int
 
 
-def _build_vocab(cfg: GenConfig) -> tuple[list[QueryInfo], list[int]]:
-    rng = random.Random(f"{cfg.rng_seed}:vocab")
+def _build_vocab(cfg: Config) -> tuple[list[QueryInfo], list[int]]:
+    rng = random.Random(f"{cfg.synth_seed}:vocab")
     doc_domains = [rng.randrange(cfg.n_domains) for _ in range(cfg.n_documents)]
     queries = []
     pool_size = min(POOL_SIZE, cfg.n_documents)
@@ -80,7 +80,7 @@ class _UserState:
     seen_queries: list[int] = field(default_factory=list)
 
 
-def _pick_query(state: _UserState, cfg: GenConfig) -> int:
+def _pick_query(state: _UserState, cfg: Config) -> int:
     rng = state.rng
     if state.seen_queries and rng.random() < cfg.repeat_query_prob:
         return rng.choice(state.seen_queries)
@@ -149,7 +149,7 @@ def _simulate_clicks(state: _UserState, docs: list[int], preferred: int,
     return clicks
 
 
-def _user_sessions(cfg: GenConfig, user_id: int, vocab: list[QueryInfo], doc_domains: list[int],
+def _user_sessions(cfg: Config, user_id: int, vocab: list[QueryInfo], doc_domains: list[int],
                    query_text: list[str], pair_text: list[str]) -> Iterator[tuple[int, str]]:
     """Day and log text of each of user `user_id`'s sessions, in session order.
 
@@ -159,7 +159,7 @@ def _user_sessions(cfg: GenConfig, user_id: int, vocab: list[QueryInfo], doc_dom
     the session's own, so formatting a session as soon as it is planned
     draws what planning all sessions first would.
     """
-    rng = random.Random(f"{cfg.rng_seed}:user:{user_id}")
+    rng = random.Random(f"{cfg.synth_seed}:user:{user_id}")
     state = _UserState(
         rng=rng,
         preferred_domains=rng.sample(range(cfg.n_domains), min(2, cfg.n_domains)),
@@ -170,7 +170,7 @@ def _user_sessions(cfg: GenConfig, user_id: int, vocab: list[QueryInfo], doc_dom
     def session(day: int, count: int, mark_last_test: bool) -> str:
         """One session's text; each click's dwell is realized by the next action."""
         nonlocal seq
-        times = random.Random(f"{cfg.rng_seed}:times:{user_id}:{seq}")
+        times = random.Random(f"{cfg.synth_seed}:times:{user_id}:{seq}")
         seq += 1
         out = [f"\tM\t{day}\t{user_id}"]
         t = 0
@@ -223,14 +223,13 @@ def _total(days: list[CorpusStats], distinct: list[np.ndarray]) -> CorpusStats:
     )
 
 
-def generate_lines(cfg: GenConfig) -> tuple[list[str], CorpusStats]:
+def generate_lines(cfg: Config) -> tuple[list[str], CorpusStats]:
     """The full log as serialized lines, and the counts of that log as `parse` reads it.
 
     Sessions are numbered in (day, user, session) order. A day's lines are
     counted by `parse_columns` as soon as they are made: sessions never
     span days, so the counts of the days add up to those of the log.
     """
-    cfg.validate()
     vocab, doc_domains = _build_vocab(cfg)
     query_text = [f"{qid}\t{','.join(map(str, info.terms))}" for qid, info in enumerate(vocab)]
     pair_text = [f"{doc},{domain}" for doc, domain in enumerate(doc_domains)]

@@ -2,9 +2,10 @@ import pytest
 from hypothesis import settings
 
 from persorank import features
+from persorank.config import Config
 from persorank.logs import SessionColumns, label_sessions, parse_log, sessionize
 from persorank.partition import ROLES, select_targets
-from persorank.synth import GenConfig, generate_lines
+from persorank.synth import generate_lines
 
 # Property tests draw the same examples on every run; each keeps its own max_examples.
 settings.register_profile("persorank", derandomize=True, deadline=None)
@@ -23,7 +24,7 @@ class Corpus:
         self.train_days = cfg.train_days
 
 
-def generated_sessions(gen_cfg: GenConfig):
+def generated_sessions(gen_cfg: Config):
     """The labeled sessions of gen's log, read back line by line, and gen's counts.
 
     The sessions come from the line-by-line reference (`parse_log`,
@@ -44,7 +45,7 @@ def extract_all(columns: SessionColumns, targets, train_days: int = 27,
     return {role: features.extract_targets(extraction, role) for role in ROLES}
 
 
-def make_corpus(gen_cfg: GenConfig, partition_seed: int = 5) -> Corpus:
+def make_corpus(gen_cfg: Config, partition_seed: int = 5) -> Corpus:
     sessions, stats = generated_sessions(gen_cfg)
     targets, report = select_targets(
         SessionColumns.of(sessions), train_days=gen_cfg.train_days, seed=partition_seed
@@ -56,7 +57,7 @@ def make_corpus(gen_cfg: GenConfig, partition_seed: int = 5) -> Corpus:
 def small_corpus():
     """40 users, shared read-only across tests; do not mutate."""
     return make_corpus(
-        GenConfig(
+        Config(
             n_users=40,
             queries_per_user_per_day=3,
             n_queries=300,
@@ -65,6 +66,6 @@ def small_corpus():
             n_domains=120,
             preference_strength=0.9,
             repeat_query_prob=0.5,
-            rng_seed=11,
+            synth_seed=11,
         )
     )

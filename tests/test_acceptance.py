@@ -6,6 +6,7 @@ the exact recipes below; network-dependent numbers carry a small tolerance
 for BLAS variation across machines, pure-Python numbers are pinned tightly.
 """
 
+import dataclasses
 import io
 import random
 import time
@@ -25,7 +26,6 @@ from persorank.partition import select_targets, write_targets
 from persorank.ranker import (
     ModelKind,
     RankModel,
-    TrainSettings,
     backward,
     forward,
     init_params,
@@ -34,7 +34,7 @@ from persorank.ranker import (
     train,
     training_loss,
 )
-from persorank.synth import GenConfig
+from persorank.config import Config
 
 from conftest import extract_all, generated_sessions
 from oracles import OracleScan, finite_difference_grads, oracle_extract, oracle_ndcg
@@ -55,7 +55,7 @@ def criterion(number: int, name: str):
 
 # --- desk-scale run shared by criteria 4 and 6 --------------------------
 
-DESK_GEN = GenConfig(
+DESK_GEN = Config(
     n_users=400,
     queries_per_user_per_day=3,
     n_queries=1200,
@@ -64,7 +64,7 @@ DESK_GEN = GenConfig(
     n_domains=500,
     preference_strength=0.9,
     repeat_query_prob=0.5,
-    rng_seed=7,
+    synth_seed=7,
 )
 DESK_PARTITION_SEED = 1
 DESK_TRAIN_SEED = 2
@@ -128,7 +128,7 @@ def test_criterion_1_ndcg_oracle_equivalence():
 
 def test_criterion_2_feature_oracle_equivalence():
     with criterion(2, "feature extraction vs brute force (500 targets, < 60 s)"):
-        cfg = GenConfig(
+        cfg = Config(
             n_users=1000,
             queries_per_user_per_day=2,
             n_queries=2500,
@@ -137,7 +137,7 @@ def test_criterion_2_feature_oracle_equivalence():
             n_domains=800,
             preference_strength=0.9,
             repeat_query_prob=0.5,
-            rng_seed=17,
+            synth_seed=17,
         )
         sessions, stats = generated_sessions(cfg)
         n_impressions = sum(len(s.impressions) for s in sessions)
@@ -281,8 +281,8 @@ def test_criterion_6_desk_scale_ordering(desk):
         heuristic_scores = score_table(RankModel(kind=ModelKind.HEURISTIC), va)
         heuristic = mean_ndcg(heuristic_scores, va.gains, va.base_ranks)
 
-        strong = TrainSettings(hidden=64, learning_rate=0.1, epochs=60, patience=10)
-        weak = TrainSettings(hidden=16, learning_rate=0.001, epochs=60, patience=10)
+        strong = Config(hidden_units=64, learning_rate=0.1, epochs=60, patience=10)
+        weak = Config(hidden_units=16, learning_rate=0.001, epochs=60, patience=10)
         member_scores = {"heuristic": heuristic_scores}
         trained_ndcg = {}
         for name, kind, settings, seed in (
@@ -292,7 +292,7 @@ def test_criterion_6_desk_scale_ordering(desk):
             ("regression_weak", ModelKind.REGRESSION, weak, DESK_WEAK_SEED),
             ("ranknet_weak", ModelKind.RANKNET, weak, DESK_WEAK_SEED),
         ):
-            model = train(kind, tr, va, settings, seed=seed)
+            model = train(kind, tr, va, dataclasses.replace(settings, train_seed=seed))
             member_scores[name] = score_table(model, va)
             trained_ndcg[name] = mean_ndcg(
                 member_scores[name], va.gains, va.base_ranks

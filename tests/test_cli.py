@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import gzip
 import io
 import json
@@ -22,7 +23,7 @@ import persorank
 from persorank import cache as cache_mod
 from persorank.blend import blend_average
 from persorank.cli import build_parser, main
-from persorank.config import KEY_TYPES
+from persorank.config import KEY_TYPES, Config
 from persorank.features import N_FEATURES
 from persorank.ranker import ModelKind, RankModel, Standardizer, init_params
 
@@ -237,6 +238,23 @@ class TestStats:
                 assert rows[(f"relevance_{period}", grade)] == count
         assert ("relevance_train_targets", "r2") in rows
 
+    def test_longer_log_counts_match_generator_bookkeeping(self, tmp_path):
+        """gen plans its training days from the same train_days key that stats reads."""
+        settings = ["-O", "n_days=40", "-O", "n_users=20"]
+        log, cache, out = tmp_path / "log.tsv", tmp_path / "s.cache", tmp_path / "stats.csv"
+        assert run("gen", "--out", str(log), *settings) == 0
+        assert run("parse", "--log", str(log), "--out", str(cache), *settings) == 0
+        assert run("stats", "--cache", str(cache), "--out", str(out), *settings) == 0
+        with open(out) as fh:
+            rows = {(row["section"], row["metric"]): int(row["value"])
+                    for row in csv.DictReader(fh)}
+        bookkeeping = json.loads((tmp_path / "log.tsv.counts.json").read_text())
+        for metric in ("training_sessions", "test_sessions", "training_clicks"):
+            assert rows[("corpus", metric)] == bookkeeping[metric], metric
+        for period in ("training", "test"):
+            for grade, count in bookkeeping["grade_counts"][period].items():
+                assert rows[(f"relevance_{period}", grade)] == count, (period, grade)
+
     def test_other_training_period_matches_a_count_by_hand(self, tmp_path):
         rows = stats_run(tmp_path, 20)
         assert +Counter(rows) == counted_by_hand(
@@ -379,38 +397,30 @@ def _blend_case(w: Path, o: Path, apply: bool):
 MANIFEST_CASES = {
     "gen": lambda w, o: (
         ["gen", "--out", str(o / "log.tsv"), *GEN_OVERRIDES], [],
-        [o / "log.tsv", o / "log.tsv.counts.json"],
-        {"generator": {"n_users": 25, "n_days": 30, "queries_per_user_per_day": 3,
-                       "n_queries": 200, "n_terms": 150, "n_documents": 1200,
-                       "n_domains": 100, "preference_strength": 0.9,
-                       "repeat_query_prob": 0.5, "rng_seed": 31}}),
+        [o / "log.tsv", o / "log.tsv.counts.json"], {}),
     "parse": lambda w, o: (
         ["parse", "--log", str(w / "log.tsv"), "--out", str(o / "s.cache")],
         [w / "log.tsv"], [o / "s.cache"], {}),
     "stats_targets": lambda w, o: (
         ["stats", "--cache", str(w / "s.cache"), "--targets", str(w / "t.csv"),
          "--out", str(o / "stats.csv")],
-        [w / "s.cache", w / "t.csv"], [o / "stats.csv"], {"train_days": 27}),
+        [w / "s.cache", w / "t.csv"], [o / "stats.csv"], {}),
     "partition": lambda w, o: (
         ["partition", "--cache", str(w / "s.cache"), "--out", str(o / "t.csv"), "--seed", "4"],
         [w / "s.cache"], [o / "t.csv"],
-        {"seed": 4, "train_days": 27,
-         "report": {"n_users": 25, "users_without_sessions": 0, "users_without_train": 0,
+        {"report": {"n_users": 25, "users_without_sessions": 0, "users_without_train": 0,
                     "users_without_validation": 5, "users_without_test": 0}}),
     "extract": lambda w, o: (
         ["extract", "--cache", str(w / "s.cache"), "--targets", str(w / "t.csv"),
          "--out-dir", str(o)],
         [w / "s.cache", w / "t.csv"],
-        [o / f"features_{role}.csv" for role in ("train", "validation", "test")],
-        {"seed": 1, "train_days": 27}),
+        [o / f"features_{role}.csv" for role in ("train", "validation", "test")], {}),
     "train": lambda w, o: (
         ["train", "--kind", "ranknet", "--train-features", str(w / "features_train.csv"),
          "--val-features", str(w / "features_validation.csv"), "--out", str(o / "m.json"),
          "--epochs", "2", "--hidden", "16"],
         [w / "features_train.csv", w / "features_validation.csv"], [o / "m.json"],
-        {"kind": "ranknet", "seed": 2,
-         "settings": {"hidden": 16, "learning_rate": 0.001, "epochs": 2,
-                      "batch_queries": 100, "patience": 10, "cutoff": 10}}),
+        {"kind": "ranknet"}),
     "score": lambda w, o: (
         ["score", "--model", str(w / "model.json"),
          "--features", str(w / "features_test.csv"), "--out", str(o / "s.csv")],
@@ -432,11 +442,13 @@ class TestManifests:
         log = tmp_path / "log.tsv"
         assert run("gen", "--out", str(log), *GEN_OVERRIDES) == 0
         manifest = json.loads((tmp_path / "log.tsv.manifest.json").read_text())
-        for key in ("command", "version", "params", "inputs", "outputs",
+        for key in ("command", "version", "params", "config", "inputs", "outputs",
                     "started_utc", "wall_time_s"):
             assert key in manifest
         assert manifest["command"] == "gen"
-        assert manifest["params"]["generator"]["rng_seed"] == 31
+        assert manifest["config"] == dataclasses.asdict(Config(
+            log_path=str(log), n_users=25, n_queries=200, n_terms=150, n_documents=1200,
+            n_domains=100, synth_seed=31))
 
     @pytest.mark.parametrize("case", sorted(MANIFEST_CASES))
     def test_one_manifest_beside_the_first_output(self, scored_run, tmp_path, case):
@@ -452,6 +464,14 @@ class TestManifests:
         assert manifest["inputs"] == [str(p) for p in inputs]
         assert manifest["outputs"] == [str(p) for p in outputs]
         assert manifest["params"] == params
+        assert dataclasses.asdict(Config(**manifest["config"])) == manifest["config"]
+
+    def test_manifest_config_holds_flags_and_overrides(self, scored_run, tmp_path):
+        argv, _, outputs, _ = MANIFEST_CASES["train"](scored_run, tmp_path)
+        assert run(*argv, "-O", "patience=3") == 0
+        manifest = json.loads(Path(f"{outputs[0]}.manifest.json").read_text())
+        assert manifest["config"] == dataclasses.asdict(Config(hidden_units=16, epochs=2,
+                                                               patience=3))
 
     @pytest.mark.parametrize("argv", [
         lambda w: ["gen", "--out", "-", *GEN_OVERRIDES],
@@ -596,6 +616,7 @@ class TestSettings:
         ("train", ["--batch", "0"]),
         ("train", ["-O", "hidden_units=5"]),
         ("partition", ["--train-days", "0"]),
+        ("partition", ["--train-days", "30"]),
         ("train", ["--seed", "-1"]),
         ("partition", ["--seed", "-1"]),
         ("partition", ["-O", "synth_seed=-1"]),
@@ -604,6 +625,7 @@ class TestSettings:
         ("train", ["--patience", "0"]),
         ("train", ["-O", "patience=-5"]),
     ], ids=["hidden", "lr", "epochs", "batch", "hidden_units", "train_days",
+            "train_days_not_below_n_days",
             "train_seed", "partition_seed", "synth_seed", "lr_nan", "learning_rate_inf",
             "patience", "patience_negative"])
     def test_out_of_range_setting_is_usage_error(self, scored_run, tmp_path, capsys,
@@ -646,8 +668,20 @@ class TestSettings:
         assert "error: " in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_diverging_learning_rate_is_usage_error(self, scored_run, tmp_path, capsys):
+        w = scored_run
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run("train", "--kind", "regression",
+                       "--train-features", str(w / "features_train.csv"),
+                       "--val-features", str(w / "features_validation.csv"),
+                       "--out", str(tmp_path / "m.json"), "--lr", "1e300", "--epochs", "5") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: learning_rate 1e+300 diverges") and "at epoch " in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_readme_flag_table_matches_parser(self):
-        """Every flag that sets a config key is in the README's table, and only those keys."""
+        """Every flag that sets a config key is in the README's flag table, and only those
+        keys; every config key is in its key table."""
         (subcommands,) = [a for a in build_parser()._actions
                           if isinstance(a, argparse._SubParsersAction)]
         flag_keys = {
@@ -663,6 +697,11 @@ class TestSettings:
                 == {key for _, key in flag_keys})
         for flag, key in flag_keys:
             assert any(f"`{key}`" in keys and flag in flags for flags, keys in rows), (flag, key)
+        # The key table lists every config key once, in field order, with its default.
+        table = readme.split("| key | default | range |\n|---|---|---|\n")[1].split("\n\n")[0]
+        rows = [[cell.strip().strip("`") for cell in line.split("|")[1:3]]
+                for line in table.splitlines()]
+        assert rows == [[f.name, str(f.default)] for f in dataclasses.fields(Config)]
 
     def test_threads_below_one_is_usage_error(self, scored_run, tmp_path):
         w = scored_run
@@ -1150,7 +1189,11 @@ class TestMalformedInputs:
         (first_row_set("delta_ndcg", "nan"), 2),
         (first_row_set("tau", "inf"), 2),
         (lambda rows: rows[:1] + [rows[1][:-1]] + rows[2:], 2),
-    ], ids=["no_tau", "no_delta_ndcg", "tau_abc", "delta_ndcg_nan", "tau_inf", "short_row"])
+        (first_row_set("tau", "1e308"), 2),
+        (first_row_set("delta_ndcg", "-1e308"), 2),
+        (first_row_set("tau", "3.5"), 2),
+    ], ids=["no_tau", "no_delta_ndcg", "tau_abc", "delta_ndcg_nan", "tau_inf", "short_row",
+            "tau_1e308", "delta_ndcg_minus_1e308", "tau_3.5"])
     def test_analyze_of_malformed_report_is_data_error(self, scored_run, tmp_path, capsys,
                                                        edit, line):
         assert run("eval", "--scores", str(scored_run / "scores.csv"),
@@ -1161,6 +1204,36 @@ class TestMalformedInputs:
         capsys.readouterr()
         assert run("analyze", "--report", str(report), "--out-dir", str(out)) == 2
         assert f"{report}: line {line}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_train_on_a_spread_that_overflows_is_data_error(self, scored_run, tmp_path,
+                                                             capsys):
+        bad = corrupt_field(scored_run / "features_train.csv", tmp_path / "f.csv",
+                            "c1_g1", "1e308")
+        val = scored_run / "features_validation.csv"
+        out = tmp_path / "out"
+        out.mkdir()
+        capsys.readouterr()
+        assert run("train", "--kind", "ranknet", "--train-features", str(bad),
+                   "--val-features", str(val), "--out", str(out / "m.json"),
+                   "--epochs", "2", "--hidden", "16") == 2
+        assert capsys.readouterr().err.startswith(f"data error: {bad}, {val}: ")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("method", ["average", "learned"])
+    def test_blend_of_scores_whose_spread_overflows_is_data_error(self, scored_run, tmp_path,
+                                                                  capsys, method):
+        def huge(rows):
+            col = rows[0].index("score")
+            return rows[:1] + [row[:col] + [repr(1e300 * (i % 7))] + row[col + 1:]
+                               for i, row in enumerate(rows[1:])]
+
+        scores = rewrite_rows(scored_run / "scores.csv", tmp_path / "s.csv", huge)
+        out = tmp_path / "out"
+        out.mkdir()
+        capsys.readouterr()
+        assert self.blend(out, scores, scores, method=method) == 2
+        assert capsys.readouterr().err.startswith(f"data error: {scores}, {scores}: ")
         assert list(out.iterdir()) == []
 
     def test_train_with_header_only_validation_is_data_error(self, scored_run, tmp_path):

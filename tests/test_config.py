@@ -1,0 +1,46 @@
+import dataclasses
+
+import pytest
+
+from persorank.config import KEY_TYPES, Config, ConfigError, load_config
+
+# Values at the edges of what a setting can hold, as the malformed-input probes use them.
+BOUNDARY_VALUES = ["", "-1", "100000000000000000000", "1e308", "nan", "0", "-0.0", "3.5"]
+
+
+def test_every_field_is_a_key():
+    assert set(KEY_TYPES) == {f.name for f in dataclasses.fields(Config)}
+
+
+def test_defaults_are_valid_and_frozen():
+    cfg = Config()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.n_users = 5
+
+
+@pytest.mark.parametrize("value", BOUNDARY_VALUES)
+@pytest.mark.parametrize("key", sorted(KEY_TYPES))
+def test_boundary_value_gives_a_config_or_a_config_error(key, value):
+    try:
+        cfg = load_config(None, [f"{key}={value}"])
+    except ConfigError as exc:
+        assert key in str(exc)
+    else:
+        assert isinstance(cfg, Config)
+
+
+@pytest.mark.parametrize("settings,message", [
+    ({"train_days": 30}, "train_days must be below n_days (30), got 30"),
+    ({"n_days": 20}, "train_days must be below n_days (20), got 27"),
+    ({"learning_rate": float("inf")}, "learning_rate must be finite and above 0"),
+    ({"learning_rate": float("nan")}, "learning_rate must be finite and above 0"),
+    ({"preference_strength": float("nan")}, "preference_strength must be within [0.0, 1.0]"),
+    ({"partition_seed": -1}, "partition_seed must be >= 0, got -1"),
+    ({"n_documents": 9}, "n_documents must be >= 10, got 9"),
+    ({"ndcg_cutoff": 0}, "ndcg_cutoff must be >= 1, got 0"),
+], ids=["train_days", "n_days", "lr_inf", "lr_nan", "preference_nan", "seed",
+        "n_documents", "ndcg_cutoff"])
+def test_out_of_range_field_names_its_key(settings, message):
+    with pytest.raises(ConfigError) as raised:
+        Config(**settings)
+    assert str(raised.value).startswith(message)

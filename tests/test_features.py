@@ -32,7 +32,8 @@ from persorank.features import (
 )
 from persorank.logs import DataError, Grade, Impression, Session, SessionColumns, parse_columns
 from persorank.partition import ROLES, TargetSet, rank_sessions, select_targets, write_targets
-from persorank.synth import GenConfig, generate_lines
+from persorank.config import Config
+from persorank.synth import generate_lines
 
 from conftest import extract_all
 from oracles import (
@@ -963,7 +964,7 @@ def generated_log():
 
     Its 6,000 documents make item code * slot count pass 2**31.
     """
-    lines, _ = generate_lines(GenConfig(n_users=300, n_documents=6000, rng_seed=5))
+    lines, _ = generate_lines(Config(n_users=300, n_documents=6000, synth_seed=5))
     columns = parse_columns(line + "\n" for line in lines)
     targets, _ = select_targets(columns, train_days=27, seed=1)
     return columns, targets

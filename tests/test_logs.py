@@ -31,7 +31,8 @@ from persorank.logs import (
     parse_log,
     sessionize,
 )
-from persorank.synth import GenConfig, generate_lines
+from persorank.config import Config
+from persorank.synth import generate_lines
 
 
 def q_line(session=1, time=0, kind="Q", serp=0, query=7, terms="1,2", n_results=10):
@@ -621,7 +622,7 @@ def test_array_parser_packs_keys_only_where_they_fit(sessions, fast):
 
 
 def generated_lines(users, seed):
-    return [line + "\n" for line in generate_lines(GenConfig(n_users=users, rng_seed=seed))[0]]
+    return [line + "\n" for line in generate_lines(Config(n_users=users, synth_seed=seed))[0]]
 
 
 @pytest.mark.parametrize("users,seed", [(3, 1), (40, 7), (150, 11)])

@@ -7,13 +7,13 @@ import pytest
 from persorank import features, ranker
 from persorank.evaluate import ndcg_at, rank_by_score, rank_rows
 from persorank.features import HIST_RELEVANCE_INDEX, N_FEATURES
+from persorank.config import Config, ConfigError
 from persorank.logs import DataError
 from persorank.ranker import (
     ModelKind,
     NetParams,
     RankModel,
     Standardizer,
-    TrainSettings,
     backward,
     forward,
     init_params,
@@ -212,17 +212,15 @@ def test_gradient_check(kind):
 def tables(tmp_path_factory):
     import conftest
 
-    from persorank.synth import GenConfig
-
     corpus = conftest.make_corpus(
-        GenConfig(
+        Config(
             n_users=60,
             queries_per_user_per_day=2,
             n_queries=200,
             n_terms=150,
             n_documents=1200,
             n_domains=100,
-            rng_seed=23,
+            synth_seed=23,
         )
     )
     extracted = extract_all(
@@ -240,11 +238,11 @@ def tables(tmp_path_factory):
 
 class TestTraining:
     def test_deterministic_given_seed(self, tables):
-        settings = TrainSettings(hidden=16, learning_rate=0.05, epochs=8, patience=8)
+        settings = Config(hidden_units=16, learning_rate=0.05, epochs=8, patience=8, train_seed=5)
         a = train(ModelKind.RANKNET, tables["train"], tables["validation"],
-                  settings, seed=5)
+                  settings)
         b = train(ModelKind.RANKNET, tables["train"], tables["validation"],
-                  settings, seed=5)
+                  settings)
         assert np.array_equal(a.params.w1, b.params.w1)
         assert np.array_equal(a.params.b1, b.params.b1)
         assert np.array_equal(a.params.w2, b.params.w2)
@@ -255,11 +253,11 @@ class TestTraining:
     def test_array_loops_train_the_same_model_as_the_reference_loops(
         self, tables, monkeypatch, kind
     ):
-        settings = TrainSettings(hidden=16, learning_rate=0.05, epochs=5, patience=5)
-        fast = train(kind, tables["train"], tables["validation"], settings, seed=7)
+        settings = Config(hidden_units=16, learning_rate=0.05, epochs=5, patience=5, train_seed=7)
+        fast = train(kind, tables["train"], tables["validation"], settings)
         monkeypatch.setattr(ranker, "query_pairs", reference_query_pairs)
         monkeypatch.setattr(ranker, "mean_ndcg", reference_mean_ndcg)
-        slow = train(kind, tables["train"], tables["validation"], settings, seed=7)
+        slow = train(kind, tables["train"], tables["validation"], settings)
         for name in ("w1", "b1", "w2"):
             assert getattr(fast.params, name).tobytes() == getattr(slow.params, name).tobytes()
         assert fast.params.b2 == slow.params.b2
@@ -267,9 +265,9 @@ class TestTraining:
         assert fast.metadata == slow.metadata
 
     def test_metadata_records_run(self, tables):
-        settings = TrainSettings(hidden=12, learning_rate=0.05, epochs=6, patience=6)
+        settings = Config(hidden_units=12, learning_rate=0.05, epochs=6, patience=6, train_seed=1)
         model = train(ModelKind.REGRESSION, tables["train"], tables["validation"],
-                      settings, seed=1)
+                      settings)
         meta = model.metadata
         assert meta["seed"] == 1
         assert meta["best_epoch"] <= meta["epochs_run"] <= 6
@@ -279,9 +277,9 @@ class TestTraining:
         )
 
     def test_training_improves_on_validation(self, tables):
-        settings = TrainSettings(hidden=32, learning_rate=0.1, epochs=40, patience=10)
+        settings = Config(hidden_units=32, learning_rate=0.1, epochs=40, patience=10, train_seed=2)
         model = train(ModelKind.RANKNET, tables["train"], tables["validation"],
-                      settings, seed=2)
+                      settings)
         history = model.metadata["validation_history"]
         assert model.metadata["best_validation_ndcg"] > history[0]
 
@@ -311,16 +309,22 @@ class TestTraining:
             train(ModelKind.RANKNET, unlabeled, tables["validation"])
 
     def test_divergence_aborts_with_diagnostics(self, tables):
-        settings = TrainSettings(hidden=16, learning_rate=1e9, epochs=30, patience=30)
-        with np.errstate(over="ignore"), pytest.raises(RuntimeError, match="non-finite"):
+        settings = Config(hidden_units=16, learning_rate=1e9, epochs=30, patience=30, train_seed=0)
+        with np.errstate(over="ignore"), pytest.raises(ConfigError, match="learning_rate"):
             train(ModelKind.REGRESSION, tables["train"], tables["validation"],
-                  settings, seed=0)
+                  settings)
 
     def test_hidden_range_enforced(self):
-        with pytest.raises(ValueError):
-            TrainSettings(hidden=5).validate()
-        with pytest.raises(ValueError):
-            TrainSettings(hidden=500).validate()
+        with pytest.raises(ConfigError, match="hidden_units"):
+            Config(hidden_units=5)
+        with pytest.raises(ConfigError, match="hidden_units"):
+            Config(hidden_units=500)
+
+    def test_standardizer_rejects_a_spread_that_overflows(self):
+        x = np.zeros((4, 3))
+        x[1, 2] = 1e308
+        with pytest.raises(DataError, match="column 3 overflows"):
+            Standardizer.fit(x)
 
 
 class TestScoring:
@@ -342,8 +346,8 @@ class TestScoring:
 
     def test_permutation_equivariance(self, tables):
         table = tables["train"]
-        settings = TrainSettings(hidden=16, learning_rate=0.05, epochs=3, patience=3)
-        model = train(ModelKind.LISTNET, table, tables["validation"], settings, seed=3)
+        settings = Config(hidden_units=16, learning_rate=0.05, epochs=3, patience=3, train_seed=3)
+        model = train(ModelKind.LISTNET, table, tables["validation"], settings)
         x = table.flat_x()
         rng = np.random.default_rng(4)
         perm = rng.permutation(x.shape[0])
@@ -366,9 +370,9 @@ class TestScoring:
             model.scores(np.zeros((5, 7)))
 
     def test_save_load_round_trip(self, tables, tmp_path):
-        settings = TrainSettings(hidden=16, learning_rate=0.05, epochs=3, patience=3)
+        settings = Config(hidden_units=16, learning_rate=0.05, epochs=3, patience=3, train_seed=6)
         model = train(ModelKind.REGRESSION, tables["train"], tables["validation"],
-                      settings, seed=6)
+                      settings)
         path = tmp_path / "model.json"
         model.save(path)
         loaded = RankModel.load(path)
@@ -378,7 +382,7 @@ class TestScoring:
         assert loaded.metadata["seed"] == 6
 
     def test_load_of_model_without_weights_is_data_error(self, tables, tmp_path):
-        settings = TrainSettings(hidden=16, learning_rate=0.05, epochs=1, patience=1)
+        settings = Config(hidden_units=16, learning_rate=0.05, epochs=1, patience=1)
         model = train(ModelKind.REGRESSION, tables["train"], tables["validation"], settings)
         path = tmp_path / "model.json"
         model.save(path)

@@ -3,7 +3,7 @@ import tracemalloc
 import pytest
 
 from persorank.cli import main
-from persorank.config import ConfigError
+from persorank.config import Config, ConfigError
 from persorank.evaluate import mean_ndcg
 from persorank.logs import (
     SERP_SIZE,
@@ -16,7 +16,7 @@ from persorank.logs import (
 )
 from persorank.partition import select_targets
 from persorank.ranker import ModelKind, RankModel, score_table
-from persorank.synth import GenConfig, generate_lines
+from persorank.synth import generate_lines
 from persorank import features
 
 from conftest import extract_all, generated_sessions
@@ -24,14 +24,14 @@ from conftest import extract_all, generated_sessions
 
 class TestDeterminism:
     def test_same_seed_identical_bytes(self):
-        cfg = GenConfig(n_users=8, rng_seed=7)
+        cfg = Config(n_users=8, synth_seed=7)
         first, _ = generate_lines(cfg)
         second, _ = generate_lines(cfg)
         assert "\n".join(first) == "\n".join(second)
 
     def test_different_seed_differs(self):
-        first, _ = generate_lines(GenConfig(n_users=8, rng_seed=7))
-        second, _ = generate_lines(GenConfig(n_users=8, rng_seed=8))
+        first, _ = generate_lines(Config(n_users=8, synth_seed=7))
+        second, _ = generate_lines(Config(n_users=8, synth_seed=8))
         assert "\n".join(first) != "\n".join(second)
 
 
@@ -93,7 +93,7 @@ EDGE_SETTINGS = {
 @pytest.mark.parametrize("settings", EDGE_SETTINGS.values(), ids=EDGE_SETTINGS.keys())
 class TestCounts:
     def test_counts_are_those_of_the_log_read_line_by_line(self, settings, seed):
-        cfg = GenConfig(**settings, rng_seed=seed)
+        cfg = Config(**settings, synth_seed=seed)
         lines, stats = generate_lines(cfg)
         sessions = sessionize(parse_log(lines))
         label_sessions(sessions)
@@ -112,14 +112,14 @@ class TestCounts:
 
 
 @pytest.mark.parametrize("settings", [
-    {"n_users": 1, "rng_seed": 3},
-    {"n_users": 30, "rng_seed": 4, "n_days": 4},
-    {"n_users": 30, "rng_seed": 5, "queries_per_user_per_day": 1, "n_documents": 10},
-    {"n_users": 150, "rng_seed": 6},
-    {"n_users": 150, "rng_seed": 7, "n_days": 60, "repeat_query_prob": 1.0},
+    {"n_users": 1, "synth_seed": 3},
+    {"n_users": 30, "synth_seed": 4, "n_days": 4, "train_days": 1},
+    {"n_users": 30, "synth_seed": 5, "queries_per_user_per_day": 1, "n_documents": 10},
+    {"n_users": 150, "synth_seed": 6},
+    {"n_users": 150, "synth_seed": 7, "n_days": 60, "train_days": 57, "repeat_query_prob": 1.0},
 ], ids=["1_user", "4_days", "10_documents", "150_users", "60_days"])
 def test_counts_by_day_are_those_of_the_whole_log(settings):
-    cfg = GenConfig(**settings)
+    cfg = Config(**settings)
     lines, stats = generate_lines(cfg)
     assert stats == corpus_stats(parse_columns(line + "\n" for line in lines), cfg.train_days)
 
@@ -147,8 +147,8 @@ PEAK_BYTES_PER_RECORD = 250
 
 
 def test_traced_peak_per_record():
-    cfg = GenConfig(n_users=100, rng_seed=5)
-    generate_lines(GenConfig(n_users=1))  # one-time allocations, such as the regex cache
+    cfg = Config(n_users=100, synth_seed=5)
+    generate_lines(Config(n_users=1))  # one-time allocations, such as the regex cache
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -165,28 +165,32 @@ def test_traced_peak_per_record():
 
 class TestConfigValidation:
     def test_preference_strength_out_of_range(self):
-        with pytest.raises(ConfigError):
-            GenConfig(preference_strength=1.5).validate()
+        with pytest.raises(ConfigError, match="preference_strength"):
+            Config(preference_strength=1.5)
 
     def test_too_few_days(self):
-        with pytest.raises(ConfigError):
-            GenConfig(n_days=3).validate()
+        with pytest.raises(ConfigError, match="train_days must be below n_days"):
+            Config(n_days=3)
 
     def test_zero_users(self):
-        with pytest.raises(ConfigError):
-            GenConfig(n_users=0).validate()
+        with pytest.raises(ConfigError, match="n_users"):
+            Config(n_users=0)
 
     def test_repeat_prob_out_of_range(self):
-        with pytest.raises(ConfigError):
-            GenConfig(repeat_query_prob=-0.1).validate()
+        with pytest.raises(ConfigError, match="repeat_query_prob"):
+            Config(repeat_query_prob=-0.1)
 
-    def test_generate_rejects_invalid_config(self):
-        with pytest.raises(ConfigError):
-            generate_lines(GenConfig(n_days=2))
+    def test_test_day_follows_the_training_period(self):
+        cfg = Config(n_users=12, n_days=12, train_days=9, synth_seed=3)
+        sessions = sessionize(parse_log(generate_lines(cfg)[0]))
+        test_days = [s.day for s in sessions if s.impressions[-1].is_test]
+        assert len(test_days) == cfg.n_users
+        assert all(cfg.train_days < day <= cfg.n_days for day in test_days)
+        assert all(s.day <= cfg.train_days for s in sessions if not s.impressions[-1].is_test)
 
 
 def _heuristic_gain(p: float, tmp_path):
-    cfg = GenConfig(
+    cfg = Config(
         n_users=150,
         queries_per_user_per_day=3,
         n_queries=400,
@@ -195,7 +199,7 @@ def _heuristic_gain(p: float, tmp_path):
         n_domains=200,
         preference_strength=p,
         repeat_query_prob=0.5,
-        rng_seed=13,
+        synth_seed=13,
     )
     sessions, _ = generated_sessions(cfg)
     columns = SessionColumns.of(sessions)
