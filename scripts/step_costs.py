@@ -1,9 +1,11 @@
-"""Wall time and peak RSS of gen, parse, partition and extract, each in a fresh process.
+"""Wall time and peak RSS of the README flow's commands, each in a fresh process.
 
     python scripts/step_costs.py --users 400 --synth-seed 11 --partition-seed 1 --work DIR
 
-Runs the four commands of the README flow that build features, one
-``python -m persorank`` process each, with their files in DIR. Prints a
+Runs the commands that build features (gen, parse, partition, extract) and
+those that read and write feature and score tables (a heuristic train,
+score of the test features, eval), one ``python -m persorank`` process
+each, with their files in DIR. Prints a
 Markdown table with one row per command: its wall time and the peak resident
 set size (``ru_maxrss``) of its process. Run it from the root of a checkout
 with ``src`` on PYTHONPATH, or with the package installed. Linux only.
@@ -50,6 +52,11 @@ def main() -> None:
          "--seed", seed],
         ["extract", "--cache", f"{work}/sessions.cache", "--targets", f"{work}/targets.csv",
          "--out-dir", str(work), "--seed", seed],
+        ["train", "--kind", "heuristic", "--train-features", f"{work}/features_train.csv",
+         "--val-features", f"{work}/features_validation.csv", "--out", f"{work}/model.json"],
+        ["score", "--model", f"{work}/model.json", "--features", f"{work}/features_test.csv",
+         "--out", f"{work}/scores.csv"],
+        ["eval", "--scores", f"{work}/scores.csv", "--out-dir", str(work)],
     ]
     print(f"{args.users} users, synth seed {args.synth_seed}, partition seed {seed}\n")
     print("| command | wall s | peak RSS MB |\n|---|---:|---:|")

@@ -44,7 +44,8 @@ class BlendModel:
             raise DataError(
                 f"expected {len(self.member_names)} members, got {stacked.shape[1]}"
             )
-        return self.standardizer.apply(stacked) @ self.weights + self.bias
+        with np.errstate(over="ignore", invalid="ignore"):  # `write_scores` refuses non-finite
+            return self.standardizer.apply(stacked) @ self.weights + self.bias
 
     def save(self, path: str | Path) -> None:
         payload = {

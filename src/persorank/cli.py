@@ -272,8 +272,8 @@ def _cmd_score(args, cfg: Config):
     [out] = _outputs(args.out or Path(cfg.reports_dir) / "scores.csv")
     model = RankModel.load(model_path)
     table = features.read_features(features_path)
-    scores = score_table(model, table)
-    evaluate.write_scores(table, scores, out)
+    with _naming(model_path, features_path):
+        evaluate.write_scores(score_table(model, table), out)
     return ({"model": str(model_path)}, [model_path, features_path], [out],
             f"wrote {out} ({table.n_targets} targets)")
 
@@ -287,34 +287,31 @@ def _cmd_blend(args, cfg: Config):
     if not args.apply:
         outputs.append(args.model_out or Path(cfg.models_dir) / f"blend_{args.method}.json")
     outputs = _outputs(*outputs)
-    loaded = [evaluate.read_scores(p) for p in score_paths]
-    table = loaded[0][0]
+    tables = [evaluate.read_scores(p) for p in score_paths]
+    table = tables[0]
     if table.n_targets == 0:
         raise DataError(f"{score_paths[0]}: no targets to blend")
-    for path, (other, _) in zip(score_paths[1:], loaded[1:]):
-        if not (np.array_equal(other.user_ids, table.user_ids)
-                and np.array_equal(other.session_ids, table.session_ids)
-                and np.array_equal(other.serp_ids, table.serp_ids)):
+    for path, other in zip(score_paths[1:], tables[1:]):
+        if not np.array_equal(other.ids, table.ids):
             raise DataError(f"score files disagree on targets: {path}")
         if not np.array_equal(other.doc_ids, table.doc_ids):
             raise DataError(f"score files disagree on documents: {path}")
-    member_scores = [scores.reshape(-1) for _, scores in loaded]
+    member_scores = [other.x.reshape(-1) for other in tables]
     names = [Path(p).name for p in score_paths]
-
-    if args.apply:
-        model = blend_mod.BlendModel.load(apply_path)
-        blended = model.apply(member_scores)
-    elif args.method == "average":
-        with _naming(*score_paths):
+    inputs = score_paths + ([apply_path] if args.apply else [])
+    model = blend_mod.BlendModel.load(apply_path) if args.apply else None
+    with _naming(*inputs):
+        if args.apply:
+            blended = model.apply(member_scores)
+        elif args.method == "average":
             blended, model = blend_mod.blend_average(member_scores, names)
-    else:
-        with _naming(*score_paths):
+        else:
             blended, model = blend_mod.blend_learned(
                 member_scores, table.gains, table.base_ranks,
                 split_seed=cfg.blend_split_seed, names=names, cutoff=cfg.ndcg_cutoff,
             )
-
-    evaluate.write_scores(table, blended.reshape(table.doc_ids.shape), outputs[0])
+        evaluate.write_scores(dataclasses.replace(table, x=blended.reshape(table.x.shape)),
+                              outputs[0])
     if not args.apply:
         model.save(outputs[1])
     extra = ""
@@ -329,9 +326,8 @@ def _cmd_eval(args, cfg: Config):
     scores_path = _require(args.scores)
     out_dir = Path(cfg.reports_dir)
     report_path, summary_path = _outputs(out_dir / "report.csv", out_dir / "summary.csv")
-    table, scores = evaluate.read_scores(scores_path)
     report = evaluate.evaluate_run(
-        table, scores, cutoff=cfg.ndcg_cutoff, split_seed=args.split_seed
+        evaluate.read_scores(scores_path), cutoff=cfg.ndcg_cutoff, split_seed=args.split_seed
     )
     evaluate.write_report(report, report_path)
     evaluate.write_summary(report, summary_path)

@@ -16,14 +16,18 @@ class ConfigError(ValueError):
     """Invalid configuration value or unknown key."""
 
 
+# The largest count of gen's vocabularies, users and days: every id and day that
+# gen writes then has at most the 18 digits that `parse` reads (`logs._LINE`).
+MAX_COUNT = 10**18 - 1
+
 # The range of each numeric key but learning_rate, both ends included.
 _RANGES = {
-    **dict.fromkeys(["n_users", "n_days", "queries_per_user_per_day", "n_queries", "n_terms",
-                     "n_domains", "train_days", "epochs", "batch_queries", "patience",
-                     "ndcg_cutoff"], (1, math.inf)),
+    **dict.fromkeys(["n_users", "n_days", "n_queries", "n_terms", "n_domains"], (1, MAX_COUNT)),
+    **dict.fromkeys(["queries_per_user_per_day", "train_days", "epochs", "batch_queries",
+                     "patience", "ndcg_cutoff"], (1, math.inf)),
     **dict.fromkeys(["synth_seed", "partition_seed", "train_seed", "blend_split_seed"],
                     (0, math.inf)),
-    "n_documents": (SERP_SIZE, math.inf),
+    "n_documents": (SERP_SIZE, MAX_COUNT),
     "preference_strength": (0.0, 1.0),
     "repeat_query_prob": (0.0, 1.0),
     "hidden_units": (10, 200),
@@ -77,7 +81,8 @@ class Config:
         for key, (low, high) in _RANGES.items():
             value = getattr(self, key)
             if not low <= value <= high:
-                bound = f">= {low}" if high == math.inf else f"within [{low}, {high}]"
+                bound = (f">= {low}" if value < low else f"<= {high}" if value > high
+                         else f"within [{low}, {high}]")  # nan is neither below nor above
                 raise ConfigError(f"{key} must be {bound}, got {value!r}")
         if not 0.0 < self.learning_rate < math.inf:
             raise ConfigError(f"learning_rate must be finite and above 0, "

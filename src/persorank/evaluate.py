@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .cache import atomic_write
-from .features import FeatureTable, _read_grouped, _write_grouped
+from .features import FeatureTable, read_table, write_table
 from .logs import DataError
 
 NDCG_CUTOFF = 10
@@ -120,10 +120,7 @@ def kendall_tau(ranking_a: Sequence[int], ranking_b: Sequence[int]) -> float:
 class EvalReport:
     """Per-target results, (T,) arrays in score-table order, and their means."""
 
-    user_ids: np.ndarray
-    query_ids: np.ndarray
-    session_ids: np.ndarray
-    serp_ids: np.ndarray
+    ids: np.ndarray  # (T, 4) the score table's ids
     ndcg: np.ndarray
     base_ndcg: np.ndarray
     tau: np.ndarray
@@ -157,56 +154,54 @@ SCORE_HEADER = [
 ]
 
 
-def write_scores(table: FeatureTable, scores: np.ndarray, path: str | Path) -> None:
-    """Write a score file: the table's ids plus one score per document.
+def write_scores(table: FeatureTable, path: str | Path) -> None:
+    """Write a score file: the table's ids plus its one score per document, `table.x`.
 
-    `scores` is (targets, 10). Base ranks, gains and scores are written in
-    `repr` digits; the gain column is left empty for unlabeled tables.
+    Base ranks, gains and scores are written in `repr` digits; the gain
+    column is left empty for unlabeled tables. A score that is not finite
+    raises DataError naming its target, before the file is opened.
     """
-    if scores.shape != table.doc_ids.shape:
-        raise ValueError(f"scores shape {scores.shape} does not match the table")
+    finite = np.isfinite(table.x).all(axis=(1, 2))
+    if not finite.all():
+        raise DataError("target user={} query={} session={} serp={} has a score that is not "
+                        "finite".format(*table.ids[np.argmin(finite)].tolist()))
     gains = map(repr, table.gains.ravel().tolist()) if table.gains is not None else repeat("")
-    _write_grouped(path, SCORE_HEADER, table, table.base_ranks[..., None],
-                   (f"{gain},{score!r}\r\n" for gain, score in zip(gains, scores.ravel().tolist())))
+    write_table(table, path, SCORE_HEADER, table.base_ranks[..., None],
+                (f"{gain},{score!r}\r\n" for gain, score in zip(gains, table.x.ravel().tolist())))
 
 
-def read_scores(path: str | Path) -> tuple[FeatureTable, np.ndarray]:
-    """Load a score file as a table without feature columns and (targets, 10) scores.
+def read_scores(path: str | Path) -> FeatureTable:
+    """Load a score file as a table whose x holds its (targets, 10, 1) scores.
 
     Malformed content raises DataError, as for feature files.
     """
-    table, values = _read_grouped(path, SCORE_HEADER, 0)
-    return table, values[:, :, -1].copy()  # the last number column is the score
+    return read_table(path, SCORE_HEADER, slice(-1, None))  # the last number column
 
 
 def evaluate_run(
     table: FeatureTable,
-    scores: np.ndarray,
     cutoff: int = NDCG_CUTOFF,
     split_seed: int | None = None,
 ) -> EvalReport:
-    """Per-query NDCG, base-ranking comparison, and aggregate means.
+    """Per-query NDCG of a score table's ranking, base-ranking comparison, and means.
 
     With a split seed the queries are shuffled and halved, emulating a
     hidden public/private leaderboard split, and each half's mean NDCG is
     reported alongside the aggregates. A table without targets or without
     relevance labels raises DataError.
     """
-    if scores.shape != table.doc_ids.shape:
-        raise ValueError(f"scores shape {scores.shape} does not match the table")
     if table.n_targets == 0:
         raise DataError("no targets to evaluate")
     if table.gains is None:
         raise DataError("targets without relevance labels; cannot evaluate")
-    order = rank_rows(scores, table.base_ranks)
+    order = rank_rows(table.x[..., 0], table.base_ranks)
     base_order = np.argsort(table.base_ranks, axis=-1, kind="stable")
     ndcg = ndcg_rows(order, table.gains, cutoff)
     # Both orders permute the same ten slots, so tau compares slots, not
     # doc ids: a target that lists one document twice still has a tau.
     tau = np.array([kendall_tau(ranked, base_ranked)
                     for ranked, base_ranked in zip(order.tolist(), base_order.tolist())])
-    report = EvalReport(table.user_ids, table.query_ids, table.session_ids, table.serp_ids,
-                        ndcg, ndcg_rows(base_order, table.gains, cutoff), tau)
+    report = EvalReport(table.ids, ndcg, ndcg_rows(base_order, table.gains, cutoff), tau)
     if split_seed is not None and len(ndcg) >= 2:
         perm = np.random.default_rng(split_seed).permutation(len(ndcg))
         half = len(ndcg) // 2
@@ -222,10 +217,9 @@ def write_report(report: EvalReport, path: str | Path) -> None:
             ["user_id", "query_id", "session_id", "serp_id",
              "ndcg", "base_ndcg", "delta_ndcg", "tau"]
         )
-        writer.writerows(zip(
-            report.user_ids.tolist(), report.query_ids.tolist(),
-            report.session_ids.tolist(), report.serp_ids.tolist(),
-            *(map(repr, values.tolist()) for values in (
+        writer.writerows([*ids, *map(repr, values)] for ids, *values in zip(
+            report.ids.tolist(),
+            *(values.tolist() for values in (
                 report.ndcg, report.base_ndcg, report.delta_ndcg, report.tau)),
         ))
 

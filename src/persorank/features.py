@@ -190,25 +190,18 @@ def context_features(
 class FeatureTable:
     """Feature or score rows as arrays grouped by target (10 rows each)."""
 
-    user_ids: np.ndarray     # (T,)
-    query_ids: np.ndarray    # (T,)
-    session_ids: np.ndarray  # (T,)
-    serp_ids: np.ndarray     # (T,)
+    ids: np.ndarray          # (T, 4) int64 user, query, session and serp ids
     doc_ids: np.ndarray      # (T, 10)
-    x: np.ndarray            # (T, 10, 121) float64; (T, 10, 0) for score files
+    x: np.ndarray            # (T, 10, 121) float64 features, or (T, 10, 1) scores
     base_ranks: np.ndarray   # (T, 10) float64
     gains: np.ndarray | None  # (T, 10) float64, None when unlabeled
 
     @property
     def n_targets(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def n_docs(self) -> int:
-        return self.x.shape[0] * self.x.shape[1]
+        return len(self.ids)
 
     def flat_x(self) -> np.ndarray:
-        return self.x.reshape(self.n_docs, self.x.shape[2])
+        return self.x.reshape(-1, self.x.shape[2])
 
 
 def extract_impression(
@@ -231,10 +224,10 @@ def extract_impression(
         blocks.append([context_features(item, imp.terms, context) for item in items])
     x = np.array([[[v for block in blocks for v in block[pos]] + [float(pos + 1)]  # engine rank
                    for pos in range(len(imp.documents))]])
-    ids = [np.array([i], dtype=np.int64) for i in (user_id, imp.query_id, session_id, imp.serp_id)]
+    ids = np.array([[user_id, imp.query_id, session_id, imp.serp_id]], dtype=np.int64)
     gains = (None if imp.labels is None
              else np.array([[grade.gain for grade in imp.labels]], dtype=np.float64))
-    return FeatureTable(*ids, np.array([imp.documents], dtype=np.int64), x, x[..., -1].copy(),
+    return FeatureTable(ids, np.array([imp.documents], dtype=np.int64), x, x[..., -1].copy(),
                         gains)
 
 
@@ -245,8 +238,7 @@ class _Targets(NamedTuple):
     session columns it was read from.
     """
 
-    ids: np.ndarray        # (T, 3) user, session and serp ids
-    query_ids: np.ndarray  # (T,)
+    ids: np.ndarray        # (T, 4) user, query, session and serp ids, as in a table
     times: np.ndarray      # (T,) time_passed
     documents: np.ndarray  # (T, 10)
     domains: np.ndarray    # (T, 10)
@@ -257,19 +249,17 @@ class _Targets(NamedTuple):
     @classmethod
     def of(cls, columns: SessionColumns, ids: np.ndarray, at: np.ndarray,
            ranks: np.ndarray) -> "_Targets":
-        """Targets `ids` at impression rows `at`, whose sessions have ranks `ranks`."""
-        return cls(ids, columns.query_id[at], columns.time_passed[at], columns.documents[at],
-                   columns.domains[at], columns.grades[at],
+        """Targets `ids` (user, session, serp) at rows `at`, whose sessions have ranks `ranks`."""
+        return cls(np.insert(ids, 1, columns.query_id[at], axis=1), columns.time_passed[at],
+                   columns.documents[at], columns.domains[at], columns.grades[at],
                    [frozenset(t) for t in columns.term_tuples(at)], ranks)
 
 
 def _table(targets: _Targets, x: np.ndarray) -> FeatureTable:
     """The table of `targets` with values `x`."""
-    user_ids, session_ids, serp_ids = targets.ids.T.copy()
     grades = targets.grades
     return FeatureTable(
-        user_ids, targets.query_ids, session_ids, serp_ids, targets.documents,
-        x, x[..., -1].copy(),
+        targets.ids, targets.documents, x, x[..., -1].copy(),
         CODE_GAINS[grades].astype(np.float64) if (grades >= 0).all() else None,
     )
 
@@ -628,8 +618,8 @@ def _blocks(present: np.ndarray, tally: np.ndarray, judged, terms: list[frozense
     similarity is sum(count * inter * (L / union)) / (L * count), where L
     is the lcm of the union sizes of the target's terms with the judged
     variants. A target for which such a sum would reach 2**53 raises
-    DataError naming it by its row of `ids`, the targets' (user, session,
-    serp) ids.
+    DataError naming it by its row of `ids`, the targets' (user, query,
+    session, serp) ids.
     """
     row, variant, event, count = judged
     n_targets, width, m = len(terms), 2 * SERP_SIZE, len(present)
@@ -647,7 +637,7 @@ def _blocks(present: np.ndarray, tally: np.ndarray, judged, terms: list[frozense
     lcm = np.array([min(value, EXACT) for value in lcm], dtype=np.int64)[present // width]
     inexact = (counts[CLICKED:] > (EXACT - 1) // lcm).any(axis=0)
     if inexact.any():
-        user, session, serp = ids[present[np.argmax(inexact)] // width].tolist()
+        user, _, session, serp = ids[present[np.argmax(inexact)] // width].tolist()
         raise DataError(f"target (user {user}, session {session}, serp {serp}): "
                         "exact similarity sums exceed 2**53")
     pair = np.searchsorted(pairs, wanted)
@@ -692,7 +682,7 @@ def _target_blocks(e: "Extraction", targets: _Targets, chunk: slice, out: np.nda
     evidence is held at a time.
     """
     rows, terms, ids = e.rows, targets.terms[chunk], targets.ids[chunk]
-    queries, times, ranks = (a[chunk] for a in (targets.query_ids, targets.times, targets.ranks))
+    queries, times, ranks = ids[:, 1], targets.times[chunk], targets.ranks[chunk]
     domains = _codes(rows.domains, targets.domains[chunk])
     items = np.hstack([_codes(rows.documents, targets.documents[chunk]),
                        np.where(domains >= 0, domains + len(rows.documents), -1)])
@@ -785,16 +775,16 @@ WRITE_TARGETS = 32
 def write_features(table: FeatureTable, path: str | Path) -> None:
     """Write a feature file: ten rows per target, values in `repr` digits, gains as integers.
 
-    An unlabeled table leaves every gain empty. See `_write_grouped`.
+    An unlabeled table leaves every gain empty. See `write_table`.
     """
     gains = (table.gains.astype(np.int64).ravel().tolist() if table.gains is not None
              else repeat(""))
-    _write_grouped(path, HEADER, table, table.x, (f"{gain}\r\n" for gain in gains))
+    write_table(table, path, HEADER, table.x, (f"{gain}\r\n" for gain in gains))
 
 
-def _write_grouped(path: str | Path, header: list[str], table: FeatureTable,
-                   values: np.ndarray, ends: Iterable[str]) -> None:
-    """Write the grouped-CSV layout that `_read_grouped` reads.
+def write_table(table: FeatureTable, path: str | Path, header: list[str],
+                values: np.ndarray, ends: Iterable[str]) -> None:
+    """Write the grouped-CSV layout of feature and score files, which `read_table` reads.
 
     Each row is its target's four id columns and its doc id, then its
     (T, 10, k) `values` in `repr` digits, each with its trailing comma, then
@@ -810,9 +800,7 @@ def _write_grouped(path: str | Path, header: list[str], table: FeatureTable,
     patterns = _distinct(bits.ravel())
     digits = np.array([f"{value!r}," for value in patterns.view(np.float64).tolist()],
                       dtype=object)
-    heads = ["{},{},{},{},".format(*ids) for ids in zip(
-        table.user_ids.tolist(), table.query_ids.tolist(),
-        table.session_ids.tolist(), table.serp_ids.tolist())]
+    heads = ["{},{},{},{},".format(*ids) for ids in table.ids.tolist()]
     ends = iter(ends)
     with atomic_write(path, newline="") as fh:
         fh.write(",".join(header) + "\r\n")
@@ -829,9 +817,8 @@ def _write_grouped(path: str | Path, header: list[str], table: FeatureTable,
 
 
 def read_features(path: str | Path) -> FeatureTable:
-    """Load a feature CSV; malformed content raises DataError (see _read_grouped)."""
-    table, _ = _read_grouped(path, HEADER, N_FEATURES)
-    return table
+    """Load a feature CSV; malformed content raises DataError (see `read_table`)."""
+    return read_table(path, HEADER, slice(0, N_FEATURES))
 
 
 def _gain(field: str) -> float:
@@ -842,16 +829,13 @@ def _gain(field: str) -> float:
     return gain
 
 
-def _read_grouped(
-    path: str | Path, header: list[str], n_features: int
-) -> tuple[FeatureTable, np.ndarray]:
+def read_table(path: str | Path, header: list[str], x: slice) -> FeatureTable:
     """Parse the grouped-CSV layout that feature and score files share.
 
     Each target is 10 consecutive rows: four target id columns and a doc
     id, then number columns, one of them `base_rank` and one `gain`, which
-    is empty for unlabeled documents. Returns the table, whose x holds the
-    first `n_features` number columns, and every number column as
-    (T, 10, columns). A file with any empty gain loads with gains=None.
+    is empty for unlabeled documents. The table's x holds the `x` slice of
+    the number columns. A file with any empty gain loads with gains=None.
 
     The body is parsed once, into int64 ids and float64 numbers. Malformed
     content raises DataError naming the first bad line: an unexpected
@@ -912,11 +896,10 @@ def _read_grouped(
                        f"holds a base_rank that is not 1..{SERP_SIZE} once per target")):
         if bad.any():
             raise DataError(f"{path}: line {np.argmax(bad) + 2} {what}")
-    table = FeatureTable(
-        *ids[:, 0, :4].T.copy(),
+    return FeatureTable(
+        ids=ids[:, 0, :4].copy(),
         doc_ids=ids[:, :, 4].copy(),
-        x=numbers[:, :, :n_features],
+        x=numbers[:, :, x],
         base_ranks=base_ranks.copy(),
         gains=None if np.isnan(gains).any() else gains.copy(),
     )
-    return table, numbers

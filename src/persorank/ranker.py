@@ -14,7 +14,7 @@ stopping on validation NDCG@10.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
@@ -53,12 +53,19 @@ class Standardizer:
         return cls(mean=mean, scale=scale)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
+        """Standardized `x`; a column with a value that overflows raises DataError."""
         if x.shape[-1] != self.mean.shape[0]:
             raise ValueError(
                 f"feature dimension {x.shape[-1]} != standardizer "
                 f"dimension {self.mean.shape[0]}"
             )
-        return (x - self.mean) / self.scale
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below, not warned
+            z = (x - self.mean) / self.scale
+        finite = np.isfinite(z).reshape(-1, z.shape[-1]).all(axis=0)
+        if not finite.all():
+            raise DataError(f"a value of column {np.argmin(finite) + 1} overflows float64 "
+                            "when standardized")
+        return z
 
     def as_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "scale": self.scale.tolist()}
@@ -214,7 +221,8 @@ class RankModel:
         if self.kind is ModelKind.HEURISTIC:
             return x[:, HIST_RELEVANCE_INDEX].copy()
         assert self.standardizer is not None and self.params is not None
-        scores, _ = forward(self.params, self.standardizer.apply(x))
+        with np.errstate(over="ignore", invalid="ignore"):  # `write_scores` refuses non-finite
+            scores, _ = forward(self.params, self.standardizer.apply(x))
         return scores
 
     def save(self, path: str | Path) -> None:
@@ -362,7 +370,6 @@ def train(
     )
 
 
-def score_table(model: RankModel, table: FeatureTable) -> np.ndarray:
-    """Scores shaped (targets, 10), matching the table layout."""
-    flat = model.scores(table.flat_x())
-    return flat.reshape(table.x.shape[0], table.x.shape[1])
+def score_table(model: RankModel, table: FeatureTable) -> FeatureTable:
+    """The score table of `table`: its ids, with x the model's (targets, 10, 1) scores."""
+    return replace(table, x=model.scores(table.flat_x()).reshape(*table.doc_ids.shape, 1))

@@ -233,25 +233,22 @@ def generate_lines(cfg: Config) -> tuple[list[str], CorpusStats]:
     vocab, doc_domains = _build_vocab(cfg)
     query_text = [f"{qid}\t{','.join(map(str, info.terms))}" for qid, info in enumerate(vocab)]
     pair_text = [f"{doc},{domain}" for doc, domain in enumerate(doc_domains)]
-    by_day: list[list[str]] = [[] for _ in range(cfg.n_days + 1)]
+    by_day: dict[int, list[str]] = {}  # only the days that hold sessions
     for user_id in range(1, cfg.n_users + 1):  # so each day lists its sessions by user
         for day, text in _user_sessions(cfg, user_id, vocab, doc_domains, query_text,
                                         pair_text):
-            by_day[day].append(text)
+            by_day.setdefault(day, []).append(text)
 
     lines: list[str] = []
     days: list[CorpusStats] = []
     distinct = [np.empty(0, np.int64)] * 3
     session_id = 0
-    for day, texts in enumerate(by_day):
-        if not texts:
-            continue
+    for day in sorted(by_day):
         start = len(lines)
-        for text in texts:
+        for text in by_day.pop(day):  # the day's texts become its lines
             session_id += 1
             sid = str(session_id)
             lines.extend((sid + text.replace("\n", "\n" + sid)).split("\n"))
-        by_day[day] = []  # the day's texts are its lines now
         columns = parse_columns(line + "\n" for line in lines[start:])
         if columns is None:
             raise RuntimeError(f"the array parser declined day {day} of a generated log")

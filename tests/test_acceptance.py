@@ -156,8 +156,7 @@ def test_criterion_2_feature_oracle_equivalence():
         by_key = {}
         for role in ("train", "validation", "test"):
             table = extracted[role]
-            keys = zip(table.user_ids.tolist(), table.session_ids.tolist(),
-                       table.serp_ids.tolist())
+            keys = map(tuple, table.ids[:, [0, 2, 3]].tolist())  # user, session, serp
             for t, key in enumerate(keys):
                 by_key[key] = table.x[t]
 
@@ -278,7 +277,7 @@ def test_criterion_6_desk_scale_ordering(desk):
     with criterion(6, "desk-scale model ordering and blend ordering"):
         tr, va = desk["train"], desk["validation"]
         base = mean_ndcg(-va.base_ranks, va.gains, va.base_ranks)
-        heuristic_scores = score_table(RankModel(kind=ModelKind.HEURISTIC), va)
+        heuristic_scores = score_table(RankModel(kind=ModelKind.HEURISTIC), va).x[..., 0]
         heuristic = mean_ndcg(heuristic_scores, va.gains, va.base_ranks)
 
         strong = Config(hidden_units=64, learning_rate=0.1, epochs=60, patience=10)
@@ -293,7 +292,7 @@ def test_criterion_6_desk_scale_ordering(desk):
             ("ranknet_weak", ModelKind.RANKNET, weak, DESK_WEAK_SEED),
         ):
             model = train(kind, tr, va, dataclasses.replace(settings, train_seed=seed))
-            member_scores[name] = score_table(model, va)
+            member_scores[name] = score_table(model, va).x[..., 0]
             trained_ndcg[name] = mean_ndcg(
                 member_scores[name], va.gains, va.base_ranks
             )

@@ -26,6 +26,7 @@ from persorank.cli import build_parser, main
 from persorank.config import KEY_TYPES, Config
 from persorank.features import N_FEATURES
 from persorank.ranker import ModelKind, RankModel, Standardizer, init_params
+from test_config import BOUNDARY_VALUES
 
 GEN_OVERRIDES = [
     "-O", "n_users=25", "-O", "n_queries=200", "-O", "n_terms=150",
@@ -75,6 +76,15 @@ class TestPipeline:
             "tau_hist.csv", "delta_ndcg_hist.csv",
         ):
             assert (tmp_path / name).exists(), name
+
+    def test_largest_day_count_is_generated_and_parsed(self, tmp_path):
+        """gen holds only the days it logs, and its test days still fit a log line."""
+        log, cache_file = tmp_path / "log.tsv", tmp_path / "s.cache"
+        assert run("gen", "--out", str(log), "-O", "n_users=2",
+                   "-O", "n_days=999999999999999999", "-O", "train_days=1") == 0
+        assert run("parse", "--log", str(log), "--out", str(cache_file)) == 0
+        days = cache_mod.load_columns(cache_file).day
+        assert days.min() == 1 and days.max() > 10**15  # the test days, drawn from 2..n_days
 
     def test_gzip_log_round_trip(self, tmp_path):
         log = tmp_path / "log.tsv.gz"
@@ -736,6 +746,13 @@ def first_documents_swapped(rows):
     return rows[:1] + [rows[2], rows[1]] + rows[3:]
 
 
+def first_query_changed(rows):
+    """The first target's ten rows name another query: the same user, session and serp."""
+    col = rows[0].index("query_id")
+    return rows[:1] + [row[:col] + [str(int(row[col]) + 1)] + row[col + 1:]
+                       for row in rows[1:11]] + rows[11:]
+
+
 def column_dropped(name):
     def edit(rows):
         col = rows[0].index(name)
@@ -1100,11 +1117,18 @@ class TestMalformedInputs:
         pool = rewrite_rows(scored_run / "scores.csv", tmp_path / "s.csv", edit)
         assert self.blend(tmp_path, pool, pool, method="learned") == 2
 
-    @pytest.mark.parametrize("edit", [first_target_dropped, first_documents_swapped])
-    def test_blend_members_that_disagree_is_data_error(self, scored_run, tmp_path, edit):
+    @pytest.mark.parametrize("edit,what", [(first_target_dropped, "targets"),
+                                           (first_documents_swapped, "documents"),
+                                           (first_query_changed, "targets")],
+                             ids=["first_target_dropped", "first_documents_swapped",
+                                  "first_query_changed"])
+    def test_blend_members_that_disagree_is_data_error(self, scored_run, tmp_path, capsys,
+                                                       edit, what):
         scores = scored_run / "scores.csv"
         other = rewrite_rows(scores, tmp_path / "other.csv", edit)
+        capsys.readouterr()
         assert self.blend(tmp_path, scores, other) == 2
+        assert capsys.readouterr().err == f"data error: score files disagree on {what}: {other}\n"
 
     def test_blend_apply_with_wrong_member_count_is_data_error(self, scored_run, tmp_path):
         scores = scored_run / "scores.csv"
@@ -1236,6 +1260,67 @@ class TestMalformedInputs:
         assert capsys.readouterr().err.startswith(f"data error: {scores}, {scores}: ")
         assert list(out.iterdir()) == []
 
+    @staticmethod
+    def ranknet(w: Path, out: Path) -> Path:
+        """A small ranknet model trained on `w`'s feature files."""
+        assert run("train", "--kind", "ranknet", "--train-features", str(w / "features_train.csv"),
+                   "--val-features", str(w / "features_validation.csv"), "--out", str(out),
+                   "--epochs", "2", "--hidden", "16") == 0
+        return out
+
+    def test_feature_that_overflows_when_standardized_is_data_error(self, scored_run, tmp_path,
+                                                                     capsys):
+        train_file, val = scored_run / "features_train.csv", scored_run / "features_validation.csv"
+        model = self.ranknet(scored_run, tmp_path / "m.json")
+        # c1_g1's training scale is below 1, so 1e308 standardizes to more than float64 holds.
+        bad = corrupt_field(val, tmp_path / "f.csv", "c1_g1", "1e308")
+        out = tmp_path / "out"
+        out.mkdir()
+        for argv, inputs in (
+            (["train", "--kind", "ranknet", "--train-features", str(train_file),
+              "--val-features", str(bad), "--out", str(out / "m.json"),
+              "--epochs", "2", "--hidden", "16"], f"{train_file}, {bad}"),
+            (["score", "--model", str(model), "--features", str(bad),
+              "--out", str(out / "s.csv")], f"{model}, {bad}"),
+        ):
+            capsys.readouterr()
+            assert run(*argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"data error: {inputs}: ") and "column 1 " in err, err
+        assert list(out.iterdir()) == []
+
+    def test_model_whose_scores_overflow_is_data_error(self, scored_run, tmp_path, capsys):
+        features_file = scored_run / "features_validation.csv"
+        model = self.ranknet(scored_run, tmp_path / "m.json")
+        payload = json.loads(model.read_text())
+        payload["weights"]["w2"] = [1e308] * 16
+        model.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        out.mkdir()
+        capsys.readouterr()
+        assert run("score", "--model", str(model), "--features", str(features_file),
+                   "--out", str(out / "s.csv")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {model}, {features_file}: ") and "finite" in err
+        assert list(out.iterdir()) == []
+
+    def test_blend_whose_scores_overflow_is_data_error(self, scored_run, tmp_path, capsys):
+        scores = scored_run / "scores.csv"
+        assert self.blend(tmp_path, scores, scores) == 0
+        blend_file = tmp_path / "b.json"
+        payload = json.loads(blend_file.read_text())
+        payload["weights"], payload["bias"] = [1e308, 1e308], 1e308
+        blend_file.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        out.mkdir()
+        capsys.readouterr()
+        assert run("blend", "--scores", str(scores), str(scores), "--apply", str(blend_file),
+                   "--out", str(out / "applied.csv")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {scores}, {scores}, {blend_file}: ")
+        assert "finite" in err
+        assert list(out.iterdir()) == []
+
     def test_train_with_header_only_validation_is_data_error(self, scored_run, tmp_path):
         empty = rewrite_rows(scored_run / "features_validation.csv", tmp_path / "v.csv",
                              header_only)
@@ -1267,6 +1352,15 @@ FUZZ_CONSUMERS = {
         lambda bad, w, out: ["train", "--kind", "heuristic",
                              "--train-features", f"{w}/features_train.csv",
                              "--val-features", bad, "--out", f"{out}/model.json"],
+        lambda bad, w, out: ["train", "--kind", "ranknet", "--epochs", "2", "--hidden", "16",
+                             "--train-features", f"{w}/features_train.csv",
+                             "--val-features", bad, "--out", f"{out}/model.json"],
+    ],
+    "features_train.csv": [
+        lambda bad, w, out: ["train", "--kind", "ranknet", "--epochs", "2", "--hidden", "16",
+                             "--train-features", bad,
+                             "--val-features", f"{w}/features_validation.csv",
+                             "--out", f"{out}/model.json"],
     ],
     "model.json": [lambda bad, w, out: ["score", "--model", bad, "--features",
                                         f"{w}/features_validation.csv",
@@ -1282,10 +1376,12 @@ FUZZ_CONSUMERS = {
     "report.csv": [lambda bad, w, out: ["analyze", "--report", bad, "--out-dir", out]],
 }
 FUZZ_DRAWS = 3  # seeded draws of each mutation
+NUMBER = re.compile(rb"(?<![\w.+-])-?[0-9]+(?:\.[0-9]*)?(?:[eE][-+]?[0-9]+)?(?![\w.])")
 
 
 def mutations(data: bytes, rng: random.Random):
-    """(name, mutated bytes): a truncation, changed bytes, a duplicated line, a deleted line."""
+    """(name, mutated bytes): a truncation, changed bytes, a duplicated line, a deleted line,
+    and, in a text input, one number field of one line set to each of `BOUNDARY_VALUES`."""
     lines = data.splitlines(keepends=True)
     yield "truncated", data[:rng.randrange(len(data))]
     changed = bytearray(data)
@@ -1296,16 +1392,28 @@ def mutations(data: bytes, rng: random.Random):
     yield "duplicated line", b"".join(lines[:at + 1] + lines[at:])
     at = rng.randrange(len(lines))
     yield "deleted line", b"".join(lines[:at] + lines[at + 1:])
+    if not data.isascii():
+        return  # the session cache: no text
+    at = rng.choice([n for n, line in enumerate(lines) if NUMBER.search(line)])
+    field = rng.choice(list(NUMBER.finditer(lines[at])))
+    for value in BOUNDARY_VALUES:
+        line = lines[at][:field.start()] + value.encode() + lines[at][field.end():]
+        yield f"line {at + 1} field {field.group().decode()!r} set to {value!r}", b"".join(
+            lines[:at] + [line] + lines[at + 1:])
 
 
 @pytest.fixture(scope="module")
 def fuzz_inputs(scored_run, tmp_path_factory):
-    """`scored_run`'s files plus an average blend model of its scores."""
+    """`scored_run`'s files, with a ranknet model in place of its heuristic one, plus an
+    average blend model of its scores."""
     w = tmp_path_factory.mktemp("fuzz_inputs")
     for name in FUZZ_CONSUMERS:
-        if name != "blend.json":
+        if name not in ("blend.json", "model.json"):
             (w / name).write_bytes((scored_run / name).read_bytes())
-    (w / "features_train.csv").write_bytes((scored_run / "features_train.csv").read_bytes())
+    assert run("train", "--kind", "ranknet", "--epochs", "2", "--hidden", "16",
+               "--train-features", str(w / "features_train.csv"),
+               "--val-features", str(w / "features_validation.csv"),
+               "--out", str(w / "model.json")) == 0
     assert run("blend", "--scores", str(w / "scores.csv"), str(w / "scores.csv"),
                "--out", str(w / "b.csv"), "--model-out", str(w / "blend.json")) == 0
     return w

@@ -44,3 +44,12 @@ def test_out_of_range_field_names_its_key(settings, message):
     with pytest.raises(ConfigError) as raised:
         Config(**settings)
     assert str(raised.value).startswith(message)
+
+
+@pytest.mark.parametrize("key", ["n_users", "n_days", "n_queries", "n_terms", "n_documents",
+                                 "n_domains"])
+def test_count_beyond_what_parse_reads_names_its_key(key):
+    """gen writes every count as ids or days, which a log line holds in at most 18 digits."""
+    assert Config(**{key: 10**18 - 1, "n_days": 10**18 - 1})
+    with pytest.raises(ConfigError, match=rf"^{key} must be <= 999999999999999999, got "):
+        load_config(None, [f"{key}={10**18}"])

@@ -124,16 +124,14 @@ class TestRanking:
         )
 
 
-def _table(user_ids, gains, base_ranks):
-    """A score-file table: ten documents per target, no feature columns."""
-    n = len(user_ids)
+def _table(user_ids, gains, base_ranks, scores):
+    """A score-file table: ten documents per target, each with its score."""
+    users = np.asarray(user_ids, dtype=np.int64)
+    n = len(users)
     return FeatureTable(
-        user_ids=np.asarray(user_ids),
-        query_ids=np.asarray(user_ids) + 100,
-        session_ids=np.asarray(user_ids) + 1000,
-        serp_ids=np.zeros(n, dtype=np.int64),
+        ids=np.stack([users, users + 100, users + 1000, np.zeros(n, dtype=np.int64)], axis=1),
         doc_ids=np.tile(np.arange(50, 60), (n, 1)),
-        x=np.zeros((n, 10, 0)),
+        x=np.asarray(scores, dtype=np.float64).reshape(n, 10, 1),
         base_ranks=np.asarray(base_ranks, dtype=np.float64),
         gains=None if gains is None else np.asarray(gains, dtype=np.float64),
     )
@@ -145,22 +143,22 @@ def _targets(n, rng, score_fn):
         gains.append([rng.randint(0, 2) for _ in range(10)])
         base.append(list(range(1, 11)))
         scores.append(score_fn(gains[-1], base[-1]))
-    return _table(list(range(n)), gains, base), np.asarray(scores, dtype=np.float64)
+    return _table(list(range(n)), gains, base, scores)
 
 
 class TestEvaluateRun:
     def test_negated_base_ranks_reproduce_base_ranking(self):
         rng = random.Random(3)
         targets = _targets(20, rng, lambda gains, base: [-b for b in base])
-        report = evaluate_run(*targets)
+        report = evaluate_run(targets)
         assert all(tau == 1.0 for tau in report.tau.tolist())
         assert all(delta == 0.0 for delta in report.delta_ndcg.tolist())
         assert report.mean_ndcg == report.mean_base_ndcg
 
     def test_base_mean_matches_identity_ndcg(self):
         rng = random.Random(4)
-        table, scores = _targets(15, rng, lambda gains, base: [rng.random() for _ in base])
-        report = evaluate_run(table, scores)
+        table = _targets(15, rng, lambda gains, base: [rng.random() for _ in base])
+        report = evaluate_run(table)
         expected = sum(
             ndcg_at(list(range(10)), gains) for gains in table.gains.tolist()
         ) / table.n_targets
@@ -169,16 +167,16 @@ class TestEvaluateRun:
     def test_split_seed_reports_halves(self):
         rng = random.Random(5)
         targets = _targets(21, rng, lambda gains, base: [rng.random() for _ in base])
-        report = evaluate_run(*targets, split_seed=9)
+        report = evaluate_run(targets, split_seed=9)
         assert report.split_a_mean_ndcg is not None
         assert report.split_b_mean_ndcg is not None
         total = report.split_a_mean_ndcg * 10 + report.split_b_mean_ndcg * 11
         assert total / 21 == pytest.approx(report.mean_ndcg, abs=1e-12)
 
     def test_unlabeled_targets_rejected(self):
-        table = _table([1], None, [list(range(1, 11))])
+        table = _table([1], None, [list(range(1, 11))], np.zeros((1, 10)))
         with pytest.raises(DataError):
-            evaluate_run(table, np.zeros((1, 10)))
+            evaluate_run(table)
 
 
 class TestReRankShape:
@@ -196,10 +194,10 @@ class TestReRankShape:
         fpath = tmp_path / "f.csv"
         features.write_features(extracted["validation"], fpath)
         table = features.read_features(fpath)
-        scores = score_table(RankModel(kind=ModelKind.HEURISTIC), table)
+        scored = score_table(RankModel(kind=ModelKind.HEURISTIC), table)
         spath = tmp_path / "s.csv"
-        write_scores(table, scores, spath)
-        report = evaluate_run(*read_scores(spath))
+        write_scores(scored, spath)
+        report = evaluate_run(read_scores(spath))
         taus = report.tau.tolist()
         assert sum(1 for t in taus if t >= 0.7) / len(taus) > 0.5
         assert min(taus) < 1.0
@@ -219,21 +217,21 @@ class TestScoreFiles:
         fpath = tmp_path / "f.csv"
         features.write_features(extracted["validation"], fpath)
         table = features.read_features(fpath)
-        scores = score_table(RankModel(kind=ModelKind.HEURISTIC), table)
+        scored = score_table(RankModel(kind=ModelKind.HEURISTIC), table)
         spath = tmp_path / "s.csv"
-        write_scores(table, scores, spath)
-        loaded, loaded_scores = read_scores(spath)
+        write_scores(scored, spath)
+        loaded = read_scores(spath)
         assert loaded.n_targets == table.n_targets
         for t in range(loaded.n_targets):
-            assert loaded.user_ids[t] == table.user_ids[t]
+            assert loaded.ids[t].tolist() == table.ids[t].tolist()
             assert loaded.doc_ids[t].tolist() == table.doc_ids[t].tolist()
-            assert loaded_scores[t].tolist() == scores[t].tolist()
+            assert loaded.x[t].tolist() == scored.x[t].tolist()
             assert loaded.gains[t].tolist() == table.gains[t].tolist()
 
     def test_report_and_summary_written(self, tmp_path):
         rng = random.Random(6)
         targets = _targets(5, rng, lambda gains, base: [rng.random() for _ in base])
-        report = evaluate_run(*targets)
+        report = evaluate_run(targets)
         rpath, spath = tmp_path / "report.csv", tmp_path / "summary.csv"
         write_report(report, rpath)
         write_summary(report, spath)
@@ -265,41 +263,35 @@ def score_tables(draw):
     """A score-file table with any ids, base ranks 1..10 in any order, finite scores, and
     gains 0-2 or none."""
     n = draw(st.integers(min_value=1, max_value=4))
-    ids = arrays(np.int64, n)
-    numbers = arrays(np.float64, (n, 10),
-                     elements=st.floats(allow_nan=False, allow_infinity=False))
+    scores = arrays(np.float64, (n, 10, 1),
+                    elements=st.floats(allow_nan=False, allow_infinity=False))
     gains = arrays(np.float64, (n, 10), elements=st.sampled_from([0.0, 1.0, 2.0]))
-    table = FeatureTable(
-        user_ids=draw(ids),
-        query_ids=draw(ids),
-        session_ids=draw(ids),
-        serp_ids=draw(ids),
+    return FeatureTable(
+        ids=draw(arrays(np.int64, (n, 4))),
         doc_ids=draw(arrays(np.int64, (n, 10))),
-        x=np.zeros((n, 10, 0)),
+        x=draw(scores),
         base_ranks=np.array(draw(st.lists(st.permutations(range(1, 11)), min_size=n,
                                           max_size=n)), dtype=np.float64),
         gains=draw(st.none() | gains),
     )
-    return table, draw(numbers)
 
 
 class TestScoreFileRoundTrip:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(score_tables())
-    def test_write_then_read_is_bit_exact(self, tmp_path, drawn):
-        table, scores = drawn
+    def test_write_then_read_is_bit_exact(self, tmp_path, table):
         path = tmp_path / "scores.csv"
-        write_scores(table, scores, path)
-        loaded, loaded_scores = read_scores(path)
+        write_scores(table, path)
+        loaded = read_scores(path)
 
         def bits(a):
             return np.asarray(a).view(np.int64).tolist()
 
-        for name in ("user_ids", "query_ids", "session_ids", "serp_ids", "doc_ids"):
+        for name in ("ids", "doc_ids"):
             assert getattr(loaded, name).tolist() == getattr(table, name).tolist(), name
         assert bits(loaded.base_ranks) == bits(table.base_ranks)
-        assert bits(loaded_scores) == bits(scores)
+        assert bits(loaded.x) == bits(table.x)
         if table.gains is None:
             assert loaded.gains is None
         else:
@@ -348,8 +340,8 @@ class TestArrayNdcg:
     @given(ranked_pools())
     def test_evaluate_run_rows_equal_the_scalar_definition(self, pool):
         scores, gains, base, cutoff = pool
-        table = _table(list(range(len(scores))), gains, base)
-        report = evaluate_run(table, scores, cutoff)
+        table = _table(list(range(len(scores))), gains, base, scores)
+        report = evaluate_run(table, cutoff)
         assert report.ndcg.dtype == report.base_ndcg.dtype == np.float64
         for ndcg, base_ndcg, row_scores, row_gains, row_base in zip(
             report.ndcg.tolist(), report.base_ndcg.tolist(),

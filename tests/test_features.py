@@ -286,7 +286,7 @@ class TestExtract:
         assert table.x[0, :, 120].tolist() == list(range(1, 11))
         assert table.base_ranks.tolist() == [list(range(1, 11))]
         assert table.gains.tolist() == [[0.0] * 10]
-        assert (table.user_ids.tolist(), table.session_ids.tolist()) == ([9], [4])
+        assert table.ids.tolist() == [[9, 1, 4, 0]]  # user, query, session, serp
 
     def test_vector_length_everywhere(self, small_corpus):
         extracted = extract_all(
@@ -390,9 +390,8 @@ class TestExtract:
         for role, b in before.items():
             a = after[role]
             assert a.n_targets == b.n_targets > 0
-            for ids in ("user_ids", "session_ids", "serp_ids"):
-                assert np.array_equal(getattr(a, ids), getattr(b, ids))
-            assert a.query_ids.tolist() == [relabel(q) for q in b.query_ids.tolist()]
+            assert np.array_equal(a.ids[:, [0, 2, 3]], b.ids[:, [0, 2, 3]])  # all but the query
+            assert a.ids[:, 1].tolist() == [relabel(q) for q in b.ids[:, 1].tolist()]
             assert a.doc_ids.tolist() == [[relabel(d) for d in docs] for docs in b.doc_ids.tolist()]
             assert a.x.tobytes() == b.x.tobytes()
             assert np.array_equal(a.gains, b.gains)
@@ -417,8 +416,8 @@ class TestWriteFeatures:
                      * 10.0 ** rng.integers(-320, 300, (n_targets, 10, N_FEATURES)))
         # The base_rank column is 1..10 in some order, as `read_features` requires.
         x[..., -1] = rng.permuted(np.tile(np.arange(1.0, 11.0), (n_targets, 1)), axis=1)
-        ids = rng.integers(-2**62, 2**62, (4, n_targets))
-        return FeatureTable(*ids, doc_ids=rng.integers(-2**62, 2**62, (n_targets, 10)), x=x,
+        ids = rng.integers(-2**62, 2**62, (n_targets, 4))
+        return FeatureTable(ids, doc_ids=rng.integers(-2**62, 2**62, (n_targets, 10)), x=x,
                             base_ranks=x[..., -1].copy(),
                             gains=rng.integers(0, 3, (n_targets, 10)) * 1.0 if labeled else None)
 
@@ -427,7 +426,7 @@ class TestWriteFeatures:
         """The file, formatted one value at a time with `repr`."""
         lines = [",".join(HEADER)]
         for t in range(table.n_targets):
-            ids = [table.user_ids[t], table.query_ids[t], table.session_ids[t], table.serp_ids[t]]
+            ids = table.ids[t].tolist()
             for j in range(10):
                 gain = "" if table.gains is None else str(int(table.gains[t, j]))
                 values = [repr(float(v)) for v in table.x[t, j]]
@@ -479,8 +478,7 @@ class TestReadFeatures:
         x = np.full((2, 10, N_FEATURES), 0.5)
         x[:, :, -1] = np.arange(1, 11)
         table = FeatureTable(
-            user_ids=np.array([1, 1]), query_ids=np.array([2, 2]), session_ids=np.array([3, 3]),
-            serp_ids=np.array([0, 1]), doc_ids=np.arange(20).reshape(2, 10), x=x,
+            ids=np.array([[1, 2, 3, 0], [1, 2, 3, 1]]), doc_ids=np.arange(20).reshape(2, 10), x=x,
             base_ranks=x[:, :, -1].copy(), gains=np.arange(20).reshape(2, 10) % 3 * 1.0,
         )
         path = tmp_path / "features.csv"

@@ -285,10 +285,7 @@ class TestTraining:
 
     def test_empty_training_set_rejected(self, tables):
         empty = features.FeatureTable(
-            user_ids=np.empty(0, dtype=np.int64),
-            query_ids=np.empty(0, dtype=np.int64),
-            session_ids=np.empty(0, dtype=np.int64),
-            serp_ids=np.empty(0, dtype=np.int64),
+            ids=np.empty((0, 4), dtype=np.int64),
             doc_ids=np.empty((0, 10), dtype=np.int64),
             x=np.empty((0, 10, N_FEATURES)),
             base_ranks=np.empty((0, 10)),
@@ -300,9 +297,7 @@ class TestTraining:
     def test_unlabeled_training_rejected(self, tables):
         table = tables["train"]
         unlabeled = features.FeatureTable(
-            user_ids=table.user_ids, query_ids=table.query_ids,
-            session_ids=table.session_ids, serp_ids=table.serp_ids,
-            doc_ids=table.doc_ids, x=table.x, base_ranks=table.base_ranks,
+            ids=table.ids, doc_ids=table.doc_ids, x=table.x, base_ranks=table.base_ranks,
             gains=None,
         )
         with pytest.raises(ValueError):
@@ -339,7 +334,7 @@ class TestScoring:
                 w2=np.zeros(16), b2=0.0,
             ),
         )
-        scores = score_table(model, table)
+        scores = score_table(model, table).x[..., 0]
         assert np.all(scores == scores[0, 0])
         order = rank_by_score(scores[0], table.base_ranks[0])
         assert order == list(range(10))
@@ -357,12 +352,12 @@ class TestScoring:
         model = RankModel(kind=ModelKind.HEURISTIC)
         a = score_table(model, tables["validation"])
         b = score_table(model, tables["validation"])
-        assert np.array_equal(a, b)
+        assert np.array_equal(a.x, b.x)
 
     def test_heuristic_scores_are_hist_relevance(self, tables):
         table = tables["validation"]
         scores = score_table(RankModel(kind=ModelKind.HEURISTIC), table)
-        assert np.array_equal(scores, table.x[:, :, 0])
+        assert np.array_equal(scores.x, table.x[:, :, :1])
 
     def test_dimension_mismatch_rejected(self):
         model = RankModel(kind=ModelKind.HEURISTIC)

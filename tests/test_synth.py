@@ -211,7 +211,7 @@ def _heuristic_gain(p: float, tmp_path):
     features.write_features(extracted["validation"], path)
     table = features.read_features(path)
     heuristic = mean_ndcg(
-        score_table(RankModel(kind=ModelKind.HEURISTIC), table),
+        score_table(RankModel(kind=ModelKind.HEURISTIC), table).x[..., 0],
         table.gains,
         table.base_ranks,
     )
