@@ -4,11 +4,14 @@
 
 Runs the commands that build features (gen, parse, partition, extract) and
 those that read and write feature and score tables (a heuristic train,
-score of the test features, eval), one ``python -m persorank`` process
-each, with their files in DIR. Prints a
-Markdown table with one row per command: its wall time and the peak resident
-set size (``ru_maxrss``) of its process. Run it from the root of a checkout
-with ``src`` on PYTHONPATH, or with the package installed. Linux only.
+score of the test and of the validation features, an average blend fitted
+on the validation scores, its ``--apply`` to the test scores, eval of the
+test scores), one ``python -m persorank`` process each, with their files in
+DIR. Prints a Markdown table with one row per command, labeled so that the
+two score and the two blend commands can be told apart: its wall time and
+the peak resident set size (``ru_maxrss``) of its process. Run it from the
+root of a checkout with ``src`` on PYTHONPATH, or with the package
+installed. Linux only.
 """
 
 from __future__ import annotations
@@ -44,26 +47,35 @@ def main() -> None:
     work = args.work
     work.mkdir(parents=True, exist_ok=True)
     seed = str(args.partition_seed)
-    steps = [
-        ["gen", "--out", f"{work}/log.tsv", "-O", f"n_users={args.users}",
-         "-O", f"synth_seed={args.synth_seed}"],
-        ["parse", "--log", f"{work}/log.tsv", "--out", f"{work}/sessions.cache"],
-        ["partition", "--cache", f"{work}/sessions.cache", "--out", f"{work}/targets.csv",
-         "--seed", seed],
-        ["extract", "--cache", f"{work}/sessions.cache", "--targets", f"{work}/targets.csv",
-         "--out-dir", str(work), "--seed", seed],
-        ["train", "--kind", "heuristic", "--train-features", f"{work}/features_train.csv",
-         "--val-features", f"{work}/features_validation.csv", "--out", f"{work}/model.json"],
-        ["score", "--model", f"{work}/model.json", "--features", f"{work}/features_test.csv",
-         "--out", f"{work}/scores.csv"],
-        ["eval", "--scores", f"{work}/scores.csv", "--out-dir", str(work)],
+    steps = [  # (row label, command line)
+        ("gen", ["gen", "--out", f"{work}/log.tsv", "-O", f"n_users={args.users}",
+                 "-O", f"synth_seed={args.synth_seed}"]),
+        ("parse", ["parse", "--log", f"{work}/log.tsv", "--out", f"{work}/sessions.cache"]),
+        ("partition", ["partition", "--cache", f"{work}/sessions.cache",
+                       "--out", f"{work}/targets.csv", "--seed", seed]),
+        ("extract", ["extract", "--cache", f"{work}/sessions.cache",
+                     "--targets", f"{work}/targets.csv", "--out-dir", str(work), "--seed", seed]),
+        ("train", ["train", "--kind", "heuristic",
+                   "--train-features", f"{work}/features_train.csv",
+                   "--val-features", f"{work}/features_validation.csv",
+                   "--out", f"{work}/model.json"]),
+        ("score test", ["score", "--model", f"{work}/model.json",
+                        "--features", f"{work}/features_test.csv", "--out", f"{work}/scores.csv"]),
+        ("score validation", ["score", "--model", f"{work}/model.json",
+                              "--features", f"{work}/features_validation.csv",
+                              "--out", f"{work}/scores_validation.csv"]),
+        ("blend average", ["blend", "--scores", f"{work}/scores_validation.csv",
+                           "--method", "average", "--out", f"{work}/blended_validation.csv",
+                           "--model-out", f"{work}/blend.json"]),
+        ("blend --apply", ["blend", "--scores", f"{work}/scores.csv",
+                           "--apply", f"{work}/blend.json", "--out", f"{work}/blended_test.csv"]),
+        ("eval", ["eval", "--scores", f"{work}/scores.csv", "--out-dir", str(work)]),
     ]
     print(f"{args.users} users, synth seed {args.synth_seed}, partition seed {seed}\n")
     print("| command | wall s | peak RSS MB |\n|---|---:|---:|")
-    for step in steps:
+    for label, step in steps:
         wall, rss = run(step)
-        print(f"| {step[0]} | {wall:.2f} | {rss:.1f} |", flush=True)
-
+        print(f"| {label} | {wall:.2f} | {rss:.1f} |", flush=True)
 
 if __name__ == "__main__":
     main()

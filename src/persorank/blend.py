@@ -10,7 +10,7 @@ weights because the members may have overfitted it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -18,6 +18,7 @@ import numpy as np
 
 from .cache import load_json, save_json
 from .evaluate import mean_ndcg
+from .features import FeatureTable
 from .logs import DataError
 from .ranker import ModelKind, Standardizer, load_array, loss_and_score_grad
 
@@ -34,18 +35,16 @@ class BlendModel:
     bias: float = 0.0
     metadata: dict = field(default_factory=dict)
 
-    def apply(self, member_scores: Sequence[np.ndarray]) -> np.ndarray:
-        """Blend raw member score vectors using the stored statistics.
+    def apply(self, members: Sequence[FeatureTable]) -> FeatureTable:
+        """The first member's table, with the members' scores blended by the stored statistics.
 
         A member count other than the fitted one raises DataError.
         """
-        stacked = _stack(member_scores)
-        if stacked.shape[1] != len(self.member_names):
-            raise DataError(
-                f"expected {len(self.member_names)} members, got {stacked.shape[1]}"
-            )
+        if len(members) != len(self.member_names):
+            raise DataError(f"expected {len(self.member_names)} members, got {len(members)}")
         with np.errstate(over="ignore", invalid="ignore"):  # `write_scores` refuses non-finite
-            return self.standardizer.apply(stacked) @ self.weights + self.bias
+            blended = self.standardizer.apply(_stack(members)) @ self.weights + self.bias
+        return replace(members[0], x=blended.reshape(members[0].x.shape))
 
     def save(self, path: str | Path) -> None:
         payload = {
@@ -82,21 +81,16 @@ class BlendModel:
             raise DataError(f"{path}: malformed blend file: {exc!r}") from None
 
 
-def _stack(member_scores: Sequence[np.ndarray]) -> np.ndarray:
-    if len(member_scores) == 0:
-        raise ValueError("no member scores given")
-    arrays = [np.asarray(s, dtype=np.float64).reshape(-1) for s in member_scores]
-    length = arrays[0].size
-    if any(a.size != length for a in arrays):
-        raise ValueError("member score vectors have mismatched lengths")
-    return np.stack(arrays, axis=1)
+def _stack(members: Sequence[FeatureTable]) -> np.ndarray:
+    """The members' (T, 10, 1) scores as one (T·10, members) array."""
+    return np.concatenate([m.x for m in members], axis=-1).reshape(-1, len(members))
 
 
 def blend_average(
-    member_scores: Sequence[np.ndarray], names: Sequence[str] | None = None
-) -> tuple[np.ndarray, BlendModel]:
+    members: Sequence[FeatureTable], names: Sequence[str] | None = None
+) -> tuple[FeatureTable, BlendModel]:
     """Standardize each member over the pool, then average per document."""
-    stacked = _stack(member_scores)
+    stacked = _stack(members)
     n_members = stacked.shape[1]
     weights = np.full(n_members, 1.0 / n_members)
     model = BlendModel(
@@ -105,33 +99,29 @@ def blend_average(
         standardizer=Standardizer.fit(stacked),
         weights=weights,
     )
-    return model.apply(member_scores), model
+    return model.apply(members), model
 
 
 def blend_learned(
-    member_scores: Sequence[np.ndarray],
-    gains: np.ndarray,
-    base_ranks: np.ndarray,
+    members: Sequence[FeatureTable],
     split_seed: int = 0,
     names: Sequence[str] | None = None,
     cutoff: int = 10,
-) -> tuple[np.ndarray, BlendModel]:
+) -> tuple[FeatureTable, BlendModel]:
     """Fit linear pairwise-loss weights on half the queries, report the rest.
 
-    `member_scores` are flat per-document vectors over labeled queries of
-    10 documents each; `gains` and `base_ranks` are (queries, 10). Returns
-    blended scores for the full pool plus the fitted model, whose metadata
-    carries the holdout mean NDCG.
+    The members are labeled score tables of the same targets; the gains and
+    base ranks are the first member's. Returns the blend of the full pool
+    plus the fitted model, whose metadata carries the holdout mean NDCG.
     """
-    stacked = _stack(member_scores)
+    stacked = _stack(members)
     n_members = stacked.shape[1]
     if n_members < 2:
         raise ValueError("learned blending needs at least 2 members")
-    if gains is None or np.isnan(gains).any():
+    gains, base_ranks = members[0].gains, members[0].base_ranks
+    if gains is None:
         raise DataError("learned blending needs labeled queries")
     n_queries = gains.shape[0]
-    if stacked.shape[0] != n_queries * gains.shape[1]:
-        raise ValueError("member scores do not align with the labeled queries")
 
     rng = np.random.default_rng(split_seed)
     perm = rng.permutation(n_queries)
@@ -172,4 +162,4 @@ def blend_learned(
             "epochs": LEARNED_BLEND_EPOCHS,
         },
     )
-    return model.apply(member_scores), model
+    return model.apply(members), model

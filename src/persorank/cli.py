@@ -262,7 +262,7 @@ def _cmd_train(args, cfg: Config):
     best = model.metadata.get("best_validation_ndcg")
     return (
         {"kind": kind.value}, [train_path, val_path], [out],
-        f"wrote {out}" + (f" (validation NDCG@10 {best:.5f})" if best else ""),
+        f"wrote {out}" + (f" (validation NDCG@{cfg.ndcg_cutoff} {best:.5f})" if best else ""),
     )
 
 
@@ -279,6 +279,8 @@ def _cmd_score(args, cfg: Config):
 
 
 def _cmd_blend(args, cfg: Config):
+    if args.apply and args.model_out:
+        raise ConfigError("blend --apply fits no model to write to --model-out")
     if args.method == "learned" and not args.apply and len(args.scores) < 2:
         raise ConfigError("learned blending needs at least 2 score files")
     score_paths = [_require(p) for p in args.scores]
@@ -296,30 +298,27 @@ def _cmd_blend(args, cfg: Config):
             raise DataError(f"score files disagree on targets: {path}")
         if not np.array_equal(other.doc_ids, table.doc_ids):
             raise DataError(f"score files disagree on documents: {path}")
-    member_scores = [other.x.reshape(-1) for other in tables]
     names = [Path(p).name for p in score_paths]
     inputs = score_paths + ([apply_path] if args.apply else [])
     model = blend_mod.BlendModel.load(apply_path) if args.apply else None
     with _naming(*inputs):
         if args.apply:
-            blended = model.apply(member_scores)
+            blended = model.apply(tables)
         elif args.method == "average":
-            blended, model = blend_mod.blend_average(member_scores, names)
+            blended, model = blend_mod.blend_average(tables, names)
         else:
             blended, model = blend_mod.blend_learned(
-                member_scores, table.gains, table.base_ranks,
-                split_seed=cfg.blend_split_seed, names=names, cutoff=cfg.ndcg_cutoff,
+                tables, split_seed=cfg.blend_split_seed, names=names, cutoff=cfg.ndcg_cutoff
             )
-        evaluate.write_scores(dataclasses.replace(table, x=blended.reshape(table.x.shape)),
-                              outputs[0])
+        evaluate.write_scores(blended, outputs[0])
     if not args.apply:
         model.save(outputs[1])
     extra = ""
     if not args.apply and model.method == "learned":
-        extra = f" (holdout NDCG@10 {model.metadata['holdout_mean_ndcg']:.5f})"
+        extra = f" (holdout NDCG@{cfg.ndcg_cutoff} {model.metadata['holdout_mean_ndcg']:.5f})"
     params = {"method": (f"apply:{args.apply}" if args.apply else args.method),
               "members": names}
-    return params, score_paths, outputs, f"wrote {', '.join(str(p) for p in outputs)}{extra}"
+    return params, inputs, outputs, f"wrote {', '.join(str(p) for p in outputs)}{extra}"
 
 
 def _cmd_eval(args, cfg: Config):

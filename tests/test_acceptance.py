@@ -38,6 +38,7 @@ from persorank.config import Config
 
 from conftest import extract_all, generated_sessions
 from oracles import OracleScan, finite_difference_grads, oracle_extract, oracle_ndcg
+from test_blend import scored
 from test_features import random_context
 from test_logs import make_session
 
@@ -277,12 +278,11 @@ def test_criterion_6_desk_scale_ordering(desk):
     with criterion(6, "desk-scale model ordering and blend ordering"):
         tr, va = desk["train"], desk["validation"]
         base = mean_ndcg(-va.base_ranks, va.gains, va.base_ranks)
-        heuristic_scores = score_table(RankModel(kind=ModelKind.HEURISTIC), va).x[..., 0]
-        heuristic = mean_ndcg(heuristic_scores, va.gains, va.base_ranks)
+        members = {"heuristic": score_table(RankModel(kind=ModelKind.HEURISTIC), va)}
+        heuristic = mean_ndcg(members["heuristic"].x[..., 0], va.gains, va.base_ranks)
 
         strong = Config(hidden_units=64, learning_rate=0.1, epochs=60, patience=10)
         weak = Config(hidden_units=16, learning_rate=0.001, epochs=60, patience=10)
-        member_scores = {"heuristic": heuristic_scores}
         trained_ndcg = {}
         for name, kind, settings, seed in (
             ("regression", ModelKind.REGRESSION, strong, DESK_TRAIN_SEED),
@@ -292,9 +292,9 @@ def test_criterion_6_desk_scale_ordering(desk):
             ("ranknet_weak", ModelKind.RANKNET, weak, DESK_WEAK_SEED),
         ):
             model = train(kind, tr, va, dataclasses.replace(settings, train_seed=seed))
-            member_scores[name] = score_table(model, va).x[..., 0]
+            members[name] = score_table(model, va)
             trained_ndcg[name] = mean_ndcg(
-                member_scores[name], va.gains, va.base_ranks
+                members[name].x[..., 0], va.gains, va.base_ranks
             )
         best = max(
             trained_ndcg["regression"], trained_ndcg["ranknet"],
@@ -313,28 +313,17 @@ def test_criterion_6_desk_scale_ordering(desk):
         assert trained_ndcg["listnet"] == pytest.approx(PIN_LISTNET, abs=NET_TOL)
 
         # blend ordering on the held-out half of the validation split
-        flat = [s.reshape(-1) for s in member_scores.values()]
-        names = list(member_scores)
+        tables, names = list(members.values()), list(members)
         _, learned = blend_learned(
-            flat, va.gains, va.base_ranks,
-            split_seed=DESK_BLEND_SPLIT_SEED, names=names,
+            tables, split_seed=DESK_BLEND_SPLIT_SEED, names=names,
         )
-        averaged, _ = blend_average(flat, names)
+        averaged, _ = blend_average(tables, names)
         holdout = np.random.default_rng(DESK_BLEND_SPLIT_SEED).permutation(
             va.n_targets
         )[va.n_targets // 2:]
-        average_holdout = mean_ndcg(
-            averaged.reshape(va.n_targets, 10)[holdout],
-            va.gains[holdout],
-            va.base_ranks[holdout],
-        )
-        member_holdout = [
-            mean_ndcg(
-                s.reshape(va.n_targets, 10)[holdout],
-                va.gains[holdout],
-                va.base_ranks[holdout],
-            )
-            for s in flat
+        average_holdout, *member_holdout = [
+            mean_ndcg(t.x[holdout, :, 0], va.gains[holdout], va.base_ranks[holdout])
+            for t in [averaged, *tables]
         ]
         learned_holdout = learned.metadata["holdout_mean_ndcg"]
         weakest_holdout = min(member_holdout)
@@ -373,12 +362,10 @@ def test_criterion_7_invariance_suite():
             shift = float(rng.normal() * 50)
             for blender in (
                 lambda a, b: blend_average([a, b])[0],
-                lambda a, b: blend_learned(
-                    [a, b], gains, base, split_seed=1
-                )[0],
+                lambda a, b: blend_learned([a, b], split_seed=1)[0],
             ):
-                plain = blender(m1, m2).reshape(n, 10)
-                scaled = blender(m1 * scale + shift, m2).reshape(n, 10)
+                plain = blender(scored(m1, gains), scored(m2, gains)).x[..., 0]
+                scaled = blender(scored(m1 * scale + shift, gains), scored(m2, gains)).x[..., 0]
                 for t in range(n):
                     assert rank_by_score(plain[t], base[t]) == rank_by_score(
                         scaled[t], base[t]

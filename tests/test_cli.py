@@ -26,6 +26,7 @@ from persorank.cli import build_parser, main
 from persorank.config import KEY_TYPES, Config
 from persorank.features import N_FEATURES
 from persorank.ranker import ModelKind, RankModel, Standardizer, init_params
+from test_blend import scored
 from test_config import BOUNDARY_VALUES
 
 GEN_OVERRIDES = [
@@ -152,6 +153,16 @@ class TestPipeline:
                    "--apply", str(blend_model), "--out", str(applied)) == 0
         assert applied.read_bytes() == blended.read_bytes()
         assert run("eval", "--scores", str(blended), "--out-dir", str(w)) == 0
+
+    @pytest.mark.parametrize("method", ["average", "learned"])
+    def test_blend_applied_to_its_fitting_scores_rewrites_its_output(self, scored_run,
+                                                                      tmp_path, method):
+        members = [str(scored_run / "scores.csv"), str(regression_scores(scored_run, tmp_path))]
+        fitted, applied, blend_file = (str(tmp_path / n) for n in ("f.csv", "a.csv", "b.json"))
+        assert run("blend", "--scores", *members, "--method", method, "--out", fitted,
+                   "--model-out", blend_file) == 0
+        assert run("blend", "--scores", *members, "--apply", blend_file, "--out", applied) == 0
+        assert Path(applied).read_bytes() == Path(fitted).read_bytes()
 
     def test_average_blend_single_member_matches_eval(self, tmp_path):
         w = run_pipeline(tmp_path)
@@ -390,16 +401,16 @@ def _blend_case(w: Path, o: Path, apply: bool):
         fit.mkdir()
         assert run("blend", "--scores", *map(str, members), "--method", "learned",
                    "--out", str(fit / "b.csv"), "--model-out", str(fit / "b.json")) == 0
-        outputs = [o / "applied.csv"]
+        inputs, outputs = [*members, fit / "b.json"], [o / "applied.csv"]
         argv = ["blend", "--scores", *map(str, members), "--apply", str(fit / "b.json"),
                 "--out", str(outputs[0])]
         method = f"apply:{fit / 'b.json'}"
     else:
-        outputs = [o / "b.csv", o / "b.json"]
+        inputs, outputs = members, [o / "b.csv", o / "b.json"]
         argv = ["blend", "--scores", *map(str, members), "--method", "learned",
                 "--out", str(outputs[0]), "--model-out", str(outputs[1])]
         method = "learned"
-    return argv, members, outputs, {"method": method, "members": ["scores.csv"] * 2}
+    return argv, inputs, outputs, {"method": method, "members": ["scores.csv"] * 2}
 
 
 # case: (scored run w, empty output directory o) -> (argv, the inputs and
@@ -560,7 +571,7 @@ class TestAtomicWrite:
 
     @pytest.mark.parametrize("make_model", [
         lambda: RankModel(kind=ModelKind.HEURISTIC),
-        lambda: blend_average([np.arange(10.0), np.ones(10)])[1],
+        lambda: blend_average([scored(np.arange(10.0)), scored(np.ones(10))])[1],
     ], ids=["rank_model", "blend_model"])
     def test_model_files_are_replaced_atomically(self, tmp_path, make_model):
         out, link = tmp_path / "model.json", tmp_path / "link.json"
@@ -578,6 +589,17 @@ class TestAtomicWrite:
             model.save(out)
         assert out.read_bytes() == second
         assert sorted(tmp_path.iterdir()) == [link, out]
+
+
+def regression_scores(w: Path, out_dir: Path, *settings: str) -> Path:
+    """The validation scores of a 2-epoch regression model trained on the features in `w`."""
+    model, scores = out_dir / "regression.json", out_dir / "scores_regression.csv"
+    assert run("train", "--kind", "regression", "--train-features", str(w / "features_train.csv"),
+               "--val-features", str(w / "features_validation.csv"), "--out", str(model),
+               "--epochs", "2", "--hidden", "16", *settings) == 0
+    assert run("score", "--model", str(model), "--features", str(w / "features_validation.csv"),
+               "--out", str(scores)) == 0
+    return scores
 
 
 @pytest.fixture(scope="module")
@@ -658,11 +680,12 @@ class TestSettings:
         ["eval", "--split-seed", "-1"],
         ["partition", "-O", "n_users=0"],
         ["blend", "--method", "learned", "--scores", "{missing}"],
+        ["blend", "--apply", "{missing}.json", "--model-out", "{missing}.json"],
         ["partition", "-c", "{missing}.cfg"],
         ["partition", "-c", "{directory}"],
     ], ids=["heuristic_hidden", "ranknet_hidden", "blend_split_seed", "eval_split_seed",
-            "n_users", "learned_blend_of_one_member", "missing_config_file",
-            "config_path_is_a_directory"])
+            "n_users", "learned_blend_of_one_member", "blend_apply_with_model_out",
+            "missing_config_file", "config_path_is_a_directory"])
     def test_settings_are_checked_before_inputs_are_read(self, tmp_path, capsys, argv):
         missing = str(tmp_path / "missing")
         argv = [arg.format(missing=missing, directory=tmp_path) for arg in argv]
@@ -677,6 +700,35 @@ class TestSettings:
         assert run(argv[0], *inputs[argv[0]], *argv[1:]) == 1
         assert "error: " in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("settings,cutoff", [([], 10), (["-O", "ndcg_cutoff=5"], 5)],
+                             ids=["default", "cutoff_5"])
+    def test_train_and_blend_print_the_cutoff_they_used(self, scored_run, tmp_path, capsys,
+                                                        settings, cutoff):
+        scores = regression_scores(scored_run, tmp_path, *settings)
+        best = json.loads((tmp_path / "regression.json").read_text())["metadata"][
+            "best_validation_ndcg"]
+        assert (f"{tmp_path / 'regression.json'} (validation NDCG@{cutoff} {best:.5f})\n"
+                in capsys.readouterr().out)
+        blend_file = tmp_path / "b.json"
+        assert run("blend", "--scores", str(scored_run / "scores.csv"), str(scores),
+                   "--method", "learned", "--out", str(tmp_path / "b.csv"),
+                   "--model-out", str(blend_file), *settings) == 0
+        holdout = json.loads(blend_file.read_text())["metadata"]["holdout_mean_ndcg"]
+        assert capsys.readouterr().out.endswith(f" (holdout NDCG@{cutoff} {holdout:.5f})\n")
+
+    def test_blend_apply_with_model_out_is_usage_error(self, scored_run, tmp_path, capsys):
+        scores = str(scored_run / "scores.csv")
+        assert run("blend", "--scores", scores, "--out", str(tmp_path / "b.csv"),
+                   "--model-out", str(tmp_path / "b.json")) == 0
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert run("blend", "--scores", scores, "--apply", str(tmp_path / "b.json"),
+                   "--out", str(tmp_path / "applied.csv"),
+                   "--model-out", str(tmp_path / "applied.json")) == 1
+        assert capsys.readouterr().err == (
+            "error: blend --apply fits no model to write to --model-out\n")
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_diverging_learning_rate_is_usage_error(self, scored_run, tmp_path, capsys):
         w = scored_run
