@@ -2,15 +2,17 @@
 
     python scripts/step_costs.py --users 400 --synth-seed 11 --partition-seed 1 --work DIR
 
-Runs the commands that build features (gen, parse, partition, extract) and
-those that read and write feature and score tables (a heuristic train,
-score of the test and of the validation features, an average blend fitted
-on the validation scores, its ``--apply`` to the test scores, eval of the
-test scores), one ``python -m persorank`` process each, with their files in
-DIR. Prints a Markdown table with one row per command, labeled so that the
-two score and the two blend commands can be told apart: its wall time and
-the peak resident set size (``ru_maxrss``) of its process. Run it from the
-root of a checkout with ``src`` on PYTHONPATH, or with the package
+Times ``python -m persorank --version`` first: the start-up that every
+command pays before it does any work. Then runs the commands that build
+features (gen, parse, partition, extract) and those that read and write
+feature and score tables (a heuristic train, score of the test and of the
+validation features, an average blend fitted on the validation scores,
+its ``--apply`` to the test scores, eval of the test scores), one
+``python -m persorank`` process each, with their files in DIR. Prints a
+Markdown table with one row per command, labeled so that the two score
+and the two blend commands can be told apart: its wall time and the peak
+resident set size (``ru_maxrss``) of its process. Run it from the root of
+a checkout with ``src`` on PYTHONPATH, or with the package
 installed. Linux only.
 """
 
@@ -48,6 +50,7 @@ def main() -> None:
     work.mkdir(parents=True, exist_ok=True)
     seed = str(args.partition_seed)
     steps = [  # (row label, command line)
+        ("start-up (--version)", ["--version"]),
         ("gen", ["gen", "--out", f"{work}/log.tsv", "-O", f"n_users={args.users}",
                  "-O", f"synth_seed={args.synth_seed}"]),
         ("parse", ["parse", "--log", f"{work}/log.tsv", "--out", f"{work}/sessions.cache"]),

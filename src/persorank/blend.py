@@ -42,9 +42,13 @@ class BlendModel:
         """
         if len(members) != len(self.member_names):
             raise DataError(f"expected {len(self.member_names)} members, got {len(members)}")
+        return self._blend(members[0], self.standardizer.apply(_stack(members)))
+
+    def _blend(self, first: FeatureTable, z: np.ndarray) -> FeatureTable:
+        """`first` with the blend of the standardized member scores `z`, (..., members)."""
         with np.errstate(over="ignore", invalid="ignore"):  # `write_scores` refuses non-finite
-            blended = self.standardizer.apply(_stack(members)) @ self.weights + self.bias
-        return replace(members[0], x=blended.reshape(members[0].x.shape))
+            blended = z.reshape(-1, len(self.member_names)) @ self.weights + self.bias
+        return replace(first, x=blended.reshape(first.x.shape))
 
     def save(self, path: str | Path) -> None:
         payload = {
@@ -99,7 +103,7 @@ def blend_average(
         standardizer=Standardizer.fit(stacked),
         weights=weights,
     )
-    return model.apply(members), model
+    return model._blend(members[0], model.standardizer.apply(stacked)), model
 
 
 def blend_learned(
@@ -162,4 +166,4 @@ def blend_learned(
             "epochs": LEARNED_BLEND_EPOCHS,
         },
     )
-    return model.apply(members), model
+    return model._blend(members[0], z), model

@@ -281,13 +281,16 @@ def _cmd_score(args, cfg: Config):
 def _cmd_blend(args, cfg: Config):
     if args.apply and args.model_out:
         raise ConfigError("blend --apply fits no model to write to --model-out")
-    if args.method == "learned" and not args.apply and len(args.scores) < 2:
+    if args.apply and args.method:
+        raise ConfigError("blend --apply takes its method from the model, not from --method")
+    method = args.method or "average"
+    if method == "learned" and not args.apply and len(args.scores) < 2:
         raise ConfigError("learned blending needs at least 2 score files")
     score_paths = [_require(p) for p in args.scores]
     apply_path = args.apply and _require(args.apply)
     outputs = [args.out or Path(cfg.reports_dir) / "blended_scores.csv"]
     if not args.apply:
-        outputs.append(args.model_out or Path(cfg.models_dir) / f"blend_{args.method}.json")
+        outputs.append(args.model_out or Path(cfg.models_dir) / f"blend_{method}.json")
     outputs = _outputs(*outputs)
     tables = [evaluate.read_scores(p) for p in score_paths]
     table = tables[0]
@@ -304,7 +307,7 @@ def _cmd_blend(args, cfg: Config):
     with _naming(*inputs):
         if args.apply:
             blended = model.apply(tables)
-        elif args.method == "average":
+        elif method == "average":
             blended, model = blend_mod.blend_average(tables, names)
         else:
             blended, model = blend_mod.blend_learned(
@@ -316,7 +319,7 @@ def _cmd_blend(args, cfg: Config):
     extra = ""
     if not args.apply and model.method == "learned":
         extra = f" (holdout NDCG@{cfg.ndcg_cutoff} {model.metadata['holdout_mean_ndcg']:.5f})"
-    params = {"method": (f"apply:{args.apply}" if args.apply else args.method),
+    params = {"method": (f"apply:{args.apply}" if args.apply else method),
               "members": names}
     return params, inputs, outputs, f"wrote {', '.join(str(p) for p in outputs)}{extra}"
 
@@ -436,7 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("blend", _cmd_blend, "aggregate several score files")
     p.add_argument("--scores", nargs="+", required=True,
                    help="member score files (aligned targets)")
-    p.add_argument("--method", choices=["average", "learned"], default="average")
+    p.add_argument("--method", choices=["average", "learned"],
+                   help="how to fit the blend (default: average)")
     setting(p, "--split-seed", "blend_split_seed", "learned blend's fit/holdout split seed")
     p.add_argument("--apply", help="apply an existing blend model file")
     p.add_argument("--out", help="blended scores CSV to write")

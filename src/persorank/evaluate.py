@@ -21,7 +21,7 @@ import numpy as np
 
 from .cache import atomic_write
 from .features import FeatureTable, read_table, write_table
-from .logs import DataError
+from .logs import DataError, distinct
 
 NDCG_CUTOFF = 10
 
@@ -68,8 +68,8 @@ def ndcg_rows(order: np.ndarray, gains: np.ndarray, cutoff: int = NDCG_CUTOFF) -
     position at a time, in the scalar order.
     """
     gains = np.asarray(gains, dtype=np.float64)
-    grades, inverse = np.unique(gains, return_inverse=True)
-    inverse = inverse.reshape(gains.shape)  # codes of the grades, in grade order
+    grades = distinct(gains)
+    inverse = np.searchsorted(grades, gains)  # codes of the grades, in grade order
     values = np.array([2.0 ** g - 1.0 for g in grades.tolist()])
     ranked = values[np.take_along_axis(inverse, order, axis=-1)]
     ideal = values[np.sort(inverse, axis=-1)[:, ::-1]]

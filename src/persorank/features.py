@@ -28,6 +28,7 @@ from .cache import atomic_write
 from .contexts import Context, IndexRows, ItemKind, Occurrence, index_rows
 from .contexts import assemble_contexts, build  # noqa: F401  (perfbench/spans.py wraps them here)
 from .logs import CODE_GAINS, SERP_SIZE, DataError, Impression, SessionColumns, decoding
+from .logs import distinct, firsts
 from .partition import ROLES, TargetSet, rank_sessions
 from .partition import order_sessions  # noqa: F401  (perfbench/spans.py wraps it here)
 
@@ -289,23 +290,6 @@ OCCURRENCE = np.dtype({
 })
 
 
-def _firsts(ordered: np.ndarray) -> np.ndarray:
-    """Where each run of equal values of a sorted flat array starts."""
-    first = np.ones(len(ordered), dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    return first
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of a flat array, by one `np.sort`.
-
-    Newer numpy's `np.unique` finds them by hashing, which takes several
-    times as long on these integer arrays.
-    """
-    ordered = np.sort(values)
-    return ordered[_firsts(ordered)]
-
-
 def _occurrences(rows: IndexRows) -> np.ndarray:
     """The attributes of each row's item occurrences, (N, 20) in the layout of `items`.
 
@@ -519,14 +503,14 @@ class _Crowd(NamedTuple):
         keys, tallies, last = [np.empty(0, np.int64)], [np.empty((0, TALLY), np.int64)], -1
         for start in range(0, len(key), CROWD_SLOTS):
             block = key[start:start + CROWD_SLOTS]
-            starts = np.flatnonzero(_firsts(block))
+            starts = np.flatnonzero(firsts(block))
             counts = np.diff(starts, append=len(block))
             block = block[starts]
             occ = {}
             for name, bits in PACKED[::-1]:
                 occ[name] = np.bitwise_and(block, (1 << bits) - 1, out=np.empty(len(block), np.int8))
                 block >>= bits
-            first = _firsts(block)
+            first = firsts(block)
             tally = _tally(np.cumsum(first) - 1, occ, occ["column"], np.count_nonzero(first),
                            counts)
             if block[0] == last:  # the entry that ends the previous block goes on
@@ -561,7 +545,7 @@ def _pair_evidence(rows: IndexRows, occurrences: np.ndarray, hits, keep: np.ndar
     """
     u, slot = (a[keep] for a in hits)
     occ = occurrences.ravel()[slot]
-    first = _firsts(u)
+    first = firsts(u)
     present, row = u[first], np.cumsum(first) - 1
     judged = occ["event"] != SHOWN
     return present, _tally(row, occ, slot % SERP_SIZE, len(present)).T.copy(), (
@@ -628,7 +612,7 @@ def _blocks(present: np.ndarray, tally: np.ndarray, judged, terms: list[frozense
     # Intersection and union sizes once per distinct (target, variant).
     n_terms = len(variants)
     wanted = present[row] // width * n_terms + variant
-    pairs = _distinct(wanted)
+    pairs = distinct(wanted)
     inter, union = _overlaps(pairs, terms, variants)
     lcm = [1] * n_targets
     for t, size in zip((pairs // n_terms).tolist(), union.tolist()):
@@ -645,7 +629,7 @@ def _blocks(present: np.ndarray, tally: np.ndarray, judged, terms: list[frozense
     sums = np.bincount(row * N_EVENTS + event, count * inter * (lcm[row] // union),
                        m * N_EVENTS).reshape(m, N_EVENTS).T
     means = np.divide(sums, lcm * counts, out=np.zeros(counts.shape), where=counts > 0)
-    sim, starts = inter / union, np.flatnonzero(_firsts(row))
+    sim, starts = inter / union, np.flatnonzero(firsts(row))
     maxima = np.zeros((N_EVENTS, m))
     for e in CLICKED, SKIPPED, MISSED:
         maxima[e, row[starts]] = np.maximum.reduceat(np.where(event == e, sim, 0.0), starts)
@@ -797,7 +781,7 @@ def write_table(table: FeatureTable, path: str | Path, header: list[str],
     """
     n_targets, k = table.n_targets, values.shape[-1]
     bits = values.view(np.int64)
-    patterns = _distinct(bits.ravel())
+    patterns = distinct(bits.ravel())
     digits = np.array([f"{value!r}," for value in patterns.view(np.float64).tolist()],
                       dtype=object)
     heads = ["{},{},{},{},".format(*ids) for ids in table.ids.tolist()]

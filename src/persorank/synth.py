@@ -17,7 +17,11 @@ from the log.
 
 The same seed always produces byte-identical output. Per-user randomness
 comes from independent streams keyed on (seed, user id), so generation
-order cannot change the data.
+order cannot change the data. Planning a session draws from its streams
+by the standard library's own algorithms, called below its public
+wrappers: `a + rng._randbelow(n)` is `randrange(a, a + n)`, and so
+`randint` and `choice`, and `_sample` is `Random.sample`'s loop. Each
+stream yields the values the wrappers would, at a fraction of the calls.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import Config
-from .logs import DWELL_LONG, SERP_SIZE, CorpusStats, corpus_stats, parse_columns
+from .logs import DWELL_LONG, SERP_SIZE, CorpusStats, corpus_stats, distinct, parse_columns
 
 POOL_SIZE = 20
 
@@ -63,13 +67,34 @@ def _build_vocab(cfg: Config) -> tuple[list[QueryInfo], list[int]]:
     return queries, doc_domains
 
 
+def _sample(getrandbits, population: list, k: int) -> list:
+    """`Random.sample(population, k)` of the stream whose `getrandbits` is given.
+
+    Its pool loop, which it runs for any population of up to 21 items, with
+    each `_randbelow(m)` drawn as that draws it: `m.bit_length()` bits at a
+    time until they fall below m. Overwrites `population`.
+    """
+    n = len(population)
+    if not 0 <= k <= n <= 21:
+        raise ValueError(f"sample of {k} from {n} is outside the pool loop")
+    result = []
+    for m in range(n, n - k, -1):
+        bits = m.bit_length()
+        j = getrandbits(bits)
+        while j >= m:
+            j = getrandbits(bits)
+        result.append(population[j])
+        population[j] = population[m - 1]  # move the unselected last item into the vacancy
+    return result
+
+
 def _noise_dwell(rng: random.Random) -> int:
     r = rng.random()
     if r < 0.25:
-        return rng.randint(5, 49)
+        return 5 + rng._randbelow(45)  # randint(5, 49)
     if r < 0.90:
-        return rng.randint(50, 399)
-    return rng.randint(400, 800)
+        return 50 + rng._randbelow(350)  # randint(50, 399)
+    return 400 + rng._randbelow(401)  # randint(400, 800)
 
 
 @dataclass
@@ -82,11 +107,12 @@ class _UserState:
 
 def _pick_query(state: _UserState, cfg: Config) -> int:
     rng = state.rng
-    if state.seen_queries and rng.random() < cfg.repeat_query_prob:
-        return rng.choice(state.seen_queries)
-    qid = rng.randrange(cfg.n_queries)
-    if qid not in state.seen_queries:
-        state.seen_queries.append(qid)
+    seen = state.seen_queries
+    if seen and rng.random() < cfg.repeat_query_prob:
+        return seen[rng._randbelow(len(seen))]
+    qid = rng._randbelow(cfg.n_queries)
+    if qid not in seen:
+        seen.append(qid)
     return qid
 
 
@@ -102,9 +128,9 @@ def _preferred_doc(state: _UserState, qid: int, vocab: list[QueryInfo],
     else:
         in_domain = [d for d in info.pool if doc_domains[d] in state.preferred_domains]
         if in_domain and rng.random() < 0.8:
-            doc = rng.choice(in_domain)
+            doc = in_domain[rng._randbelow(len(in_domain))]
         else:
-            doc = rng.choice(info.pool)
+            doc = info.pool[rng._randbelow(len(info.pool))]
     state.preferred_doc[qid] = doc
     return doc
 
@@ -115,11 +141,8 @@ def _make_serp(state: _UserState, qid: int, vocab: list[QueryInfo],
     rng = state.rng
     preferred = _preferred_doc(state, qid, vocab, doc_domains)
     others = [d for d in vocab[qid].pool if d != preferred]
-    docs = rng.sample(others, SERP_SIZE - 1)
-    if rng.random() < PREF_TOP_BIAS:
-        slot = rng.randrange(SERP_SIZE // 2)
-    else:
-        slot = rng.randrange(SERP_SIZE)
+    docs = _sample(rng.getrandbits, others, SERP_SIZE - 1)
+    slot = rng._randbelow(SERP_SIZE // 2 if rng.random() < PREF_TOP_BIAS else SERP_SIZE)
     docs.insert(slot, preferred)
     return docs, preferred
 
@@ -135,7 +158,7 @@ def _simulate_clicks(state: _UserState, docs: list[int], preferred: int,
             click_prob += PREF_CLICK_BOOST * p
         if rng.random() < click_prob:
             if doc == preferred and rng.random() < p:
-                dwell = rng.randint(DWELL_LONG, 900)
+                dwell = DWELL_LONG + rng._randbelow(901 - DWELL_LONG)  # randint(.., 900)
             else:
                 dwell = _noise_dwell(rng)
             clicks.append((doc, dwell))
@@ -182,9 +205,9 @@ def _user_sessions(cfg: Config, user_id: int, vocab: list[QueryInfo], doc_domain
             pairs = "\t".join([pair_text[doc] for doc in docs])
             out.append(f"\t{t}\t{kind}\t{serp_id}\t{query_text[qid]}\t{pairs}")
             if not clicks:
-                t += times.randint(30, 120)
+                t += 30 + times._randbelow(91)  # randint(30, 120)
                 continue
-            t += times.randint(3, 30)
+            t += 3 + times._randbelow(28)  # randint(3, 30)
             for doc, dwell in clicks:
                 out.append(f"\t{t}\tC\t{serp_id}\t{doc}")
                 t += dwell
@@ -203,12 +226,12 @@ def _user_sessions(cfg: Config, user_id: int, vocab: list[QueryInfo], doc_domain
     yield test_day, session(test_day, count, True)
 
 
-def _total(days: list[CorpusStats], distinct: list[np.ndarray]) -> CorpusStats:
+def _total(days: list[CorpusStats], seen: list[np.ndarray]) -> CorpusStats:
     """The counts of a log from those of its days and its distinct queries, documents and users."""
     def total(name: str) -> int:
         return sum(getattr(day, name) for day in days)
 
-    queries, documents, users = distinct
+    queries, documents, users = seen
     return CorpusStats(
         unique_queries=len(queries),
         unique_documents=len(documents),
@@ -241,7 +264,7 @@ def generate_lines(cfg: Config) -> tuple[list[str], CorpusStats]:
 
     lines: list[str] = []
     days: list[CorpusStats] = []
-    distinct = [np.empty(0, np.int64)] * 3
+    seen = [np.empty(0, np.int64)] * 3
     session_id = 0
     for day in sorted(by_day):
         start = len(lines)
@@ -253,6 +276,6 @@ def generate_lines(cfg: Config) -> tuple[list[str], CorpusStats]:
         if columns is None:
             raise RuntimeError(f"the array parser declined day {day} of a generated log")
         days.append(corpus_stats(columns, cfg.train_days))
-        distinct = [np.union1d(seen, ids) for seen, ids in zip(
-            distinct, (columns.query_id, columns.documents, columns.user_id))]
-    return lines, _total(days, distinct)
+        seen = [distinct(np.concatenate((known, ids), axis=None)) for known, ids in zip(
+            seen, (columns.query_id, columns.documents, columns.user_id))]
+    return lines, _total(days, seen)

@@ -681,11 +681,12 @@ class TestSettings:
         ["partition", "-O", "n_users=0"],
         ["blend", "--method", "learned", "--scores", "{missing}"],
         ["blend", "--apply", "{missing}.json", "--model-out", "{missing}.json"],
+        ["blend", "--apply", "{missing}.json", "--method", "average"],
         ["partition", "-c", "{missing}.cfg"],
         ["partition", "-c", "{directory}"],
     ], ids=["heuristic_hidden", "ranknet_hidden", "blend_split_seed", "eval_split_seed",
             "n_users", "learned_blend_of_one_member", "blend_apply_with_model_out",
-            "missing_config_file", "config_path_is_a_directory"])
+            "blend_apply_with_method", "missing_config_file", "config_path_is_a_directory"])
     def test_settings_are_checked_before_inputs_are_read(self, tmp_path, capsys, argv):
         missing = str(tmp_path / "missing")
         argv = [arg.format(missing=missing, directory=tmp_path) for arg in argv]
@@ -728,6 +729,20 @@ class TestSettings:
                    "--model-out", str(tmp_path / "applied.json")) == 1
         assert capsys.readouterr().err == (
             "error: blend --apply fits no model to write to --model-out\n")
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("method", ["average", "learned"])
+    def test_blend_apply_with_method_is_usage_error(self, scored_run, tmp_path, capsys, method):
+        scores = str(scored_run / "scores.csv")
+        assert run("blend", "--scores", scores, "--out", str(tmp_path / "b.csv"),
+                   "--model-out", str(tmp_path / "b.json")) == 0
+        assert json.loads((tmp_path / "b.json").read_text())["method"] == "average"
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert run("blend", "--scores", scores, "--apply", str(tmp_path / "b.json"),
+                   "--method", method, "--out", str(tmp_path / "applied.csv")) == 1
+        assert capsys.readouterr().err == (
+            "error: blend --apply takes its method from the model, not from --method\n")
         assert sorted(tmp_path.iterdir()) == before
 
     def test_diverging_learning_rate_is_usage_error(self, scored_run, tmp_path, capsys):

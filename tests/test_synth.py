@@ -1,6 +1,9 @@
+import random
 import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from persorank.cli import main
 from persorank.config import Config, ConfigError
@@ -16,7 +19,7 @@ from persorank.logs import (
 )
 from persorank.partition import select_targets
 from persorank.ranker import ModelKind, RankModel, score_table
-from persorank.synth import generate_lines
+from persorank.synth import _sample, generate_lines
 from persorank import features
 
 from conftest import extract_all, generated_sessions
@@ -161,6 +164,38 @@ def test_traced_peak_per_record():
         if not tracing:
             tracemalloc.stop()
     assert peak / len(lines) < PEAK_BYTES_PER_RECORD, f"{peak / len(lines):.1f} bytes per record"
+
+
+class TestDirectDraws:
+    """gen's draws below `random`'s wrappers equal the wrappers' on a twin stream."""
+
+    @given(seed=st.integers(0, 2**64), population=st.integers(9, 21), first=st.booleans(),
+           low=st.integers(-10**18, 10**18), width=st.integers(1, 10**18),
+           items=st.lists(st.integers(), min_size=1, max_size=30))
+    def test_each_draw_is_the_wrappers(self, seed, population, first, low, width, items):
+        rng, twin = random.Random(seed), random.Random(seed)
+        pool = list(range(1000, 1000 + population))
+        if first:  # gen's streams draw a float before or between their integers
+            assert rng.random() == twin.random()
+        assert _sample(rng.getrandbits, pool[:], 9) == twin.sample(pool, 9)
+        assert low + rng._randbelow(width) == twin.randint(low, low + width - 1)
+        assert rng._randbelow(width) == twin.randrange(width)
+        assert items[rng._randbelow(len(items))] == twin.choice(items)
+        assert _sample(rng.getrandbits, pool[:], population) == twin.sample(pool, population)
+        assert rng.getstate() == twin.getstate()
+
+    @given(seed=st.integers(0, 2**32), population=st.integers(0, 21), data=st.data())
+    def test_sample_of_any_size_in_the_pool_loop(self, seed, population, data):
+        k = data.draw(st.integers(0, population))
+        rng, twin = random.Random(seed), random.Random(seed)
+        pool = [f"doc{i}" for i in range(population)]
+        assert _sample(rng.getrandbits, pool[:], k) == twin.sample(pool, k)
+        assert rng.getstate() == twin.getstate()
+
+    @pytest.mark.parametrize("population,k", [(8, 9), (22, 9), (5, -1)])
+    def test_sample_outside_the_pool_loop_raises(self, population, k):
+        with pytest.raises(ValueError):
+            _sample(random.Random(0).getrandbits, list(range(population)), k)
 
 
 class TestConfigValidation:
