@@ -774,21 +774,24 @@ def write_table(table: FeatureTable, path: str | Path, header: list[str],
     (T, 10, k) `values` in `repr` digits, each with its trailing comma, then
     the row's string from `ends`: the rest of the row and its line end.
     Lines end in CRLF, as `csv.writer` ends them. Each distinct value is
-    formatted once, found by sorting the values' bits, which keeps -0.0
-    apart from 0.0. Each block of `WRITE_TARGETS` targets is one join over
-    a (rows, k + 2) array of strings: each row's id prefix, its values, its
-    end.
+    formatted once. The distinct values are found by their bits, which keeps
+    -0.0 apart from 0.0: those of each block of `WRITE_TARGETS` targets,
+    then those of the blocks' union, so no sorted copy of every value is
+    made. Each block is one join over a (rows, k + 2) array of strings:
+    each row's id prefix, its values, its end.
     """
     n_targets, k = table.n_targets, values.shape[-1]
     bits = values.view(np.int64)
-    patterns = distinct(bits.ravel())
+    starts = range(0, n_targets, WRITE_TARGETS)
+    patterns = distinct(np.concatenate(
+        [bits[:0].ravel()] + [distinct(bits[start:start + WRITE_TARGETS]) for start in starts]))
     digits = np.array([f"{value!r}," for value in patterns.view(np.float64).tolist()],
                       dtype=object)
     heads = ["{},{},{},{},".format(*ids) for ids in table.ids.tolist()]
     ends = iter(ends)
     with atomic_write(path, newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for start in range(0, n_targets, WRITE_TARGETS):
+        for start in starts:
             block = slice(start, start + WRITE_TARGETS)
             prefixes = [f"{head}{doc}," for head, docs in zip(heads[block],
                                                               table.doc_ids[block].tolist())

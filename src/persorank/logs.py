@@ -16,6 +16,7 @@ import bisect
 import gzip
 import re
 import zlib
+from array import array
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
@@ -556,7 +557,7 @@ _LINE = re.compile(
     rf"|[QT]\t{_ID}\t{_ID}\t(?:{_ID}(?:,{_ID})*)?" + rf"\t{_ID},{_ID}" * SERP_SIZE + r"))\n")
 # Token codes of the kind markers and of a line's end; numbers are never negative.
 _META, _QUERY, _TEST, _CLICK, _END = -1, -2, -3, -4, -5
-_CHUNK_LINES = 1 << 14
+_CHUNK_LINES = 1 << 12
 
 
 def _tokens(text: str) -> np.ndarray | None:
@@ -586,90 +587,149 @@ def _find(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray | None:
     return order[at] if (keys[at] == wanted).all() else None
 
 
-def parse_columns(lines: Iterable[str]) -> SessionColumns | None:
-    """The labeled sessions of log `lines` as `SessionColumns`, built by array passes.
+def _stable_order(keys: np.ndarray) -> np.ndarray | slice:
+    """The stable sort order of `keys`; all of them, as a slice, if they are in order already.
 
-    `lines` are read as a text file yields them, in chunks. None when the log
-    is not canonical: a line that does not match `_LINE`, a blank line, a last
-    line without its newline, a duplicate session or SERP, an action before
-    its session's metadata, a click before its query or on a URL the query did
-    not show, or times or SERP ids too large to pack two to an int64. The
-    line-by-line path (`parse_log`, `sessionize`, `label_sessions`) then
-    gives the result or the error.
+    A gather by the slice is a view, not a copy.
     """
-    lines, parts = iter(lines), []
-    for chunk in iter(lambda: list(islice(lines, _CHUNK_LINES)), []):
-        text = "".join(chunk)
-        if text.count("\n") != len(chunk) or not all(map(str.endswith, chunk, repeat("\n"))):
-            return None
-        parts.append(_tokens(text))
-        if parts[-1] is None:
-            return None
-    if not parts:
-        return None
-    tok = np.concatenate(parts)
-    del parts
+    return slice(None) if (keys[1:] >= keys[:-1]).all() else np.argsort(keys, kind="stable")
 
+
+def _line_fields(chunk: list[str], first: int) -> dict[str, np.ndarray] | None:
+    """The int64 fields of log lines `chunk`, kind by kind; None unless `_tokens` reads them all.
+
+    Metadata lines give their number, session, day and user; query lines
+    their number, session, time, kind code, SERP, query, term count, terms,
+    documents and domains; click lines their number, session, time, SERP and
+    URL. Lines are numbered from `first`. Every line must end in its newline.
+    """
+    text = "".join(chunk)
+    if text.count("\n") != len(chunk) or not all(map(str.endswith, chunk, repeat("\n"))):
+        return None
+    tok = _tokens(text)
+    if tok is None:
+        return None
     end = np.flatnonzero(tok == _END)
     start = np.r_[0, end[:-1] + 1]
     plain = tok[start + 1] == _META
     kind = np.where(plain, _META, tok[start + 2])
     meta, click = kind == _META, kind == _CLICK
     query = ~(meta | click)
-    sm, sq, sc = start[meta] + ~plain[meta], start[query], start[click]
-    m_line, q_line, c_line = map(np.flatnonzero, (meta, query, click))
+    sm, sq, sc, eq = start[meta] + ~plain[meta], start[query], start[click], end[query]
+    n_terms = eq - sq - 5 - 2 * SERP_SIZE
+    pair = (eq - 2 * SERP_SIZE)[:, None] + np.arange(0, 2 * SERP_SIZE, 2)
+    return {
+        "m_line": first + np.flatnonzero(meta), "session_id": tok[start[meta]],
+        "day": tok[sm + 2], "user_id": tok[sm + 3],
+        "q_line": first + np.flatnonzero(query), "q_session": tok[sq],
+        "time_passed": tok[sq + 1], "q_kind": tok[sq + 2], "serp_id": tok[sq + 3],
+        "query_id": tok[sq + 4], "n_terms": n_terms, "terms": tok[_ranges(sq + 5, n_terms)],
+        "documents": tok[pair], "domains": tok[pair + 1],
+        "c_line": first + np.flatnonzero(click), "c_session": tok[sc],
+        "click_time": tok[sc + 1], "c_serp": tok[sc + 3], "click_url": tok[sc + 4],
+    }
+
+
+def parse_columns(lines: Iterable[str]) -> SessionColumns | None:
+    """The labeled sessions of log `lines` as `SessionColumns`, built by array passes.
+
+    `lines` are read as a text file yields them, in chunks. Each chunk is
+    reduced to its lines' fields before the next is read, and each field
+    grows in one buffer, so no token array outlives its chunk. None when
+    the log is not canonical: a line that does not match `_LINE`, a blank
+    line, a last line without its newline, a duplicate session or SERP, an
+    action before its session's metadata, a click before its query or on a
+    URL the query did not show, or times or SERP ids too large to pack two
+    to an int64. The line-by-line path (`parse_log`, `sessionize`,
+    `label_sessions`) then gives the result or the error.
+    """
+    # Each field grows in one buffer, which `realloc` can extend or remap in
+    # place; per-chunk arrays joined at the end would leave holes in the heap.
+    lines, grown, n_lines = iter(lines), {}, 0
+    while chunk := list(islice(lines, _CHUNK_LINES)):
+        chunk_fields = _line_fields(chunk, n_lines)
+        if chunk_fields is None:
+            return None
+        for name, values in chunk_fields.items():
+            grown.setdefault(name, array("q")).frombytes(values.view(np.uint8))
+        n_lines += len(chunk)
+    if not grown:
+        return None
+    del chunk_fields
+
+    def joined(name: str) -> np.ndarray:
+        """One field of every line of its kind, in line order."""
+        return np.frombuffer(grown.pop(name), np.int64)
 
     # Sessions stay in metadata order; each action follows its session's metadata.
-    session_id = tok[start[meta]]
-    q_session, c_session = _find(session_id, tok[sq]), _find(session_id, tok[sc])
+    m_line, session_id = joined("m_line"), joined("session_id")
+    q_line, c_line = joined("q_line"), joined("c_line")
+    q_session, c_session = _find(session_id, joined("q_session")), _find(session_id,
+                                                                         joined("c_session"))
     if (q_session is None or c_session is None or (m_line[q_session] > q_line).any()
             or (m_line[c_session] > c_line).any()):
         return None
     # (session, time) and (session, serp) pairs sort as one int64: major * width + minor.
-    t_width = int(tok[np.r_[sq, sc] + 1].max(initial=0)) + 1
-    s_width = int(tok[np.r_[sq, sc] + 3].max(initial=0)) + 1
-    if max(len(session_id), len(sq)) * max(t_width, s_width) >= 2**63:
+    q_time, serp_id, c_time, c_serp = map(joined, ("time_passed", "serp_id", "click_time",
+                                                  "c_serp"))
+    t_width = int(max(q_time.max(initial=0), c_time.max(initial=0))) + 1
+    s_width = int(max(serp_id.max(initial=0), c_serp.max(initial=0))) + 1
+    if max(len(session_id), len(q_line)) * max(t_width, s_width) >= 2**63:
         return None
 
     # Impressions by (session, time, line); clicks join them by (session, serp).
-    imp = np.argsort(q_session * t_width + tok[sq + 1], kind="stable")
-    sq, eq, q_session, q_line = sq[imp], end[query][imp], q_session[imp], q_line[imp]
-    c_row = _find(q_session * s_width + tok[sq + 3], c_session * s_width + tok[sc + 3])
+    imp = _stable_order(q_session * t_width + q_time)
+    q_session, q_line, q_time, serp_id = q_session[imp], q_line[imp], q_time[imp], serp_id[imp]
+    c_row = _find(q_session * s_width + serp_id, c_session * s_width + c_serp)
     if c_row is None or (q_line[c_row] > c_line).any():
         return None
-    clk = np.argsort(c_row * t_width + tok[sc + 1], kind="stable")  # (row, time, line)
-    sc, c_row, c_session = sc[clk], c_row[clk], c_session[clk]
-    c_time, c_url = tok[sc + 1], tok[sc + 4]
-    pairs = tok[(eq - 2 * SERP_SIZE)[:, None] + np.arange(2 * SERP_SIZE)]
-    documents = pairs[:, 0::2]
+    clk = _stable_order(c_row * t_width + c_time)  # (row, time, line)
+    c_row, c_session, c_time = c_row[clk], c_session[clk], c_time[clk]
+    c_url = joined("click_url")[clk]
+    documents = joined("documents").reshape(-1, SERP_SIZE)[imp]
     shown = documents[c_row] == c_url[:, None]
     if not shown.any(axis=1).all():
         return None
+    del m_line, q_line, c_line, c_serp
+    grades = _click_grades(shown, c_row, c_session, c_session * t_width + c_time,
+                           q_session * t_width + q_time, t_width)
 
-    # Dwell runs to the session's next action; the session's last click by
-    # (time, position) grades R2; a document keeps its best click's grade.
-    key = c_session * t_width + c_time
-    action = np.sort(np.r_[q_session * t_width + tok[sq + 1], key])
-    after = np.append(action, np.iinfo(np.int64).max)[np.searchsorted(action, key, side="right")]
-    dwell = np.where(after < (c_session + 1) * t_width, after - key, -1)
+    n_terms, terms = joined("n_terms"), joined("terms")
+    if isinstance(imp, np.ndarray):  # impressions that move take their terms along
+        terms = terms[_ranges((np.cumsum(n_terms) - n_terms)[imp], n_terms[imp])]
+    return SessionColumns(
+        session_id=session_id, user_id=joined("user_id"), day=joined("day"),
+        n_impressions=np.bincount(q_session, minlength=len(session_id)),
+        serp_id=serp_id, query_id=joined("query_id")[imp], time_passed=q_time,
+        is_test=joined("q_kind")[imp] == _TEST, n_terms=n_terms[imp],
+        n_clicks=np.bincount(c_row, minlength=len(serp_id)),
+        documents=documents, domains=joined("domains").reshape(-1, SERP_SIZE)[imp],
+        grades=grades, terms=terms, click_url=c_url, click_time=c_time)
+
+
+def _click_grades(shown: np.ndarray, c_row: np.ndarray, c_session: np.ndarray,
+                  c_key: np.ndarray, q_key: np.ndarray, t_width: int) -> np.ndarray:
+    """The (impressions, 10) grade codes that clicks give.
+
+    Click i, on impression row `c_row[i]` of session `c_session[i]`, is on
+    the documents where `shown[i]` holds. `c_key` and `q_key` are the
+    (session, time) keys of the clicks and of the impressions, packed as
+    `session * t_width + time`. Dwell runs to the session's next action; the
+    session's last click by (time, position) grades R2; a document keeps its
+    best click's grade.
+    """
+    action = np.sort(np.r_[q_key, c_key])
+    after = np.append(action, np.iinfo(np.int64).max)[np.searchsorted(action, c_key, side="right")]
+    dwell = np.where(after < (c_session + 1) * t_width, after - c_key, -1)
     code = GRADES.index(Grade.R0) + (dwell >= DWELL_SHORT) + (dwell >= DWELL_LONG)
-    by_time = np.argsort(key, kind="stable")
+    by_time = np.argsort(c_key, kind="stable")
     code[by_time[np.diff(c_session[by_time], append=-1) != 0]] = GRADES.index(Grade.R2)
     hit, slot = np.nonzero(shown)
     slot += c_row[hit] * SERP_SIZE
-    grades = np.zeros((len(sq), SERP_SIZE), np.int8)  # NO_CLICK
+    grades = np.zeros((len(q_key), SERP_SIZE), np.int8)  # NO_CLICK
     for grade in range(1, len(GRADES)):  # ascending, so the best grade is written last
         grades.reshape(-1)[slot[code[hit] == grade]] = grade
-
-    n_terms = eq - sq - 5 - 2 * SERP_SIZE
-    return SessionColumns(
-        session_id=session_id, user_id=tok[sm + 3], day=tok[sm + 2],
-        n_impressions=np.bincount(q_session, minlength=len(session_id)),
-        serp_id=tok[sq + 3], query_id=tok[sq + 4], time_passed=tok[sq + 1],
-        is_test=tok[sq + 2] == _TEST, n_terms=n_terms,
-        n_clicks=np.bincount(c_row, minlength=len(sq)),
-        documents=documents, domains=pairs[:, 1::2], grades=grades,
-        terms=tok[_ranges(sq + 5, n_terms)], click_url=c_url, click_time=c_time)
+    return grades
 
 
 @dataclass
