@@ -20,11 +20,18 @@ class ConfigError(ValueError):
 # gen writes then has at most the 18 digits that `parse` reads (`logs._LINE`).
 MAX_COUNT = 10**18 - 1
 
+# The most time one query of a gen session spans (`synth._user_sessions`): up
+# to 30 units before its first click, then up to ten clicks, each followed by a
+# dwell of at most 900; 120 without a click. A session of q queries ends before
+# q times this, and its SERP ids are below q.
+QUERY_SPAN = 30 + SERP_SIZE * 900
+
 # The range of each numeric key but learning_rate, both ends included.
 _RANGES = {
     **dict.fromkeys(["n_users", "n_days", "n_queries", "n_terms", "n_domains"], (1, MAX_COUNT)),
-    **dict.fromkeys(["queries_per_user_per_day", "train_days", "epochs", "batch_queries",
-                     "patience", "ndcg_cutoff"], (1, math.inf)),
+    "queries_per_user_per_day": (1, MAX_COUNT // QUERY_SPAN),
+    **dict.fromkeys(["train_days", "epochs", "batch_queries", "patience", "ndcg_cutoff"],
+                    (1, math.inf)),
     **dict.fromkeys(["synth_seed", "partition_seed", "train_seed", "blend_split_seed"],
                     (0, math.inf)),
     "n_documents": (SERP_SIZE, MAX_COUNT),
@@ -90,6 +97,11 @@ class Config:
         if self.train_days >= self.n_days:
             raise ConfigError(f"train_days must be below n_days ({self.n_days}), "
                               f"got {self.train_days}")
+        # gen numbers each user's sessions of up to two a training day and one test day.
+        if self.n_users * (2 * self.train_days + 1) > MAX_COUNT:
+            raise ConfigError(f"n_users * (2 * train_days + 1) must be <= {MAX_COUNT}, the "
+                              f"most sessions gen can number, got n_users={self.n_users} and "
+                              f"train_days={self.train_days}")
 
 
 def seed(raw: str) -> int:

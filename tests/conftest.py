@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import settings
 
@@ -43,6 +45,21 @@ def extract_all(columns: SessionColumns, targets, train_days: int = 27,
     extraction = features.Extraction.read(columns, targets, train_days, seed)
     extraction.index()
     return {role: features.extract_targets(extraction, role) for role in ROLES}
+
+
+def traced_peak(run) -> int:
+    """The traced peak of `run()` above what is traced when it starts, in bytes."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def make_corpus(gen_cfg: Config, partition_seed: int = 5) -> Corpus:

@@ -330,6 +330,19 @@ class TestErrors:
     def test_bad_config_value_is_usage_error(self, tmp_path):
         assert run("gen", "--out", str(tmp_path / "x.tsv"), "-O", "n_days=2") == 1
 
+    def test_gen_refuses_session_ids_beyond_what_parse_reads(self, tmp_path, capsys,
+                                                             monkeypatch):
+        """10**18 training days would number sessions past 18 digits: refused before planning."""
+        def plan(cfg):
+            raise AssertionError("gen planned a log for a config it should refuse")
+
+        monkeypatch.setattr("persorank.cli.generate_lines", plan)
+        out = tmp_path / "x.tsv"
+        assert run("gen", "--out", str(out), "-O", "n_days=999999999999999999",
+                   "-O", "train_days=999999999999999998") == 1
+        err = capsys.readouterr().err
+        assert "n_users" in err and "train_days" in err and not out.exists()
+
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         assert run("gen", "--out", str(tmp_path / "x.tsv"), "-O", "nope=3") == 1
 

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from persorank.config import KEY_TYPES, Config, ConfigError, load_config
+from persorank.config import KEY_TYPES, MAX_COUNT, QUERY_SPAN, Config, ConfigError, load_config
 
 # Values at the edges of what a setting can hold, as the malformed-input probes use them.
 BOUNDARY_VALUES = ["", "-1", "100000000000000000000", "1e308", "nan", "0", "-0.0", "3.5"]
@@ -50,6 +50,25 @@ def test_out_of_range_field_names_its_key(settings, message):
                                  "n_domains"])
 def test_count_beyond_what_parse_reads_names_its_key(key):
     """gen writes every count as ids or days, which a log line holds in at most 18 digits."""
-    assert Config(**{key: 10**18 - 1, "n_days": 10**18 - 1})
+    if key != "n_users":  # each user has several sessions: see the next test
+        assert Config(**{key: 10**18 - 1, "n_days": 10**18 - 1})
     with pytest.raises(ConfigError, match=rf"^{key} must be <= 999999999999999999, got "):
         load_config(None, [f"{key}={10**18}"])
+
+
+@pytest.mark.parametrize("train_days", [1, 27, 10**17])
+def test_sessions_beyond_what_parse_reads_name_their_keys(train_days):
+    """gen numbers up to 2 * train_days + 1 sessions per user, each id at most 18 digits."""
+    most = MAX_COUNT // (2 * train_days + 1)
+    assert Config(n_users=most, train_days=train_days, n_days=train_days + 1)
+    with pytest.raises(ConfigError, match=r"^n_users \* \(2 \* train_days \+ 1\) must be "
+                       rf"<= {MAX_COUNT}, .* got n_users={most + 1} and train_days={train_days}$"):
+        Config(n_users=most + 1, train_days=train_days, n_days=train_days + 1)
+
+
+def test_queries_per_day_beyond_what_parse_reads_names_its_key():
+    """A session's action times run below its queries times QUERY_SPAN, in at most 18 digits."""
+    most = MAX_COUNT // QUERY_SPAN
+    assert Config(queries_per_user_per_day=most)
+    with pytest.raises(ConfigError, match=rf"^queries_per_user_per_day must be <= {most}, got "):
+        load_config(None, [f"queries_per_user_per_day={most + 1}"])

@@ -1,6 +1,5 @@
 import dataclasses
 import random
-import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -30,12 +29,13 @@ from persorank.features import (
     similarity,
     write_features,
 )
+from persorank.evaluate import write_scores
 from persorank.logs import DataError, Grade, Impression, Session, SessionColumns, parse_columns
 from persorank.partition import ROLES, TargetSet, rank_sessions, select_targets, write_targets
 from persorank.config import Config
 from persorank.synth import generate_lines
 
-from conftest import extract_all
+from conftest import extract_all, traced_peak
 from oracles import (
     OracleEntry,
     OracleScan,
@@ -443,6 +443,25 @@ class TestWriteFeatures:
         again = tmp_path / "again.csv"
         write_features(read_features(path), again)
         assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("n_targets,labeled", [(5, True), (2, False), (0, True)],
+                             ids=["signed_zeros", "fewer_targets_than_a_block", "no_targets"])
+    def test_block_size_changes_no_byte(self, tmp_path, monkeypatch, n_targets, labeled):
+        """Blocks of 1, 3 or 32 targets give the same feature and score files."""
+        table = self.random_table(np.random.default_rng(n_targets), n_targets, labeled)
+        table.x[:2, :, :3] = 0.0  # a block of 1 or 3 may hold only one of the zeros
+        table.x[2:4, :, :3] = -0.0
+        scores = dataclasses.replace(table, x=table.x[..., :1].copy())
+        written = set()
+        for size in (1, 3, 32):
+            monkeypatch.setattr(features, "WRITE_TARGETS", size)
+            write_features(table, tmp_path / f"features_{size}.csv")
+            write_scores(scores, tmp_path / f"scores_{size}.csv")
+            written.add(((tmp_path / f"features_{size}.csv").read_bytes(),
+                         (tmp_path / f"scores_{size}.csv").read_bytes()))
+        assert len(written) == 1
+        [(feature_bytes, _)] = written
+        assert feature_bytes == self.expected_bytes(table)
 
     def test_signed_zeros_stay_apart(self, tmp_path):
         table = self.random_table(np.random.default_rng(0), 1, True)
@@ -952,8 +971,14 @@ class TestColumnar:
 PEAK_BYTES_PER_SLOT = 61
 # The same for the whole `persorank extract` command, with the session columns
 # it loads and its writes counted. Measured with numpy 2.4, it is 47 bytes per
-# slot: the command drops the columns before it builds the index.
+# slot: the command drops the columns before it builds the index, and the
+# index, not a role's write, sets its peak. The bound is 15 above.
 COMMAND_PEAK_BYTES_PER_SLOT = 62
+# The traced peak of writing the generated log's train table, per value
+# written. Measured with numpy 2.4, it is 4.1 bytes per value: the distinct
+# values of each block of targets, then of their union, and one block's
+# strings. Sorting a copy of every value at once took 9.2.
+WRITE_PEAK_BYTES_PER_VALUE = 6
 
 
 @pytest.fixture(scope="module")
@@ -970,18 +995,7 @@ def generated_log():
 
 def traced_peak_per_slot(run, columns: SessionColumns) -> float:
     """The traced peak of `run()` above its start, per index slot of `columns`."""
-    n_slots = len(contexts.training_rows(columns)[0]) * 20
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        run()
-        return (tracemalloc.get_traced_memory()[1] - start) / n_slots
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    return traced_peak(run) / (len(contexts.training_rows(columns)[0]) * 20)
 
 
 class TestExtractionMemory:
@@ -1007,6 +1021,14 @@ class TestExtractionMemory:
         peak = traced_peak_per_slot(lambda: codes.append(main(argv)), columns)
         assert codes == [0] and capsys.readouterr().out.startswith("wrote ")
         assert peak < COMMAND_PEAK_BYTES_PER_SLOT, f"{peak:.1f} bytes per slot"
+
+    def test_write_peak_per_value(self, generated_log, tmp_path):
+        columns, targets = generated_log
+        table = extract_all(columns, targets, seed=1)["train"]
+        write_features(table, tmp_path / "warm.csv")  # one-time allocations
+        peak = traced_peak(lambda: write_features(table, tmp_path / "features.csv"))
+        assert peak / table.x.size < WRITE_PEAK_BYTES_PER_VALUE, (
+            f"{peak / table.x.size:.1f} bytes per value")
 
     def test_read_holds_no_reference_to_the_columns(self, small_corpus):
         columns = SessionColumns(**{name: array.copy()

@@ -1,5 +1,4 @@
 import random
-import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -22,7 +21,7 @@ from persorank.ranker import ModelKind, RankModel, score_table
 from persorank.synth import _sample, generate_lines
 from persorank import features
 
-from conftest import extract_all, generated_sessions
+from conftest import extract_all, generated_sessions, traced_peak
 
 
 class TestDeterminism:
@@ -152,18 +151,10 @@ PEAK_BYTES_PER_RECORD = 250
 def test_traced_peak_per_record():
     cfg = Config(n_users=100, synth_seed=5)
     generate_lines(Config(n_users=1))  # one-time allocations, such as the regex cache
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        lines, _ = generate_lines(cfg)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    assert peak / len(lines) < PEAK_BYTES_PER_RECORD, f"{peak / len(lines):.1f} bytes per record"
+    made = []
+    peak = traced_peak(lambda: made.append(generate_lines(cfg)[0]))
+    n_records = len(made[0])
+    assert peak / n_records < PEAK_BYTES_PER_RECORD, f"{peak / n_records:.1f} bytes per record"
 
 
 class TestDirectDraws:
