@@ -557,6 +557,7 @@ _LINE = re.compile(
     rf"|[QT]\t{_ID}\t{_ID}\t(?:{_ID}(?:,{_ID})*)?" + rf"\t{_ID},{_ID}" * SERP_SIZE + r"))\n")
 # Token codes of the kind markers and of a line's end; numbers are never negative.
 _META, _QUERY, _TEST, _CLICK, _END = -1, -2, -3, -4, -5
+# Lines per chunk of `parse_columns`; a chunk's text and tokens live only while it is read.
 _CHUNK_LINES = 1 << 12
 
 
@@ -634,8 +635,8 @@ def parse_columns(lines: Iterable[str]) -> SessionColumns | None:
     """The labeled sessions of log `lines` as `SessionColumns`, built by array passes.
 
     `lines` are read as a text file yields them, in chunks. Each chunk is
-    reduced to its lines' fields before the next is read, and each field
-    grows in one buffer, so no token array outlives its chunk. None when
+    reduced to its lines' fields before the next is read, so no token array
+    outlives its chunk; the joins and grades then run on the fields. None when
     the log is not canonical: a line that does not match `_LINE`, a blank
     line, a last line without its newline, a duplicate session or SERP, an
     action before its session's metadata, a click before its query or on a
