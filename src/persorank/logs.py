@@ -656,7 +656,6 @@ def parse_columns(lines: Iterable[str]) -> SessionColumns | None:
         n_lines += len(chunk)
     if not grown:
         return None
-    del chunk_fields
 
     def joined(name: str) -> np.ndarray:
         """One field of every line of its kind, in line order."""
@@ -691,7 +690,7 @@ def parse_columns(lines: Iterable[str]) -> SessionColumns | None:
     shown = documents[c_row] == c_url[:, None]
     if not shown.any(axis=1).all():
         return None
-    del m_line, q_line, c_line, c_serp
+    del m_line, q_line, c_line, c_serp  # checked: not held while grading
     grades = _click_grades(shown, c_row, c_session, c_session * t_width + c_time,
                            q_session * t_width + q_time, t_width)
 
