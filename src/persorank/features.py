@@ -783,8 +783,8 @@ def write_table(table: FeatureTable, path: str | Path, header: list[str],
     n_targets, k = table.n_targets, values.shape[-1]
     bits = values.view(np.int64)
     starts = range(0, n_targets, WRITE_TARGETS)
-    patterns = distinct(np.concatenate(
-        [bits[:0].ravel()] + [distinct(bits[start:start + WRITE_TARGETS]) for start in starts]))
+    patterns = distinct(np.concatenate([np.empty(0, np.int64)] + [
+        distinct(bits[start:start + WRITE_TARGETS]) for start in starts]))
     digits = np.array([f"{value!r}," for value in patterns.view(np.float64).tolist()],
                       dtype=object)
     heads = ["{},{},{},{},".format(*ids) for ids in table.ids.tolist()]

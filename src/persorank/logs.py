@@ -664,8 +664,8 @@ def parse_columns(lines: Iterable[str]) -> SessionColumns | None:
     # Sessions stay in metadata order; each action follows its session's metadata.
     m_line, session_id = joined("m_line"), joined("session_id")
     q_line, c_line = joined("q_line"), joined("c_line")
-    q_session, c_session = _find(session_id, joined("q_session")), _find(session_id,
-                                                                         joined("c_session"))
+    q_session = _find(session_id, joined("q_session"))
+    c_session = _find(session_id, joined("c_session"))
     if (q_session is None or c_session is None or (m_line[q_session] > q_line).any()
             or (m_line[c_session] > c_line).any()):
         return None
