@@ -7,11 +7,12 @@ command pays before it does any work. Then runs the commands that build
 features (gen, parse, partition, extract) and those that read and write
 feature and score tables (a heuristic train, score of the test and of the
 validation features, an average blend fitted on the validation scores,
-its ``--apply`` to the test scores, eval of the test scores), one
-``python -m persorank`` process each, with their files in DIR. Prints a
-Markdown table with one row per command, labeled so that the two score
-and the two blend commands can be told apart: its wall time and the peak
-resident set size (``ru_maxrss``) of its process. Run it from the root of
+its ``--apply`` to the test scores, eval of the test scores), then a
+ranknet train (train seed 2, a fixed NET_EPOCHS epochs) and its score of
+the test features, one ``python -m persorank`` process each, with their
+files in DIR. Prints a Markdown table with one row per command, labeled
+so that the trains, the scores and the two blends can be told apart: its
+wall time and the peak resident set size (``ru_maxrss``) of its process. Run it from the root of
 a checkout with ``src`` on PYTHONPATH, or with the package
 installed. Linux only.
 """
@@ -24,6 +25,10 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+# The ranknet train's epochs, with patience equal so that early stopping never
+# cuts them short: its time is that of a fixed amount of work.
+NET_EPOCHS = 20
 
 
 def run(args: list[str]) -> tuple[float, float]:
@@ -73,6 +78,14 @@ def main() -> None:
         ("blend --apply", ["blend", "--scores", f"{work}/scores.csv",
                            "--apply", f"{work}/blend.json", "--out", f"{work}/blended_test.csv"]),
         ("eval", ["eval", "--scores", f"{work}/scores.csv", "--out-dir", str(work)]),
+        ("train ranknet", ["train", "--kind", "ranknet", "--seed", "2",
+                           "--epochs", str(NET_EPOCHS), "--patience", str(NET_EPOCHS),
+                           "--train-features", f"{work}/features_train.csv",
+                           "--val-features", f"{work}/features_validation.csv",
+                           "--out", f"{work}/model_ranknet.json"]),
+        ("score test (ranknet)", ["score", "--model", f"{work}/model_ranknet.json",
+                                  "--features", f"{work}/features_test.csv",
+                                  "--out", f"{work}/scores_ranknet.csv"]),
     ]
     print(f"{args.users} users, synth seed {args.synth_seed}, partition seed {seed}\n")
     print("| command | wall s | peak RSS MB |\n|---|---:|---:|")

@@ -57,12 +57,22 @@ def atomic_write(path: str | Path, mode: str | None = "w", newline: str | None =
 
 
 def save_sessions(sessions: list[Session] | SessionColumns, path: str | Path) -> None:
-    """Write sessions as `SessionColumns`: the magic line, then an uncompressed npz."""
+    """Write sessions as `SessionColumns`: the magic line, then an uncompressed npz.
+
+    The npz holds the bytes `np.savez` writes, but each array goes into its
+    entry from its own buffer, where `np.savez` would first copy it whole.
+    """
     if not isinstance(sessions, SessionColumns):
         sessions = SessionColumns.of(sessions)
     with atomic_write(path, "wb") as fh:
         fh.write(SESSIONS_MAGIC)
-        np.savez(fh, **sessions.arrays())
+        with zipfile.ZipFile(fh, "w", allowZip64=True) as archive:
+            for name, array in sessions.arrays().items():
+                array = np.ascontiguousarray(array)
+                with archive.open(f"{name}.npy", "w", force_zip64=True) as entry:
+                    np.lib.format.write_array_header_1_0(
+                        entry, np.lib.format.header_data_from_array_1_0(array))
+                    entry.write(array.reshape(-1).data)
 
 
 def load_sessions(path: str | Path) -> list[Session]:

@@ -254,10 +254,11 @@ def _cmd_train(args, cfg: Config):
                         or Path(cfg.features_dir) / "features_validation.csv")
     kind = ModelKind(args.kind)
     [out] = _outputs(args.out or Path(cfg.models_dir) / f"model_{kind.value}.json")
-    train_table = features.read_features(train_path)
-    val_table = features.read_features(val_path)
+    # Read outside `_naming`: their errors name their file already. The list hands the
+    # tables over, so `train` holds their only references and can free them early.
+    tables = [features.read_features(train_path), features.read_features(val_path)]
     with _naming(train_path, val_path):
-        model = train(kind, train_table, val_table, cfg)
+        model = train(kind, tables.pop(0), tables.pop(0), cfg)
     model.save(out)
     best = model.metadata.get("best_validation_ndcg")
     return (

@@ -18,9 +18,9 @@ import re
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -816,6 +816,14 @@ def _gain(field: str) -> float:
     return gain
 
 
+def _unblank(lines: Iterable[str]) -> Iterator[str]:
+    """`lines`, stopped by a ValueError at a blank one, which loadtxt would skip."""
+    for line in lines:
+        if not line.strip():
+            raise ValueError("blank line")
+        yield line
+
+
 def read_table(path: str | Path, header: list[str], x: slice) -> FeatureTable:
     """Parse the grouped-CSV layout that feature and score files share.
 
@@ -824,40 +832,45 @@ def read_table(path: str | Path, header: list[str], x: slice) -> FeatureTable:
     is empty for unlabeled documents. The table's x holds the `x` slice of
     the number columns. A file with any empty gain loads with gains=None.
 
-    The body is parsed once, into int64 ids and float64 numbers. Malformed
-    content raises DataError naming the first bad line: an unexpected
-    header, a row count that is not a multiple of 10, a blank line, a row
-    with the wrong number of fields, an id that is not an int64, a value
-    that is not a number, target ids that change within a group,
-    non-finite values, a written gain that is not one `parse` assigns
+    The body is parsed once, into int64 ids and float64 numbers, as its
+    lines are read. Malformed content raises DataError naming the first bad
+    line: an unexpected header, a row count that is not a multiple of 10, a
+    blank line, a row with the wrong number of fields, an id that is not an
+    int64, a value that is not a number, target ids that change within a
+    group, non-finite values, a written gain that is not one `parse` assigns
     (0, 1 or 2), and base ranks of a target that are not 1..10 in some
     order (the line named is the first whose rank is not 1..10 or repeats
-    an earlier row's).
+    an earlier row's). The row count, a blank line and a row that does not
+    parse are named by reading the file again, once the parse has failed or
+    counted rows that are not whole groups.
     """
     n_ids, gain = len(ID_COLUMNS), header.index("gain")
     row = np.dtype([("ids", np.int64, n_ids), ("numbers", np.float64, len(header) - n_ids)])
 
-    def parse(lines: list[str]) -> np.ndarray:
-        if not lines:
+    def parse(lines: Iterable[str]) -> np.ndarray:
+        lines = iter(lines)
+        first = next(lines, None)
+        if first is None:
             return np.empty(0, row)  # loadtxt would warn that the input holds no data
         with warnings.catch_warnings():
             # Older numpy reads an int field that fails to parse through float, only
             # warning; as an error, loadtxt reports it as the field's ValueError.
             warnings.simplefilter("error", DeprecationWarning)
-            return np.loadtxt(lines, dtype=row, delimiter=",", comments=None, ndmin=1,
-                              converters={gain: _gain})
+            return np.loadtxt(chain([first], lines), dtype=row, delimiter=",",
+                              comments=None, ndmin=1, converters={gain: _gain})
 
     with decoding(path), open(path, encoding="utf-8") as fh:
         if next(csv.reader([fh.readline()]), None) != header:
             raise DataError(f"unexpected header in {path}")
-        lines = list(fh)
-    if len(lines) % 10 != 0:
-        raise DataError(f"{path}: row count {len(lines)} is not a multiple of 10")
-    try:
-        rows = parse(lines) if all(map(str.strip, lines)) else None  # loadtxt skips blank lines
-    except ValueError:
-        rows = None
-    if rows is None:
+        try:
+            rows = parse(_unblank(fh))
+        except ValueError:
+            rows = None
+    if rows is None or len(rows) % 10 != 0:
+        with decoding(path), open(path, encoding="utf-8") as fh:
+            lines = list(fh)[1:]
+        if len(lines) % 10 != 0:
+            raise DataError(f"{path}: row count {len(lines)} is not a multiple of 10")
         for n, line in enumerate(lines, start=2):  # numpy's row numbers are not file lines
             if not line.strip():
                 raise DataError(f"{path}: line {n} is blank")
@@ -866,6 +879,7 @@ def read_table(path: str | Path, header: list[str], x: slice) -> FeatureTable:
             except ValueError as exc:
                 reason = re.sub(r" at row \d+", "", str(exc)).split(";")[0]
                 raise DataError(f"{path}: line {n}: {reason}") from None
+        raise DataError(f"{path}: changed while it was read")
     ids = rows["ids"].reshape(-1, 10, n_ids)
     numbers = rows["numbers"].reshape(-1, 10, len(header) - n_ids)
     gains = numbers[..., gain - n_ids]

@@ -60,7 +60,8 @@ class Standardizer:
                 f"dimension {self.mean.shape[0]}"
             )
         with np.errstate(over="ignore", invalid="ignore"):  # checked below, not warned
-            z = (x - self.mean) / self.scale
+            z = x - self.mean
+            z /= self.scale
         finite = np.isfinite(z).reshape(-1, z.shape[-1]).all(axis=0)
         if not finite.all():
             raise DataError(f"a value of column {np.argmin(finite) + 1} overflows float64 "
@@ -113,7 +114,9 @@ def init_params(n_features: int, hidden: int, rng: np.random.Generator) -> NetPa
 
 def forward(params: NetParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scores and hidden activations for standardized inputs (n, features)."""
-    hidden = np.tanh(x @ params.w1 + params.b1)
+    hidden = x @ params.w1
+    hidden += params.b1
+    np.tanh(hidden, out=hidden)
     scores = hidden @ params.w2 + params.b2
     return scores, hidden
 
@@ -287,7 +290,9 @@ def train(
     """Fit a scoring network; keeps the weights of the best validation epoch.
 
     A learning rate under which the loss stops being finite raises
-    ConfigError naming the epoch.
+    ConfigError naming the epoch. The tables are left unchanged; each is
+    let go once its standardized copy is made, so a caller that keeps no
+    reference to it has its memory back before training starts.
     """
     if kind is ModelKind.HEURISTIC:
         return RankModel(kind=kind, metadata={"note": "no training required"})
@@ -302,12 +307,15 @@ def train(
         raise DataError("every training query needs at least one gain > 0 document")
 
     standardizer = Standardizer.fit(train_table.flat_x())
-    x_train = standardizer.apply(train_table.x)
-    x_val = standardizer.apply(val_table.x)
     gains = train_table.gains.astype(np.float64)
+    x_train = standardizer.apply(train_table.x)
+    del train_table
+    val_gains, val_ranks = val_table.gains, val_table.base_ranks
+    x_val = standardizer.apply(val_table.x)
+    del val_table
 
     rng = np.random.default_rng(cfg.train_seed)
-    params = init_params(train_table.x.shape[-1], cfg.hidden_units, rng)
+    params = init_params(x_train.shape[-1], cfg.hidden_units, rng)
 
     best = params.copy()
     best_ndcg = -1.0
@@ -316,7 +324,7 @@ def train(
     stall = 0
     history = []
 
-    n_targets = train_table.n_targets
+    n_targets = len(x_train)
     for epoch in range(1, cfg.epochs + 1):
         epochs_run = epoch
         order = rng.permutation(n_targets)
@@ -337,9 +345,7 @@ def train(
             params.b1 -= lr * grads.b1
             params.w2 -= lr * grads.w2
             params.b2 -= lr * grads.b2
-        val_ndcg = _validation_ndcg(
-            params, x_val, val_table.gains, val_table.base_ranks, cfg.ndcg_cutoff
-        )
+        val_ndcg = _validation_ndcg(params, x_val, val_gains, val_ranks, cfg.ndcg_cutoff)
         history.append(val_ndcg)
         if val_ndcg > best_ndcg:
             best_ndcg = val_ndcg

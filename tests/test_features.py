@@ -515,6 +515,29 @@ class TestReadFeatures:
         with pytest.raises(DataError, match=r"line 2 is blank"):
             read_features(path)
 
+    def valid_file(self, tmp_path):
+        table = TestWriteFeatures().random_table(np.random.default_rng(3), 2, True)
+        path = tmp_path / "features.csv"
+        write_features(table, path)
+        return path, path.read_text().splitlines()
+
+    def test_bad_value_in_a_file_of_partial_groups_reports_the_row_count(self, tmp_path):
+        path, lines = self.valid_file(tmp_path)
+        lines[4] = ",".join(set_field(10, "x")(lines[4].split(",")))
+        path.write_text("\n".join(lines + lines[-1:]) + "\n")
+        with pytest.raises(DataError, match=r"row count 21 is not a multiple of 10"):
+            read_features(path)
+
+    def test_file_that_is_whole_when_read_again_is_data_error(self, tmp_path, monkeypatch):
+        path, lines = self.valid_file(tmp_path)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines[:-1]) + "\n")
+        reads = iter([bad, path])
+        monkeypatch.setattr(features, "open", lambda _, **kw: open(next(reads), **kw),
+                            raising=False)
+        with pytest.raises(DataError, match=r"bad\.csv: changed while it was read"):
+            read_features(bad)
+
 
 def scalar_table(sessions, refs, train_days, seed):
     """`extract_impression` over `assemble_contexts` for each (user, session, serp) in `refs`."""
@@ -998,6 +1021,17 @@ def traced_peak_per_slot(run, columns: SessionColumns) -> float:
     return traced_peak(run) / (len(contexts.training_rows(columns)[0]) * 20)
 
 
+# The traced peak of `read_features` on the generated log's train file, per
+# byte of the table it returns (the nbytes of its arrays). Measured with numpy
+# 2.4, it is 1.2: loadtxt parses each line as it is read, and its result grows
+# in place. Holding every line as a string while parsing took 1.9.
+READ_PEAK_PER_TABLE_BYTE = 1.5
+
+
+def table_bytes(table: FeatureTable) -> int:
+    return sum(getattr(table, field.name).nbytes for field in dataclasses.fields(table))
+
+
 class TestExtractionMemory:
     def test_traced_peak_per_index_slot(self, generated_log):
         columns, targets = generated_log
@@ -1029,6 +1063,16 @@ class TestExtractionMemory:
         peak = traced_peak(lambda: write_features(table, tmp_path / "features.csv"))
         assert peak / table.x.size < WRITE_PEAK_BYTES_PER_VALUE, (
             f"{peak / table.x.size:.1f} bytes per value")
+
+    def test_read_features_peak_per_table_byte(self, generated_log, tmp_path):
+        columns, targets = generated_log
+        path = tmp_path / "features.csv"
+        write_features(extract_all(columns, targets, seed=1)["train"], path)
+        read_features(path)  # one-time allocations
+        tables = []
+        peak = traced_peak(lambda: tables.append(read_features(path)))
+        ratio = peak / table_bytes(tables[0])
+        assert ratio < READ_PEAK_PER_TABLE_BYTE, f"{ratio:.2f} bytes per table byte"
 
     def test_read_holds_no_reference_to_the_columns(self, small_corpus):
         columns = SessionColumns(**{name: array.copy()
