@@ -1,7 +1,8 @@
-"""Versioned session caches and JSON payloads, and atomic file writes."""
+"""Versioned session caches and JSON payloads, atomic file writes, and the heap's trim."""
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 import tempfile
@@ -14,6 +15,14 @@ import numpy as np
 from .logs import GRADES, SERP_SIZE, DataError, Session, SessionColumns
 
 SESSIONS_MAGIC = b"PRNK.SESSIONS.2\n"
+
+# numpy's temporaries are freed as they go, but one small allocation left above
+# them can keep glibc from shrinking its heap, as layout happens to fall (even a
+# path's length moves it). `malloc_trim(0)` hands the heap's free pages back.
+try:
+    malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):  # not glibc: its allocator decides
+    malloc_trim = None
 
 
 def _umask() -> int:

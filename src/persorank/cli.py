@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import ctypes
 import dataclasses
 import errno
 import gzip
@@ -51,14 +50,9 @@ from .ranker import ModelKind, RankModel, score_table, train
 from .synth import generate_lines
 
 
-# A stage's numpy temporaries are freed when its handler returns, but one small
-# allocation left above them can keep glibc from shrinking its heap, as layout
-# happens to fall (even a path's length moves it). `main` hands the free pages
-# back after each command, so a run of commands peaks at the largest one's need.
-try:
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
-except (AttributeError, OSError, TypeError):  # not glibc: its allocator decides
-    _malloc_trim = None
+# `main` hands the heap's free pages back after each command (see
+# `cache.malloc_trim`), so a run of commands peaks at the largest one's need.
+_malloc_trim = cache.malloc_trim
 
 
 def _open_log(path: Path):
@@ -76,15 +70,21 @@ def _require(path: str | Path) -> Path:
     return path
 
 
+class _Named(DataError):
+    """A DataError that names its input file already, which `_naming` passes on as it is."""
+
+
 @contextlib.contextmanager
 def _naming(*paths: Path):
-    """Name the input `paths` in a DataError raised within.
+    """Name the input `paths` in a DataError raised within, unless it is `_Named`.
 
     Such an error names only a record, a session or a target, which may be
     at fault in any of the inputs that must agree.
     """
     try:
         yield
+    except _Named:
+        raise
     except DataError as exc:
         raise DataError(f"{', '.join(map(str, paths))}: {exc}") from None
 
@@ -231,16 +231,14 @@ def _cmd_extract(args, cfg: Config):
                                               seed=cfg.partition_seed)
     del columns  # before the index is built, so that the two are never held together
     extraction.index()
-    # One role's table at a time, each written to a temp file; all three go
-    # into place together once the last is written, or none does.
-    n_targets = []
+    # One role at a time, each extracted chunk by chunk as it is written to a
+    # temp file; all three go into place together once the last is written,
+    # or none does.
+    n_targets = [len(extraction.targets[role].ids) for role in ROLES]
     with contextlib.ExitStack() as stack:
         for role, path in zip(ROLES, outputs):
             temp = stack.enter_context(cache.atomic_write(path, mode=None))
-            table = features.extract_targets(extraction, role)
-            features.write_features(table, temp)
-            n_targets.append(table.n_targets)
-            del table
+            features.write_features(features.extract_chunks(extraction, role), temp)
     return (
         {}, [cache_path, targets_path], outputs,
         "wrote " + ", ".join(f"{p} ({n} targets)" for p, n in zip(outputs, n_targets)),
@@ -254,11 +252,20 @@ def _cmd_train(args, cfg: Config):
                         or Path(cfg.features_dir) / "features_validation.csv")
     kind = ModelKind(args.kind)
     [out] = _outputs(args.out or Path(cfg.models_dir) / f"model_{kind.value}.json")
-    # Read outside `_naming`: their errors name their file already. The list hands the
-    # tables over, so `train` holds their only references and can free them early.
-    tables = [features.read_features(train_path), features.read_features(val_path)]
+    # A feature file's errors name it already, so they are not named again. The
+    # list hands the train table over, so `train` holds its only reference and
+    # can free it early; the validation file is read when `train` asks for it,
+    # once it has standardized the train table, so the two are never held together.
+    tables = [features.read_features(train_path)]
+
+    def read_validation() -> features.FeatureTable:
+        try:
+            return features.read_features(val_path)
+        except DataError as exc:
+            raise _Named(str(exc)) from None
+
     with _naming(train_path, val_path):
-        model = train(kind, tables.pop(0), tables.pop(0), cfg)
+        model = train(kind, tables.pop(), read_validation, cfg)
     model.save(out)
     best = model.metadata.get("best_validation_ndcg")
     return (

@@ -16,6 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .logs import CODE_CLICKED, CODE_GAINS, SERP_SIZE, DataError, Grade, Session, SessionColumns
+from .logs import distinct, firsts
 from .partition import order_sessions, session_ranks
 
 OrderKey = tuple[int, int]  # (session rank in user's timeline, time_passed)
@@ -147,8 +148,9 @@ class IndexRows:
     `items` are codes into `documents`, columns 10-19 codes into `domains`
     plus len(documents), in `index_dtype` of the slot count. Code -1 marks
     the earlier slot of a document listed twice, which counts only at its
-    last slot, as in `doc_ranks`. `features.Extraction.index` drops the
-    slot-sized columns (`items` to `last_click`) once its indexes are built.
+    last slot, as in `doc_ranks`. `features.Extraction.index` drops `gains`,
+    `clicked` and `last_click` once its occurrence words hold them, and
+    `items` once its indexes are built.
     """
 
     users: np.ndarray       # (N,) user ids
@@ -188,23 +190,33 @@ def index_dtype(size: int) -> np.dtype:
     return np.dtype(np.int32 if size < 2**31 else np.int64)
 
 
+# Rows per block of `_encode`. It bounds the block's gathered ids, their
+# order and their sorted copy.
+ENCODE_ROWS = 1 << 13
+
+
 def _encode(ids: np.ndarray, at: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """The sorted distinct values of `ids[at]`; each one's index among them goes to `codes`.
 
-    As `np.unique` with its inverse, but the gathered ids, their order and
-    their sorted copy are the only int64 temporaries.
+    As `np.unique` with its inverse, a block of `ENCODE_ROWS` rows at a
+    time: each block's ids are coded among the block's distinct values,
+    which are then coded among the distinct values of every block's.
     """
-    flat = ids[at].ravel()
-    order = np.argsort(flat)
-    flat = flat[order]
-    first = np.ones(len(flat), dtype=bool)
-    np.not_equal(flat[1:], flat[:-1], out=first[1:])
-    distinct = flat[first]
-    del flat
-    inverse = np.empty(len(order), codes.dtype)
-    inverse[order] = np.cumsum(first, dtype=codes.dtype) - 1
-    codes[...] = inverse.reshape(codes.shape)
-    return distinct
+    blocks = [slice(start, start + ENCODE_ROWS) for start in range(0, len(at), ENCODE_ROWS)]
+    found = []
+    for block in blocks:
+        flat = ids[at[block]].ravel()
+        order = np.argsort(flat)
+        flat = flat[order]
+        first = firsts(flat)
+        found.append(flat[first])
+        local = np.empty(len(order), codes.dtype)
+        local[order] = np.cumsum(first, dtype=codes.dtype) - 1
+        codes[block] = local.reshape(-1, codes.shape[1])
+    values = distinct(np.concatenate([np.empty(0, ids.dtype)] + found))
+    for block, block_values in zip(blocks, found):
+        codes[block] = np.searchsorted(values, block_values).astype(codes.dtype)[codes[block]]
+    return values
 
 
 def index_rows(columns: SessionColumns, ranks: np.ndarray, train_days: int = 27) -> IndexRows:

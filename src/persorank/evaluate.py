@@ -166,8 +166,9 @@ def write_scores(table: FeatureTable, path: str | Path) -> None:
         raise DataError("target user={} query={} session={} serp={} has a score that is not "
                         "finite".format(*table.ids[np.argmin(finite)].tolist()))
     gains = map(repr, table.gains.ravel().tolist()) if table.gains is not None else repeat("")
-    write_table(table, path, SCORE_HEADER, table.base_ranks[..., None],
-                (f"{gain},{score!r}\r\n" for gain, score in zip(gains, table.x.ravel().tolist())))
+    ends = (f"{gain},{score!r}\r\n" for gain, score in zip(gains, table.x.ravel().tolist()))
+    write_table([table], path, SCORE_HEADER, lambda table: table.base_ranks[..., None],
+                lambda table: ends)
 
 
 def read_scores(path: str | Path) -> FeatureTable:

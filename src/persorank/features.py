@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -246,28 +246,32 @@ class _Targets(NamedTuple):
     grades: np.ndarray     # (T, 10) grade codes, -1 across an unlabeled impression
     terms: list[frozenset[int]]  # query terms
     ranks: np.ndarray      # (T,) session rank
+    labeled: bool          # whether every target is labeled, so that its tables carry gains
 
     @classmethod
     def of(cls, columns: SessionColumns, ids: np.ndarray, at: np.ndarray,
            ranks: np.ndarray) -> "_Targets":
         """Targets `ids` (user, session, serp) at rows `at`, whose sessions have ranks `ranks`."""
+        grades = columns.grades[at]
         return cls(np.insert(ids, 1, columns.query_id[at], axis=1), columns.time_passed[at],
-                   columns.documents[at], columns.domains[at], columns.grades[at],
-                   [frozenset(t) for t in columns.term_tuples(at)], ranks)
+                   columns.documents[at], columns.domains[at], grades,
+                   [frozenset(t) for t in columns.term_tuples(at)], ranks,
+                   bool((grades >= 0).all()))
 
 
-def _table(targets: _Targets, x: np.ndarray) -> FeatureTable:
-    """The table of `targets` with values `x`."""
-    grades = targets.grades
+def _table(targets: _Targets, chunk: slice, x: np.ndarray) -> FeatureTable:
+    """The table of the `chunk` of `targets` with values `x`."""
     return FeatureTable(
-        targets.ids, targets.documents, x, x[..., -1].copy(),
-        CODE_GAINS[grades].astype(np.float64) if (grades >= 0).all() else None,
+        targets.ids[chunk], targets.documents[chunk], x, x[..., -1].copy(),
+        CODE_GAINS[targets.grades[chunk]].astype(np.float64) if targets.labeled else None,
     )
 
 
-# Targets per kernel call. It bounds the hit arrays of one call, and with
-# them peak memory, while sharing numpy's fixed cost per call among many.
-CHUNK_TARGETS = 256
+# Targets per kernel call, and per table that `extract_chunks` makes. It
+# bounds the hit arrays of one call and the table, and with them peak
+# memory, while sharing numpy's fixed cost per call among many. At 160, a
+# 600-user log's roles peak below its index build; at 256, 2.6 MB higher.
+CHUNK_TARGETS = 160
 
 
 def _codes(vocabulary: np.ndarray, ids) -> np.ndarray:
@@ -281,35 +285,57 @@ def _codes(vocabulary: np.ndarray, ids) -> np.ndarray:
 # as int8 codes, so that arrays of them stay int8.
 SHOWN, CLICKED, SKIPPED, MISSED = np.arange(4, dtype=np.int8)
 N_EVENTS = 4
-# The attributes of an (index row, item) occurrence, padded to 8 bytes so
-# that gathering them by slot moves one word per hit.
-OCCURRENCE = np.dtype({
-    "names": ["top", "n_slots", "gain_sum", "gain_max", "gain_min", "r_clicked", "event"],
-    "formats": [np.int8] * 7,
-    "itemsize": 8,
-})
+N_GAINS = int(CODE_GAINS.max()) + 1
+# The attributes of an (index row, item) occurrence, each with the bits that
+# hold its largest value, packed in this order, the first highest, into one
+# int32 word below ATTRIBUTE_BITS. In a crowd key (see `_Crowd.of`) the word
+# follows the occurrence's item and segment.
+PACKED = tuple((name, int(largest).bit_length()) for name, largest in (
+    ("event", N_EVENTS - 1), ("column", SERP_SIZE - 1), ("r_clicked", SERP_SIZE),
+    ("gain_max", N_GAINS - 1), ("gain_min", N_GAINS - 1),
+    ("gain_sum", SERP_SIZE * (N_GAINS - 1)), ("n_slots", SERP_SIZE)))
+ATTRIBUTE_BITS = sum(bits for _, bits in PACKED)
+
+
+def _pack(out: np.ndarray, **fields) -> None:
+    """Pack the attributes `fields`, by name, into the int32 words `out` (see `PACKED`)."""
+    out[...] = 0
+    for name, bits in PACKED:
+        out <<= bits
+        out |= fields[name]
+
+
+def _decode(words: np.ndarray) -> dict[str, np.ndarray]:
+    """The int8 attributes of packed occurrence words (see `PACKED`), by name."""
+    fields, shift = {}, 0
+    for name, bits in PACKED[::-1]:
+        fields[name] = np.bitwise_and(words >> shift, (1 << bits) - 1,
+                                      out=np.empty(len(words), np.int8))
+        shift += bits
+    return fields
 
 
 def _occurrences(rows: IndexRows) -> np.ndarray:
-    """The attributes of each row's item occurrences, (N, 20) in the layout of `items`.
+    """The attributes of each row's item occurrences, (N, 20) int32 words in the layout of `items`.
 
-    At every slot: whether it is its item's topmost slot in the row, how
-    many slots the item fills, their gain sum, max and min, the item's
-    topmost clicked rank (0 if none), and its event, judged as if the slot
-    were the item's topmost. Every value is at most 20, so int8 holds it. A
-    document fills one slot, so only rows where a domain fills several need
-    an aggregation pass. The values are written into the table, through a
-    view of its document and domain halves, with no temporary wider than
-    int8.
+    The topmost slot of an item in its row holds the item's attributes,
+    packed as `PACKED` lays them out: its event, judged at that slot, the
+    slot's column, the item's topmost clicked rank (0 if none), and the max,
+    min and sum of the gains of the slots it fills and how many it fills.
+    Every other slot holds -1. A document fills one slot, so only rows where
+    a domain fills several need an aggregation pass. No temporary is wider
+    than int8 but those of that pass.
     """
     rank = np.arange(1, SERP_SIZE + 1, dtype=np.int8)
-    table = np.zeros(rows.items.shape, OCCURRENCE)
-    halves = table.reshape(-1, 2, SERP_SIZE)  # document slots, then domain slots
-    table["top"] = rows.items >= 0
-    table["n_slots"] = 1
-    for field in "gain_sum", "gain_max", "gain_min":
-        halves[field] = rows.gains[:, None]
-    halves["r_clicked"] = np.where(rows.clicked, rank, 0)[:, None]
+    r_clicked = np.where(rows.clicked, rank, np.int8(0))
+    last_click = rows.last_click[:, None]
+    event = np.where(last_click > rank, SKIPPED, np.where(last_click > 0, MISSED, SHOWN))
+    event[r_clicked > 0] = CLICKED
+    words = np.empty(rows.items.shape, np.int32)
+    halves = words.reshape(-1, 2, SERP_SIZE)  # document slots, then domain slots
+    _pack(halves[:, 0], event=event, column=rank - 1, r_clicked=r_clicked,
+          gain_max=rows.gains, gain_min=rows.gains, gain_sum=rows.gains, n_slots=1)
+    halves[:, 1] = halves[:, 0]
     domains = rows.items[:, SERP_SIZE:]
     ordered = np.sort(domains, axis=1)
     multi = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
@@ -317,19 +343,16 @@ def _occurrences(rows: IndexRows) -> np.ndarray:
     gains = np.broadcast_to(rows.gains[multi, None, :], same.shape)
     clicked = np.broadcast_to(np.where(rows.clicked[multi, None, :], rank, 127), same.shape)
     top_click = clicked.min(axis=2, where=same, initial=127)
-    block = table[multi, SERP_SIZE:]
-    block["top"] = ~(same & np.tri(SERP_SIZE, k=-1, dtype=bool)).any(axis=2)
-    block["n_slots"] = same.sum(axis=2)
-    block["gain_sum"] = gains.sum(axis=2, where=same)
-    block["gain_max"] = gains.max(axis=2, where=same, initial=-128)
-    block["gain_min"] = gains.min(axis=2, where=same, initial=127)
-    block["r_clicked"] = np.where(top_click < 127, top_click, 0)
-    table[multi, SERP_SIZE:] = block
-    last_click = rows.last_click[:, None, None]
-    halves["event"] = np.where(last_click > rank, SKIPPED,
-                               np.where(last_click > 0, MISSED, SHOWN))
-    table["event"][table["r_clicked"] > 0] = CLICKED
-    return table
+    top_click[top_click == 127] = 0
+    block = np.empty((len(multi), SERP_SIZE), np.int32)
+    _pack(block, event=np.where(top_click > 0, CLICKED, event[multi]), column=rank - 1,
+          r_clicked=top_click, gain_max=gains.max(axis=2, where=same, initial=-128),
+          gain_min=gains.min(axis=2, where=same, initial=127),
+          gain_sum=gains.sum(axis=2, where=same), n_slots=same.sum(axis=2))
+    block[(same & np.tri(SERP_SIZE, k=-1, dtype=bool)).any(axis=2)] = -1
+    halves[multi, 1] = block
+    words[rows.items < 0] = -1
+    return words
 
 
 class _Slots(NamedTuple):
@@ -348,9 +371,10 @@ class _Slots(NamedTuple):
     segments: np.ndarray  # sorted distinct segment ids of the rows
 
     @classmethod
-    def of(cls, rows: IndexRows, top: np.ndarray, segment_of_row: np.ndarray) -> "_Slots":
+    def of(cls, rows: IndexRows, occurrences: np.ndarray,
+           segment_of_row: np.ndarray) -> "_Slots":
         segments, seg = np.unique(segment_of_row, return_inverse=True)
-        width, n = 2 * SERP_SIZE, top.size
+        width, n = 2 * SERP_SIZE, occurrences.size
         by_segment = np.argsort(seg, kind="stable")
         place = np.empty_like(by_segment)
         place[by_segment] = np.arange(len(by_segment)) * width
@@ -358,7 +382,7 @@ class _Slots(NamedTuple):
         key *= n
         key += place[:, None]
         key += np.arange(width)
-        key[top == 0] = -1
+        key[occurrences < 0] = -1
         key = key.ravel()
         key.sort()
         first = np.searchsorted(seg[by_segment], np.arange(len(segments) + 1))
@@ -402,7 +426,6 @@ def _overlaps(pairs: np.ndarray, terms: list[frozenset[int]],
 # counts and discount numerators (see DISCOUNTS) by event, the clicked
 # discount numerator, the gain sum and the slot count; then counts by
 # clicked rank (0 when not clicked), by max gain and by min gain.
-N_GAINS = int(CODE_GAINS.max()) + 1
 DISCOUNT = N_EVENTS
 CLICKED_DISCOUNT = 2 * N_EVENTS
 GAIN_SUM = CLICKED_DISCOUNT + 1
@@ -419,20 +442,19 @@ DISCOUNTS = RANK_LCM // RANKS
 EXACT = 2**53
 
 
-def _tally(group: np.ndarray, occ: np.ndarray, column: np.ndarray, n: int,
+def _tally(group: np.ndarray, occ: dict[str, np.ndarray], n: int,
            weights: np.ndarray | None = None) -> np.ndarray:
-    """(n, TALLY) int64 sums over the occurrences `occ`, by `group`.
+    """(n, TALLY) int64 sums over the occurrences `occ`, decoded (see `_decode`), by `group`.
 
-    `column` is each occurrence's topmost column, and `weights` how many
-    times it counts (once if None). Weighted sums add integers in float64,
-    which is exact below 2**53.
+    `weights` is how many times each occurrence counts (once if None).
+    Weighted sums add integers in float64, which is exact below 2**53.
     """
     once = 1 if weights is None else weights
     by_event = group * N_EVENTS + occ["event"]
     table = np.empty((n, TALLY), dtype=np.int64)
     table[:, :DISCOUNT] = np.bincount(by_event, weights, n * N_EVENTS).reshape(n, N_EVENTS)
     table[:, DISCOUNT:CLICKED_DISCOUNT] = np.bincount(
-        by_event, DISCOUNTS[column] * once, n * N_EVENTS).reshape(n, N_EVENTS)
+        by_event, DISCOUNTS[occ["column"]] * once, n * N_EVENTS).reshape(n, N_EVENTS)
     for at, values in ((CLICKED_DISCOUNT, np.append(0, DISCOUNTS)[occ["r_clicked"]]),
                        (GAIN_SUM, occ["gain_sum"]), (SLOT_COUNT, occ["n_slots"])):
         table[:, at] = np.bincount(group, values * once, n)
@@ -444,17 +466,18 @@ def _tally(group: np.ndarray, occ: np.ndarray, column: np.ndarray, n: int,
     return table
 
 
-# The attributes of an occurrence that a tally reads, each with the bits
-# that hold its largest value. Packed below ATTRIBUTE_BITS, they follow the
-# occurrence's item and segment in one sort key.
-PACKED = tuple((name, int(largest).bit_length()) for name, largest in (
-    ("event", N_EVENTS - 1), ("column", SERP_SIZE - 1), ("r_clicked", SERP_SIZE),
-    ("gain_max", N_GAINS - 1), ("gain_min", N_GAINS - 1),
-    ("gain_sum", SERP_SIZE * (N_GAINS - 1)), ("n_slots", SERP_SIZE)))
-ATTRIBUTE_BITS = sum(bits for _, bits in PACKED)
 # Sorted slot keys per decoding and tally pass of `_Crowd.of`. It bounds the
 # pass's temporaries, about 60 bytes per key.
-CROWD_SLOTS = 1 << 16
+CROWD_SLOTS = 1 << 14
+
+
+def tally_dtype(n_rows: int) -> np.dtype:
+    """The dtype of the crowd's tallies over `n_rows` index rows: int32 when it holds them.
+
+    An entry counts at most one topmost slot per row, and each slot adds at
+    most RANK_LCM to a discount numerator.
+    """
+    return np.dtype(np.int32 if n_rows * RANK_LCM < 2**31 else np.int64)
 
 
 class _Crowd(NamedTuple):
@@ -469,7 +492,7 @@ class _Crowd(NamedTuple):
     variants: np.ndarray      # term variant of each segment
     row_segments: np.ndarray  # (N,) segment of each row
     keys: np.ndarray          # sorted item code * len(variants) + segment of each entry
-    tallies: np.ndarray       # (entries, TALLY) int64, see `_tally`
+    tallies: np.ndarray       # (entries, TALLY) in `tally_dtype` of the rows, see `_tally`
 
     @classmethod
     def of(cls, rows: IndexRows, occurrences: np.ndarray) -> "_Crowd":
@@ -492,33 +515,28 @@ class _Crowd(NamedTuple):
         key = rows.items.astype(np.int64)
         key *= len(segments)
         key += segment.reshape(-1, 1)
-        for name, bits in PACKED:
-            key <<= bits
-            key |= (np.tile(np.arange(SERP_SIZE, dtype=np.int8), 2) if name == "column"
-                    else occurrences[name])
-        key[occurrences["top"] == 0] = -1
+        key <<= ATTRIBUTE_BITS
+        key |= occurrences  # a slot that is no item's topmost holds -1, and so its key
         key = key.ravel()
         key.sort()
         key = key[np.searchsorted(key, 0):]
-        keys, tallies, last = [np.empty(0, np.int64)], [np.empty((0, TALLY), np.int64)], -1
+        dtype = tally_dtype(len(rows.items))
+        keys, tallies, last = [np.empty(0, np.int64)], [np.empty((0, TALLY), dtype)], -1
         for start in range(0, len(key), CROWD_SLOTS):
             block = key[start:start + CROWD_SLOTS]
             starts = np.flatnonzero(firsts(block))
             counts = np.diff(starts, append=len(block))
             block = block[starts]
-            occ = {}
-            for name, bits in PACKED[::-1]:
-                occ[name] = np.bitwise_and(block, (1 << bits) - 1, out=np.empty(len(block), np.int8))
-                block >>= bits
+            occ = _decode(block)
+            block >>= ATTRIBUTE_BITS
             first = firsts(block)
-            tally = _tally(np.cumsum(first) - 1, occ, occ["column"], np.count_nonzero(first),
-                           counts)
+            tally = _tally(np.cumsum(first) - 1, occ, np.count_nonzero(first), counts)
             if block[0] == last:  # the entry that ends the previous block goes on
                 tallies[-1][-1] += tally[0]
                 first[0], tally = False, tally[1:]
             if len(tally):
                 keys.append(block[first])
-                tallies.append(tally)
+                tallies.append(tally.astype(dtype))
             last = block[-1]
         del key  # before the entries are joined
         return cls(queries, np.searchsorted(segments, np.arange(len(queries) + 1) * n_terms),
@@ -544,11 +562,11 @@ def _pair_evidence(rows: IndexRows, occurrences: np.ndarray, hits, keep: np.ndar
     Each hit is one occurrence, so it counts once.
     """
     u, slot = (a[keep] for a in hits)
-    occ = occurrences.ravel()[slot]
+    occ = _decode(occurrences.ravel()[slot])
     first = firsts(u)
     present, row = u[first], np.cumsum(first) - 1
     judged = occ["event"] != SHOWN
-    return present, _tally(row, occ, slot % SERP_SIZE, len(present)).T.copy(), (
+    return present, _tally(row, occ, len(present)).T.copy(), (
         row[judged], rows.variants[slot[judged] // (2 * SERP_SIZE)], occ["event"][judged], 1)
 
 
@@ -572,8 +590,7 @@ def _crowd_evidence(crowd: _Crowd, occurrences: np.ndarray, items: np.ndarray,
     own_at = np.searchsorted(crowd.keys, items.ravel()[u] * n_segments
                              + crowd.row_segments[slot // width])
     entries = crowd.tallies[at]
-    entries -= _tally(own_at - lo[u] + offset[u], occurrences.ravel()[slot], slot % SERP_SIZE,
-                      len(at))
+    entries -= _tally(own_at - lo[u] + offset[u], _decode(occurrences.ravel()[slot]), len(at))
     present = np.flatnonzero(n)  # each such item's entries are one run of `entries`
     entry, event = np.nonzero(entries[:, CLICKED:DISCOUNT])
     event += CLICKED
@@ -584,11 +601,12 @@ def _crowd_evidence(crowd: _Crowd, occurrences: np.ndarray, items: np.ndarray,
     return present, tally.T.copy(), judged
 
 
-def _blocks(present: np.ndarray, tally: np.ndarray, judged, terms: list[frozenset[int]],
-            variants: list[frozenset[int]], ids: np.ndarray) -> np.ndarray:
-    """Blocks of one context pair for a chunk of targets, (T, 10, 40), from integer evidence.
+def _blocks(out: np.ndarray, present: np.ndarray, tally: np.ndarray, judged,
+            terms: list[frozenset[int]], variants: list[frozenset[int]], ids: np.ndarray) -> None:
+    """Write the blocks of one context pair for a chunk of targets to `out`, (T, 10, 40).
 
-    Each document position holds its document's block, then its domain's.
+    The blocks come from integer evidence. Each document position holds its
+    document's block, then its domain's.
     Target item t * 20 + j is the targets' j-th document (j < 10) or
     domain. `present` are the items with evidence, ascending, and `tally`
     their tallies (see `_tally`), transposed to (TALLY, len(present)) so
@@ -637,8 +655,14 @@ def _blocks(present: np.ndarray, tally: np.ndarray, judged, terms: list[frozense
     gain_sum, slot_count = tally[GAIN_SUM], tally[SLOT_COUNT]
     gains = np.arange(N_GAINS)
     clicked = tally[BY_CLICKED_RANK + 1:BY_GAIN_MAX]
-    block = np.zeros((n_targets * width, N_CONTEXT_FEATURES))
-    block[present] = np.stack([
+    # Item t * 20 + j is at target t's document position j % 10, in its first
+    # block for a document (j < 10), in its second for a domain. Splitting the
+    # last axis, which is contiguous, makes `blocks` a view of `out`.
+    target, item = np.divmod(present, width)
+    half, position = np.divmod(item, SERP_SIZE)
+    out[...] = 0
+    blocks = out.reshape(n_targets, SERP_SIZE, 2, N_CONTEXT_FEATURES)
+    blocks[target, position, half] = np.stack([
         # g1-g4: total, mean, max and min gain over the item's slots
         gain_sum, np.divide(gain_sum, slot_count, out=np.zeros(m), where=slot_count > 0),
         _largest(tally[BY_GAIN_MAX:BY_GAIN_MIN], gains), _smallest(tally[BY_GAIN_MIN:], gains),
@@ -652,9 +676,6 @@ def _blocks(present: np.ndarray, tally: np.ndarray, judged, terms: list[frozense
         _largest(clicked, RANKS), _smallest(clicked, RANKS),
         discounts[SKIPPED] / RANK_LCM, discounts[MISSED] / RANK_LCM,
     ], axis=1, dtype=np.float64)
-    # By item, document items first, to (T, 10, 40) by document position.
-    return (block.reshape(n_targets, 2, SERP_SIZE, -1).swapaxes(1, 2)
-            .reshape(n_targets, SERP_SIZE, -1))
 
 
 def _target_blocks(e: "Extraction", targets: _Targets, chunk: slice, out: np.ndarray) -> None:
@@ -676,11 +697,11 @@ def _target_blocks(e: "Extraction", targets: _Targets, chunk: slice, out: np.nda
     earlier = (rank < ranks[t]) | ((rank == ranks[t]) & (rows.times[row] < times[t]))
     same_query = rows.queries[row] == queries[t]
     for k, keep in enumerate((same_query & earlier, ~same_query & earlier)):
-        out[..., 40 * k:40 * (k + 1)] = _blocks(
-            *_pair_evidence(rows, e.occurrences, hits, keep), terms, rows.terms, ids)
-    out[..., 80:120] = _blocks(
-        *_crowd_evidence(e.crowd, e.occurrences, items, queries,
-                         (hits[0][same_query], hits[1][same_query])), terms, rows.terms, ids)
+        _blocks(out[..., 40 * k:40 * (k + 1)],
+                *_pair_evidence(rows, e.occurrences, hits, keep), terms, rows.terms, ids)
+    _blocks(out[..., 80:120],
+            *_crowd_evidence(e.crowd, e.occurrences, items, queries,
+                             (hits[0][same_query], hits[1][same_query])), terms, rows.terms, ids)
     out[..., 120] = np.arange(1.0, SERP_SIZE + 1)  # base rank
 
 
@@ -712,43 +733,58 @@ class Extraction:
         names no impression raises DataError.
         """
         ranks = rank_sessions(columns, seed)
-        rows = index_rows(columns, ranks, train_days)
         session = columns.impression_sessions()
         by_role = [targets.by_role(role) for role in ROLES]
         by_role = [ids[np.lexsort(ids.T[::-1])] for ids in by_role]  # by user, session, serp
-        found = columns.rows_of(np.concatenate(by_role))  # one key sort for every role
+        # One key sort for every role, before the rows are built, so that the two never meet.
+        found = columns.rows_of(np.concatenate(by_role))
         ends = np.cumsum([len(ids) for ids in by_role])[:-1]
-        return cls(rows, {role: _Targets.of(columns, ids, at, ranks[session[at]])
-                          for role, ids, at in zip(ROLES, by_role, np.split(found, ends))})
+        roles = {role: _Targets.of(columns, ids, at, ranks[session[at]])
+                 for role, ids, at in zip(ROLES, by_role, np.split(found, ends))}
+        del session, found
+        return cls(index_rows(columns, ranks, train_days), roles)
 
     def index(self) -> None:
         """Build the occurrence table, the crowd tally and the slot index from the rows."""
-        rows = self.rows
-        self.occurrences = _occurrences(rows)
+        self.occurrences = _occurrences(self.rows)
+        # The occurrences hold what the rows' gains and clicks told: those go now.
+        rows = self.rows = replace(self.rows, gains=None, clicked=None, last_click=None)
         self.crowd = _Crowd.of(rows, self.occurrences)  # before `slots`: its sort never meets theirs
-        self.slots = _Slots.of(rows, self.occurrences["top"], rows.users)
-        # The targets read only the rows' per-row columns: their slot-sized ones go now.
-        self.rows = replace(rows, items=None, gains=None, clicked=None, last_click=None)
+        self.slots = _Slots.of(rows, self.occurrences, rows.users)
+        # The targets read only the rows' per-row columns: their items go too.
+        self.rows = replace(rows, items=None)
 
 
-def extract_targets(extraction: Extraction, role: str) -> FeatureTable:
-    """The feature table of one role's targets, from an indexed `extraction`.
+def extract_targets(extraction: Extraction, role: str, chunk: slice = slice(None)) -> FeatureTable:
+    """The feature table of the `chunk` of one role's targets (all of them by default).
 
-    The targets are in (user_id, session_id, serp_id) order, so output is
-    deterministic. The values equal `extract_impression` over
-    `assemble_contexts` bit for bit: every value is exact and rounded once.
-    Each context pair's occurrences of a target item become one integer
-    tally, and one function (`_blocks`) turns tallies into values, so the
-    cost of a target depends on its user's rows, not on how many users
-    logged its query. Targets go through the kernel in chunks of
-    `CHUNK_TARGETS`. A role with any unlabeled target gets gains=None.
+    `extraction` must be indexed. The targets are in (user_id, session_id,
+    serp_id) order, so output is deterministic. The values equal
+    `extract_impression` over `assemble_contexts` bit for bit: every value
+    is exact and rounded once. Each context pair's occurrences of a target
+    item become one integer tally, and one function (`_blocks`) turns
+    tallies into values, so the cost of a target depends on its user's rows,
+    not on how many users logged its query. Targets go through the kernel in
+    chunks of `CHUNK_TARGETS`. A role with any unlabeled target gets
+    gains=None in every chunk.
     """
     targets = extraction.targets[role]
-    x = np.empty((len(targets.ids), SERP_SIZE, N_FEATURES))
-    for start in range(0, len(targets.ids), CHUNK_TARGETS):
-        chunk = slice(start, start + CHUNK_TARGETS)
-        _target_blocks(extraction, targets, chunk, x[chunk])
-    return _table(targets, x)
+    start, stop, _ = chunk.indices(len(targets.ids))
+    x = np.empty((max(stop - start, 0), SERP_SIZE, N_FEATURES))
+    for first in range(start, stop, CHUNK_TARGETS):
+        part = slice(first, min(first + CHUNK_TARGETS, stop))
+        _target_blocks(extraction, targets, part, x[first - start:part.stop - start])
+    return _table(targets, slice(start, stop), x)
+
+
+def extract_chunks(extraction: Extraction, role: str) -> Iterator[FeatureTable]:
+    """One role's feature tables, `CHUNK_TARGETS` targets at a time, in order.
+
+    Each is made when it is asked for, so a writer that takes them in turn
+    (see `write_features`) holds one chunk's table, never the role's.
+    """
+    for start in range(0, len(extraction.targets[role].ids), CHUNK_TARGETS):
+        yield extract_targets(extraction, role, slice(start, start + CHUNK_TARGETS))
 
 
 # Targets per join when writing a grouped CSV. Their row strings are made
@@ -756,51 +792,78 @@ def extract_targets(extraction: Extraction, role: str) -> FeatureTable:
 WRITE_TARGETS = 32
 
 
-def write_features(table: FeatureTable, path: str | Path) -> None:
+def write_features(tables: FeatureTable | Iterable[FeatureTable], path: str | Path) -> None:
     """Write a feature file: ten rows per target, values in `repr` digits, gains as integers.
 
-    An unlabeled table leaves every gain empty. See `write_table`.
+    `tables` is one table, or one role's tables chunk by chunk, in order,
+    each written as it comes (see `extract_chunks`). An unlabeled table
+    leaves every gain empty. See `write_table`.
     """
-    gains = (table.gains.astype(np.int64).ravel().tolist() if table.gains is not None
-             else repeat(""))
-    write_table(table, path, HEADER, table.x, (f"{gain}\r\n" for gain in gains))
+    def ends(table: FeatureTable) -> Iterable[str]:
+        gains = (table.gains.astype(np.int64).ravel().tolist() if table.gains is not None
+                 else repeat(""))
+        return (f"{gain}\r\n" for gain in gains)
+
+    write_table([tables] if isinstance(tables, FeatureTable) else tables, path, HEADER,
+                lambda table: table.x, ends)
 
 
-def write_table(table: FeatureTable, path: str | Path, header: list[str],
-                values: np.ndarray, ends: Iterable[str]) -> None:
+def write_table(tables: Iterable[FeatureTable], path: str | Path, header: list[str],
+                values: Callable[[FeatureTable], np.ndarray],
+                ends: Callable[[FeatureTable], Iterable[str]]) -> None:
     """Write the grouped-CSV layout of feature and score files, which `read_table` reads.
 
-    Each row is its target's four id columns and its doc id, then its
-    (T, 10, k) `values` in `repr` digits, each with its trailing comma, then
-    the row's string from `ends`: the rest of the row and its line end.
-    Lines end in CRLF, as `csv.writer` ends them. Each distinct value is
-    formatted once. The distinct values are found by their bits, which keeps
-    -0.0 apart from 0.0: those of each block of `WRITE_TARGETS` targets,
-    then those of the blocks' union, so no sorted copy of every value is
-    made. Each block is one join over a (rows, k + 2) array of strings:
-    each row's id prefix, its values, its end.
+    `tables` hold consecutive targets, and each is written, and let go, as
+    it comes. Each row is its target's four id columns and its doc id, then
+    its table's (T, 10, k) `values` in `repr` digits, each with its trailing
+    comma, then the row's string from the table's `ends`: the rest of the
+    row and its line end. Lines end in CRLF, as `csv.writer` ends them. Each
+    distinct value is formatted once per file (see `_write_rows`).
     """
-    n_targets, k = table.n_targets, values.shape[-1]
-    bits = values.view(np.int64)
-    starts = range(0, n_targets, WRITE_TARGETS)
-    patterns = distinct(np.concatenate([np.empty(0, np.int64)] + [
-        distinct(bits[start:start + WRITE_TARGETS]) for start in starts]))
-    digits = np.array([f"{value!r}," for value in patterns.view(np.float64).tolist()],
-                      dtype=object)
-    heads = ["{},{},{},{},".format(*ids) for ids in table.ids.tolist()]
-    ends = iter(ends)
+    formatted = np.empty(0, np.int64), np.empty(0, dtype=object)
     with atomic_write(path, newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for start in starts:
-            block = slice(start, start + WRITE_TARGETS)
-            prefixes = [f"{head}{doc}," for head, docs in zip(heads[block],
-                                                              table.doc_ids[block].tolist())
-                        for doc in docs]
-            fields = np.empty((len(prefixes), k + 2), dtype=object)
-            fields[:, 0] = np.array(prefixes, dtype=object)
-            fields[:, 1:-1] = digits[np.searchsorted(patterns, bits[block].reshape(-1, k))]
-            fields[:, -1] = np.array(list(islice(ends, len(prefixes))), dtype=object)
-            fh.write("".join(fields.ravel().tolist()))
+        for table in tables:
+            formatted = _write_rows(fh, table, values(table), ends(table), formatted)
+            del table  # before the next table is made
+
+
+def _write_rows(fh, table: FeatureTable, values: np.ndarray, ends: Iterable[str],
+                formatted: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Write the rows of `table` (see `write_table`); return the values formatted so far.
+
+    `formatted` holds the sorted bit patterns of the values formatted
+    before, and their strings. The distinct values of the table are found
+    by their bits, which keeps -0.0 apart from 0.0: those of each block of
+    `WRITE_TARGETS` targets, then those of the blocks' union, so no sorted
+    copy of every value is made. Only those not formatted before are
+    formatted. Each block is one join over a (rows, k + 2) array of
+    strings: each row's id prefix, its values, its end.
+    """
+    k = values.shape[-1]
+    bits = values.view(np.int64)
+    starts = range(0, table.n_targets, WRITE_TARGETS)
+    seen = distinct(np.concatenate([np.empty(0, np.int64)] + [
+        distinct(bits[start:start + WRITE_TARGETS]) for start in starts]))
+    patterns, digits = formatted
+    new = seen[_codes(patterns, seen) < 0]
+    at = np.searchsorted(patterns, new)
+    patterns = np.insert(patterns, at, new)
+    digits = np.insert(digits, at, np.array(
+        [f"{value!r}," for value in new.view(np.float64).tolist()], dtype=object))
+    heads = ["{},{},{},{},".format(*ids) for ids in table.ids.tolist()]
+    ends = iter(ends)
+    for start in starts:
+        block = slice(start, start + WRITE_TARGETS)
+        prefixes = [f"{head}{doc}," for head, docs in zip(heads[block],
+                                                          table.doc_ids[block].tolist())
+                    for doc in docs]
+        fields = np.empty((len(prefixes), k + 2), dtype=object)
+        fields[:, 0] = np.array(prefixes, dtype=object)
+        fields[:, 1:-1] = digits[np.searchsorted(patterns, bits[block].reshape(-1, k))]
+        fields[:, -1] = np.array(list(islice(ends, len(prefixes))), dtype=object)
+        fh.write("".join(fields.ravel().tolist()))
+    return patterns, digits
 
 
 def read_features(path: str | Path) -> FeatureTable:

@@ -295,21 +295,29 @@ class SessionColumns:
     def term_variants(self, rows: np.ndarray) -> tuple[np.ndarray, list[tuple[int, ...]]]:
         """A code for the query terms of each impression row in `rows`, and the terms of each code.
 
-        Rows with equal term lists share a code. The rows' padded term
-        arrays are sorted once, and a tuple is built only per code.
+        Rows with equal term lists share a code. Codes follow the lists'
+        order by length, then term by term. The rows of each term count k
+        are sorted as one (rows, k) block of terms, in ascending k, so the
+        temporaries add up to the rows' own terms. A tuple is built only per
+        code.
         """
         n = self.n_terms[rows]
-        padded = np.zeros((len(rows), int(n.max(initial=0))), dtype=np.int64)
-        padded[np.arange(padded.shape[1]) < n[:, None]] = self.terms[
-            _ranges(np.cumsum(self.n_terms)[rows] - n, n)]
-        order = np.lexsort(np.vstack([padded.T[::-1], n]))
-        padded, n = padded[order], n[order]
-        first = np.ones(len(rows), dtype=bool)
-        first[1:] = (n[1:] != n[:-1]) | (padded[1:] != padded[:-1]).any(axis=1)
+        starts = np.cumsum(self.n_terms)[rows] - n
+        by_count = np.argsort(n, kind="stable")
+        counts = n[by_count]
         codes = np.empty(len(rows), dtype=np.int64)
-        codes[order] = np.cumsum(first) - 1
-        distinct = [tuple(terms[:k]) for terms, k in zip(padded[first].tolist(), n[first].tolist())]
-        return codes, distinct
+        variants: list[tuple[int, ...]] = []
+        for k in distinct(n).tolist():
+            group = by_count[np.searchsorted(counts, k):np.searchsorted(counts, k, "right")]
+            terms = self.terms[starts[group, None] + np.arange(k)]
+            if k:  # with no terms, every row has the one empty list
+                order = np.lexsort(terms.T[::-1])
+                group, terms = group[order], terms[order]
+            first = np.ones(len(group), dtype=bool)
+            first[1:] = (terms[1:] != terms[:-1]).any(axis=1)
+            codes[group] = len(variants) + np.cumsum(first) - 1
+            variants += map(tuple, terms[first].tolist())
+        return codes, variants
 
 
 def _int_field(value: str, line_no: int, name: str) -> int:

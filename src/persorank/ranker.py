@@ -17,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .cache import load_json, save_json
+from .cache import load_json, malloc_trim, save_json
 from .config import Config, ConfigError
 from .evaluate import mean_ndcg
 from .features import HIST_RELEVANCE_INDEX, N_FEATURES, FeatureTable
@@ -284,7 +285,7 @@ def _validation_ndcg(
 def train(
     kind: ModelKind,
     train_table: FeatureTable,
-    val_table: FeatureTable,
+    val_table: FeatureTable | Callable[[], FeatureTable],
     cfg: Config | None = None,
 ) -> RankModel:
     """Fit a scoring network; keeps the weights of the best validation epoch.
@@ -292,17 +293,21 @@ def train(
     A learning rate under which the loss stops being finite raises
     ConfigError naming the epoch. The tables are left unchanged; each is
     let go once its standardized copy is made, so a caller that keeps no
-    reference to it has its memory back before training starts.
+    reference to it has its memory back before training starts. `val_table`
+    may be a function that returns the validation table: it is called once
+    the training table is standardized, so that a caller that reads both
+    from files never holds the two parsed tables together.
     """
     if kind is ModelKind.HEURISTIC:
+        if callable(val_table):
+            val_table()  # nothing is trained, but a validation file must still read
         return RankModel(kind=kind, metadata={"note": "no training required"})
     cfg = cfg or Config()
+    unlabeled = "training and validation features must carry gains"
     if train_table.n_targets == 0:
         raise DataError("empty training set")
-    if val_table.n_targets == 0:
-        raise DataError("empty validation set")
-    if train_table.gains is None or val_table.gains is None:
-        raise DataError("training and validation features must carry gains")
+    if train_table.gains is None:
+        raise DataError(unlabeled)
     if not (train_table.gains > 0).any(axis=1).all():
         raise DataError("every training query needs at least one gain > 0 document")
 
@@ -310,9 +315,19 @@ def train(
     gains = train_table.gains.astype(np.float64)
     x_train = standardizer.apply(train_table.x)
     del train_table
+    if callable(val_table):
+        val_table = val_table()
+    if val_table.n_targets == 0:
+        raise DataError("empty validation set")
+    if val_table.gains is None:
+        raise DataError(unlabeled)
     val_gains, val_ranks = val_table.gains, val_table.base_ranks
     x_val = standardizer.apply(val_table.x)
     del val_table
+    # A table parsed after the train table was freed lies in the heap, whose
+    # pages stay resident unless handed back before training's temporaries.
+    if malloc_trim is not None:
+        malloc_trim(0)
 
     rng = np.random.default_rng(cfg.train_seed)
     params = init_params(x_train.shape[-1], cfg.hidden_units, rng)

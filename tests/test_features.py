@@ -984,19 +984,103 @@ class TestColumnar:
         assert not values[:, :120].any()
 
 
+# The 8-byte occurrence record whose fields `features._occurrences` packs into
+# one int32 word, and the builder of the records, as the reference of the words.
+OCCURRENCE = np.dtype({
+    "names": ["top", "n_slots", "gain_sum", "gain_max", "gain_min", "r_clicked", "event"],
+    "formats": [np.int8] * 7,
+    "itemsize": 8,
+})
+
+
+def occurrence_records(rows: contexts.IndexRows) -> np.ndarray:
+    """The (N, 20) occurrence records of the index rows, in the layout of `rows.items`."""
+    rank = np.arange(1, 11, dtype=np.int8)
+    table = np.zeros(rows.items.shape, OCCURRENCE)
+    halves = table.reshape(-1, 2, 10)
+    table["top"] = rows.items >= 0
+    table["n_slots"] = 1
+    for field in "gain_sum", "gain_max", "gain_min":
+        halves[field] = rows.gains[:, None]
+    halves["r_clicked"] = np.where(rows.clicked, rank, 0)[:, None]
+    domains = rows.items[:, 10:]
+    ordered = np.sort(domains, axis=1)
+    multi = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+    same = domains[multi, :, None] == domains[multi, None, :]
+    gains = np.broadcast_to(rows.gains[multi, None, :], same.shape)
+    clicked = np.broadcast_to(np.where(rows.clicked[multi, None, :], rank, 127), same.shape)
+    top_click = clicked.min(axis=2, where=same, initial=127)
+    part = table[multi, 10:]
+    part["top"] = ~(same & np.tri(10, k=-1, dtype=bool)).any(axis=2)
+    part["n_slots"] = same.sum(axis=2)
+    part["gain_sum"] = gains.sum(axis=2, where=same)
+    part["gain_max"] = gains.max(axis=2, where=same, initial=-128)
+    part["gain_min"] = gains.min(axis=2, where=same, initial=127)
+    part["r_clicked"] = np.where(top_click < 127, top_click, 0)
+    table[multi, 10:] = part
+    last_click = rows.last_click[:, None, None]
+    halves["event"] = np.where(last_click > rank, features.SKIPPED,
+                               np.where(last_click > 0, features.MISSED, features.SHOWN))
+    table["event"][table["r_clicked"] > 0] = features.CLICKED
+    return table
+
+
+class TestOccurrences:
+    @given(st.data())
+    @settings(max_examples=80)
+    def test_packed_words_decode_to_the_record_fields(self, data):
+        """On tiny corpora whose domains fill several slots and whose documents repeat."""
+        grades = st.sampled_from([Grade.NO_CLICK, Grade.NO_CLICK, Grade.R0, Grade.R1, Grade.R2])
+        sessions = []
+        for session_id in range(1, data.draw(st.integers(1, 5)) + 1):
+            impressions = []
+            for serp_id in range(data.draw(st.integers(1, 3))):
+                pool = data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True))
+                clicks = data.draw(st.lists(grades, min_size=10, max_size=10))
+                impressions.append(serp(
+                    serp_id, data.draw(st.lists(st.integers(0, 11), min_size=10, max_size=10)),
+                    data.draw(st.lists(st.sampled_from(pool), min_size=10, max_size=10)),
+                    dict(enumerate(clicks, start=1)), time=10 * serp_id))
+            sessions.append(Session(session_id, data.draw(st.integers(1, 3)),
+                                    data.draw(st.integers(1, 27)), impressions))
+        columns = SessionColumns.of(sessions)
+        rows = contexts.index_rows(columns, rank_sessions(columns, 0))
+        words, records = features._occurrences(rows), occurrence_records(rows)
+        assert words.dtype == np.int32 and words.shape == records.shape
+        top = records["top"] == 1
+        assert (words[~top] == -1).all()
+        fields = features._decode(words[top])
+        assert fields["column"].tolist() == (np.nonzero(top)[1] % 10).tolist()
+        for name in ("event", "r_clicked", "gain_sum", "gain_max", "gain_min", "n_slots"):
+            assert fields[name].tolist() == records[name][top].tolist(), name
+
+
 # The traced peak of extraction above its start, per index slot (an index
 # row's 20 document and domain slots), on the 300-user generated log below:
 # reading the rows and targets, building the index, and each role's table in
-# turn, one held at a time, as `persorank extract` does. The session columns
-# are held by the fixture, so they are not counted. Measured with numpy 2.4,
-# it is 47 bytes per slot; the bound leaves room for other numpy versions'
-# temporaries.
-PEAK_BYTES_PER_SLOT = 61
+# turn, one held at a time. The session columns are held by the fixture, so
+# they are not counted. Measured with numpy 2.4, it is 33 bytes per slot (47
+# with 8-byte occurrences and int64 crowd tallies); the bound leaves room for
+# other numpy versions' temporaries.
+PEAK_BYTES_PER_SLOT = 47
 # The same for the whole `persorank extract` command, with the session columns
-# it loads and its writes counted. Measured with numpy 2.4, it is 47 bytes per
-# slot: the command drops the columns before it builds the index, and the
-# index, not a role's write, sets its peak. The bound is 15 above.
-COMMAND_PEAK_BYTES_PER_SLOT = 62
+# it loads and its writes counted. Measured with numpy 2.4, it is 31 bytes per
+# slot (47 with 8-byte occurrences and whole role tables): the command drops
+# the columns before it builds the index, and a role, extracted and written a
+# chunk at a time, sets its peak. The bound is 15 above.
+COMMAND_PEAK_BYTES_PER_SLOT = 46
+# The traced peak of `Extraction.read` alone, per index slot. Measured with
+# numpy 2.4, it is 10.9 bytes per slot: the item codes are found a block of
+# rows at a time, after the targets. Sorting a copy of every document id at
+# once, with the targets found once the rows were built, took 17.1.
+READ_PEAK_BYTES_PER_SLOT = 14
+# How much higher a role's traced peak may be, while it is extracted and
+# written as `persorank extract` does, for three times the targets: the
+# distinct values that the file formats once grow with them, and the chunks
+# of the two roles differ. Measured with numpy 2.4, 1,800 targets peak 0.8 MB
+# above 600 (4.9 MB); holding each role's whole table, they peaked 11.1 MB
+# above.
+ROLE_PEAK_GROWTH = 2 * 2**20
 # The traced peak of writing the generated log's train table, per value
 # written. Measured with numpy 2.4, it is 4.1 bytes per value: the distinct
 # values of each block of targets, then of their union, and one block's
@@ -1045,6 +1129,42 @@ class TestExtractionMemory:
         peak = traced_peak_per_slot(extract_each_role, columns)
         assert peak < PEAK_BYTES_PER_SLOT, f"{peak:.1f} bytes per slot"
 
+    def test_read_peak_per_index_slot(self, generated_log):
+        columns, targets = generated_log
+        read = []
+        peak = traced_peak_per_slot(
+            lambda: read.append(features.Extraction.read(columns, targets, seed=1)), columns)
+        assert peak < READ_PEAK_BYTES_PER_SLOT, f"{peak:.1f} bytes per slot"
+
+    def test_occurrences_take_4_bytes_per_slot(self, generated_log):
+        columns, targets = generated_log
+        extraction = features.Extraction.read(columns, targets, seed=1)
+        extraction.index()
+        slots = len(contexts.training_rows(columns)[0]) * 20
+        assert extraction.occurrences.nbytes <= 4 * slots
+
+    def test_role_peak_does_not_grow_with_its_targets(self, generated_log, tmp_path):
+        columns, _ = generated_log
+        session = columns.impression_sessions()
+        ids = np.stack((columns.user_id[session], columns.session_id[session], columns.serp_id),
+                       axis=1)
+        # 1,800 impressions of the log, and every third of them, so that a chunk of
+        # either role spans users alike.
+        many = ids[np.sort(np.random.default_rng(0).choice(len(ids), 1800, replace=False))]
+        extraction = features.Extraction.read(columns, TargetSet(validation=many[::3], test=many),
+                                              seed=1)
+        extraction.index()
+
+        def extract_and_write(role):
+            write_features(features.extract_chunks(extraction, role), tmp_path / f"{role}.csv")
+
+        extract_and_write("validation")  # one-time allocations
+        few, all_ = [traced_peak(lambda: extract_and_write(role))
+                     for role in ("validation", "test")]
+        assert all_ - few < ROLE_PEAK_GROWTH, f"{few / 2**20:.1f} MB, then {all_ / 2**20:.1f} MB"
+        write_features(features.extract_targets(extraction, "test"), tmp_path / "whole.csv")
+        assert (tmp_path / "whole.csv").read_bytes() == (tmp_path / "test.csv").read_bytes()
+
     def test_command_peak_per_index_slot(self, generated_log, tmp_path, capsys):
         columns, targets = generated_log
         save_sessions(columns, tmp_path / "s.cache")
@@ -1091,5 +1211,15 @@ class TestExtractionMemory:
         assert (len(rows.documents) + len(rows.domains)) * rows.items.size >= 2**31
         narrow = extract_all(columns, targets, seed=1)
         monkeypatch.setattr(contexts, "index_dtype", lambda size: np.dtype(np.int64))
+        for role, table in extract_all(columns, targets, seed=1).items():
+            assert_same_table(table, narrow[role])
+
+    def test_int64_tallies_give_the_same_features(self, generated_log, monkeypatch):
+        columns, targets = generated_log
+        extraction = features.Extraction.read(columns, targets, seed=1)
+        extraction.index()
+        assert extraction.crowd.tallies.dtype == np.int32
+        narrow = {role: features.extract_targets(extraction, role) for role in ROLES}
+        monkeypatch.setattr(features, "tally_dtype", lambda n_rows: np.dtype(np.int64))
         for role, table in extract_all(columns, targets, seed=1).items():
             assert_same_table(table, narrow[role])

@@ -386,6 +386,62 @@ def saved_and_loaded(sessions):
         return load_sessions(path)
 
 
+def term_columns(term_lists) -> SessionColumns:
+    """The columns of one session whose impressions have the query terms `term_lists`."""
+    return SessionColumns.of([Session(1, 1, 1, [
+        Impression(serp, 7, tuple(terms), tuple(range(10)), tuple(range(10)), serp)
+        for serp, terms in enumerate(term_lists)])])
+
+
+def padded_term_variants(columns: SessionColumns, rows: np.ndarray):
+    """`SessionColumns.term_variants` by one sort of the rows' term lists, padded to the longest."""
+    n = columns.n_terms[rows]
+    padded = np.zeros((len(rows), int(n.max(initial=0))), dtype=np.int64)
+    padded[np.arange(padded.shape[1]) < n[:, None]] = columns.terms[
+        logs._ranges(np.cumsum(columns.n_terms)[rows] - n, n)]
+    order = np.lexsort(np.vstack([padded.T[::-1], n]))
+    padded, n = padded[order], n[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (n[1:] != n[:-1]) | (padded[1:] != padded[:-1]).any(axis=1)
+    codes = np.empty(len(rows), dtype=np.int64)
+    codes[order] = np.cumsum(first) - 1
+    return codes, [tuple(terms[:k]) for terms, k in zip(padded[first].tolist(), n[first].tolist())]
+
+
+# The traced peak of `term_variants` per term of its rows, on 500 rows of 1-4
+# terms and one of 3,000. Measured with numpy 2.4 and Python 3.11, it is 104
+# bytes per term, with the term tuples it returns. Padding every row to the
+# longest list took 7,625.
+TERM_VARIANTS_PEAK_PER_TERM = 200
+
+
+class TestTermVariants:
+    @given(st.data())
+    @settings(max_examples=100)
+    def test_same_codes_and_terms_as_one_padded_sort(self, data):
+        lists = data.draw(st.lists(st.lists(IDS, max_size=4), min_size=1, max_size=20))
+        lists.insert(data.draw(st.integers(0, len(lists))),
+                     data.draw(st.lists(IDS, min_size=20, max_size=300)))
+        columns = term_columns(lists)
+        rows = np.array(data.draw(st.lists(st.integers(0, len(lists) - 1), max_size=40)),
+                        dtype=np.int64)
+        codes, variants = columns.term_variants(rows)
+        want_codes, want_variants = padded_term_variants(columns, rows)
+        assert codes.dtype == want_codes.dtype
+        assert codes.tolist() == want_codes.tolist() and variants == want_variants
+
+    def test_traced_peak_per_term(self):
+        rng = np.random.default_rng(0)
+        lists = [rng.integers(0, 50, rng.integers(1, 5)).tolist() for _ in range(500)]
+        lists[250] = rng.integers(0, 5000, 3000).tolist()
+        columns, rows = term_columns(lists), np.arange(len(lists))
+        columns.term_variants(rows)  # one-time allocations
+        made = []
+        peak = traced_peak(lambda: made.append(columns.term_variants(rows)))
+        per_term = peak / sum(map(len, lists))
+        assert per_term < TERM_VARIANTS_PEAK_PER_TERM, f"{per_term:.0f} bytes per term"
+
+
 class TestSessionCache:
     @given(cached_sessions)
     @settings(max_examples=150)

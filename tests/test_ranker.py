@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -347,6 +348,28 @@ class TestTraining:
         assert (model.metadata["epochs_run"] < epochs) == (patience < epochs)
         assert [[getattr(t, f.name).tobytes() for f in dataclasses.fields(t)]
                 for t in kept] == before
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="before 3.11 the caller's frame holds call arguments "
+                               "until the call returns")
+    def test_validation_read_when_asked_once_the_train_table_is_let_go(self, tables,
+                                                                       feature_files, tmp_path):
+        settings = Config(hidden_units=12, learning_rate=0.05, epochs=3, patience=3,
+                          train_seed=4)
+        train(ModelKind.RANKNET, tables["train"], tables["validation"],
+              settings).save(tmp_path / "kept.json")
+        train_path, val_path = feature_files
+        handed = [features.read_features(train_path)]
+        train_x, reads = weakref.ref(handed[0].x), []
+
+        def read_validation():
+            reads.append(train_x() is None)
+            return features.read_features(val_path)
+
+        train(ModelKind.RANKNET, handed.pop(), read_validation, settings).save(
+            tmp_path / "asked.json")
+        assert reads == [True]
+        assert (tmp_path / "asked.json").read_bytes() == (tmp_path / "kept.json").read_bytes()
 
     @pytest.mark.skipif(sys.version_info < (3, 11),
                         reason="before 3.11 the caller's frame holds call arguments "
